@@ -69,7 +69,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-samples", type=int, default=None)
     p.add_argument("--max-wall-ms", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
@@ -160,7 +159,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "p": args.bernoulli,
             "strategy": args.strategy,
             "batch_size": args.batch_size,
-            "threads": args.threads,
         }
         report = run_strategy(
             args.strategy,
@@ -169,7 +167,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             seed,
             limits=limits,
             batch_size=args.batch_size,
-            threads=args.threads,
             config=config,
         )
     elif args.model is not None:
@@ -188,7 +185,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             limits=limits,
             batch_size=args.batch_size,
-            threads=args.threads,
         )
     else:
         if args.center is None or args.eps is None or args.reference_label is None:
@@ -207,7 +203,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "center": [float(v) for v in center],
             "reference_label": args.reference_label,
             "batch_size": args.batch_size,
-            "threads": args.threads,
         }
         with SubprocessOracle(args.oracle_cmd, sampler, args.reference_label) as oracle:
             report = run_strategy(
@@ -217,7 +212,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 seed,
                 limits=limits,
                 batch_size=args.batch_size,
-                threads=args.threads,
                 config=config,
             )
 
@@ -260,7 +254,6 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             limits=_limits(args),
             batch_size=args.batch_size,
-            threads=args.threads,
         )
     except NoYesFoundError as exc:
         _emit(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Philox, SeedSequence
 
 
 class QuantCertError(Exception):
@@ -46,9 +46,9 @@ class DimensionMismatchError(QuantCertError):
 class ThresholdQuery:
     """Decide: does the property hold for at most ``theta`` of the space?
 
-    ``eta`` is the indifference width: densities inside (theta, theta + eta]
-    carry no guarantee.  ``delta`` bounds the probability of a wrong verdict
-    outside that zone.
+    ``eta`` is the indifference width: densities inside the open band
+    (theta, theta + eta) carry no guarantee.  ``delta`` bounds the
+    probability of a wrong verdict outside that band, edges included.
     """
 
     theta: float
@@ -189,6 +189,10 @@ def chernoff_tail(mu: float, eta: float, n: int, side: str = "upper") -> float:
 _HALF_OPEN_SCALE = 2.0 ** -53
 _OPEN_SCALE = 2.0 ** -52
 
+# Instance-dict key of a SeedSpec's read cursor: (call_index, next raw word,
+# Philox positioned at that word).  Not a dataclass field.
+_CURSOR = "_cursor"
+
 
 def to_unit(raw: np.ndarray) -> np.ndarray:
     """Map uint64 words to float64 in [0, 1)."""
@@ -207,7 +211,14 @@ class SeedSpec:
     Every tester call gets its own counter-based stream, keyed by the call
     index.  Within a stream, trial i owns a fixed-width window of raw words,
     so trial i's randomness is a pure function of (root_seed, call_index, i).
-    Batch size and thread count can never change what any trial sees.
+    Batch size can never change what any trial sees.
+
+    A tester call reads its stream once, in order: the spec keeps the bit
+    generator of the last window it served and resumes it when the next
+    window starts where that one ended.  Any other window is positioned from
+    scratch, so results never depend on the order windows are asked for.
+    The cursor is a cache, not state: it takes no part in equality, hashing,
+    repr, copies or pickles.
     """
 
     root_seed: int
@@ -217,6 +228,9 @@ class SeedSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.root_seed < 2 ** 63:
             raise OutOfRangeError("root_seed must sit in [0, 2^63)")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != _CURSOR}
 
     @classmethod
     def fresh(cls) -> "SeedSpec":
@@ -234,28 +248,35 @@ class SeedSpec:
         ss = SeedSequence(self.root_seed, spawn_key=(index, 1))
         return SeedSpec(int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1)))
 
-    def _stream(self, call_index: int) -> Generator:
-        if call_index < 0:
-            raise OutOfRangeError("call_index must be nonnegative")
-        return Generator(Philox(SeedSequence(self.root_seed, spawn_key=(call_index,))))
-
     def raw_block(self, call_index: int, start: int, count: int, width: int) -> np.ndarray:
         """Raw words for trials [start, start + count), as a (count, width) array.
 
-        Philox advances in counter blocks of four 64-bit outputs, so the
-        stream is positioned at the enclosing block and the remainder is
-        sliced off.  The result depends only on the addressed window.
+        A window that starts where the previous one of the same call ended
+        continues that stream.  Otherwise Philox, which advances in counter
+        blocks of four 64-bit outputs, is positioned at the enclosing block
+        and the remainder is sliced off.  The result depends only on the
+        addressed window.
         """
         if start < 0 or count < 0 or width < 1:
             raise OutOfRangeError("need start >= 0, count >= 0, width >= 1")
         if count == 0:
             return np.empty((0, width), dtype=np.uint64)
-        gen = self._stream(call_index)
         first_raw = start * width
-        blocks, offset = divmod(first_raw, 4)
-        gen.bit_generator.advance(blocks)
-        words = gen.bit_generator.random_raw(offset + count * width)
-        return words[offset:].reshape(count, width)
+        # Popping hands the generator to this caller alone: a second thread
+        # sharing the spec finds no cursor and builds its own stream.
+        cursor = self.__dict__.pop(_CURSOR, None)
+        if cursor is not None and cursor[0] == call_index and cursor[1] == first_raw:
+            bits = cursor[2]
+            words = bits.random_raw(count * width)
+        else:
+            if call_index < 0:
+                raise OutOfRangeError("call_index must be nonnegative")
+            bits = Philox(SeedSequence(self.root_seed, spawn_key=(call_index,)))
+            blocks, offset = divmod(first_raw, 4)
+            bits.advance(blocks)
+            words = bits.random_raw(offset + count * width)[offset:]
+        self.__dict__[_CURSOR] = (call_index, first_raw + count * width, bits)
+        return words.reshape(count, width)
 
     def uniforms(self, call_index: int, start: int, count: int, width: int = 1) -> np.ndarray:
         """Half-open [0, 1) uniforms, shaped (count, width)."""

@@ -2,8 +2,8 @@
 
 An oracle's draw(k, call_index, seed, start) must be a pure function of its
 arguments: batch k trials however you like, the i-th trial of a given call
-always sees the same randomness.  That contract is what lets testers batch,
-thread, and replay without changing any verdict.
+always sees the same randomness.  That contract is what lets testers batch
+and replay without changing any verdict.
 """
 
 from __future__ import annotations

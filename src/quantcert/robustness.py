@@ -198,7 +198,6 @@ def certify_density(
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
     batch_size: int = 128,
-    threads: int = 1,
 ) -> CertificationReport:
     """Certify whether the adversarial density around the center is <= theta."""
     sampler = make_sampler(request.norm, request.center, request.epsilon)
@@ -210,7 +209,6 @@ def certify_density(
         "center": [float(v) for v in request.center],
         "reference_label": prop.reference_label,
         "batch_size": batch_size,
-        "threads": threads,
     }
     report = run_strategy(
         strategy,
@@ -219,7 +217,6 @@ def certify_density(
         seed,
         limits=limits,
         batch_size=batch_size,
-        threads=threads,
         config=config,
     )
     note = (
@@ -286,7 +283,6 @@ def adversarial_hardness(
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
     batch_size: int = 128,
-    threads: int = 1,
 ) -> HardnessResult:
     """Largest radius on the grid at which the density stays certified low.
 
@@ -311,7 +307,6 @@ def adversarial_hardness(
             strategy=strategy,
             limits=limits,
             batch_size=batch_size,
-            threads=threads,
         )
         probes.append(
             ProbeRecord(

@@ -25,7 +25,7 @@ class SoundnessStats:
     """Verdict counts for repeated runs against a known rate.
 
     failure_rate is None when p falls inside the guarantee-free band
-    (theta, theta + eta]: no verdict is wrong there, so no rate applies.
+    (theta, theta + eta): no verdict is wrong there, so no rate applies.
     """
 
     p: float
@@ -94,8 +94,8 @@ def soundness_trial(
     """Run the strategy repeatedly against Bernoulli(p) and score verdicts.
 
     A run fails when p <= theta but the verdict is not yes, or when
-    p > theta + eta but the verdict is not no.  Rates inside the band carry
-    no guarantee and produce failure_rate None.
+    p >= theta + eta but the verdict is not no.  Rates strictly inside the
+    band carry no guarantee and produce failure_rate None.
     """
     q = validate_query(query)
     if not 0.0 <= p <= 1.0:
@@ -114,10 +114,10 @@ def soundness_trial(
         totals.append(report.total_samples)
         if p <= q.theta:
             wrong += report.verdict.kind != "yes"
-        elif p > q.upper:
+        elif p >= q.upper:
             wrong += report.verdict.kind != "no"
 
-    in_band = q.theta < p <= q.upper
+    in_band = q.theta < p < q.upper
     return SoundnessStats(
         p=p,
         strategy=strategy,

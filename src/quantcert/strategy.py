@@ -86,7 +86,7 @@ class CertificationReport:
 
     # Performance knobs cannot change verdicts or tallies, so the canonical
     # form drops them along with wall time.
-    _VOLATILE_CONFIG = ("threads", "batch_size", "wall_time_ms")
+    _VOLATILE_CONFIG = ("batch_size", "wall_time_ms")
 
     def to_dict(self, include_timing: bool = True) -> Dict[str, object]:
         doc: Dict[str, object] = {
@@ -357,7 +357,6 @@ def bincert(
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
     batch_size: int = 128,
-    threads: int = 1,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """Adaptive halving certification.
@@ -382,9 +381,7 @@ def bincert(
         if reason is not None:
             verdict = Verdict.inconclusive(reason)  # type: ignore[arg-type]
             break
-        result = run_tester(
-            plan, oracle, seed, call_index=len(calls), batch_size=batch_size, threads=threads
-        )
+        result = run_tester(plan, oracle, seed, call_index=len(calls), batch_size=batch_size)
         calls.append(
             CallRecord(
                 schedule=IntervalSchedule(side, theta1, theta2, params.delta_min),
@@ -459,7 +456,6 @@ def fixedcert(
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
     batch_size: int = 128,
-    threads: int = 1,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """Non-adaptive grid certification.
@@ -483,9 +479,7 @@ def fixedcert(
         if reason is not None:
             verdict = Verdict.inconclusive(reason)  # type: ignore[arg-type]
             break
-        result = run_tester(
-            plan, oracle, seed, call_index=len(calls), batch_size=batch_size, threads=threads
-        )
+        result = run_tester(plan, oracle, seed, call_index=len(calls), batch_size=batch_size)
         calls.append(
             CallRecord(
                 schedule=IntervalSchedule(side, theta1, theta2, delta_call),
@@ -541,7 +535,6 @@ def estimate_baseline(
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
     batch_size: int = 128,
-    threads: int = 1,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """One-shot estimation baseline: measure the rate, compare to theta + eta/2.
@@ -574,9 +567,7 @@ def estimate_baseline(
             config=dict(config or {}),
         )
         return _check_report(report)
-    result = run_tester(
-        plan, oracle, seed, call_index=0, batch_size=batch_size, threads=threads
-    )
+    result = run_tester(plan, oracle, seed, call_index=0, batch_size=batch_size)
     record = CallRecord(
         schedule=IntervalSchedule("final", q.theta, q.upper, q.delta),
         plan=plan,

@@ -18,7 +18,6 @@ sweep of zero successes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -96,65 +95,30 @@ def run_tester(
     seed: SeedSpec,
     call_index: int = 0,
     batch_size: int = 128,
-    threads: int = 1,
 ) -> TesterResult:
     """Draw exactly plan.n_samples trials and decide against the boundary.
 
-    Trials are fetched in batches of at most batch_size; the final batch is
-    truncated.  With threads > 1 the batches run concurrently over disjoint
-    trial ranges, and the integer success count makes the result independent
-    of completion order.  Oracle failures propagate as OracleFailure with
-    the tally accumulated so far attached.
+    Trials are fetched in order, in batches of at most batch_size; the final
+    batch is truncated.  Oracle failures propagate as OracleFailure with the
+    tally accumulated so far attached.
     """
     if batch_size < 1:
         raise OutOfRangeError(f"batch_size must be at least 1, got {batch_size}")
-    if threads < 1:
-        raise OutOfRangeError(f"threads must be at least 1, got {threads}")
 
     n = plan.n_samples
-    chunks = [(s, min(batch_size, n - s)) for s in range(0, n, batch_size)]
     successes = 0
     trials = 0
-
-    if threads == 1 or len(chunks) <= 1:
-        for s, k in chunks:
-            try:
-                tally = oracle.draw(k, call_index, seed, start=s)
-            except OracleFailure as exc:
-                part = exc.partial_tally or SampleTally(0, 0)
-                raise OracleFailure(
-                    str(exc),
-                    partial_tally=SampleTally(
-                        trials + part.trials, successes + part.successes
-                    ),
-                ) from exc
-            successes += tally.successes
-            trials += tally.trials
-    else:
-        def pull(chunk):
-            s, k = chunk
-            return oracle.draw(k, call_index, seed, start=s)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(pull, c) for c in chunks]
-            failures = []
-            for fut in futures:
-                try:
-                    tally = fut.result()
-                except OracleFailure as exc:
-                    failures.append(exc)
-                    continue
-                successes += tally.successes
-                trials += tally.trials
-            if failures:
-                for exc in failures:
-                    part = exc.partial_tally or SampleTally(0, 0)
-                    trials += part.trials
-                    successes += part.successes
-                raise OracleFailure(
-                    str(failures[0]),
-                    partial_tally=SampleTally(trials, successes),
-                ) from failures[0]
+    for s in range(0, n, batch_size):
+        try:
+            tally = oracle.draw(min(batch_size, n - s), call_index, seed, start=s)
+        except OracleFailure as exc:
+            part = exc.partial_tally or SampleTally(0, 0)
+            raise OracleFailure(
+                str(exc),
+                partial_tally=SampleTally(trials + part.trials, successes + part.successes),
+            ) from exc
+        successes += tally.successes
+        trials += tally.trials
 
     tally = SampleTally(trials=trials, successes=successes)
     outcome: Literal["yes", "no"] = "yes" if tally.p_hat <= plan.t else "no"

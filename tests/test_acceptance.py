@@ -307,7 +307,7 @@ def test_c10_sampler_distributions():
     )
 
 
-def test_c11_reports_are_thread_invariant(capsys):
+def test_c11_reports_are_batch_size_invariant(capsys):
     query = ThresholdQuery(0.3, 0.2, 0.1)
     seed = 24680
     lib = {
@@ -316,28 +316,27 @@ def test_c11_reports_are_thread_invariant(capsys):
             BernoulliOracle(0.4),
             SeedSpec(seed),
             batch_size=batch,
-            threads=threads,
-            config={"threads": threads, "batch_size": batch},
+            config={"batch_size": batch},
         ).canonical_json()
-        for batch, threads in ((64, 1), (4096, 8))
+        for batch in (64, 4096)
     }
 
     cli = set()
     codes = set()
-    for threads in ("1", "8"):
+    for batch in ("64", "256"):
         code = cli_main(
             [
                 "certify", "--theta", "0.3", "--eta", "0.2", "--delta", "0.1",
                 "--bernoulli", "0.4", "--seed", str(seed), "--canonical",
-                "--threads", threads, "--batch-size", "256",
+                "--batch-size", batch,
             ]
         )
         codes.add(code)
         cli.add(capsys.readouterr().out)
     ok = len(lib) == 1 and len(cli) == 1 and len(codes) == 1
     detail = (
-        "canonical reports byte-identical across 1 and 8 threads "
-        f"(library and CLI), verdict exit {codes.pop()}"
+        "canonical reports byte-identical across batch sizes 64 and 4096 "
+        f"(library) and 64 and 256 (CLI), verdict exit {codes.pop()}"
     )
     with capsys.disabled():
         _verdict(11, ok, detail)

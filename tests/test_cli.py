@@ -243,15 +243,15 @@ class TestCertifyModel:
         assert code == EXIT_INTERNAL
         assert "ParseError" in err
 
-    def test_canonical_output_ignores_threads(self, capsys, model_path, center_path):
+    def test_canonical_output_ignores_batch_size(self, capsys, model_path, center_path):
         outputs = set()
-        for threads in ("1", "8"):
+        for batch in ("64", "256"):
             code, out, _ = run(
                 capsys,
                 "certify", *self.QUERY,
                 "--model", model_path(0.55), "--center", center_path,
                 "--eps", "0.1", "--seed", "17",
-                "--canonical", "--threads", threads, "--batch-size", "64",
+                "--canonical", "--batch-size", batch,
             )
             assert code in (EXIT_YES, EXIT_NO)
             outputs.add(out)

@@ -1,10 +1,16 @@
+import copy
+import hashlib
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quantcert import (
+    BernoulliOracle,
     DegenerateQueryError,
     DomainError,
     OutOfRangeError,
@@ -12,6 +18,7 @@ from quantcert import (
     SeedSpec,
     ThresholdQuery,
     Verdict,
+    bincert,
     chernoff_tail,
     validate_query,
 )
@@ -208,3 +215,224 @@ class TestSeedSpec:
 
     def test_derivation_recorded(self):
         assert "philox" in SeedSpec.DERIVATION
+
+
+# ---------------------------------------------------------------------------
+# replay pins: a change in numpy's Philox or SeedSequence, or in how a spec
+# positions its stream, must fail here rather than silently alter replays
+# ---------------------------------------------------------------------------
+
+PIN_SEED = 20240817
+
+# (call_index, start, count, width) -> the window's words, row-major
+GOLDEN_WORDS = {
+    (0, 0, 4, 1): [
+        2907666258304881725, 4915901275895167629,
+        4140231687002380480, 2048417282762733141,
+    ],
+    # start * width = 3: the window opens mid counter block
+    (0, 3, 5, 1): [
+        2048417282762733141, 16724657523310620272, 16302392863822306923,
+        17415794281915526268, 13611658981642946423,
+    ],
+    (5, 2, 3, 3): [
+        4068623333812427536, 7999125988789755048, 10330794297709948762,
+        2225529016510423295, 1994091142831483692, 10716014229609524524,
+        5672681649698194660, 4887098030389504735, 12705268048161237335,
+    ],
+    (7, 1000003, 3, 2): [
+        1954896941974850602, 12516577855987126181, 13950234984296254665,
+        14531641972182277051, 3855030121510212865, 9192796051608046247,
+    ],
+}
+
+# an l2 sampler's width on a 784-d input: 785 words a trial, 1570 in all
+GOLDEN_WIDE = {
+    "window": (2, 1, 2, 785),
+    "head": [14082054890340441836, 2100522578714670546, 8468447229969060422],
+    "tail": [6032351756571855238, 8402661543532377208, 7739639369921271441],
+    "sha256": "2a335001c14feca88791e40e3270f2a5ced5319fc95b378bfea3b0cac24c7334",
+}
+
+# bincert((0.1, 0.05, 0.1), Bernoulli(0.13), SeedSpec(PIN_SEED)): 7 calls, no
+GOLDEN_REPORT_SHA256 = "cbdcee85f4746c487483bb60d034a7c3e8996d9dd2467014e0c956379fdebd7c"
+
+
+def _words_sha256(words):
+    return hashlib.sha256(np.ascontiguousarray(words, dtype="<u8").tobytes()).hexdigest()
+
+
+class TestReplayPins:
+    @pytest.mark.parametrize("window", sorted(GOLDEN_WORDS))
+    def test_raw_block_words(self, window):
+        words = SeedSpec(PIN_SEED).raw_block(*window)
+        assert words.shape == window[2:]
+        assert [int(w) for w in words.ravel()] == GOLDEN_WORDS[window]
+
+    def test_wide_window_words(self):
+        words = SeedSpec(PIN_SEED).raw_block(*GOLDEN_WIDE["window"]).ravel()
+        assert [int(w) for w in words[:3]] == GOLDEN_WIDE["head"]
+        assert [int(w) for w in words[-3:]] == GOLDEN_WIDE["tail"]
+        assert _words_sha256(words) == GOLDEN_WIDE["sha256"]
+
+    def test_pins_survive_one_spec_reading_them_all(self):
+        # the same spec serving every window in turn must not drift
+        spec = SeedSpec(PIN_SEED)
+        for window in sorted(GOLDEN_WORDS) + [GOLDEN_WIDE["window"]]:
+            words = spec.raw_block(*window).ravel()
+            if window in GOLDEN_WORDS:
+                assert [int(w) for w in words] == GOLDEN_WORDS[window]
+            else:
+                assert _words_sha256(words) == GOLDEN_WIDE["sha256"]
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 128, 4096])
+    def test_bincert_canonical_hash(self, batch_size):
+        report = bincert(
+            (0.1, 0.05, 0.1), BernoulliOracle(0.13), SeedSpec(PIN_SEED), batch_size=batch_size
+        )
+        digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+        assert digest == GOLDEN_REPORT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the read cursor: one spec serving many windows must return exactly what a
+# fresh spec returns for each window alone
+# ---------------------------------------------------------------------------
+
+# A step either continues the last window ("seq", count), reads the same
+# position of another call ("call", call_index, count), switches width at
+# the first trial at or after the last window's end ("rewidth", count,
+# width), which resumes the stream when the widths line up, or addresses
+# any window at all ("jump", call_index, start, count, width).
+_cursor_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("seq"), st.integers(0, 40)),
+        st.tuples(st.just("call"), st.integers(0, 3), st.integers(0, 40)),
+        st.tuples(st.just("rewidth"), st.integers(0, 40), st.sampled_from([1, 2, 3, 4, 785])),
+        st.tuples(
+            st.just("jump"),
+            st.integers(0, 3),
+            st.integers(0, 300),
+            st.integers(0, 40),
+            st.sampled_from([1, 2, 3, 5, 785]),
+        ),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _windows(steps):
+    call, start, count, width = 0, 0, 0, 1
+    for step in steps:
+        if step[0] == "seq":
+            start, count = start + count, step[1]
+        elif step[0] == "call":
+            call, start, count = step[1], start + count, step[2]
+        elif step[0] == "rewidth":
+            next_word = (start + count) * width
+            count, width = step[1], step[2]
+            start = -(-next_word // width)
+        else:
+            call, start, count, width = step[1:]
+        yield call, start, count, width
+
+
+class TestReadCursor:
+    @given(root=st.integers(0, 2**63 - 1), steps=_cursor_steps)
+    def test_any_window_sequence_matches_fresh_specs(self, root, steps):
+        spec = SeedSpec(root)
+        for window in _windows(steps):
+            got = spec.raw_block(*window)
+            want = SeedSpec(root).raw_block(*window)
+            assert got.shape == want.shape == window[2:]
+            assert np.array_equal(got, want)
+
+    def test_sequential_windows_resume_one_generator(self):
+        spec = SeedSpec(11)
+        spec.raw_block(2, 0, 5, 3)
+        bits = spec.__dict__["_cursor"][2]
+        spec.raw_block(2, 5, 7, 3)
+        assert spec.__dict__["_cursor"][2] is bits
+        # width changes that land on the next word resume it too
+        spec.raw_block(2, 9, 4, 4)
+        assert spec.__dict__["_cursor"][2] is bits
+        spec.raw_block(2, 0, 1, 1)
+        assert spec.__dict__["_cursor"][2] is not bits
+
+    def test_cursor_is_not_state(self):
+        used = SeedSpec(31)
+        used.raw_block(0, 0, 16, 2)
+        clean = SeedSpec(31)
+        assert used == clean and hash(used) == hash(clean)
+        assert repr(used) == repr(clean) == "SeedSpec(root_seed=31)"
+        assert pickle.dumps(used) == pickle.dumps(clean)
+        for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+            assert "_cursor" not in twin.__dict__
+            assert np.array_equal(twin.raw_block(0, 16, 4, 2), clean.raw_block(0, 16, 4, 2))
+
+    def test_a_reader_owns_the_cursor_while_it_reads(self):
+        # thread A stalls inside its read of a resumed stream; thread B asks
+        # for the same window meanwhile and must not share A's generator
+        want = SeedSpec(77).raw_block(1, 5, 5, 3)
+        spec = SeedSpec(77)
+        spec.raw_block(1, 0, 5, 3)
+        a_inside = threading.Event()
+        b_done = threading.Event()
+
+        class StallingBits:
+            def __init__(self, inner):
+                self.inner = inner
+                self.stalled = False
+
+            def random_raw(self, n):
+                if not self.stalled:
+                    self.stalled = True
+                    a_inside.set()
+                    b_done.wait(timeout=10)
+                return self.inner.random_raw(n)
+
+        call, next_word, bits = spec.__dict__["_cursor"]
+        spec.__dict__["_cursor"] = (call, next_word, StallingBits(bits))
+        results = {}
+
+        def reader_a():
+            results["a"] = spec.raw_block(1, 5, 5, 3)
+
+        a = threading.Thread(target=reader_a)
+        a.start()
+        try:
+            assert a_inside.wait(timeout=10)
+            results["b"] = spec.raw_block(1, 5, 5, 3)
+        finally:
+            b_done.set()
+            a.join(timeout=10)
+        assert not a.is_alive()
+        assert np.array_equal(results["a"], want)
+        assert np.array_equal(results["b"], want)
+
+    def test_threads_sharing_a_spec_get_fresh_spec_words(self):
+        windows = [(1, start, 5, 3) for start in range(0, 1000, 5)]
+        want = [SeedSpec(77).raw_block(*w) for w in windows]
+        spec = SeedSpec(77)
+        gate = threading.Barrier(4)
+        results = [None] * 4
+
+        def read(slot):
+            gate.wait(timeout=10)
+            results[slot] = [spec.raw_block(*w) for w in windows]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(w.is_alive() for w in workers)
+        for got in results:
+            assert got is not None and len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -175,7 +175,7 @@ class TestCertifyDensity:
         assert report.strategy == "fixedcert"
         assert report.verdict.kind == "yes"
 
-    def test_canonical_report_ignores_thread_count(self, center2):
+    def test_canonical_report_ignores_batch_size(self, center2):
         request = RobustnessQuery(center2, 0.1, "linf", DENSITY_QUERY)
         blobs = {
             certify_density(
@@ -183,9 +183,8 @@ class TestCertifyDensity:
                 request,
                 SeedSpec(424242),
                 batch_size=batch,
-                threads=threads,
             ).canonical_json()
-            for batch, threads in ((64, 1), (512, 8))
+            for batch in (64, 512)
         }
         assert len(blobs) == 1
 

@@ -38,11 +38,17 @@ class TestSoundnessTrial:
         assert stats.yes_count + stats.no_count + stats.inconclusive_count == 5
 
     def test_band_edges_carry_guarantees(self, seed):
-        # p exactly at theta counts as a must-yes; p just above theta does not
+        # the band is open: p exactly at theta counts as a must-yes and p
+        # exactly at theta + eta as a must-no; p just inside either edge
+        # carries no guarantee
         at_theta = soundness_trial("bincert", QUERY, QUERY.theta, 3, seed)
         assert at_theta.failure_rate is not None
         above = soundness_trial("bincert", QUERY, QUERY.theta + 1e-6, 3, seed)
         assert above.failure_rate is None
+        at_upper = soundness_trial("bincert", QUERY, QUERY.upper, 3, seed)
+        assert at_upper.failure_rate is not None
+        below = soundness_trial("bincert", QUERY, QUERY.upper - 1e-6, 3, seed)
+        assert below.failure_rate is None
 
     def test_single_trial_has_zero_stddev(self, seed):
         stats = soundness_trial("fixedcert", QUERY, 0.0, 1, seed)

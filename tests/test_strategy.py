@@ -144,6 +144,20 @@ class TestHalvingSchedule:
                 bound = BinCertParams.from_query(query).n_calls_bound
                 assert len(rows) <= math.ceil(bound)
 
+    @given(
+        theta=st.floats(0.0, 1.0),
+        eta=st.floats(1e-6, 1.0, exclude_max=True),
+        delta=st.floats(1e-6, 1.0),
+    )
+    def test_union_bound_covers_every_call(self, theta, eta, delta):
+        # every call runs at delta / n_calls_bound, so the schedule may hold
+        # at most n_calls_bound calls for the failures to sum within delta
+        if theta + eta > 1.0:
+            return
+        query = ThresholdQuery(theta, eta, delta)
+        params = BinCertParams.from_query(query)
+        assert len(list(_halving_schedule(query))) <= params.n_calls_bound
+
 
 class TestBinCert:
     def test_zero_rate_settles_on_first_proving_call(self, seed):
@@ -417,15 +431,13 @@ class TestReportSerialization:
                 BernoulliOracle(0.4),
                 seed,
                 batch_size=batch,
-                threads=threads,
-                config={"threads": threads, "batch_size": batch, "tag": "keep"},
+                config={"batch_size": batch, "tag": "keep"},
             )
-            for batch, threads in ((16, 1), (128, 8), (4096, 2))
+            for batch in (16, 128, 4096)
         ]
         blobs = {r.canonical_json() for r in runs}
         assert len(blobs) == 1
         blob = blobs.pop()
-        assert '"threads"' not in blob
         assert '"batch_size"' not in blob
         assert '"wall_time_ms"' not in blob
         assert '"tag":"keep"' in blob

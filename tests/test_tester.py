@@ -137,13 +137,6 @@ class TestRunTester:
         assert len({r.tally.successes for r in results}) == 1
         assert len({r.outcome for r in results}) == 1
 
-    def test_thread_invariance(self, seed):
-        plan = plan_tester(0.05, 0.25, 0.1)
-        solo = run_tester(plan, BernoulliOracle(0.17), seed, batch_size=64, threads=1)
-        multi = run_tester(plan, BernoulliOracle(0.17), seed, batch_size=64, threads=8)
-        assert solo.tally == multi.tally
-        assert solo.outcome == multi.outcome
-
     def test_tie_counts_as_yes(self, seed):
         plan = HandPlan(theta1=0.25, theta2=0.75, delta_call=0.1,
                           n_samples=4, eta1=0.25, eta2=0.25, t=0.5)
@@ -163,8 +156,6 @@ class TestRunTester:
         plan = plan_tester(0.1, 0.3, 0.05)
         with pytest.raises(OutOfRangeError):
             run_tester(plan, BernoulliOracle(0.2), seed, batch_size=0)
-        with pytest.raises(OutOfRangeError):
-            run_tester(plan, BernoulliOracle(0.2), seed, threads=0)
 
     def test_failure_carries_partial_tally(self, seed):
         class Breaks:
