@@ -68,7 +68,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="root seed (QUANTCERT_SEED overrides)")
     p.add_argument("--max-samples", type=int, default=None)
     p.add_argument("--max-wall-ms", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--batch-size", type=int, default=None,
+                   help="trials per oracle draw (default: sized by the oracle)")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
 
 

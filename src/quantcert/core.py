@@ -196,12 +196,17 @@ _CURSOR = "_cursor"
 
 def to_unit(raw: np.ndarray) -> np.ndarray:
     """Map uint64 words to float64 in [0, 1)."""
-    return (raw >> np.uint64(11)).astype(np.float64) * _HALF_OPEN_SCALE
+    u = (raw >> np.uint64(11)).astype(np.float64, copy=False)
+    u *= _HALF_OPEN_SCALE
+    return u
 
 
 def to_open_unit(raw: np.ndarray) -> np.ndarray:
     """Map uint64 words to float64 in (0, 1), endpoints excluded."""
-    return ((raw >> np.uint64(12)).astype(np.float64) + 0.5) * _OPEN_SCALE
+    u = (raw >> np.uint64(12)).astype(np.float64, copy=False)
+    u += 0.5
+    u *= _OPEN_SCALE
+    return u
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DimensionMismatchError, QuantCertError
 
@@ -172,6 +171,9 @@ def forward_batch(model: Model, points: np.ndarray) -> np.ndarray:
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         elif layer.kind == "sigmoid":
+            # Imported here, as only sigmoid layers need scipy.special.
+            from scipy.special import expit
+
             x = expit(x)
         else:
             x = np.tanh(x)

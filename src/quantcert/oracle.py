@@ -4,10 +4,15 @@ An oracle's draw(k, call_index, seed, start) must be a pure function of its
 arguments: batch k trials however you like, the i-th trial of a given call
 always sees the same randomness.  That contract is what lets testers batch
 and replay without changing any verdict.
+
+An oracle may also say how many trials it reads per draw by default, as
+``batch_trials``: the in-process oracles size it so that one draw reads
+about BATCH_WORDS raw words, whatever each trial costs.
 """
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import threading
@@ -26,6 +31,15 @@ from .core import (
 
 if TYPE_CHECKING:
     from .nn import Model
+
+# Raw words one draw reads by default (1 MiB): few enough Python round trips
+# per call on a cheap oracle, small enough to keep a batch in cache.
+BATCH_WORDS = 1 << 17
+
+# Trials per write/read round with an external oracle.  The child answers
+# each line as it reads it, so the replies of one round must fit in its
+# stdout pipe while the parent is still writing; 1024 short label lines do.
+_ROUND_LINES = 1024
 
 
 class OracleFailure(QuantCertError):
@@ -71,21 +85,38 @@ class Sampler(Protocol):
 
 @dataclass(frozen=True)
 class BernoulliOracle:
-    """Synthetic oracle with a known success rate, for calibration and tests."""
+    """Synthetic oracle with a known success rate, for calibration and tests.
+
+    Trial i succeeds when its uniform ``to_unit(word) < p``.  The draw makes
+    that comparison on the raw words: ``to_unit(w) < p`` exactly when
+    ``w < ceil(p * 2^53) << 11``, because scaling by 2^-53 is exact and an
+    integer is below a real exactly when it is below the real's ceiling.
+    """
 
     p: float
+
+    batch_trials = BATCH_WORDS
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise OutOfRangeError(f"p must sit in [0, 1], got {self.p}")
+        # At p == 1 the cut would be 2^64, past uint64; every word passes.
+        cut = None if self.p == 1.0 else np.uint64(math.ceil(self.p * 2.0 ** 53) << 11)
+        object.__setattr__(self, "_cut", cut)
 
     def draw(
         self, k: int, call_index: int, seed: SeedSpec, start: int = 0
     ) -> SampleTally:
         if k == 0:
             return SampleTally(0, 0)
-        u = seed.uniforms(call_index, start, k, width=1)[:, 0]
-        return SampleTally(trials=k, successes=int(np.count_nonzero(u < self.p)))
+        hits = self._hits(seed.raw_block(call_index, start, k, width=1))
+        return SampleTally(trials=k, successes=int(np.count_nonzero(hits)))
+
+    def _hits(self, raw: np.ndarray) -> np.ndarray:
+        """Per word, whether its trial succeeds: ``to_unit(raw) < p``."""
+        if self._cut is None:
+            return np.ones(raw.shape, dtype=bool)
+        return raw < self._cut
 
 
 class PropertyOracle:
@@ -94,6 +125,7 @@ class PropertyOracle:
     def __init__(self, sampler: Sampler, predicate) -> None:
         self.sampler = sampler
         self.predicate = predicate
+        self.batch_trials = max(1, BATCH_WORDS // sampler.dimension)
 
     def draw(
         self, k: int, call_index: int, seed: SeedSpec, start: int = 0
@@ -131,9 +163,11 @@ class SubprocessOracle:
 
     Per trial the parent writes one line of comma-separated float
     coordinates; the child answers one line holding a nonnegative integer
-    label.  Both sides flush per batch.  Closing the child's stdin tells it
-    to shut down.  Success means the child's label differs from
-    reference_label.
+    label.  The parent writes a batch in rounds of at most 1,024 lines and
+    reads each round's replies before writing the next, so a child that
+    flushes every reply cannot fill its output pipe and stall both sides.
+    Closing the child's stdin tells it to shut down.  Success means the
+    child's label differs from reference_label.
     """
 
     def __init__(
@@ -166,44 +200,46 @@ class SubprocessOracle:
         if k == 0:
             return SampleTally(0, 0)
         points = self.sampler.batch(seed, call_index, start, k)
-        payload = "".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in points
-        )
         successes = 0
         answered = 0
         with self._lock:
-            try:
-                self._proc.stdin.write(payload)
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise ChildExitError(
-                    f"oracle process died while receiving a batch: {exc}",
-                    partial_tally=SampleTally(0, 0),
-                ) from exc
-            for _ in range(k):
-                line = self._proc.stdout.readline()
-                if line == "":
-                    raise ChildExitError(
-                        f"oracle process closed its output after {answered} of "
-                        f"{k} replies",
-                        partial_tally=SampleTally(answered, successes),
-                    )
-                text = line.strip()
+            for first in range(0, k, _ROUND_LINES):
+                rows = points[first : first + _ROUND_LINES]
+                payload = "".join(
+                    ",".join(repr(float(v)) for v in row) + "\n" for row in rows
+                )
                 try:
-                    label = int(text)
-                except ValueError:
-                    raise ProtocolViolationError(
-                        f"expected an integer label, got {text!r}",
+                    self._proc.stdin.write(payload)
+                    self._proc.stdin.flush()
+                except (BrokenPipeError, OSError) as exc:
+                    raise ChildExitError(
+                        f"oracle process died while receiving a batch: {exc}",
                         partial_tally=SampleTally(answered, successes),
-                    ) from None
-                if label < 0:
-                    raise ProtocolViolationError(
-                        f"labels must be nonnegative, got {label}",
-                        partial_tally=SampleTally(answered, successes),
-                    )
-                answered += 1
-                if label != self.reference_label:
-                    successes += 1
+                    ) from exc
+                for _ in range(len(rows)):
+                    line = self._proc.stdout.readline()
+                    if line == "":
+                        raise ChildExitError(
+                            f"oracle process closed its output after {answered} of "
+                            f"{k} replies",
+                            partial_tally=SampleTally(answered, successes),
+                        )
+                    text = line.strip()
+                    try:
+                        label = int(text)
+                    except ValueError:
+                        raise ProtocolViolationError(
+                            f"expected an integer label, got {text!r}",
+                            partial_tally=SampleTally(answered, successes),
+                        ) from None
+                    if label < 0:
+                        raise ProtocolViolationError(
+                            f"labels must be nonnegative, got {label}",
+                            partial_tally=SampleTally(answered, successes),
+                        )
+                    answered += 1
+                    if label != self.reference_label:
+                        successes += 1
         return SampleTally(trials=k, successes=successes)
 
     def close(self) -> None:
@@ -220,6 +256,8 @@ class SubprocessOracle:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        if proc.stdout and not proc.stdout.closed:
+            proc.stdout.close()
 
     def __enter__(self) -> "SubprocessOracle":
         return self

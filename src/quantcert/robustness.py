@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     DimensionMismatchError,
@@ -75,10 +74,12 @@ class LinfBallSampler:
         hi = np.minimum(1.0, self.center + self.epsilon)
         if np.any(lo > hi):
             raise EmptySupportError("clipped ball has no volume")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        span = hi - lo
+        for arr in (lo, hi, span):
+            arr.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "span", span)
 
     @property
     def dimension(self) -> int:
@@ -88,8 +89,9 @@ class LinfBallSampler:
         self, seed: SeedSpec, call_index: int, start: int, count: int
     ) -> np.ndarray:
         d = self.dimension
-        u = seed.uniforms(call_index, start, count, width=d)
-        points = self.lo + u * (self.hi - self.lo)
+        points = seed.uniforms(call_index, start, count, width=d)
+        points *= self.span
+        points += self.lo
         if __debug__ and count:
             assert np.all(points >= self.lo) and np.all(points <= self.hi)
         return points
@@ -122,6 +124,10 @@ class L2BallSampler:
     def batch(
         self, seed: SeedSpec, call_index: int, start: int, count: int
     ) -> np.ndarray:
+        # Imported here: scipy.special costs more to import than the rest of
+        # the package, and only l2 sampling needs it.
+        from scipy.special import ndtri
+
         d = self.dimension
         raw = seed.raw_block(call_index, start, count, width=d + 1)
         normals = ndtri(to_open_unit(raw[:, :d]))
@@ -197,7 +203,7 @@ def certify_density(
     seed: SeedSpec,
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
-    batch_size: int = 128,
+    batch_size: Optional[int] = None,
 ) -> CertificationReport:
     """Certify whether the adversarial density around the center is <= theta."""
     sampler = make_sampler(request.norm, request.center, request.epsilon)
@@ -282,7 +288,7 @@ def adversarial_hardness(
     norm: Norm = "linf",
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
-    batch_size: int = 128,
+    batch_size: Optional[int] = None,
 ) -> HardnessResult:
     """Largest radius on the grid at which the density stays certified low.
 

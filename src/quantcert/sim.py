@@ -89,7 +89,7 @@ def soundness_trial(
     trials: int,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: int = 128,
+    batch_size: Optional[int] = None,
 ) -> SoundnessStats:
     """Run the strategy repeatedly against Bernoulli(p) and score verdicts.
 
@@ -139,7 +139,7 @@ def complexity_sweep(
     trials: int,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: int = 128,
+    batch_size: Optional[int] = None,
 ) -> SweepTable:
     """Mean observed cost per strategy and rate, against the baseline size."""
     q = validate_query(query)

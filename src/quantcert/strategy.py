@@ -356,7 +356,7 @@ def bincert(
     oracle: Oracle,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: int = 128,
+    batch_size: Optional[int] = None,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """Adaptive halving certification.
@@ -455,7 +455,7 @@ def fixedcert(
     oracle: Oracle,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: int = 128,
+    batch_size: Optional[int] = None,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """Non-adaptive grid certification.
@@ -534,7 +534,7 @@ def estimate_baseline(
     oracle: Oracle,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: int = 128,
+    batch_size: Optional[int] = None,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """One-shot estimation baseline: measure the rate, compare to theta + eta/2.

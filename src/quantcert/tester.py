@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec
 from .oracle import Oracle, OracleFailure
@@ -94,14 +94,19 @@ def run_tester(
     oracle: Oracle,
     seed: SeedSpec,
     call_index: int = 0,
-    batch_size: int = 128,
+    batch_size: Optional[int] = None,
 ) -> TesterResult:
     """Draw exactly plan.n_samples trials and decide against the boundary.
 
     Trials are fetched in order, in batches of at most batch_size; the final
-    batch is truncated.  Oracle failures propagate as OracleFailure with the
-    tally accumulated so far attached.
+    batch is truncated.  By default the oracle sizes its own batches through
+    its ``batch_trials`` attribute, and an oracle without one gets 128.  The
+    batch size changes no trial and no outcome, only the number of draws.
+    Oracle failures propagate as OracleFailure with the tally accumulated
+    so far attached.
     """
+    if batch_size is None:
+        batch_size = getattr(oracle, "batch_trials", 128)
     if batch_size < 1:
         raise OutOfRangeError(f"batch_size must be at least 1, got {batch_size}")
 

@@ -318,25 +318,25 @@ def test_c11_reports_are_batch_size_invariant(capsys):
             batch_size=batch,
             config={"batch_size": batch},
         ).canonical_json()
-        for batch in (64, 4096)
+        for batch in (None, 64, 4096)
     }
 
     cli = set()
     codes = set()
-    for batch in ("64", "256"):
+    for batch in ([], ["--batch-size", "64"], ["--batch-size", "256"]):
         code = cli_main(
             [
                 "certify", "--theta", "0.3", "--eta", "0.2", "--delta", "0.1",
                 "--bernoulli", "0.4", "--seed", str(seed), "--canonical",
-                "--batch-size", batch,
+                *batch,
             ]
         )
         codes.add(code)
         cli.add(capsys.readouterr().out)
     ok = len(lib) == 1 and len(cli) == 1 and len(codes) == 1
     detail = (
-        "canonical reports byte-identical across batch sizes 64 and 4096 "
-        f"(library) and 64 and 256 (CLI), verdict exit {codes.pop()}"
+        "canonical reports byte-identical across the default batch size, 64 "
+        f"and 4096 (library) and the default, 64 and 256 (CLI), verdict exit {codes.pop()}"
     )
     with capsys.disabled():
         _verdict(11, ok, detail)

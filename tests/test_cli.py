@@ -245,13 +245,13 @@ class TestCertifyModel:
 
     def test_canonical_output_ignores_batch_size(self, capsys, model_path, center_path):
         outputs = set()
-        for batch in ("64", "256"):
+        for batch in ([], ["--batch-size", "64"], ["--batch-size", "256"]):
             code, out, _ = run(
                 capsys,
                 "certify", *self.QUERY,
                 "--model", model_path(0.55), "--center", center_path,
                 "--eps", "0.1", "--seed", "17",
-                "--canonical", "--batch-size", batch,
+                "--canonical", *batch,
             )
             assert code in (EXIT_YES, EXIT_NO)
             outputs.add(out)

@@ -1,7 +1,9 @@
 import copy
 import hashlib
 import math
+import os
 import pickle
+import subprocess
 import sys
 import threading
 
@@ -207,6 +209,21 @@ class TestSeedSpec:
         v = to_open_unit(raw)
         assert np.all((0.0 <= u) & (u < 1.0))
         assert np.all((0.0 < v) & (v < 1.0))
+
+    @pytest.mark.parametrize("width", [784, 785])
+    def test_unit_conversions_match_reference_formulas(self, width):
+        # Bit for bit, on whole windows and on the strided last column (an
+        # l2 sampler's radius column at width 785), leaving the input as is.
+        spec = SeedSpec(PIN_SEED)
+        for call_index, start in ((0, 0), (3, 17)):
+            raw = spec.raw_block(call_index, start, 9, width)
+            before = raw.copy()
+            for words in (raw, raw[:, -1]):
+                half_open = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+                open_ = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+                assert to_unit(words).tobytes() == half_open.tobytes()
+                assert to_open_unit(words).tobytes() == open_.tobytes()
+            assert np.array_equal(raw, before)
 
     def test_open_unit_extremes_stay_open(self):
         lo = to_open_unit(np.array([0], dtype=np.uint64))
@@ -436,3 +453,22 @@ class TestReadCursor:
         for got in results:
             assert got is not None and len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_bernoulli_runs_do_not_import_scipy():
+    # scipy.special is imported only where l2 sampling or a sigmoid layer
+    # needs it; a fresh interpreter running a Bernoulli bincert never loads it.
+    import quantcert
+
+    src = os.path.dirname(os.path.dirname(quantcert.__file__))
+    code = (
+        "import sys, quantcert as q\n"
+        "q.bincert((0.1, 0.05, 0.1), q.BernoulliOracle(0.13), q.SeedSpec(1))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"

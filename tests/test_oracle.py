@@ -1,9 +1,13 @@
+import gc
 import math
 import sys
 import textwrap
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quantcert import (
     BernoulliOracle,
@@ -14,13 +18,28 @@ from quantcert import (
     OutOfRangeError,
     PropertyOracle,
     ProtocolViolationError,
+    SampleTally,
     Sampler,
     SeedSpec,
     SpawnFailureError,
     SubprocessOracle,
     compose,
 )
+from quantcert.core import to_unit
+from quantcert.oracle import BATCH_WORDS
 from conftest import linear_model
+
+_WORD_MAX = 2**64 - 1
+
+# p in [0, 1]: any float, the endpoints, multiples of 2^-53 (where the cut
+# is exact) and their neighbours.
+_rates = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, 0.5]),
+    st.integers(0, 2**53).map(lambda m: m * 2.0**-53),
+    st.integers(1, 2**53 - 1).map(lambda m: math.nextafter(m * 2.0**-53, 0.0)),
+    st.integers(1, 2**53 - 1).map(lambda m: math.nextafter(m * 2.0**-53, 1.0)),
+)
 
 
 class TestBernoulliOracle:
@@ -61,6 +80,33 @@ class TestBernoulliOracle:
 
     def test_satisfies_oracle_protocol(self):
         assert isinstance(BernoulliOracle(0.5), Oracle)
+
+    @given(p=_rates, words=st.lists(st.integers(0, _WORD_MAX), max_size=8))
+    @example(p=0.0, words=[0, _WORD_MAX])
+    @example(p=1.0, words=[0, _WORD_MAX])
+    def test_word_cut_matches_unit_comparison(self, p, words):
+        # The draw compares raw words with a cut; it must agree word for word
+        # with the uniform comparison to_unit(w) < p, including at the cut.
+        cut = math.ceil(p * 2**53) << 11
+        words = words + [w for w in (cut - 1, cut, cut + 1, _WORD_MAX) if 0 <= w <= _WORD_MAX]
+        raw = np.array(words, dtype=np.uint64).reshape(-1, 1)
+        np.testing.assert_array_equal(BernoulliOracle(p)._hits(raw), to_unit(raw) < p)
+
+    @given(p=_rates, start=st.integers(0, 1000), k=st.integers(0, 300))
+    def test_draw_matches_uniforms(self, p, start, k):
+        seed = SeedSpec(99)
+        u = seed.uniforms(4, start, k)[:, 0]
+        assert BernoulliOracle(p).draw(k, 4, seed, start=start) == SampleTally(
+            k, int(np.count_nonzero(u < p))
+        )
+
+    def test_batch_sizes_follow_words_read(self, center2):
+        assert BernoulliOracle(0.5).batch_trials == BATCH_WORDS
+        assert PropertyOracle(LinfBallSampler(center2, 0.3), _BatchHalfPlane()).batch_trials == (
+            BATCH_WORDS // 2
+        )
+        wide = LinfBallSampler(np.full(784, 0.5), 0.1)
+        assert PropertyOracle(wide, _BatchHalfPlane()).batch_trials == 167
 
 
 class _ScalarHalfPlane:
@@ -218,3 +264,42 @@ class TestSubprocessOracle:
         oracle = SubprocessOracle(command, LinfBallSampler(center2, 0.3), 0)
         oracle.close()
         oracle.close()
+
+    def test_close_releases_both_pipes(self, tmp_path, seed, center2):
+        command = _write_child(tmp_path, "return 0")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            oracle = SubprocessOracle(command, LinfBallSampler(center2, 0.3), 0)
+            oracle.draw(10, 0, seed)
+            oracle.close()
+            del oracle
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_batch_larger_than_the_reply_pipe(self, tmp_path, seed, center2):
+        # The child flushes every reply; a batch written in one piece before
+        # any reply is read fills the child's stdout pipe and blocks both.
+        command = _write_child(tmp_path, "return 1 if coords[0] > 0.5 else 0")
+        sampler = LinfBallSampler(center2, 0.3)
+        oracle = SubprocessOracle(command, sampler, reference_label=0)
+        k, window = 40_000, 8_192
+        got = {}
+
+        def draw_all():
+            got["whole"] = oracle.draw(k, 0, seed)
+            got["parts"] = [
+                oracle.draw(min(window, k - s), 0, seed, start=s)
+                for s in range(0, k, window)
+            ]
+
+        worker = threading.Thread(target=draw_all, daemon=True)
+        worker.start()
+        worker.join(timeout=60.0)
+        if worker.is_alive():
+            oracle._proc.kill()
+            worker.join(timeout=5.0)
+        oracle.close()
+        assert not worker.is_alive() and "parts" in got
+        assert got["whole"].trials == k
+        assert got["whole"].successes == sum(t.successes for t in got["parts"])
+        assert 0 < got["whole"].successes < k

@@ -58,6 +58,19 @@ class TestLinfBallSampler:
         points = LinfBallSampler(center2, 0.2).batch(seed, 0, 0, 100_000)
         np.testing.assert_allclose(points.mean(axis=0), center2, atol=3e-3)
 
+    @pytest.mark.parametrize("d", [784, 785])
+    def test_matches_reference_affine_map(self, d):
+        # The in-place map must equal lo + u * (hi - lo) bit for bit.
+        center = np.random.default_rng(d).uniform(0.0, 1.0, d)
+        sampler = LinfBallSampler(center, 0.1)
+        lo = np.maximum(0.0, center - 0.1)
+        hi = np.minimum(1.0, center + 0.1)
+        spec = SeedSpec(5)
+        for call_index, start, count in ((0, 0, 7), (2, 31, 5)):
+            u = spec.uniforms(call_index, start, count, width=d)
+            points = sampler.batch(spec, call_index, start, count)
+            assert points.tobytes() == (lo + u * (hi - lo)).tobytes()
+
     @pytest.mark.parametrize(
         "center",
         [np.array([1.2, 0.5]), np.array([-0.1, 0.5]), np.array([np.nan, 0.5])],
@@ -184,7 +197,7 @@ class TestCertifyDensity:
                 SeedSpec(424242),
                 batch_size=batch,
             ).canonical_json()
-            for batch in (64, 512)
+            for batch in (None, 64, 512)
         }
         assert len(blobs) == 1
 

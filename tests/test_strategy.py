@@ -433,7 +433,7 @@ class TestReportSerialization:
                 batch_size=batch,
                 config={"batch_size": batch, "tag": "keep"},
             )
-            for batch in (16, 128, 4096)
+            for batch in (None, 16, 128, 4096)
         ]
         blobs = {r.canonical_json() for r in runs}
         assert len(blobs) == 1

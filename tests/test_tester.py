@@ -132,10 +132,24 @@ class TestRunTester:
         plan = plan_tester(0.05, 0.25, 0.1)
         results = [
             run_tester(plan, BernoulliOracle(0.17), seed, batch_size=b)
-            for b in (1, 7, 128, 4096)
+            for b in (None, 1, 7, 128, 4096)
         ]
         assert len({r.tally.successes for r in results}) == 1
         assert len({r.outcome for r in results}) == 1
+
+    def test_default_batch_comes_from_the_oracle(self, seed):
+        plan = plan_tester(0.1, 0.3, 0.05)
+        plain = CountingOracle(BernoulliOracle(0.2))
+        run_tester(plan, plain, seed)
+        assert {k for _, _, k in plain.windows[:-1]} == {128}
+        sized = CountingOracle(BernoulliOracle(0.2))
+        sized.batch_trials = 50
+        run_tester(plan, sized, seed)
+        assert len(sized.windows) == math.ceil(plan.n_samples / 50)
+        assert run_tester(plan, sized, seed, batch_size=7).tally.trials == plan.n_samples
+        assert len(sized.windows) == math.ceil(plan.n_samples / 50) + math.ceil(
+            plan.n_samples / 7
+        )
 
     def test_tie_counts_as_yes(self, seed):
         plan = HandPlan(theta1=0.25, theta2=0.75, delta_call=0.1,
