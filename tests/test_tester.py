@@ -139,17 +139,17 @@ class TestRunTester:
 
     def test_default_batch_comes_from_the_oracle(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
-        plain = CountingOracle(BernoulliOracle(0.2))
+        assert plan.n_samples == 131
+        plain = CountingOracle(BernoulliOracle(0.2))  # no batch_trials
         run_tester(plan, plain, seed)
-        assert {k for _, _, k in plain.windows[:-1]} == {128}
+        assert [k for _, _, k in plain.windows] == [128, 3]
         sized = CountingOracle(BernoulliOracle(0.2))
         sized.batch_trials = 50
         run_tester(plan, sized, seed)
-        assert len(sized.windows) == math.ceil(plan.n_samples / 50)
-        assert run_tester(plan, sized, seed, batch_size=7).tally.trials == plan.n_samples
-        assert len(sized.windows) == math.ceil(plan.n_samples / 50) + math.ceil(
-            plan.n_samples / 7
-        )
+        assert [k for _, _, k in sized.windows] == [50, 50, 31]
+        sized.windows.clear()
+        run_tester(plan, sized, seed, batch_size=100)
+        assert [k for _, _, k in sized.windows] == [100, 31]
 
     def test_tie_counts_as_yes(self, seed):
         plan = HandPlan(theta1=0.25, theta2=0.75, delta_call=0.1,
