@@ -187,7 +187,8 @@ def chernoff_tail(mu: float, eta: float, n: int, side: str = "upper") -> float:
 # inverse-CDF transforms stay finite: its largest value is 1 - 2^-53, which
 # is exactly representable, and its smallest is 2^-53.
 _HALF_OPEN_SCALE = 2.0 ** -53
-_OPEN_SCALE = 2.0 ** -52
+# The bits of 1.0: OR-ing a 52-bit m into them gives the double 1 + m * 2^-52.
+_ONE_BITS = np.uint64(0x3FF0000000000000)
 
 # Instance-dict key of a SeedSpec's read cursor: (call_index, next raw word,
 # Philox positioned at that word).  Not a dataclass field.
@@ -202,10 +203,16 @@ def to_unit(raw: np.ndarray) -> np.ndarray:
 
 
 def to_open_unit(raw: np.ndarray) -> np.ndarray:
-    """Map uint64 words to float64 in (0, 1), endpoints excluded."""
-    u = (raw >> np.uint64(12)).astype(np.float64, copy=False)
-    u += 0.5
-    u *= _OPEN_SCALE
+    """Map uint64 words to float64 in (0, 1), endpoints excluded.
+
+    Word w maps to (m + 1/2) * 2^-52 with m = w >> 12.
+    """
+    # Built from the bits, with no integer-to-float cast.  The subtraction is
+    # exact by Sterbenz's lemma: 1 <= 1 + m * 2^-52 <= 2 * (1 - 2^-53).
+    bits = raw >> np.uint64(12)
+    bits |= _ONE_BITS
+    u = bits.view(np.float64)
+    u -= 1.0 - _HALF_OPEN_SCALE
     return u
 
 

@@ -165,18 +165,24 @@ def forward_batch(model: Model, points: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected a (n, {model.input_dim}) batch, got shape {x.shape}"
         )
+    # An activation overwrites the array the layer before it made; until a
+    # layer has made one (out is None), it allocates, so the caller's points
+    # are never written to.
+    out = None
     for layer in model.layers:
         if isinstance(layer, DenseLayer):
-            x = x @ layer.weights.T + layer.bias
+            x = x @ layer.weights.T
+            x += layer.bias
         elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=out)
         elif layer.kind == "sigmoid":
             # Imported here, as only sigmoid layers need scipy.special.
             from scipy.special import expit
 
-            x = expit(x)
+            x = expit(x, out=out)
         else:
-            x = np.tanh(x)
+            x = np.tanh(x, out=out)
+        out = x
     return x
 
 

@@ -20,6 +20,7 @@ from .core import (
     QuantCertError,
     SeedSpec,
     ThresholdQuery,
+    _HALF_OPEN_SCALE,
     to_open_unit,
     to_unit,
     validate_query,
@@ -60,7 +61,7 @@ class LinfBallSampler:
 
     The clipped region is itself a box, so sampling is exact: coordinate i
     is uniform on [max(0, x0_i - eps), min(1, x0_i + eps)].  One raw word
-    per coordinate per trial.
+    per coordinate per trial, mapped to ``to_unit(word) * span + lo``.
     """
 
     center: np.ndarray
@@ -75,11 +76,18 @@ class LinfBallSampler:
         if np.any(lo > hi):
             raise EmptySupportError("clipped ball has no volume")
         span = hi - lo
+        # (k * 2^-53) * span and k * (span * 2^-53) round the same real, so
+        # one multiply does while span * 2^-53 is exact, that is, until it
+        # would be subnormal and lose bits; then batch takes both steps.
+        unit_span = span * _HALF_OPEN_SCALE
+        if not np.array_equal(unit_span / _HALF_OPEN_SCALE, span):
+            unit_span = None
         for arr in (lo, hi, span):
             arr.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "span", span)
+        object.__setattr__(self, "_unit_span", unit_span)
 
     @property
     def dimension(self) -> int:
@@ -88,9 +96,14 @@ class LinfBallSampler:
     def batch(
         self, seed: SeedSpec, call_index: int, start: int, count: int
     ) -> np.ndarray:
-        d = self.dimension
-        points = seed.uniforms(call_index, start, count, width=d)
-        points *= self.span
+        raw = seed.raw_block(call_index, start, count, width=self.dimension)
+        if self._unit_span is None:
+            points = to_unit(raw)
+            points *= self.span
+        else:
+            raw >>= np.uint64(11)
+            points = raw.astype(np.float64)
+            points *= self._unit_span
         points += self.lo
         if __debug__ and count:
             assert np.all(points >= self.lo) and np.all(points <= self.hi)
@@ -107,6 +120,13 @@ class L2BallSampler:
     approximately uniform near the box walls, and reports disclose that.
     One trial consumes d + 1 raw words: d for the direction, one for the
     radius.
+
+    Replay depends on the order of the float operations, which is, per row:
+    g = ndtri(to_open_unit(w[:d])), with the ndtri bits coming from scipy;
+    norm = sqrt(add.reduce(g * g)), the same bits as ``np.linalg.norm``;
+    r = eps * to_unit(w[d]) ** (1 / d); then g / norm, times r, plus the
+    center, clipped to [0, 1].  No norm is zero: to_open_unit never returns
+    1/2, so ndtri never returns 0.
     """
 
     center: np.ndarray
@@ -130,18 +150,21 @@ class L2BallSampler:
 
         d = self.dimension
         raw = seed.raw_block(call_index, start, count, width=d + 1)
-        normals = ndtri(to_open_unit(raw[:, :d]))
-        norms = np.linalg.norm(normals, axis=1)
-        degenerate = norms == 0.0
-        if np.any(degenerate):
-            normals[degenerate] = 0.0
-            normals[degenerate, 0] = 1.0
-            norms[degenerate] = 1.0
-        directions = normals / norms[:, None]
+        # One (count, d) buffer holds the normals, the directions, then the
+        # points; squares is the only other (count, d) array.
+        points = to_open_unit(raw[:, :d])
+        ndtri(points, out=points)
+        squares = points * points
+        norms = np.sqrt(np.add.reduce(squares, axis=1))
         radii = self.epsilon * to_unit(raw[:, d]) ** (1.0 / d)
-        points = np.clip(self.center + radii[:, None] * directions, 0.0, 1.0)
+        points /= norms[:, None]
+        points *= radii[:, None]
+        points += self.center
+        np.clip(points, 0.0, 1.0, out=points)
         if __debug__ and count:
-            shift = np.linalg.norm(points - self.center, axis=1)
+            np.subtract(points, self.center, out=squares)
+            squares *= squares
+            shift = np.sqrt(np.add.reduce(squares, axis=1))
             assert np.all(shift <= self.epsilon * (1.0 + 1e-12))
         return points
 

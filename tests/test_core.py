@@ -226,9 +226,15 @@ class TestSeedSpec:
             assert np.array_equal(raw, before)
 
     def test_open_unit_extremes_stay_open(self):
-        lo = to_open_unit(np.array([0], dtype=np.uint64))
-        hi = to_open_unit(np.array([np.iinfo(np.uint64).max], dtype=np.uint64))
-        assert 0.0 < lo[0] and hi[0] < 1.0
+        # Words at both ends and on each side of the 12 bits dropped.
+        words = np.array(
+            [0, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, 2**64 - 1], dtype=np.uint64
+        )
+        u = to_open_unit(words)
+        expected = ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+        assert u.tobytes() == expected.tobytes()
+        assert np.all((0.0 < u) & (u < 1.0))
+        assert u[0] == 2.0**-53 and u[-1] == 1.0 - 2.0**-53
 
     def test_derivation_recorded(self):
         assert "philox" in SeedSpec.DERIVATION

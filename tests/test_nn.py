@@ -139,6 +139,17 @@ class TestForward:
         for row, expected in zip(points, batch):
             np.testing.assert_array_equal(forward(model, row), expected)
 
+    @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_activation_first_leaves_points_alone(self, kind, writeable):
+        model = load_model(_doc([{"kind": kind}, _dense(2, 2, [1, 0, 0, 1], [0, 0])]))
+        points = np.array([[-1.0, 2.0], [0.5, -3.0]])
+        points.flags.writeable = writeable
+        before = points.copy()
+        out = forward_batch(model, points)
+        assert np.array_equal(points, before)
+        assert not np.shares_memory(out, points)
+
     def test_dimension_mismatch(self):
         model = load_model(TWO_LAYER)
         with pytest.raises(DimensionMismatchError):

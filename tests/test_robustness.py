@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantcert import (
     DimensionMismatchError,
@@ -16,8 +17,30 @@ from quantcert import (
     misclassification_property,
     predict,
 )
+from quantcert.core import to_unit
 from quantcert.robustness import _normalize_grid
 from conftest import linear_model
+
+
+def _center(d, faces, root):
+    """A center in the unit box; with faces, a third of it at 0 and a quarter at 1."""
+    center = to_unit(SeedSpec(root).raw_block(0, 0, 1, d))[0]
+    if faces:
+        center[::3] = 0.0
+        center[1::4] = 1.0
+    return center
+
+
+# A window of any call, anywhere in its stream, on centers inside the box or
+# on its faces.
+WINDOW_ARGS = dict(
+    d=st.sampled_from([1, 2, 7, 784, 785]),
+    faces=st.booleans(),
+    root=st.integers(0, 2**63 - 1),
+    call_index=st.integers(0, 5),
+    start=st.integers(0, 10**6),
+    count=st.integers(0, 40),
+)
 
 
 DENSITY_QUERY = ThresholdQuery(0.1, 0.05, 0.05)
@@ -71,6 +94,31 @@ class TestLinfBallSampler:
             points = sampler.batch(spec, call_index, start, count)
             assert points.tobytes() == (lo + u * (hi - lo)).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.floats(1e-6, 2.0), **WINDOW_ARGS)
+    def test_matches_two_step_map(self, d, faces, eps, root, call_index, start, count):
+        center = _center(d, faces, root)
+        lo = np.maximum(0.0, center - eps)
+        span = np.minimum(1.0, center + eps) - lo
+        words = SeedSpec(root).raw_block(call_index, start, count, d)
+        points = LinfBallSampler(center, eps).batch(SeedSpec(root), call_index, start, count)
+        assert points.tobytes() == (to_unit(words) * span + lo).tobytes()
+
+    @pytest.mark.parametrize("eps", [1e-300, 2.0**-1000, 5e-324])
+    def test_subnormal_unit_span_keeps_two_steps(self, eps):
+        # At a face, span = eps, and span * 2^-53 is subnormal: one multiply
+        # by it would round twice, so the map must keep both steps.
+        center = np.array([0.0, 0.5, 1.0, 0.25])
+        lo = np.maximum(0.0, center - eps)
+        span = np.minimum(1.0, center + eps) - lo
+        spec = SeedSpec(9)
+        u = to_unit(spec.raw_block(1, 40, 64, 4))
+        points = LinfBallSampler(center, eps).batch(spec, 1, 40, 64)
+        assert points.tobytes() == (u * span + lo).tobytes()
+        if eps == 1e-300:
+            one_step = (u * 2.0**53) * (span * 2.0**-53) + lo
+            assert one_step.tobytes() != points.tobytes()
+
     @pytest.mark.parametrize(
         "center",
         [np.array([1.2, 0.5]), np.array([-0.1, 0.5]), np.array([np.nan, 0.5])],
@@ -118,6 +166,26 @@ class TestL2BallSampler:
         assert np.all(np.abs(points - 0.5) <= 0.2)
         # both directions show up
         assert np.any(points > 0.5) and np.any(points < 0.5)
+
+    # eps up to 40 puts most coordinates of a 784-d point outside the box.
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.floats(1e-6, 40.0), **WINDOW_ARGS)
+    def test_matches_out_of_place_reference(
+        self, d, faces, eps, root, call_index, start, count
+    ):
+        from scipy.special import ndtri
+
+        center = _center(d, faces, root)
+        words = SeedSpec(root).raw_block(call_index, start, count, d + 1)
+        normals = ndtri(((words[:, :d] >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
+        norms = np.linalg.norm(normals, axis=1)
+        assert np.all(norms > 0.0)
+        directions = normals / norms[:, None]
+        u = (words[:, d] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        radii = eps * u ** (1.0 / d)
+        expected = np.clip(center + radii[:, None] * directions, 0.0, 1.0)
+        points = L2BallSampler(center, eps).batch(SeedSpec(root), call_index, start, count)
+        assert points.tobytes() == expected.tobytes()
 
     def test_windows_are_consistent(self, seed, center2):
         sampler = L2BallSampler(center2, 0.2)
