@@ -267,7 +267,7 @@ class SeedSpec:
         continues that stream.  Otherwise Philox, which advances in counter
         blocks of four 64-bit outputs, is positioned at the enclosing block
         and the remainder is sliced off.  The result depends only on the
-        addressed window.
+        addressed window, and no one else holds it: callers may write to it.
         """
         if start < 0 or count < 0 or width < 1:
             raise OutOfRangeError("need start >= 0, count >= 0, width >= 1")

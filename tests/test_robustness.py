@@ -106,8 +106,8 @@ class TestLinfBallSampler:
 
     @pytest.mark.parametrize("eps", [1e-300, 2.0**-1000, 5e-324])
     def test_subnormal_unit_span_keeps_two_steps(self, eps):
-        # At a face, span = eps, and span * 2^-53 is subnormal: one multiply
-        # by it would round twice, so the map must keep both steps.
+        # At a face, span = eps, and span * 2^-53 is subnormal and may lose
+        # bits; a single multiply by it would then give other points.
         center = np.array([0.0, 0.5, 1.0, 0.25])
         lo = np.maximum(0.0, center - eps)
         span = np.minimum(1.0, center + eps) - lo
