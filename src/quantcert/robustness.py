@@ -76,18 +76,11 @@ class LinfBallSampler:
         if np.any(lo > hi):
             raise EmptySupportError("clipped ball has no volume")
         span = hi - lo
-        # (k * 2^-53) * span and k * (span * 2^-53) round the same real, so
-        # one multiply does while span * 2^-53 is exact, that is, until it
-        # would be subnormal and lose bits; then batch takes both steps.
-        unit_span = span * _HALF_OPEN_SCALE
-        if not np.array_equal(unit_span / _HALF_OPEN_SCALE, span):
-            unit_span = None
         for arr in (lo, hi, span):
             arr.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "span", span)
-        object.__setattr__(self, "_unit_span", unit_span)
 
     @property
     def dimension(self) -> int:
@@ -97,13 +90,11 @@ class LinfBallSampler:
         self, seed: SeedSpec, call_index: int, start: int, count: int
     ) -> np.ndarray:
         raw = seed.raw_block(call_index, start, count, width=self.dimension)
-        if self._unit_span is None:
-            points = to_unit(raw)
-            points *= self.span
-        else:
-            raw >>= np.uint64(11)
-            points = raw.astype(np.float64)
-            points *= self._unit_span
+        # to_unit(raw) * span + lo, shifting the fresh raw block in place.
+        raw >>= np.uint64(11)
+        points = raw.astype(np.float64)
+        points *= _HALF_OPEN_SCALE
+        points *= self.span
         points += self.lo
         if __debug__ and count:
             assert np.all(points >= self.lo) and np.all(points <= self.hi)
