@@ -7,6 +7,7 @@ out-of-place form of these kernels, before they were rewritten to work in
 place, so a change of any byte fails here: an in-place rewrite that reorders
 arithmetic, or a numpy or scipy upgrade that moves ndtri, clip or cast bits.
 ``test_pins_hold_without_asserts`` recomputes them under ``python -O``.
+They were recorded with numpy 2.4.6 and scipy 1.17.1.
 """
 
 import hashlib
