@@ -1,0 +1,115 @@
+"""Golden corpus: canonical report bytes of every strategy across its edges.
+
+Each digest is the sha256 of the ``canonical_json()`` lines of a fixed run
+list, joined by newlines.  The Bernoulli corpus covers the three strategies
+on queries with theta = 0 and theta + eta = 1, rates at both band edges, at
+0 and 1 and in between, two root seeds, and three limits: none, a zero
+budget, and a budget that blocks partway through a schedule.  The density
+corpus runs ``certify_density`` with linf and l2 balls on the dyadic model
+of ``test_kernels``.  A refactor of the strategy loop must leave every
+digest unchanged; a change meant to move report bytes bumps
+``SeedSpec.DERIVATION`` and the digests together.
+"""
+
+import hashlib
+
+import pytest
+
+from quantcert import (
+    BernoulliOracle,
+    ResourceLimits,
+    RobustnessQuery,
+    SeedSpec,
+    ThresholdQuery,
+    certify_density,
+    run_strategy,
+)
+from test_kernels import PIN_SEED, pin_inputs, pin_model
+
+STRATEGY_NAMES = ("bincert", "fixedcert", "estimate")
+
+QUERIES = (
+    ThresholdQuery(0.1, 0.05, 0.1),
+    ThresholdQuery(0.0, 0.1, 0.1),
+    ThresholdQuery(0.9, 0.1, 0.1),
+    ThresholdQuery(0.3, 0.02, 0.05),
+    ThresholdQuery(0.05, 0.2, 0.2),
+)
+
+LIMITS = (None, ResourceLimits(max_samples=0), ResourceLimits(max_samples=3000))
+
+SEEDS = (11, 12, 13)
+
+
+def _rates(q):
+    """0 and 1, both band edges, inside the band and on each flank."""
+    rates = (0.0, q.theta / 2.0, q.theta, q.theta + q.eta / 2.0, q.upper,
+             (q.upper + 1.0) / 2.0, 1.0)
+    return sorted(set(rates))
+
+
+def _digest(reports):
+    text = "\n".join(r.canonical_json() for r in reports)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def bernoulli_reports(strategy):
+    for q in QUERIES:
+        for p in _rates(q):
+            oracle = BernoulliOracle(p)
+            for root in SEEDS:
+                for limits in LIMITS:
+                    yield run_strategy(strategy, q, oracle, SeedSpec(root), limits=limits)
+
+
+# norm -> radii that certify yes and no in test_kernels' hardness pins
+DENSITY_RADII = {"linf": (0.04, 0.08), "l2": (0.8, 2.0)}
+
+
+def density_reports(norm):
+    model = pin_model()
+    for epsilon in DENSITY_RADII[norm]:
+        request = RobustnessQuery(
+            pin_inputs()[0], epsilon, norm, ThresholdQuery(0.05, 0.05, 0.1)
+        )
+        for strategy in STRATEGY_NAMES:
+            for limits in (None, ResourceLimits(max_samples=2500)):
+                yield certify_density(model, request, SeedSpec(PIN_SEED), strategy, limits)
+
+
+GOLDEN_BERNOULLI = {
+    "bincert": "c2b297b1dededb11e5287d90d5b2d15a56343549c426bacef71de6dd8ba70d76",
+    "fixedcert": "db7d443a1ef77fd493369ca14080d16d8a3fedb06b066dc0af7dc5ee91e40de6",
+    "estimate": "907a51a62f1fad71243a5d15516d9a6a45d82b129d8b3ebb1226f48a1fcd1dcb",
+}
+
+GOLDEN_DENSITY = {
+    "linf": "3e9e8f55ddcea7f6620a660c69ee77a08cd4ca160a19b78499695dcf89f716e2",
+    "l2": "5d26dae90b30238b622528a5f255a9a34023b88aaf7eab4e7b0213b63687c03a",
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_bernoulli_corpus(strategy):
+    assert _digest(bernoulli_reports(strategy)) == GOLDEN_BERNOULLI[strategy]
+
+
+@pytest.mark.parametrize("norm", sorted(GOLDEN_DENSITY))
+def test_density_corpus(norm):
+    assert _digest(density_reports(norm)) == GOLDEN_DENSITY[norm]
+
+
+def test_corpus_reaches_every_ending():
+    # The digests only guard what the corpus exercises: every verdict kind,
+    # a budget refused before the first call and one refused mid-schedule.
+    endings = set()
+    for strategy in STRATEGY_NAMES:
+        for report in bernoulli_reports(strategy):
+            endings.add((strategy, report.verdict.kind, bool(report.calls)))
+    for strategy in ("bincert", "fixedcert"):
+        for kind in ("yes", "no"):
+            assert (strategy, kind, True) in endings
+        assert (strategy, "inconclusive", False) in endings
+        assert (strategy, "inconclusive", True) in endings
+    assert ("estimate", "inconclusive", False) in endings
+    assert {("estimate", "yes", True), ("estimate", "no", True)} <= endings
