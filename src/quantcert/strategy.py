@@ -20,7 +20,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Literal, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Literal, Optional, Tuple
 
 from .core import (
     OutOfRangeError,
@@ -66,10 +66,17 @@ class CallRecord:
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Optional caps checked before each tester call starts."""
+    """Optional caps checked before each tester call starts; zero is allowed."""
 
     max_samples: Optional[int] = None
     max_wall_ms: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_samples is not None and self.max_samples < 0:
+            raise OutOfRangeError(f"max_samples must be nonnegative, got {self.max_samples}")
+        # Written so that NaN fails too: it would compare false and never block.
+        if self.max_wall_ms is not None and not self.max_wall_ms >= 0.0:
+            raise OutOfRangeError(f"max_wall_ms must be nonnegative, got {self.max_wall_ms}")
 
 
 @dataclass(frozen=True)
@@ -346,6 +353,61 @@ def _blocked(
     return None
 
 
+# The outcome with which each flank's call settles the query on its own.
+_SETTLES = {"proving": "yes", "refuting": "no"}
+
+
+def _run_schedule(
+    strategy: str,
+    query: ThresholdQuery,
+    entries: Iterable[Tuple[IntervalSchedule, Optional[TesterPlan]]],
+    oracle: Oracle,
+    seed: SeedSpec,
+    limits: Optional[ResourceLimits],
+    batch_size: Optional[int],
+    config: Optional[Dict[str, object]],
+    notes: Tuple[str, ...],
+) -> CertificationReport:
+    """Run scheduled tester calls in order until one settles the query.
+
+    An entry without a prebuilt plan is planned only when it is reached.
+    The limits are checked before each call; a proving yes, a refuting no,
+    or any final outcome becomes the verdict.
+    """
+    started = time.perf_counter()
+    calls: List[CallRecord] = []
+    total = 0
+    verdict: Optional[Verdict] = None
+
+    for schedule, plan in entries:
+        if plan is None:
+            plan = plan_tester(schedule.theta1, schedule.theta2, schedule.delta_call)
+        reason = _blocked(limits, total, plan.n_samples, started)
+        if reason is not None:
+            verdict = Verdict.inconclusive(reason)  # type: ignore[arg-type]
+            break
+        result = run_tester(plan, oracle, seed, call_index=len(calls), batch_size=batch_size)
+        calls.append(CallRecord(schedule, plan, result.tally, result.outcome))
+        total += result.tally.trials
+        if schedule.side == "final" or _SETTLES[schedule.side] == result.outcome:
+            verdict = Verdict(result.outcome)
+            break
+
+    assert verdict is not None
+    report = CertificationReport(
+        query=query,
+        strategy=strategy,
+        verdict=verdict,
+        total_samples=total,
+        seed=seed,
+        calls=tuple(calls),
+        wall_time_ms=(time.perf_counter() - started) * 1000.0,
+        notes=notes,
+        config=dict(config or {}),
+    )
+    return _check_report(report)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -370,54 +432,17 @@ def bincert(
     """
     q = validate_query(query)
     params = BinCertParams.from_query(q)
-    started = time.perf_counter()
-    calls: List[CallRecord] = []
-    total = 0
-    verdict: Optional[Verdict] = None
-
-    for side, theta1, theta2 in _halving_schedule(q):
-        plan = plan_tester(theta1, theta2, params.delta_min)
-        reason = _blocked(limits, total, plan.n_samples, started)
-        if reason is not None:
-            verdict = Verdict.inconclusive(reason)  # type: ignore[arg-type]
-            break
-        result = run_tester(plan, oracle, seed, call_index=len(calls), batch_size=batch_size)
-        calls.append(
-            CallRecord(
-                schedule=IntervalSchedule(side, theta1, theta2, params.delta_min),
-                plan=plan,
-                tally=result.tally,
-                outcome=result.outcome,
-            )
-        )
-        total += result.tally.trials
-        if side == "proving" and result.outcome == "yes":
-            verdict = Verdict.yes()
-            break
-        if side == "refuting" and result.outcome == "no":
-            verdict = Verdict.no()
-            break
-        if side == "final":
-            verdict = Verdict.yes() if result.outcome == "yes" else Verdict.no()
-            break
-
-    assert verdict is not None
+    entries = (
+        (IntervalSchedule(side, theta1, theta2, params.delta_min), None)
+        for side, theta1, theta2 in _halving_schedule(q)
+    )
     notes = (
         f"halving call budget n = {params.n_calls_bound!r} (base-2 depth), "
         f"delta_min = {params.delta_min!r}",
     )
-    report = CertificationReport(
-        query=q,
-        strategy="bincert",
-        verdict=verdict,
-        total_samples=total,
-        seed=seed,
-        calls=tuple(calls),
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        notes=notes,
-        config=dict(config or {}),
+    return _run_schedule(
+        "bincert", q, entries, oracle, seed, limits, batch_size, config, notes
     )
-    return _check_report(report)
 
 
 def _lerp(a: float, b: float, num: int, k: int) -> float:
@@ -468,54 +493,14 @@ def fixedcert(
     """
     q = validate_query(query)
     params = FixedCertParams.from_query(q)
-    started = time.perf_counter()
-    calls: List[CallRecord] = []
-    total = 0
-    verdict: Optional[Verdict] = None
-
-    for side, theta1, theta2, delta_call in _fixed_schedule(q, params):
-        plan = plan_tester(theta1, theta2, delta_call)
-        reason = _blocked(limits, total, plan.n_samples, started)
-        if reason is not None:
-            verdict = Verdict.inconclusive(reason)  # type: ignore[arg-type]
-            break
-        result = run_tester(plan, oracle, seed, call_index=len(calls), batch_size=batch_size)
-        calls.append(
-            CallRecord(
-                schedule=IntervalSchedule(side, theta1, theta2, delta_call),
-                plan=plan,
-                tally=result.tally,
-                outcome=result.outcome,
-            )
-        )
-        total += result.tally.trials
-        if side == "proving" and result.outcome == "yes":
-            verdict = Verdict.yes()
-            break
-        if side == "refuting" and result.outcome == "no":
-            verdict = Verdict.no()
-            break
-        if side == "final":
-            verdict = Verdict.yes() if result.outcome == "yes" else Verdict.no()
-            break
-
-    assert verdict is not None
+    entries = ((IntervalSchedule(*row), None) for row in _fixed_schedule(q, params))
     notes = (
         f"grid layout: {params.n_left} proving + {params.n_right} refuting "
         f"intervals at pitch sqrt(eta) = {math.sqrt(q.eta)!r}",
     )
-    report = CertificationReport(
-        query=q,
-        strategy="fixedcert",
-        verdict=verdict,
-        total_samples=total,
-        seed=seed,
-        calls=tuple(calls),
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        notes=notes,
-        config=dict(config or {}),
+    return _run_schedule(
+        "fixedcert", q, entries, oracle, seed, limits, batch_size, config, notes
     )
-    return _check_report(report)
 
 
 def baseline_samples(query: QueryLike) -> int:
@@ -543,49 +528,19 @@ def estimate_baseline(
     eta / 2, and the whole failure budget delta.  It exists to be beaten.
     """
     q = validate_query(query)
-    n = baseline_samples(q)
     plan = TesterPlan(
         theta1=q.theta,
         theta2=q.upper,
         delta_call=q.delta,
-        n_samples=n,
+        n_samples=baseline_samples(q),
         eta1=q.eta / 2.0,
         eta2=q.eta / 2.0,
         t=q.theta + q.eta / 2.0,
     )
-    started = time.perf_counter()
-    reason = _blocked(limits, 0, n, started)
-    if reason is not None:
-        report = CertificationReport(
-            query=q,
-            strategy="estimate",
-            verdict=Verdict.inconclusive(reason),  # type: ignore[arg-type]
-            total_samples=0,
-            seed=seed,
-            calls=(),
-            wall_time_ms=(time.perf_counter() - started) * 1000.0,
-            config=dict(config or {}),
-        )
-        return _check_report(report)
-    result = run_tester(plan, oracle, seed, call_index=0, batch_size=batch_size)
-    record = CallRecord(
-        schedule=IntervalSchedule("final", q.theta, q.upper, q.delta),
-        plan=plan,
-        tally=result.tally,
-        outcome=result.outcome,
+    entries = [(IntervalSchedule("final", q.theta, q.upper, q.delta), plan)]
+    return _run_schedule(
+        "estimate", q, entries, oracle, seed, limits, batch_size, config, ()
     )
-    verdict = Verdict.yes() if result.outcome == "yes" else Verdict.no()
-    report = CertificationReport(
-        query=q,
-        strategy="estimate",
-        verdict=verdict,
-        total_samples=result.tally.trials,
-        seed=seed,
-        calls=(record,),
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        config=dict(config or {}),
-    )
-    return _check_report(report)
 
 
 def worst_case_budget(query: QueryLike) -> BudgetBound:
