@@ -17,20 +17,11 @@ import shlex
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
-from .core import (
-    DimensionMismatchError,
-    OutOfRangeError,
-    QuantCertError,
-    SampleTally,
-    SeedSpec,
-)
-
-if TYPE_CHECKING:
-    from .nn import Model
+from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec
 
 # Raw words one draw reads by default (1 MiB): few enough Python round trips
 # per call on a cheap oracle, small enough to keep a batch in cache.
@@ -120,9 +111,17 @@ class BernoulliOracle:
 
 
 class PropertyOracle:
-    """Sampler plus predicate: success means the property holds at the point."""
+    """Sampler plus predicate: success means the property holds at the point.
+
+    The predicate labels a whole batch at once: ``predicate.batch(points)``
+    returns one truth value per row of an (n, d) array.
+    """
 
     def __init__(self, sampler: Sampler, predicate) -> None:
+        if not callable(getattr(predicate, "batch", None)):
+            raise TypeError(
+                f"predicate {type(predicate).__name__} has no batch(points) method"
+            )
         self.sampler = sampler
         self.predicate = predicate
         self.batch_trials = max(1, BATCH_WORDS // sampler.dimension)
@@ -133,29 +132,8 @@ class PropertyOracle:
         if k == 0:
             return SampleTally(0, 0)
         points = self.sampler.batch(seed, call_index, start, k)
-        batch = getattr(self.predicate, "batch", None)
-        if batch is not None:
-            hits = np.asarray(batch(points), dtype=bool)
-        else:
-            hits = np.fromiter(
-                (bool(self.predicate(row)) for row in points), dtype=bool, count=k
-            )
+        hits = np.asarray(self.predicate.batch(points), dtype=bool)
         return SampleTally(trials=k, successes=int(np.count_nonzero(hits)))
-
-
-def compose(sampler: Sampler, model: "Model", predicate) -> PropertyOracle:
-    """Wire a sampler and a predicate over the model into one oracle.
-
-    The predicate is expected to close over the model already; the model is
-    taken here so the sampler dimension can be checked against its input
-    layer before any sampling happens.
-    """
-    if sampler.dimension != model.input_dim:
-        raise DimensionMismatchError(
-            f"sampler emits {sampler.dimension}-dim points but the model "
-            f"expects {model.input_dim}"
-        )
-    return PropertyOracle(sampler, predicate)
 
 
 class SubprocessOracle:

@@ -26,7 +26,7 @@ from .core import (
     validate_query,
 )
 from .nn import Model, predict, predict_batch
-from .oracle import compose
+from .oracle import PropertyOracle
 from .strategy import CertificationReport, ResourceLimits, run_strategy
 
 Norm = Literal["linf", "l2"]
@@ -222,7 +222,7 @@ def certify_density(
     """Certify whether the adversarial density around the center is <= theta."""
     sampler = make_sampler(request.norm, request.center, request.epsilon)
     prop = misclassification_property(model, request.center)
-    oracle = compose(sampler, model, prop)
+    oracle = PropertyOracle(sampler, prop)
     config: Dict[str, object] = {
         "norm": request.norm,
         "epsilon": request.epsilon,

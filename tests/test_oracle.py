@@ -12,7 +12,6 @@ from hypothesis import example, given, strategies as st
 from quantcert import (
     BernoulliOracle,
     ChildExitError,
-    DimensionMismatchError,
     LinfBallSampler,
     Oracle,
     OutOfRangeError,
@@ -23,11 +22,9 @@ from quantcert import (
     SeedSpec,
     SpawnFailureError,
     SubprocessOracle,
-    compose,
 )
 from quantcert.core import to_unit
 from quantcert.oracle import BATCH_WORDS
-from conftest import linear_model
 
 _WORD_MAX = 2**64 - 1
 
@@ -117,22 +114,14 @@ class _ScalarHalfPlane:
 
 
 class _BatchHalfPlane:
-    def __call__(self, x):
-        return x[0] > 0.5
-
     def batch(self, points):
         return points[:, 0] > 0.5
 
 
 class TestPropertyOracle:
-    def test_batch_and_scalar_predicates_agree(self, seed, center2):
-        sampler = LinfBallSampler(center2, 0.3)
-        scalar = PropertyOracle(sampler, _ScalarHalfPlane())
-        batched = PropertyOracle(sampler, _BatchHalfPlane())
-        a = scalar.draw(500, 0, seed)
-        b = batched.draw(500, 0, seed)
-        assert a == b
-        assert 0 < a.successes < 500
+    def test_predicate_without_batch_is_rejected(self, center2):
+        with pytest.raises(TypeError, match="batch"):
+            PropertyOracle(LinfBallSampler(center2, 0.3), _ScalarHalfPlane())
 
     def test_empty_draw_skips_sampling(self, seed, center2):
         sampler = LinfBallSampler(center2, 0.3)
@@ -141,19 +130,6 @@ class TestPropertyOracle:
 
     def test_sampler_protocol(self, center2):
         assert isinstance(LinfBallSampler(center2, 0.3), Sampler)
-
-
-class TestCompose:
-    def test_dimension_mismatch(self, center2):
-        model = linear_model(0.5, input_dim=3)
-        sampler = LinfBallSampler(center2, 0.2)
-        with pytest.raises(DimensionMismatchError):
-            compose(sampler, model, _BatchHalfPlane())
-
-    def test_matching_dimensions(self, seed, center2):
-        model = linear_model(0.5)
-        oracle = compose(LinfBallSampler(center2, 0.2), model, _BatchHalfPlane())
-        assert oracle.draw(100, 0, seed).trials == 100
 
 
 def _write_child(tmp_path, body, name="child.py"):

@@ -245,6 +245,15 @@ class TestCertifyDensity:
         assert report.strategy == "fixedcert"
         assert report.verdict.kind == "yes"
 
+    def test_center_dimension_must_match_model(self, seed, monkeypatch):
+        def no_words(*args, **kwargs):
+            raise AssertionError("sampled before the dimension check")
+
+        monkeypatch.setattr(SeedSpec, "raw_block", no_words)
+        request = RobustnessQuery(np.full(3, 0.5), 0.1, "linf", DENSITY_QUERY)
+        with pytest.raises(DimensionMismatchError):
+            certify_density(linear_model(0.62), request, seed)
+
     def test_canonical_report_ignores_batch_size(self, center2):
         request = RobustnessQuery(center2, 0.1, "linf", DENSITY_QUERY)
         blobs = {
