@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import traceback
@@ -118,9 +119,13 @@ def _parse_grid(text: str) -> List[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"range grids look like lo:hi:step, got {text!r}")
-        lo, hi, step = (float(v) for v in parts)
-        if step <= 0 or hi < lo:
-            raise UsageError("range grids need hi >= lo and step > 0")
+        try:
+            lo, hi, step = (float(v) for v in parts)
+        except ValueError as exc:
+            raise UsageError(f"bad grid value: {exc}") from None
+        # Negated so that NaN ends or steps fail as well.
+        if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
+            raise UsageError("range grids need finite ends, hi >= lo and step > 0")
         n = max(1, int(round((hi - lo) / step)))
         return [lo * (1.0 - k / n) + hi * (k / n) for k in range(n + 1)]
     try:

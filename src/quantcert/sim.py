@@ -145,13 +145,14 @@ def complexity_sweep(
     q = validate_query(query)
     if trials < 1:
         raise OutOfRangeError(f"trials must be at least 1, got {trials}")
+    for p in p_grid:
+        if not 0.0 <= p <= 1.0:
+            raise OutOfRangeError(f"p must sit in [0, 1], got {p}")
     base = baseline_samples(q)
     rows: List[SweepRow] = []
     stream = 0
     for name in strategies:
         for p in p_grid:
-            if not 0.0 <= p <= 1.0:
-                raise OutOfRangeError(f"p must sit in [0, 1], got {p}")
             oracle = BernoulliOracle(p)
             totals = []
             for j in range(trials):

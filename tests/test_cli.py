@@ -369,6 +369,8 @@ class TestSimulate:
             capsys, "simulate", *self.QUERY, "--p-grid", "0,zebra"
         )
         assert code == EXIT_USAGE
+        code, _, err = run(capsys, "simulate", *self.QUERY, "--p-grid", "0:1:x")
+        assert code == EXIT_USAGE and "Traceback" not in err
 
 
 class TestParseGrid:
@@ -387,7 +389,8 @@ class TestParseGrid:
     def test_bad_specs(self):
         from quantcert.cli import UsageError
 
-        for text in ("0.1:0.2", "0.1:0.2:0:4", "0.3:0.1:0.1", "0.1:0.2:0", "a,b"):
+        for text in ("0.1:0.2", "0.1:0.2:0:4", "0.3:0.1:0.1", "0.1:0.2:0", "a,b",
+                     "0:1:x", "a:b:c", "nan:1:0.1", "0:inf:1", "0:1:nan"):
             with pytest.raises(UsageError):
                 _parse_grid(text)
 

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from quantcert import (
+    BernoulliOracle,
     OutOfRangeError,
     ResourceLimits,
     SeedSpec,
@@ -142,6 +143,14 @@ class TestComplexitySweep:
             complexity_sweep(["bincert"], QUERY, [1.1], 2, seed)
         with pytest.raises(OutOfRangeError):
             complexity_sweep(["bincert"], QUERY, [0.5], 0, seed)
+
+    def test_bad_rate_raises_before_any_draw(self, seed, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the grid")
+
+        monkeypatch.setattr(BernoulliOracle, "draw", no_draw)
+        with pytest.raises(OutOfRangeError):
+            complexity_sweep(["bincert"], QUERY, [0.5, 1.5], 2, seed)
 
     def test_replay_is_deterministic(self):
         a = complexity_sweep(["bincert"], QUERY, [0.125], 3, SeedSpec(5))

@@ -229,6 +229,14 @@ class TestBinCert:
         assert report.verdict.kind == "inconclusive"
         assert report.verdict.reason == "timeout"
 
+    @pytest.mark.parametrize(
+        "bad", [dict(max_samples=-5), dict(max_wall_ms=-1.0), dict(max_wall_ms=math.nan)]
+    )
+    def test_limits_reject_negative_and_nan(self, bad):
+        with pytest.raises(OutOfRangeError):
+            ResourceLimits(**bad)
+        assert ResourceLimits(max_samples=0, max_wall_ms=0.0).max_samples == 0
+
     def test_notes_record_call_budget(self, seed):
         query = ThresholdQuery(0.1, 1e-3, 0.01)
         params = BinCertParams.from_query(query)
@@ -468,6 +476,25 @@ class TestRunStrategy:
     def test_unknown_name(self, seed):
         with pytest.raises(OutOfRangeError, match="unknown strategy"):
             run_strategy("magic", ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(0.0), seed)
+
+    @pytest.mark.parametrize("name", ["bincert", "fixedcert", "estimate"])
+    def test_tester_is_reached_through_strategy_module(self, name, seed, monkeypatch):
+        # Tracers wrap plan_tester and run_tester where strategy.py looks
+        # them up; a strategy that bypassed those names would go untimed.
+        import quantcert.strategy as strategy_module
+
+        seen = []
+        for attr in ("plan_tester", "run_tester"):
+            def spy(*args, _attr=attr, _fn=getattr(strategy_module, attr), **kwargs):
+                seen.append(_attr)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(strategy_module, attr, spy)
+        report = run_strategy(name, ThresholdQuery(0.1, 0.05, 0.1), BernoulliOracle(0.5), seed)
+        assert seen.count("run_tester") == len(report.calls) >= 1
+        # the baseline's single plan is built by hand, not by plan_tester
+        planned = 0 if name == "estimate" else len(report.calls)
+        assert seen.count("plan_tester") == planned
 
 
 def _record(side, theta1, theta2, delta, outcome, trials=None, successes=0):
