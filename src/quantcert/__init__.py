@@ -3,39 +3,36 @@
 Decide, with user-set slack and confidence, whether a 0/1 property holds
 for at most a threshold fraction of a samplable space; apply it to
 adversarial density and hardness of classifiers.
+
+The package root exports the entry points, the QuantCertError tree and the
+types that appear in their signatures.  Everything else is imported from
+its own module: quantcert.strategy, quantcert.tester, quantcert.sim, ...
 """
 
 from .core import (
     DegenerateQueryError,
     DimensionMismatchError,
-    DomainError,
     OutOfRangeError,
     QuantCertError,
     SampleTally,
     SeedSpec,
     ThresholdQuery,
     Verdict,
-    chernoff_tail,
-    validate_query,
 )
 from .nn import (
     Model,
     NonFiniteWeightError,
     ParseError,
     ShapeError,
-    forward,
     forward_batch,
     load_model,
-    predict,
     predict_batch,
-    serialize,
 )
 from .oracle import (
     BernoulliOracle,
     ChildExitError,
     Oracle,
     OracleFailure,
-    PropertyOracle,
     ProtocolViolationError,
     Sampler,
     SpawnFailureError,
@@ -46,7 +43,6 @@ from .robustness import (
     HardnessResult,
     L2BallSampler,
     LinfBallSampler,
-    MisclassificationProperty,
     NoYesFoundError,
     ProbeRecord,
     RobustnessQuery,
@@ -55,55 +51,33 @@ from .robustness import (
     make_sampler,
     misclassification_property,
 )
-from .sim import SoundnessStats, SweepRow, SweepTable, complexity_sweep, soundness_trial
 from .strategy import (
-    STRATEGIES,
-    BinCertParams,
-    BudgetBound,
     CallRecord,
     CertificationReport,
-    FixedCertParams,
-    IntervalSchedule,
     ReportInvariantError,
     ResourceLimits,
-    baseline_samples,
     bincert,
-    create_interval,
     estimate_baseline,
     fixedcert,
     run_strategy,
-    worst_case_budget,
 )
-from .tester import (
-    InvalidConfidenceError,
-    InvalidIntervalError,
-    TesterPlan,
-    TesterResult,
-    plan_tester,
-    run_tester,
-)
+from .tester import InvalidConfidenceError, InvalidIntervalError, TesterPlan
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliOracle",
-    "BinCertParams",
-    "BudgetBound",
     "CallRecord",
     "CertificationReport",
     "ChildExitError",
     "DegenerateQueryError",
     "DimensionMismatchError",
-    "DomainError",
     "EmptySupportError",
-    "FixedCertParams",
     "HardnessResult",
-    "IntervalSchedule",
     "InvalidConfidenceError",
     "InvalidIntervalError",
     "L2BallSampler",
     "LinfBallSampler",
-    "MisclassificationProperty",
     "Model",
     "NoYesFoundError",
     "NonFiniteWeightError",
@@ -112,46 +86,29 @@ __all__ = [
     "OutOfRangeError",
     "ParseError",
     "ProbeRecord",
-    "PropertyOracle",
     "ProtocolViolationError",
     "QuantCertError",
     "ReportInvariantError",
     "ResourceLimits",
     "RobustnessQuery",
-    "STRATEGIES",
     "SampleTally",
+    "Sampler",
     "SeedSpec",
     "ShapeError",
-    "SoundnessStats",
     "SpawnFailureError",
     "SubprocessOracle",
-    "SweepRow",
-    "SweepTable",
     "TesterPlan",
-    "TesterResult",
     "ThresholdQuery",
     "Verdict",
     "adversarial_hardness",
-    "baseline_samples",
     "bincert",
     "certify_density",
-    "chernoff_tail",
-    "complexity_sweep",
-    "create_interval",
     "estimate_baseline",
     "fixedcert",
-    "forward",
     "forward_batch",
     "load_model",
     "make_sampler",
     "misclassification_property",
-    "plan_tester",
-    "predict",
     "predict_batch",
     "run_strategy",
-    "run_tester",
-    "serialize",
-    "soundness_trial",
-    "validate_query",
-    "worst_case_budget",
 ]

@@ -26,6 +26,7 @@ from .core import QuantCertError, SeedSpec, validate_query
 from .nn import load_model
 from .oracle import BernoulliOracle, SubprocessOracle
 from .robustness import (
+    _MAX_GRID_POINTS,
     NoYesFoundError,
     RobustnessQuery,
     adversarial_hardness,
@@ -126,7 +127,9 @@ def _parse_grid(text: str) -> List[float]:
         # Negated so that NaN ends or steps fail as well.
         if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
             raise UsageError("range grids need finite ends, hi >= lo and step > 0")
-        n = max(1, int(round((hi - lo) / step)))
+        n = max(1, int(round(min((hi - lo) / step, _MAX_GRID_POINTS))))
+        if n >= _MAX_GRID_POINTS:
+            raise UsageError(f"range grids hold at most {_MAX_GRID_POINTS} points")
         return [lo * (1.0 - k / n) + hi * (k / n) for k in range(n + 1)]
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -241,12 +244,6 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
             raise UsageError("--eps-lo needs --eps-hi and --resolution")
         eps_range = (args.eps_lo, args.eps_hi, args.resolution)
 
-    def probe_doc(log) -> list:
-        return [
-            {"epsilon": p.epsilon, "verdict": p.verdict, "total_samples": p.total_samples}
-            for p in log
-        ]
-
     try:
         result = adversarial_hardness(
             model,
@@ -268,7 +265,7 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
                     "hardness": None,
                     "method": args.method,
                     "error": "no-yes-found",
-                    "probes": probe_doc(exc.probe_log),
+                    "probes": [asdict(p) for p in exc.probe_log],
                 },
                 indent=2,
             ),
@@ -281,7 +278,7 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
                 "hardness": result.hardness,
                 "method": result.method,
                 "total_samples": result.total_samples,
-                "probes": probe_doc(result.probe_log),
+                "probes": [asdict(p) for p in result.probe_log],
             },
             indent=2,
         ),

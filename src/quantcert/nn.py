@@ -186,20 +186,7 @@ def forward_batch(model: Model, points: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Evaluate the net on a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise DimensionMismatchError(
-            f"expected a {model.input_dim}-vector, got shape {x.shape}"
-        )
-    return forward_batch(model, x[None, :])[0]
-
-
 def predict_batch(model: Model, points: np.ndarray) -> np.ndarray:
     """Predicted class per row; argmax breaks ties toward the lowest index."""
     return np.argmax(forward_batch(model, points), axis=1)
 
-
-def predict(model: Model, x: np.ndarray) -> int:
-    return int(np.argmax(forward(model, x)))

@@ -9,6 +9,7 @@ for which the density query still certifies yes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 
@@ -25,11 +26,15 @@ from .core import (
     to_unit,
     validate_query,
 )
-from .nn import Model, predict, predict_batch
+from .nn import Model, predict_batch
 from .oracle import PropertyOracle
 from .strategy import CertificationReport, ResourceLimits, run_strategy
 
 Norm = Literal["linf", "l2"]
+
+# Largest radius or rate grid a range spec may expand to; a tiny step would
+# otherwise ask for more points than memory holds.
+_MAX_GRID_POINTS = 10_000
 
 
 class EmptySupportError(QuantCertError):
@@ -177,9 +182,6 @@ class MisclassificationProperty:
         self.model = model
         self.reference_label = int(reference_label)
 
-    def __call__(self, x: np.ndarray) -> bool:
-        return predict(self.model, x) != self.reference_label
-
     def batch(self, points: np.ndarray) -> np.ndarray:
         return predict_batch(self.model, points) != self.reference_label
 
@@ -191,7 +193,7 @@ def misclassification_property(model: Model, x0: np.ndarray) -> Misclassificatio
         raise DimensionMismatchError(
             f"x0 has shape {x0.shape}, model expects ({model.input_dim},)"
         )
-    return MisclassificationProperty(model, predict(model, x0))
+    return MisclassificationProperty(model, int(predict_batch(model, x0[None])[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,11 +285,16 @@ def _normalize_grid(
             raise OutOfRangeError("eps_grid must be strictly increasing")
         return grid
     lo, hi, resolution = eps_range
-    if lo <= 0.0 or hi <= lo or resolution <= 0.0:
-        raise OutOfRangeError("eps_range needs 0 < lo < hi and a positive resolution")
-    steps = int(round((hi - lo) / resolution))
+    # Negated so that NaN fails too.
+    if not (0.0 < lo < hi < math.inf and resolution > 0.0):
+        raise OutOfRangeError(
+            "eps_range needs finite 0 < lo < hi and a positive resolution"
+        )
+    steps = int(round(min((hi - lo) / resolution, _MAX_GRID_POINTS)))
     if steps < 1:
         raise OutOfRangeError("eps_range spans less than one resolution step")
+    if steps >= _MAX_GRID_POINTS:
+        raise OutOfRangeError(f"eps_range grids hold at most {_MAX_GRID_POINTS} points")
     return [lo + resolution * k for k in range(steps)] + [hi]
 
 

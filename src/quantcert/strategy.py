@@ -47,18 +47,10 @@ class ReportInvariantError(QuantCertError):
 
 
 @dataclass(frozen=True)
-class IntervalSchedule:
-    """One scheduled tester call: which side it argues for, and at what budget."""
+class CallRecord:
+    """One completed tester call: the side it argued for, its plan and tally."""
 
     side: Side
-    theta1: float
-    theta2: float
-    delta_call: float
-
-
-@dataclass(frozen=True)
-class CallRecord:
-    schedule: IntervalSchedule
     plan: TesterPlan
     tally: SampleTally
     outcome: Literal["yes", "no"]
@@ -112,7 +104,7 @@ class CertificationReport:
             },
             "calls": [
                 {
-                    "side": rec.schedule.side,
+                    "side": rec.side,
                     "theta1": rec.plan.theta1,
                     "theta2": rec.plan.theta2,
                     "delta_call": rec.plan.delta_call,
@@ -307,15 +299,15 @@ def _check_report(report: CertificationReport) -> CertificationReport:
     if report.total_samples != sum(rec.tally.trials for rec in report.calls):
         raise ReportInvariantError("total_samples disagrees with per-call tallies")
     for rec in report.calls:
-        if rec.schedule.side == "proving" and not rec.plan.theta2 <= query.theta:
+        if rec.side == "proving" and not rec.plan.theta2 <= query.theta:
             raise ReportInvariantError(
                 f"proving interval reaches {rec.plan.theta2} above theta {query.theta}"
             )
-        if rec.schedule.side == "refuting" and not rec.plan.theta1 >= query.upper:
+        if rec.side == "refuting" and not rec.plan.theta1 >= query.upper:
             raise ReportInvariantError(
                 f"refuting interval starts at {rec.plan.theta1} below theta+eta {query.upper}"
             )
-        if rec.schedule.side == "final" and (
+        if rec.side == "final" and (
             rec.plan.theta1 != query.theta or rec.plan.theta2 != query.upper
         ):
             raise ReportInvariantError("final call must test (theta, theta+eta)")
@@ -323,11 +315,11 @@ def _check_report(report: CertificationReport) -> CertificationReport:
             raise ReportInvariantError("a completed call drew the wrong trial count")
     if report.verdict.kind == "yes":
         last = report.calls[-1]
-        if last.schedule.side not in ("proving", "final") or last.outcome != "yes":
+        if last.side not in ("proving", "final") or last.outcome != "yes":
             raise ReportInvariantError("yes verdict without a supporting final call")
     if report.verdict.kind == "no":
         last = report.calls[-1]
-        if last.schedule.side not in ("refuting", "final") or last.outcome != "no":
+        if last.side not in ("refuting", "final") or last.outcome != "no":
             raise ReportInvariantError("no verdict without a supporting final call")
     return report
 
@@ -360,7 +352,7 @@ _SETTLES = {"proving": "yes", "refuting": "no"}
 def _run_schedule(
     strategy: str,
     query: ThresholdQuery,
-    entries: Iterable[Tuple[IntervalSchedule, Optional[TesterPlan]]],
+    entries: Iterable[Tuple[Side, TesterPlan]],
     oracle: Oracle,
     seed: SeedSpec,
     limits: Optional[ResourceLimits],
@@ -370,26 +362,24 @@ def _run_schedule(
 ) -> CertificationReport:
     """Run scheduled tester calls in order until one settles the query.
 
-    An entry without a prebuilt plan is planned only when it is reached.
-    The limits are checked before each call; a proving yes, a refuting no,
-    or any final outcome becomes the verdict.
+    Entries are read one at a time, so a lazy schedule plans a call only
+    when it is reached.  The limits are checked before each call; a proving
+    yes, a refuting no, or any final outcome becomes the verdict.
     """
     started = time.perf_counter()
     calls: List[CallRecord] = []
     total = 0
     verdict: Optional[Verdict] = None
 
-    for schedule, plan in entries:
-        if plan is None:
-            plan = plan_tester(schedule.theta1, schedule.theta2, schedule.delta_call)
+    for side, plan in entries:
         reason = _blocked(limits, total, plan.n_samples, started)
         if reason is not None:
             verdict = Verdict.inconclusive(reason)  # type: ignore[arg-type]
             break
         result = run_tester(plan, oracle, seed, call_index=len(calls), batch_size=batch_size)
-        calls.append(CallRecord(schedule, plan, result.tally, result.outcome))
+        calls.append(CallRecord(side, plan, result.tally, result.outcome))
         total += result.tally.trials
-        if schedule.side == "final" or _SETTLES[schedule.side] == result.outcome:
+        if side == "final" or _SETTLES[side] == result.outcome:
             verdict = Verdict(result.outcome)
             break
 
@@ -433,7 +423,7 @@ def bincert(
     q = validate_query(query)
     params = BinCertParams.from_query(q)
     entries = (
-        (IntervalSchedule(side, theta1, theta2, params.delta_min), None)
+        (side, plan_tester(theta1, theta2, params.delta_min))
         for side, theta1, theta2 in _halving_schedule(q)
     )
     notes = (
@@ -493,7 +483,10 @@ def fixedcert(
     """
     q = validate_query(query)
     params = FixedCertParams.from_query(q)
-    entries = ((IntervalSchedule(*row), None) for row in _fixed_schedule(q, params))
+    entries = (
+        (side, plan_tester(theta1, theta2, delta_call))
+        for side, theta1, theta2, delta_call in _fixed_schedule(q, params)
+    )
     notes = (
         f"grid layout: {params.n_left} proving + {params.n_right} refuting "
         f"intervals at pitch sqrt(eta) = {math.sqrt(q.eta)!r}",
@@ -537,9 +530,8 @@ def estimate_baseline(
         eta2=q.eta / 2.0,
         t=q.theta + q.eta / 2.0,
     )
-    entries = [(IntervalSchedule("final", q.theta, q.upper, q.delta), plan)]
     return _run_schedule(
-        "estimate", q, entries, oracle, seed, limits, batch_size, config, ()
+        "estimate", q, [("final", plan)], oracle, seed, limits, batch_size, config, ()
     )
 
 

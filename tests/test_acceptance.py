@@ -14,23 +14,24 @@ from scipy import stats as sps
 
 from quantcert import (
     BernoulliOracle,
-    BinCertParams,
-    FixedCertParams,
     L2BallSampler,
     LinfBallSampler,
     RobustnessQuery,
     SeedSpec,
     ThresholdQuery,
     adversarial_hardness,
-    baseline_samples,
     bincert,
     certify_density,
-    complexity_sweep,
     fixedcert,
-    plan_tester,
-    soundness_trial,
+)
+from quantcert.sim import complexity_sweep, soundness_trial
+from quantcert.strategy import (
+    BinCertParams,
+    FixedCertParams,
+    baseline_samples,
     worst_case_budget,
 )
+from quantcert.tester import plan_tester
 from quantcert.cli import main as cli_main
 from conftest import linear_model
 
@@ -206,7 +207,7 @@ def test_c07_per_report_failure_accounting():
             rep_b = bincert(query, oracle, seed.child(10 * i + j), batch_size=8192)
             delta_min = BinCertParams.from_query(query).delta_min
             assert len(rep_b.calls) * delta_min <= query.delta + 1e-12
-            assert all(c.schedule.delta_call == delta_min for c in rep_b.calls)
+            assert all(c.plan.delta_call == delta_min for c in rep_b.calls)
 
             rep_f = fixedcert(query, oracle, seed.child(10 * i + j + 5), batch_size=8192)
             params = FixedCertParams.from_query(query)
@@ -217,7 +218,7 @@ def test_c07_per_report_failure_accounting():
             )
             assert planned <= query.delta + 1e-12
             assert (
-                sum(c.schedule.delta_call for c in rep_f.calls)
+                sum(c.plan.delta_call for c in rep_f.calls)
                 <= query.delta + 1e-12
             )
             checked += 2

@@ -315,6 +315,16 @@ class TestHardness:
         assert doc["hardness"] == 0.2
         assert doc["method"] == "bisect"
 
+    def test_non_finite_range_is_typed_error(self, capsys, model_path, center_path):
+        code, _, err = run(
+            capsys,
+            "hardness", *self.QUERY,
+            "--model", model_path(0.7), "--center", center_path,
+            "--eps-lo", "0.1", "--eps-hi", "inf", "--resolution", "0.1",
+        )
+        assert code == EXIT_INTERNAL
+        assert "OutOfRangeError" in err and "Traceback" not in err
+
 
 class TestSimulate:
     QUERY = ["--theta", "0.3", "--eta", "0.2", "--delta", "0.1"]
@@ -371,6 +381,11 @@ class TestSimulate:
         assert code == EXIT_USAGE
         code, _, err = run(capsys, "simulate", *self.QUERY, "--p-grid", "0:1:x")
         assert code == EXIT_USAGE and "Traceback" not in err
+        # --trials 0 keeps a missed size check from running a 100,001-rate sweep.
+        code, _, err = run(
+            capsys, "simulate", *self.QUERY, "--p-grid", "0:1:1e-5", "--trials", "0"
+        )
+        assert code == EXIT_USAGE and "10000 points" in err
 
 
 class TestParseGrid:
@@ -382,6 +397,7 @@ class TestParseGrid:
         assert grid == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert _parse_grid("0.05:0.3:0.05")[0] == 0.05
         assert _parse_grid("0.05:0.3:0.05")[-1] == 0.3
+        assert len(_parse_grid("0:0.9999:0.0001")) == 10_000
 
     def test_degenerate_range(self):
         assert _parse_grid("0.5:0.5:0.1") == [0.5, 0.5]
@@ -390,7 +406,7 @@ class TestParseGrid:
         from quantcert.cli import UsageError
 
         for text in ("0.1:0.2", "0.1:0.2:0:4", "0.3:0.1:0.1", "0.1:0.2:0", "a,b",
-                     "0:1:x", "a:b:c", "nan:1:0.1", "0:inf:1", "0:1:nan"):
+                     "0:1:x", "a:b:c", "nan:1:0.1", "0:inf:1", "0:1:nan", "0:1:1e-5"):
             with pytest.raises(UsageError):
                 _parse_grid(text)
 

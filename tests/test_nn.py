@@ -9,13 +9,11 @@ from quantcert import (
     NonFiniteWeightError,
     ParseError,
     ShapeError,
-    forward,
     forward_batch,
     load_model,
-    predict,
     predict_batch,
-    serialize,
 )
+from quantcert.nn import serialize
 from conftest import linear_model_doc
 
 
@@ -119,16 +117,16 @@ class TestForward:
         model = load_model(TWO_LAYER)
         # x = (2, 3): dense -> (2, 3, -2), relu -> (2, 3, 0),
         # dense -> (2 + 3 + 0.5, 0) = (5.5, 0)
-        np.testing.assert_array_equal(forward(model, [2.0, 3.0]), [5.5, 0.0])
+        np.testing.assert_array_equal(forward_batch(model, [[2.0, 3.0]]), [[5.5, 0.0]])
 
     def test_sigmoid_and_tanh(self):
         doc = _doc([_dense(2, 2, [1, 0, 0, 1], [0, 0]), {"kind": "sigmoid"}])
-        out = forward(load_model(doc), [0.0, 100.0])
+        out = forward_batch(load_model(doc), [[0.0, 100.0]])[0]
         assert out[0] == 0.5
         assert out[1] == pytest.approx(1.0)
         doc = _doc([_dense(2, 2, [1, 0, 0, 1], [0, 0]), {"kind": "tanh"}])
         np.testing.assert_allclose(
-            forward(load_model(doc), [0.0, 1.0]), [0.0, math.tanh(1.0)]
+            forward_batch(load_model(doc), [[0.0, 1.0]]), [[0.0, math.tanh(1.0)]]
         )
 
     def test_batch_matches_single(self):
@@ -137,7 +135,7 @@ class TestForward:
         points = rng.uniform(-2.0, 2.0, size=(40, 2))
         batch = forward_batch(model, points)
         for row, expected in zip(points, batch):
-            np.testing.assert_array_equal(forward(model, row), expected)
+            np.testing.assert_array_equal(forward_batch(model, row[None])[0], expected)
 
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
     @pytest.mark.parametrize("writeable", [False, True])
@@ -153,7 +151,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         model = load_model(TWO_LAYER)
         with pytest.raises(DimensionMismatchError):
-            forward(model, [1.0, 2.0, 3.0])
+            forward_batch(model, [[1.0, 2.0, 3.0]])
         with pytest.raises(DimensionMismatchError):
             forward_batch(model, np.zeros((4, 3)))
         with pytest.raises(DimensionMismatchError):
@@ -163,14 +161,13 @@ class TestForward:
 class TestPredict:
     def test_linear_boundary(self):
         model = load_model(linear_model_doc(0.5))
-        assert predict(model, np.array([0.4, 0.9])) == 0
-        assert predict(model, np.array([0.6, 0.1])) == 1
+        labels = predict_batch(model, np.array([[0.4, 0.9], [0.6, 0.1], [0.5, 0.5]]))
         # exactly on the boundary both logits are 0; ties go to class 0
-        assert predict(model, np.array([0.5, 0.5])) == 0
+        assert labels.tolist() == [0, 1, 0]
 
     def test_batch_matches_single(self):
         model = load_model(linear_model_doc(0.5))
         rng = np.random.default_rng(11)
         points = rng.uniform(0.0, 1.0, size=(100, 2))
         labels = predict_batch(model, points)
-        assert labels.tolist() == [predict(model, row) for row in points]
+        assert labels.tolist() == [predict_batch(model, row[None])[0] for row in points]

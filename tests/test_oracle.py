@@ -15,7 +15,6 @@ from quantcert import (
     LinfBallSampler,
     Oracle,
     OutOfRangeError,
-    PropertyOracle,
     ProtocolViolationError,
     SampleTally,
     Sampler,
@@ -23,6 +22,7 @@ from quantcert import (
     SpawnFailureError,
     SubprocessOracle,
 )
+from quantcert.oracle import PropertyOracle
 from quantcert.core import to_unit
 from quantcert.oracle import BATCH_WORDS
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from quantcert import (
     certify_density,
     make_sampler,
     misclassification_property,
-    predict,
+    predict_batch,
 )
 from quantcert.core import to_unit
 from quantcert.robustness import _normalize_grid
@@ -189,16 +191,15 @@ class TestMisclassificationProperty:
     def test_reference_comes_from_center(self, center2):
         model = linear_model(0.7)
         prop = misclassification_property(model, center2)
-        assert prop.reference_label == predict(model, center2) == 0
-        assert not prop(center2)
-        assert prop(np.array([0.9, 0.5]))
+        assert prop.reference_label == predict_batch(model, center2[None])[0] == 0
+        assert prop.batch(np.array([center2, [0.9, 0.5]])).tolist() == [False, True]
 
     def test_batch_matches_scalar(self, seed, center2):
         model = linear_model(0.55)
         prop = misclassification_property(model, center2)
         points = LinfBallSampler(center2, 0.2).batch(seed, 0, 0, 200)
         flags = prop.batch(points)
-        assert flags.tolist() == [prop(row) for row in points]
+        assert flags.tolist() == [prop.batch(row[None])[0] for row in points]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -277,6 +278,7 @@ class TestNormalizeGrid:
         assert grid[0] == 0.05 and grid[-1] == 0.3
         assert len(grid) == 6
         np.testing.assert_allclose(np.diff(grid), 0.05)
+        assert len(_normalize_grid(None, (1e-4, 1.0, 1e-4))) == 10_000
 
     @pytest.mark.parametrize(
         "grid,rng",
@@ -291,6 +293,10 @@ class TestNormalizeGrid:
             (None, (0.3, 0.1, 0.05)),
             (None, (0.1, 0.3, 0.0)),
             (None, (0.1, 0.3, 0.5)),
+            (None, (0.1, math.inf, 0.1)),
+            (None, (0.1, math.nan, 0.1)),
+            (None, (math.nan, 1.0, 0.1)),
+            (None, (1e-5, 1.0, 1e-5)),
         ],
     )
     def test_rejects_bad_specs(self, grid, rng):

@@ -11,10 +11,9 @@ from quantcert import (
     ResourceLimits,
     SeedSpec,
     ThresholdQuery,
-    complexity_sweep,
-    soundness_trial,
-    worst_case_budget,
 )
+from quantcert.sim import complexity_sweep, soundness_trial
+from quantcert.strategy import worst_case_budget
 
 
 QUERY = ThresholdQuery(0.1, 0.05, 0.1)

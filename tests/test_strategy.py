@@ -5,11 +5,8 @@ from hypothesis import given, strategies as st
 
 from quantcert import (
     BernoulliOracle,
-    BinCertParams,
     CallRecord,
     CertificationReport,
-    FixedCertParams,
-    IntervalSchedule,
     OutOfRangeError,
     ReportInvariantError,
     ResourceLimits,
@@ -17,15 +14,19 @@ from quantcert import (
     SeedSpec,
     ThresholdQuery,
     Verdict,
-    baseline_samples,
     bincert,
-    create_interval,
     estimate_baseline,
     fixedcert,
-    plan_tester,
     run_strategy,
+)
+from quantcert.strategy import (
+    BinCertParams,
+    FixedCertParams,
+    baseline_samples,
+    create_interval,
     worst_case_budget,
 )
+from quantcert.tester import plan_tester
 from quantcert.strategy import _check_report, _fixed_schedule, _halving_schedule
 from conftest import CountingOracle
 
@@ -166,7 +167,7 @@ class TestBinCert:
         assert report.verdict.kind == "yes"
         assert len(report.calls) == 1
         call = report.calls[0]
-        assert call.schedule.side == "proving"
+        assert call.side == "proving"
         assert (call.plan.theta1, call.plan.theta2) == (0.0, 0.5)
         delta_min = BinCertParams.from_query(query).delta_min
         assert report.total_samples == plan_tester(0.0, 0.5, delta_min).n_samples == 27
@@ -174,7 +175,7 @@ class TestBinCert:
     def test_full_rate_settles_on_first_refuting_call(self, seed):
         report = bincert(ThresholdQuery(0.5, 0.1, 0.01), BernoulliOracle(1.0), seed)
         assert report.verdict.kind == "no"
-        assert [c.schedule.side for c in report.calls] == ["proving", "refuting"]
+        assert [c.side for c in report.calls] == ["proving", "refuting"]
         assert report.calls[-1].outcome == "no"
 
     def test_in_band_rate_runs_whole_schedule(self, seed):
@@ -182,13 +183,13 @@ class TestBinCert:
         report = bincert(query, BernoulliOracle(0.4), seed)
         assert len(report.calls) == len(list(_halving_schedule(query)))
         last = report.calls[-1]
-        assert last.schedule.side == "final"
+        assert last.side == "final"
         assert report.verdict.kind == ("yes" if last.outcome == "yes" else "no")
 
     def test_delta_accounting(self, seed):
         query = ThresholdQuery(0.3, 0.2, 0.1)
         report = bincert(query, BernoulliOracle(0.4), seed)
-        spent = sum(c.schedule.delta_call for c in report.calls)
+        spent = sum(c.plan.delta_call for c in report.calls)
         assert spent <= query.delta + 1e-12
 
     def test_calls_use_consecutive_stream_indices(self, seed):
@@ -199,7 +200,7 @@ class TestBinCert:
     def test_zero_threshold_query(self, seed):
         report = bincert(ThresholdQuery(0.0, 0.25, 0.1), BernoulliOracle(0.0), seed)
         assert report.verdict.kind == "yes"
-        assert [c.schedule.side for c in report.calls] == [
+        assert [c.side for c in report.calls] == [
             "refuting",
             "refuting",
             "final",
@@ -332,20 +333,20 @@ class TestFixedCert:
     def test_full_rate(self, seed):
         report = fixedcert(ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(1.0), seed)
         assert report.verdict.kind == "no"
-        assert [c.schedule.side for c in report.calls] == ["proving", "refuting"]
+        assert [c.side for c in report.calls] == ["proving", "refuting"]
 
     def test_in_band_rate_reaches_final_call(self, seed):
         query = ThresholdQuery(0.3, 0.04, 0.05)
         report = fixedcert(query, BernoulliOracle(0.32), seed)
         last = report.calls[-1]
-        assert last.schedule.side == "final"
+        assert last.side == "final"
         assert (last.plan.theta1, last.plan.theta2) == (query.theta, query.upper)
         assert report.verdict.kind == ("yes" if last.outcome == "yes" else "no")
 
     def test_report_delta_accounting(self, seed):
         query = ThresholdQuery(0.3, 0.04, 0.05)
         report = fixedcert(query, BernoulliOracle(0.32), seed)
-        spent = sum(c.schedule.delta_call for c in report.calls)
+        spent = sum(c.plan.delta_call for c in report.calls)
         assert spent <= query.delta + 1e-12
 
     def test_sample_budget(self, seed):
@@ -379,7 +380,7 @@ class TestBaseline:
         assert report.verdict.kind == "yes"
         assert report.total_samples == 832
         (call,) = report.calls
-        assert call.schedule.side == "final"
+        assert call.side == "final"
         assert call.plan.eta1 == call.plan.eta2 == query.eta / 2.0
         assert call.plan.t == query.theta + query.eta / 2.0
         assert call.plan.delta_call == query.delta
@@ -501,7 +502,7 @@ def _record(side, theta1, theta2, delta, outcome, trials=None, successes=0):
     plan = plan_tester(theta1, theta2, delta)
     tally = SampleTally(plan.n_samples if trials is None else trials, successes)
     return CallRecord(
-        schedule=IntervalSchedule(side, theta1, theta2, delta),
+        side=side,
         plan=plan,
         tally=tally,
         outcome=outcome,

@@ -12,10 +12,9 @@ from quantcert import (
     OutOfRangeError,
     SampleTally,
     SeedSpec,
-    chernoff_tail,
-    plan_tester,
-    run_tester,
 )
+from quantcert.tester import plan_tester, run_tester
+from chernoff_reference import chernoff_tail
 from conftest import CountingOracle, FixedSuccessOracle
 
 # frozen by independent high-precision evaluation of the closed forms
