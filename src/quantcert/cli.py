@@ -33,7 +33,7 @@ from .robustness import (
     certify_density,
     make_sampler,
 )
-from .sim import complexity_sweep, soundness_trial
+from .sim import _check_rates, complexity_sweep, soundness_trial
 from .strategy import (
     STRATEGIES,
     ResourceLimits,
@@ -70,8 +70,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="root seed (QUANTCERT_SEED overrides)")
     p.add_argument("--max-samples", type=int, default=None)
     p.add_argument("--max-wall-ms", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="trials per oracle draw (default: sized by the oracle)")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
@@ -167,7 +165,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "source": "bernoulli",
             "p": args.bernoulli,
             "strategy": args.strategy,
-            "batch_size": args.batch_size,
         }
         report = run_strategy(
             args.strategy,
@@ -175,7 +172,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             oracle,
             seed,
             limits=limits,
-            batch_size=args.batch_size,
             config=config,
         )
     elif args.model is not None:
@@ -193,7 +189,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             seed,
             strategy=args.strategy,
             limits=limits,
-            batch_size=args.batch_size,
         )
     else:
         if args.center is None or args.eps is None or args.reference_label is None:
@@ -211,7 +206,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "epsilon": args.eps,
             "center": [float(v) for v in center],
             "reference_label": args.reference_label,
-            "batch_size": args.batch_size,
         }
         with SubprocessOracle(args.oracle_cmd, sampler, args.reference_label) as oracle:
             report = run_strategy(
@@ -220,7 +214,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 oracle,
                 seed,
                 limits=limits,
-                batch_size=args.batch_size,
                 config=config,
             )
 
@@ -256,7 +249,6 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
             norm=args.norm,
             strategy=args.strategy,
             limits=_limits(args),
-            batch_size=args.batch_size,
         )
     except NoYesFoundError as exc:
         _emit(
@@ -295,12 +287,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if unknown:
         raise UsageError(f"unknown strategies: {unknown}; expected {sorted(STRATEGIES)}")
     p_grid = _parse_grid(args.p_grid)
+    # Both modes reject a bad rate before the first run.
+    _check_rates(p_grid)
     limits = _limits(args)
 
     if args.mode == "sweep":
         table = complexity_sweep(
-            strategies, query, p_grid, args.trials, seed,
-            limits=limits, batch_size=args.batch_size,
+            strategies, query, p_grid, args.trials, seed, limits=limits
         )
         text = table.to_csv().rstrip("\n") if args.format == "csv" else table.to_json()
         _emit(text, args.out)
@@ -311,8 +304,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for name in strategies:
         for p in p_grid:
             stats = soundness_trial(
-                name, query, p, args.trials, seed.child(stream),
-                limits=limits, batch_size=args.batch_size,
+                name, query, p, args.trials, seed.child(stream), limits=limits
             )
             stream += 1
             docs.append(asdict(stats))

@@ -5,9 +5,10 @@ arguments: batch k trials however you like, the i-th trial of a given call
 always sees the same randomness.  That contract is what lets testers batch
 and replay without changing any verdict.
 
-An oracle may also say how many trials it reads per draw by default, as
-``batch_trials``: the in-process oracles size it so that one draw reads
-about BATCH_WORDS raw words, whatever each trial costs.
+An oracle sizes its own draws with ``batch_trials``, the trials a tester
+asks of it at a time: the in-process oracles size it so that one draw reads
+about BATCH_WORDS raw words, whatever each trial costs, and SubprocessOracle
+asks for one write/read round.  A tester gives an oracle without it 128.
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ class SubprocessOracle:
     Closing the child's stdin tells it to shut down.  Success means the
     child's label differs from reference_label.
     """
+
+    batch_trials = _ROUND_LINES
 
     def __init__(
         self,

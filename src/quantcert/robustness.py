@@ -219,7 +219,6 @@ def certify_density(
     seed: SeedSpec,
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
-    batch_size: Optional[int] = None,
 ) -> CertificationReport:
     """Certify whether the adversarial density around the center is <= theta."""
     sampler = make_sampler(request.norm, request.center, request.epsilon)
@@ -230,7 +229,6 @@ def certify_density(
         "epsilon": request.epsilon,
         "center": [float(v) for v in request.center],
         "reference_label": prop.reference_label,
-        "batch_size": batch_size,
     }
     report = run_strategy(
         strategy,
@@ -238,7 +236,6 @@ def certify_density(
         oracle,
         seed,
         limits=limits,
-        batch_size=batch_size,
         config=config,
     )
     note = (
@@ -309,7 +306,6 @@ def adversarial_hardness(
     norm: Norm = "linf",
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
-    batch_size: Optional[int] = None,
 ) -> HardnessResult:
     """Largest radius on the grid at which the density stays certified low.
 
@@ -333,7 +329,6 @@ def adversarial_hardness(
             seed.child(len(probes)),
             strategy=strategy,
             limits=limits,
-            batch_size=batch_size,
         )
         probes.append(
             ProbeRecord(

@@ -13,7 +13,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import OutOfRangeError, SeedSpec, ThresholdQuery, validate_query
 from .oracle import BernoulliOracle
@@ -82,6 +82,13 @@ class SweepTable:
         )
 
 
+def _check_rates(p_grid: Sequence[float]) -> None:
+    """Raise OutOfRangeError unless every rate sits in [0, 1]."""
+    for p in p_grid:
+        if not 0.0 <= p <= 1.0:
+            raise OutOfRangeError(f"p must sit in [0, 1], got {p}")
+
+
 def soundness_trial(
     strategy: str,
     query: ThresholdQuery,
@@ -89,7 +96,6 @@ def soundness_trial(
     trials: int,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: Optional[int] = None,
 ) -> SoundnessStats:
     """Run the strategy repeatedly against Bernoulli(p) and score verdicts.
 
@@ -98,8 +104,7 @@ def soundness_trial(
     band carry no guarantee and produce failure_rate None.
     """
     q = validate_query(query)
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRangeError(f"p must sit in [0, 1], got {p}")
+    _check_rates([p])
     if trials < 1:
         raise OutOfRangeError(f"trials must be at least 1, got {trials}")
     oracle = BernoulliOracle(p)
@@ -108,7 +113,7 @@ def soundness_trial(
     wrong = 0
     for j in range(trials):
         report = run_strategy(
-            strategy, q, oracle, seed.child(j), limits=limits, batch_size=batch_size
+            strategy, q, oracle, seed.child(j), limits=limits
         )
         counts[report.verdict.kind] += 1
         totals.append(report.total_samples)
@@ -139,15 +144,12 @@ def complexity_sweep(
     trials: int,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: Optional[int] = None,
 ) -> SweepTable:
     """Mean observed cost per strategy and rate, against the baseline size."""
     q = validate_query(query)
     if trials < 1:
         raise OutOfRangeError(f"trials must be at least 1, got {trials}")
-    for p in p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise OutOfRangeError(f"p must sit in [0, 1], got {p}")
+    _check_rates(p_grid)
     base = baseline_samples(q)
     rows: List[SweepRow] = []
     stream = 0
@@ -162,7 +164,6 @@ def complexity_sweep(
                     oracle,
                     seed.child(stream),
                     limits=limits,
-                    batch_size=batch_size,
                 )
                 stream += 1
                 totals.append(report.total_samples)

@@ -83,10 +83,6 @@ class CertificationReport:
     notes: Tuple[str, ...] = ()
     config: Dict[str, object] = field(default_factory=dict)
 
-    # Performance knobs cannot change verdicts or tallies, so the canonical
-    # form drops them along with wall time.
-    _VOLATILE_CONFIG = ("batch_size", "wall_time_ms")
-
     def to_dict(self, include_timing: bool = True) -> Dict[str, object]:
         doc: Dict[str, object] = {
             "query": {
@@ -123,19 +119,13 @@ class CertificationReport:
         }
         if include_timing:
             doc["wall_time_ms"] = self.wall_time_ms
-        else:
-            doc["config"] = {
-                k: v
-                for k, v in doc["config"].items()
-                if k not in self._VOLATILE_CONFIG
-            }
         return doc
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(include_timing=True), indent=indent)
 
     def canonical_json(self) -> str:
-        """Deterministic byte form: timing and performance knobs removed."""
+        """Deterministic byte form: the top-level wall time removed."""
         return json.dumps(
             self.to_dict(include_timing=False),
             sort_keys=True,
@@ -356,7 +346,6 @@ def _run_schedule(
     oracle: Oracle,
     seed: SeedSpec,
     limits: Optional[ResourceLimits],
-    batch_size: Optional[int],
     config: Optional[Dict[str, object]],
     notes: Tuple[str, ...],
 ) -> CertificationReport:
@@ -376,7 +365,7 @@ def _run_schedule(
         if reason is not None:
             verdict = Verdict.inconclusive(reason)  # type: ignore[arg-type]
             break
-        result = run_tester(plan, oracle, seed, call_index=len(calls), batch_size=batch_size)
+        result = run_tester(plan, oracle, seed, call_index=len(calls))
         calls.append(CallRecord(side, plan, result.tally, result.outcome))
         total += result.tally.trials
         if side == "final" or _SETTLES[side] == result.outcome:
@@ -408,7 +397,6 @@ def bincert(
     oracle: Oracle,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: Optional[int] = None,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """Adaptive halving certification.
@@ -431,7 +419,7 @@ def bincert(
         f"delta_min = {params.delta_min!r}",
     )
     return _run_schedule(
-        "bincert", q, entries, oracle, seed, limits, batch_size, config, notes
+        "bincert", q, entries, oracle, seed, limits, config, notes
     )
 
 
@@ -470,7 +458,6 @@ def fixedcert(
     oracle: Oracle,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: Optional[int] = None,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """Non-adaptive grid certification.
@@ -492,7 +479,7 @@ def fixedcert(
         f"intervals at pitch sqrt(eta) = {math.sqrt(q.eta)!r}",
     )
     return _run_schedule(
-        "fixedcert", q, entries, oracle, seed, limits, batch_size, config, notes
+        "fixedcert", q, entries, oracle, seed, limits, config, notes
     )
 
 
@@ -512,7 +499,6 @@ def estimate_baseline(
     oracle: Oracle,
     seed: SeedSpec,
     limits: Optional[ResourceLimits] = None,
-    batch_size: Optional[int] = None,
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
     """One-shot estimation baseline: measure the rate, compare to theta + eta/2.
@@ -531,7 +517,7 @@ def estimate_baseline(
         t=q.theta + q.eta / 2.0,
     )
     return _run_schedule(
-        "estimate", q, [("final", plan)], oracle, seed, limits, batch_size, config, ()
+        "estimate", q, [("final", plan)], oracle, seed, limits, config, ()
     )
 
 

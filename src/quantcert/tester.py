@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal
 
 from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec
 from .oracle import Oracle, OracleFailure
@@ -94,21 +94,18 @@ def run_tester(
     oracle: Oracle,
     seed: SeedSpec,
     call_index: int = 0,
-    batch_size: Optional[int] = None,
 ) -> TesterResult:
     """Draw exactly plan.n_samples trials and decide against the boundary.
 
-    Trials are fetched in order, in batches of at most batch_size; the final
-    batch is truncated.  By default the oracle sizes its own batches through
-    its ``batch_trials`` attribute, and an oracle without one gets 128.  The
-    batch size changes no trial and no outcome, only the number of draws.
+    Trials are fetched in order, in draws of the oracle's ``batch_trials``
+    (128 for an oracle that does not set it); the final draw is truncated.
+    The draw size changes no trial and no outcome, only the number of draws.
     Oracle failures propagate as OracleFailure with the tally accumulated
     so far attached.
     """
-    if batch_size is None:
-        batch_size = getattr(oracle, "batch_trials", 128)
+    batch_size = getattr(oracle, "batch_trials", 128)
     if batch_size < 1:
-        raise OutOfRangeError(f"batch_size must be at least 1, got {batch_size}")
+        raise OutOfRangeError(f"batch_trials must be at least 1, got {batch_size}")
 
     n = plan.n_samples
     successes = 0

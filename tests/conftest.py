@@ -7,12 +7,18 @@ from quantcert import SeedSpec, load_model
 
 
 class CountingOracle:
-    """Wraps an oracle and records every draw window it serves."""
+    """Wraps an oracle and records every draw window it serves.
 
-    def __init__(self, inner):
+    With batch_trials given, testers draw that many trials at a time from
+    the wrapper; without it they fall back to their default.
+    """
+
+    def __init__(self, inner, batch_trials=None):
         self.inner = inner
         self.windows = []
         self.total_trials = 0
+        if batch_trials is not None:
+            self.batch_trials = batch_trials
 
     def draw(self, k, call_index, seed, start=0):
         tally = self.inner.draw(k, call_index, seed, start=start)

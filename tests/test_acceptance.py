@@ -5,7 +5,6 @@ prints a single machine-greppable verdict line.  These are intentionally
 heavier than the unit tests: they run real Monte Carlo campaigns.
 """
 
-import json
 import math
 import statistics
 
@@ -33,7 +32,7 @@ from quantcert.strategy import (
 )
 from quantcert.tester import plan_tester
 from quantcert.cli import main as cli_main
-from conftest import linear_model
+from conftest import CountingOracle, linear_model
 
 
 def _verdict(num, ok, detail):
@@ -70,7 +69,7 @@ def test_c03_easy_refutation_is_cheap():
     totals = []
     no_count = 0
     for j in range(100):
-        report = bincert(query, BernoulliOracle(0.3), seed.child(j), batch_size=4096)
+        report = bincert(query, BernoulliOracle(0.3), seed.child(j))
         totals.append(report.total_samples)
         no_count += report.verdict.kind == "no"
     mean = statistics.fmean(totals)
@@ -96,9 +95,7 @@ def test_c04_soundness_under_known_rates():
             must_yes = [theta / 2.0, theta]
             must_no = [theta + 1.01 * eta, min(1.0, theta + 3.0 * eta)]
             for p in must_yes + must_no:
-                result = soundness_trial(
-                    strategy, query, p, trials, seed.child(stream), batch_size=16384
-                )
+                result = soundness_trial(strategy, query, p, trials, seed.child(stream))
                 stream += 1
                 cells += 1
                 worst = max(worst, result.failure_rate)
@@ -114,9 +111,7 @@ def test_c04_soundness_under_known_rates():
 def test_c05_mean_cost_beats_baseline_tenfold():
     query = ThresholdQuery(0.01, 0.01, 0.01)
     grid = [k * 0.05 for k in range(21)]
-    table = complexity_sweep(
-        ["bincert"], query, grid, 30, SeedSpec(20250803), batch_size=8192
-    )
+    table = complexity_sweep(["bincert"], query, grid, 30, SeedSpec(20250803))
     grid_mean = statistics.fmean(row.mean_samples for row in table.rows)
     base = baseline_samples(query)
     ok = grid_mean <= base / 10.0
@@ -175,9 +170,7 @@ def test_c06_observed_cost_never_exceeds_budget():
         cap = worst_case_budget(query).exact_schedule_total
         for p in _probe_rates(query):
             for _ in range(2):
-                report = bincert(
-                    query, BernoulliOracle(p), seed.child(stream), batch_size=16384
-                )
+                report = bincert(query, BernoulliOracle(p), seed.child(stream))
                 stream += 1
                 runs += 1
                 assert report.total_samples <= cap, (theta, eta, delta, p)
@@ -204,12 +197,12 @@ def test_c07_per_report_failure_accounting():
         rates = (0.0, query.theta + query.eta / 2.0, 1.0)
         for j, p in enumerate(rates):
             oracle = BernoulliOracle(p)
-            rep_b = bincert(query, oracle, seed.child(10 * i + j), batch_size=8192)
+            rep_b = bincert(query, oracle, seed.child(10 * i + j))
             delta_min = BinCertParams.from_query(query).delta_min
             assert len(rep_b.calls) * delta_min <= query.delta + 1e-12
             assert all(c.plan.delta_call == delta_min for c in rep_b.calls)
 
-            rep_f = fixedcert(query, oracle, seed.child(10 * i + j + 5), batch_size=8192)
+            rep_f = fixedcert(query, oracle, seed.child(10 * i + j + 5))
             params = FixedCertParams.from_query(query)
             planned = (
                 params.n_left * params.delta_left
@@ -245,9 +238,7 @@ def test_c08_analytic_density_verdicts():
         request = RobustnessQuery(center, 0.1, "linf", query)
         wrong = 0
         for _ in range(runs):
-            report = certify_density(
-                model, request, seed.child(stream), batch_size=8192
-            )
+            report = certify_density(model, request, seed.child(stream))
             stream += 1
             wrong += report.verdict.kind != expected
         failures[q] = wrong / runs
@@ -272,7 +263,7 @@ def test_c09_hardness_recovers_the_critical_radius():
     results = {
         method: adversarial_hardness(
             model, center, query, seed.child(k),
-            eps_grid=grid, method=method, batch_size=8192,
+            eps_grid=grid, method=method,
         )
         for k, method in enumerate(("sweep", "bisect"))
     }
@@ -311,33 +302,27 @@ def test_c10_sampler_distributions():
 def test_c11_reports_are_batch_size_invariant(capsys):
     query = ThresholdQuery(0.3, 0.2, 0.1)
     seed = 24680
+    # the config the CLI writes for a --bernoulli run
+    config = {"subcommand": "certify", "source": "bernoulli", "p": 0.4, "strategy": "bincert"}
+    oracles = [BernoulliOracle(0.4)] + [
+        CountingOracle(BernoulliOracle(0.4), batch_trials=b) for b in (64, 4096)
+    ]
     lib = {
-        bincert(
-            query,
-            BernoulliOracle(0.4),
-            SeedSpec(seed),
-            batch_size=batch,
-            config={"batch_size": batch},
-        ).canonical_json()
-        for batch in (None, 64, 4096)
+        bincert(query, oracle, SeedSpec(seed), config=config).canonical_json()
+        for oracle in oracles
     }
 
-    cli = set()
-    codes = set()
-    for batch in ([], ["--batch-size", "64"], ["--batch-size", "256"]):
-        code = cli_main(
-            [
-                "certify", "--theta", "0.3", "--eta", "0.2", "--delta", "0.1",
-                "--bernoulli", "0.4", "--seed", str(seed), "--canonical",
-                *batch,
-            ]
-        )
-        codes.add(code)
-        cli.add(capsys.readouterr().out)
-    ok = len(lib) == 1 and len(cli) == 1 and len(codes) == 1
+    code = cli_main(
+        [
+            "certify", "--theta", "0.3", "--eta", "0.2", "--delta", "0.1",
+            "--bernoulli", "0.4", "--seed", str(seed), "--canonical",
+        ]
+    )
+    cli = capsys.readouterr().out.removesuffix("\n")
+    ok = lib == {cli}
     detail = (
-        "canonical reports byte-identical across the default batch size, 64 "
-        f"and 4096 (library) and the default, 64 and 256 (CLI), verdict exit {codes.pop()}"
+        "canonical reports byte-identical across the default draw size, 64 "
+        f"and 4096 (library) and the CLI's --canonical output, verdict exit {code}"
     )
     with capsys.disabled():
         _verdict(11, ok, detail)

@@ -1,7 +1,9 @@
-"""The package root's export list, checked against its documented users."""
+"""The package's public surface, checked against its documented users."""
 
+import ast
 import contextlib
 import importlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quantcert
+from quantcert.cli import EXIT_USAGE, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -110,3 +113,67 @@ def test_library_quick_start_prints_pinned_counts():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines()[0] == "yes 5937"
+
+
+# Every function that once took a batch_size; draws are sized by the oracle.
+ONCE_BATCHED = [
+    ("tester", "run_tester"),
+    ("strategy", "_run_schedule"),
+    ("strategy", "bincert"),
+    ("strategy", "fixedcert"),
+    ("strategy", "estimate_baseline"),
+    ("robustness", "certify_density"),
+    ("robustness", "adversarial_hardness"),
+    ("sim", "soundness_trial"),
+    ("sim", "complexity_sweep"),
+]
+
+
+@pytest.mark.parametrize("module, name", ONCE_BATCHED)
+def test_no_function_takes_a_batch_size(module, name):
+    fn = getattr(importlib.import_module(f"quantcert.{module}"), name)
+    assert "batch_size" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--bernoulli", "0.4"],
+        ["simulate", "--p-grid", "0.4", "--trials", "1"],
+    ],
+)
+def test_batch_size_flag_is_a_usage_error(capsys, argv):
+    query = ["--theta", "0.3", "--eta", "0.2", "--delta", "0.1", "--seed", "1"]
+    assert main([*argv, *query, "--batch-size", "64"]) == EXIT_USAGE
+    assert "--batch-size" in capsys.readouterr().err
+
+
+def _unused_imports(path):
+    """Module-level imports in one file that nothing else in it names."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    used = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for name, line in imported.items()
+        if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "quantcert").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py")
+    )
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+import quantcert.oracle as oracle_module
+from quantcert import RobustnessQuery, SeedSpec, ThresholdQuery, certify_density
 from quantcert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
@@ -11,7 +14,7 @@ from quantcert.cli import (
     _parse_grid,
     main,
 )
-from conftest import linear_model_doc
+from conftest import linear_model, linear_model_doc
 
 
 @pytest.fixture(autouse=True)
@@ -243,20 +246,24 @@ class TestCertifyModel:
         assert code == EXIT_INTERNAL
         assert "ParseError" in err
 
-    def test_canonical_output_ignores_batch_size(self, capsys, model_path, center_path):
-        outputs = set()
-        for batch in ([], ["--batch-size", "64"], ["--batch-size", "256"]):
-            code, out, _ = run(
-                capsys,
-                "certify", *self.QUERY,
-                "--model", model_path(0.55), "--center", center_path,
-                "--eps", "0.1", "--seed", "17",
-                "--canonical", *batch,
-            )
-            assert code in (EXIT_YES, EXIT_NO)
-            outputs.add(out)
-        assert len(outputs) == 1
-        assert '"wall_time_ms"' not in outputs.pop()
+    def test_canonical_output_ignores_batch_size(
+        self, capsys, monkeypatch, model_path, center_path
+    ):
+        code, out, _ = run(
+            capsys,
+            "certify", *self.QUERY,
+            "--model", model_path(0.55), "--center", center_path,
+            "--eps", "0.1", "--seed", "17", "--canonical",
+        )
+        assert code in (EXIT_YES, EXIT_NO)
+        assert '"wall_time_ms"' not in out
+        # The oracle certify_density builds draws BATCH_WORDS // d trials at a time.
+        query = ThresholdQuery(0.1, 0.05, 0.05)
+        request = RobustnessQuery(np.array([0.5, 0.5]), 0.1, "linf", query)
+        for words in (oracle_module.BATCH_WORDS, 2 * 64, 2 * 256):
+            monkeypatch.setattr(oracle_module, "BATCH_WORDS", words)
+            report = certify_density(linear_model(0.55), request, SeedSpec(17))
+            assert out == report.canonical_json() + "\n"
 
 
 class TestHardness:
@@ -267,7 +274,7 @@ class TestHardness:
             capsys,
             "hardness", *self.QUERY,
             "--model", model_path(0.7), "--center", center_path,
-            "--eps-grid", "0.05:0.3:0.05", "--seed", "5", "--batch-size", "4096",
+            "--eps-grid", "0.05:0.3:0.05", "--seed", "5",
         )
         assert code == EXIT_YES
         doc = json.loads(out)
@@ -280,7 +287,7 @@ class TestHardness:
             capsys,
             "hardness", *self.QUERY,
             "--model", model_path(0.7), "--center", center_path,
-            "--eps-grid", "0.25,0.3", "--seed", "5", "--batch-size", "4096",
+            "--eps-grid", "0.25,0.3", "--seed", "5",
         )
         assert code == EXIT_NO
         doc = json.loads(out)
@@ -308,7 +315,7 @@ class TestHardness:
             "hardness", *self.QUERY,
             "--model", model_path(0.7), "--center", center_path,
             "--eps-lo", "0.05", "--eps-hi", "0.3", "--resolution", "0.05",
-            "--method", "bisect", "--seed", "5", "--batch-size", "4096",
+            "--method", "bisect", "--seed", "5",
         )
         assert code == EXIT_YES
         doc = json.loads(out)
@@ -386,6 +393,23 @@ class TestSimulate:
             capsys, "simulate", *self.QUERY, "--p-grid", "0:1:1e-5", "--trials", "0"
         )
         assert code == EXIT_USAGE and "10000 points" in err
+
+    @pytest.mark.parametrize("mode", ["sweep", "soundness"])
+    def test_bad_rate_fails_before_any_run(self, capsys, monkeypatch, mode):
+        reads = []
+        raw_block = SeedSpec.raw_block
+
+        def counted(self, *args, **kwargs):
+            reads.append(args)
+            return raw_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeedSpec, "raw_block", counted)
+        code, _, err = run(
+            capsys, "simulate", *self.QUERY, "--p-grid", "0.02,0.5,0.2,2",
+            "--trials", "1000", "--seed", "3", "--mode", mode,
+        )
+        assert code == EXIT_INTERNAL and "OutOfRangeError" in err
+        assert reads == []
 
 
 class TestParseGrid:

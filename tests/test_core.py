@@ -23,6 +23,7 @@ from quantcert import (
 )
 from quantcert.core import to_open_unit, to_unit, validate_query
 from chernoff_reference import DomainError, chernoff_tail
+from conftest import CountingOracle
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +307,10 @@ class TestReplayPins:
             else:
                 assert _words_sha256(words) == GOLDEN_WIDE["sha256"]
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 128, 4096])
-    def test_bincert_canonical_hash(self, batch_size):
-        report = bincert(
-            (0.1, 0.05, 0.1), BernoulliOracle(0.13), SeedSpec(PIN_SEED), batch_size=batch_size
-        )
+    @pytest.mark.parametrize("batch_trials", [1, 7, 128, 4096])
+    def test_bincert_canonical_hash(self, batch_trials):
+        oracle = CountingOracle(BernoulliOracle(0.13), batch_trials=batch_trials)
+        report = bincert((0.1, 0.05, 0.1), oracle, SeedSpec(PIN_SEED))
         digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
         assert digest == GOLDEN_REPORT_SHA256
 

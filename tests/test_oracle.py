@@ -104,6 +104,10 @@ class TestBernoulliOracle:
         )
         wide = LinfBallSampler(np.full(784, 0.5), 0.1)
         assert PropertyOracle(wide, _BatchHalfPlane()).batch_trials == 167
+        # one write/read round a draw
+        sampler = LinfBallSampler(center2, 0.3)
+        with SubprocessOracle([sys.executable, "-c", "pass"], sampler, 0) as child:
+            assert child.batch_trials == 1024
 
 
 class _ScalarHalfPlane:

@@ -19,6 +19,7 @@ from quantcert import (
     misclassification_property,
     predict_batch,
 )
+import quantcert.oracle as oracle_module
 from quantcert.core import to_unit
 from quantcert.robustness import _normalize_grid
 from conftest import linear_model
@@ -255,17 +256,14 @@ class TestCertifyDensity:
         with pytest.raises(DimensionMismatchError):
             certify_density(linear_model(0.62), request, seed)
 
-    def test_canonical_report_ignores_batch_size(self, center2):
+    def test_canonical_report_ignores_batch_size(self, monkeypatch, center2):
+        # The oracle certify_density builds draws BATCH_WORDS // d trials at a time.
         request = RobustnessQuery(center2, 0.1, "linf", DENSITY_QUERY)
-        blobs = {
-            certify_density(
-                linear_model(0.55),
-                request,
-                SeedSpec(424242),
-                batch_size=batch,
-            ).canonical_json()
-            for batch in (None, 64, 512)
-        }
+        blobs = set()
+        for words in (oracle_module.BATCH_WORDS, 2 * 64, 2 * 512):
+            monkeypatch.setattr(oracle_module, "BATCH_WORDS", words)
+            report = certify_density(linear_model(0.55), request, SeedSpec(424242))
+            blobs.add(report.canonical_json())
         assert len(blobs) == 1
 
 
@@ -320,7 +318,6 @@ class TestAdversarialHardness:
             seed,
             eps_grid=GRID,
             method="sweep",
-            batch_size=4096,
         )
         assert result.hardness == 0.2
         assert result.method == "sweep"
@@ -335,7 +332,6 @@ class TestAdversarialHardness:
             seed,
             eps_grid=GRID,
             method="bisect",
-            batch_size=4096,
         )
         assert result.hardness == 0.2
         assert result.method == "bisect"
@@ -350,7 +346,6 @@ class TestAdversarialHardness:
             seed,
             eps_grid=[0.05, 0.1, 0.15],
             method="bisect",
-            batch_size=4096,
         )
         assert result.hardness == 0.15
         assert len(result.probe_log) == 2
@@ -364,7 +359,6 @@ class TestAdversarialHardness:
                 seed,
                 eps_grid=[0.1],
                 method=method,
-                batch_size=4096,
             )
             assert result.hardness == 0.1
             assert len(result.probe_log) == 1
@@ -379,7 +373,6 @@ class TestAdversarialHardness:
                 seed,
                 eps_grid=[0.25, 0.3],
                 method=method,
-                batch_size=4096,
             )
         assert len(info.value.probe_log) == 1
         assert info.value.probe_log[0].verdict == "no"
@@ -404,7 +397,6 @@ class TestAdversarialHardness:
                 SeedSpec(7),
                 eps_grid=GRID,
                 method="sweep",
-                batch_size=4096,
             )
             for _ in range(2)
         ]

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 
 import pytest
 
@@ -83,9 +82,7 @@ class TestSoundnessTrial:
 
 class TestComplexitySweep:
     def test_table_shape_and_ratios(self, seed):
-        table = complexity_sweep(
-            ["bincert", "estimate"], QUERY, [0.0, 0.5], 3, seed, batch_size=1024
-        )
+        table = complexity_sweep(["bincert", "estimate"], QUERY, [0.0, 0.5], 3, seed)
         assert len(table.rows) == 4
         assert [r.strategy for r in table.rows] == [
             "bincert",
@@ -105,7 +102,7 @@ class TestComplexitySweep:
 
     def test_easy_rates_beat_baseline_by_two_orders(self, seed):
         query = ThresholdQuery(0.01, 0.01, 0.01)
-        table = complexity_sweep(["bincert"], query, [0.9], 5, seed, batch_size=4096)
+        table = complexity_sweep(["bincert"], query, [0.9], 5, seed)
         assert table.rows[0].baseline_samples == 552_621
         assert table.rows[0].ratio >= 100.0
 
@@ -114,9 +111,7 @@ class TestComplexitySweep:
         # the final call decides, so the cost is exactly the schedule total
         query = ThresholdQuery(0.01, 0.01, 0.01)
         bound = worst_case_budget(query)
-        table = complexity_sweep(
-            ["bincert"], query, [query.theta], 5, seed, batch_size=4096
-        )
+        table = complexity_sweep(["bincert"], query, [query.theta], 5, seed)
         mean = table.rows[0].mean_samples
         assert mean == bound.exact_schedule_total
         assert mean >= bound.k3

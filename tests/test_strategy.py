@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -193,8 +194,8 @@ class TestBinCert:
         assert spent <= query.delta + 1e-12
 
     def test_calls_use_consecutive_stream_indices(self, seed):
-        oracle = CountingOracle(BernoulliOracle(0.4))
-        report = bincert(ThresholdQuery(0.3, 0.2, 0.1), oracle, seed, batch_size=10**9)
+        oracle = CountingOracle(BernoulliOracle(0.4), batch_trials=10**9)
+        report = bincert(ThresholdQuery(0.3, 0.2, 0.1), oracle, seed)
         assert [w[0] for w in oracle.windows] == list(range(len(report.calls)))
 
     def test_zero_threshold_query(self, seed):
@@ -434,22 +435,22 @@ class TestWorstCaseBudget:
 class TestReportSerialization:
     def test_canonical_json_ignores_performance_knobs(self, seed):
         query = ThresholdQuery(0.3, 0.2, 0.1)
-        runs = [
-            bincert(
-                query,
-                BernoulliOracle(0.4),
-                seed,
-                batch_size=batch,
-                config={"batch_size": batch, "tag": "keep"},
-            )
-            for batch in (None, 16, 128, 4096)
+        oracles = [BernoulliOracle(0.4)] + [
+            CountingOracle(BernoulliOracle(0.4), batch_trials=b) for b in (16, 128, 4096)
         ]
-        blobs = {r.canonical_json() for r in runs}
+        blobs = {
+            bincert(query, oracle, seed, config={"tag": "keep"}).canonical_json()
+            for oracle in oracles
+        }
         assert len(blobs) == 1
         blob = blobs.pop()
-        assert '"batch_size"' not in blob
         assert '"wall_time_ms"' not in blob
         assert '"tag":"keep"' in blob
+
+    def test_canonical_json_keeps_config_verbatim(self, seed):
+        config = {"batch_size": 64, "wall_time_ms": 1.5, "tag": "keep"}
+        report = bincert(ThresholdQuery(0.3, 0.2, 0.1), BernoulliOracle(0.4), seed, config=config)
+        assert json.loads(report.canonical_json())["config"] == config
 
     def test_replay_is_byte_identical(self):
         query = ThresholdQuery(0.3, 0.2, 0.1)

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +9,6 @@ from quantcert import (
     OracleFailure,
     OutOfRangeError,
     SampleTally,
-    SeedSpec,
 )
 from quantcert.tester import plan_tester, run_tester
 from chernoff_reference import chernoff_tail
@@ -109,8 +106,8 @@ class TestPlanTester:
 class TestRunTester:
     def test_draws_exactly_n(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
-        oracle = CountingOracle(BernoulliOracle(0.2))
-        result = run_tester(plan, oracle, seed, batch_size=17)
+        oracle = CountingOracle(BernoulliOracle(0.2), batch_trials=17)
+        result = run_tester(plan, oracle, seed)
         assert result.tally.trials == plan.n_samples
         assert oracle.total_trials == plan.n_samples
         # windows are disjoint, contiguous, and cover [0, N)
@@ -123,15 +120,15 @@ class TestRunTester:
 
     def test_single_batch_when_batch_exceeds_n(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
-        oracle = CountingOracle(BernoulliOracle(0.2))
-        run_tester(plan, oracle, seed, batch_size=10 * plan.n_samples)
+        oracle = CountingOracle(BernoulliOracle(0.2), batch_trials=10 * plan.n_samples)
+        run_tester(plan, oracle, seed)
         assert len(oracle.windows) == 1
 
     def test_batch_size_invariance(self, seed):
         plan = plan_tester(0.05, 0.25, 0.1)
-        results = [
-            run_tester(plan, BernoulliOracle(0.17), seed, batch_size=b)
-            for b in (None, 1, 7, 128, 4096)
+        results = [run_tester(plan, BernoulliOracle(0.17), seed)] + [
+            run_tester(plan, CountingOracle(BernoulliOracle(0.17), batch_trials=b), seed)
+            for b in (1, 7, 128, 4096)
         ]
         assert len({r.tally.successes for r in results}) == 1
         assert len({r.outcome for r in results}) == 1
@@ -142,12 +139,11 @@ class TestRunTester:
         plain = CountingOracle(BernoulliOracle(0.2))  # no batch_trials
         run_tester(plan, plain, seed)
         assert [k for _, _, k in plain.windows] == [128, 3]
-        sized = CountingOracle(BernoulliOracle(0.2))
-        sized.batch_trials = 50
+        sized = CountingOracle(BernoulliOracle(0.2), batch_trials=50)
         run_tester(plan, sized, seed)
         assert [k for _, _, k in sized.windows] == [50, 50, 31]
-        sized.windows.clear()
-        run_tester(plan, sized, seed, batch_size=100)
+        sized = CountingOracle(BernoulliOracle(0.2), batch_trials=100)
+        run_tester(plan, sized, seed)
         assert [k for _, _, k in sized.windows] == [100, 31]
 
     def test_tie_counts_as_yes(self, seed):
@@ -168,10 +164,12 @@ class TestRunTester:
     def test_bad_knobs_rejected(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
         with pytest.raises(OutOfRangeError):
-            run_tester(plan, BernoulliOracle(0.2), seed, batch_size=0)
+            run_tester(plan, CountingOracle(BernoulliOracle(0.2), batch_trials=0), seed)
 
     def test_failure_carries_partial_tally(self, seed):
         class Breaks:
+            batch_trials = 10
+
             def draw(self, k, call_index, seed, start=0):
                 if start >= 30:
                     raise OracleFailure("down", partial_tally=SampleTally(4, 1))
@@ -180,7 +178,7 @@ class TestRunTester:
         plan = HandPlan(theta1=0.1, theta2=0.2, delta_call=0.01,
                           n_samples=100, eta1=0.05, eta2=0.05, t=0.15)
         with pytest.raises(OracleFailure) as exc_info:
-            run_tester(plan, Breaks(), seed, batch_size=10)
+            run_tester(plan, Breaks(), seed)
         partial = exc_info.value.partial_tally
         assert partial.trials == 34  # 3 clean batches of 10, plus 4 from the failure
         assert partial.successes == 31
