@@ -39,13 +39,11 @@ from .oracle import (
     SubprocessOracle,
 )
 from .robustness import (
-    EmptySupportError,
     HardnessResult,
     L2BallSampler,
     LinfBallSampler,
     NoYesFoundError,
     ProbeRecord,
-    RobustnessQuery,
     adversarial_hardness,
     certify_density,
     make_sampler,
@@ -72,7 +70,6 @@ __all__ = [
     "ChildExitError",
     "DegenerateQueryError",
     "DimensionMismatchError",
-    "EmptySupportError",
     "HardnessResult",
     "InvalidConfidenceError",
     "InvalidIntervalError",
@@ -90,7 +87,6 @@ __all__ = [
     "QuantCertError",
     "ReportInvariantError",
     "ResourceLimits",
-    "RobustnessQuery",
     "SampleTally",
     "Sampler",
     "SeedSpec",

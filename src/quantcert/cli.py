@@ -26,9 +26,7 @@ from .core import QuantCertError, SeedSpec, validate_query
 from .nn import load_model
 from .oracle import BernoulliOracle, SubprocessOracle
 from .robustness import (
-    _MAX_GRID_POINTS,
     NoYesFoundError,
-    RobustnessQuery,
     adversarial_hardness,
     certify_density,
     make_sampler,
@@ -48,6 +46,10 @@ EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+# Largest grid a range spec may expand to; a tiny step would otherwise ask
+# for more points than memory holds.
+_MAX_GRID_POINTS = 10_000
 
 
 class UsageError(QuantCertError):
@@ -130,9 +132,12 @@ def _parse_grid(text: str) -> List[float]:
             raise UsageError(f"range grids hold at most {_MAX_GRID_POINTS} points")
         return [lo * (1.0 - k / n) + hi * (k / n) for k in range(n + 1)]
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad grid value: {exc}") from None
+    if not grid:
+        raise UsageError(f"grid {text!r} holds no values")
+    return grid
 
 
 def _verdict_exit(kind: str) -> int:
@@ -180,13 +185,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         with open(args.model) as fh:
             model = load_model(fh.read())
         center = _read_center(args.center, args.center_row)
-        request = RobustnessQuery(
-            center=center, epsilon=args.eps, norm=args.norm, query=query
-        )
         report = certify_density(
             model,
-            request,
+            center,
+            query,
             seed,
+            args.eps,
+            norm=args.norm,
             strategy=args.strategy,
             limits=limits,
         )
@@ -225,17 +230,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_hardness(args: argparse.Namespace) -> int:
     query = validate_query((args.theta, args.eta, args.delta))
     seed = _resolve_seed(args)
+    grid = _parse_grid(args.eps_grid)
     with open(args.model) as fh:
         model = load_model(fh.read())
     center = _read_center(args.center, args.center_row)
-    if (args.eps_grid is None) == (args.eps_lo is None):
-        raise UsageError("pick one radius spec: --eps-grid or --eps-lo/--eps-hi/--resolution")
-    grid = _parse_grid(args.eps_grid) if args.eps_grid is not None else None
-    eps_range = None
-    if grid is None:
-        if args.eps_hi is None or args.resolution is None:
-            raise UsageError("--eps-lo needs --eps-hi and --resolution")
-        eps_range = (args.eps_lo, args.eps_hi, args.resolution)
 
     try:
         result = adversarial_hardness(
@@ -244,7 +242,6 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
             query,
             seed,
             eps_grid=grid,
-            eps_range=eps_range,
             method=args.method,
             norm=args.norm,
             strategy=args.strategy,
@@ -283,6 +280,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     query = validate_query((args.theta, args.eta, args.delta))
     seed = _resolve_seed(args)
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
+    if not strategies:
+        raise UsageError(f"--strategy {args.strategy!r} names no strategy")
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise UsageError(f"unknown strategies: {unknown}; expected {sorted(STRATEGIES)}")
@@ -381,10 +380,7 @@ def build_parser() -> _Parser:
     hard.add_argument("--norm", choices=("linf", "l2"), default="linf")
     hard.add_argument("--strategy", choices=sorted(STRATEGIES), default="bincert")
     hard.add_argument("--method", choices=("sweep", "bisect"), default="sweep")
-    hard.add_argument("--eps-grid", default=None, help="comma list or lo:hi:step")
-    hard.add_argument("--eps-lo", type=float, default=None)
-    hard.add_argument("--eps-hi", type=float, default=None)
-    hard.add_argument("--resolution", type=float, default=None)
+    hard.add_argument("--eps-grid", required=True, help="comma list or lo:hi:step")
     _add_run_flags(hard)
     hard.set_defaults(func=_cmd_hardness)
 

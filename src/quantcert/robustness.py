@@ -32,14 +32,6 @@ from .strategy import CertificationReport, ResourceLimits, run_strategy
 
 Norm = Literal["linf", "l2"]
 
-# Largest radius or rate grid a range spec may expand to; a tiny step would
-# otherwise ask for more points than memory holds.
-_MAX_GRID_POINTS = 10_000
-
-
-class EmptySupportError(QuantCertError):
-    """A sampling region collapsed to nothing; should be unreachable."""
-
 
 class NoYesFoundError(QuantCertError):
     """Even the smallest probed radius failed to certify yes."""
@@ -49,12 +41,16 @@ class NoYesFoundError(QuantCertError):
         self.probe_log = probe_log
 
 
-def _check_center(center: np.ndarray) -> np.ndarray:
+def _check_ball(center: np.ndarray, epsilon: float) -> np.ndarray:
+    """A read-only copy of the center, once the center and radius pass."""
     x0 = np.asarray(center, dtype=np.float64)
     if x0.ndim != 1 or x0.size < 1:
         raise OutOfRangeError(f"center must be a nonempty vector, got shape {x0.shape}")
     if not np.all(np.isfinite(x0)) or np.any(x0 < 0.0) or np.any(x0 > 1.0):
         raise OutOfRangeError("center coordinates must sit in [0, 1]")
+    # Negated so that NaN fails too.
+    if not 0.0 < epsilon < math.inf:
+        raise OutOfRangeError(f"epsilon must be finite and positive, got {epsilon}")
     x0 = x0.copy()
     x0.flags.writeable = False
     return x0
@@ -73,13 +69,9 @@ class LinfBallSampler:
     epsilon: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _check_center(self.center))
-        if self.epsilon <= 0.0:
-            raise OutOfRangeError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "center", _check_ball(self.center, self.epsilon))
         lo = np.maximum(0.0, self.center - self.epsilon)
         hi = np.minimum(1.0, self.center + self.epsilon)
-        if np.any(lo > hi):
-            raise EmptySupportError("clipped ball has no volume")
         span = hi - lo
         for arr in (lo, hi, span):
             arr.flags.writeable = False
@@ -129,9 +121,7 @@ class L2BallSampler:
     epsilon: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _check_center(self.center))
-        if self.epsilon <= 0.0:
-            raise OutOfRangeError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "center", _check_ball(self.center, self.epsilon))
 
     @property
     def dimension(self) -> int:
@@ -196,43 +186,34 @@ def misclassification_property(model: Model, x0: np.ndarray) -> Misclassificatio
     return MisclassificationProperty(model, int(predict_batch(model, x0[None])[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class RobustnessQuery:
-    """Threshold query over the adversarial density of one ball."""
-
-    center: np.ndarray
-    epsilon: float
-    norm: Norm
-    query: ThresholdQuery
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _check_center(self.center))
-        if self.epsilon <= 0.0:
-            raise OutOfRangeError(f"epsilon must be positive, got {self.epsilon}")
-        if self.norm not in ("linf", "l2"):
-            raise OutOfRangeError(f"norm must be 'linf' or 'l2', got {self.norm!r}")
-
-
 def certify_density(
     model: Model,
-    request: RobustnessQuery,
+    x0: np.ndarray,
+    query: ThresholdQuery,
     seed: SeedSpec,
+    epsilon: float,
+    norm: Norm = "linf",
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
 ) -> CertificationReport:
-    """Certify whether the adversarial density around the center is <= theta."""
-    sampler = make_sampler(request.norm, request.center, request.epsilon)
-    prop = misclassification_property(model, request.center)
+    """Certify whether the adversarial density of the ball around x0 is <= theta.
+
+    The ball is the ``norm`` ball of radius ``epsilon`` around ``x0``,
+    clipped to the unit box; its sampler checks the center and radius.
+    The report's config records the norm, radius, center and x0's label.
+    """
+    sampler = make_sampler(norm, x0, epsilon)
+    prop = misclassification_property(model, sampler.center)
     oracle = PropertyOracle(sampler, prop)
     config: Dict[str, object] = {
-        "norm": request.norm,
-        "epsilon": request.epsilon,
-        "center": [float(v) for v in request.center],
+        "norm": norm,
+        "epsilon": epsilon,
+        "center": [float(v) for v in sampler.center],
         "reference_label": prop.reference_label,
     }
     report = run_strategy(
         strategy,
-        request.query,
+        query,
         oracle,
         seed,
         limits=limits,
@@ -240,7 +221,7 @@ def certify_density(
     )
     note = (
         "linf sampling is exact on the clipped box"
-        if request.norm == "linf"
+        if norm == "linf"
         else "l2 samples are clipped into the unit box; density refers to the clipped ball"
     )
     return replace(report, notes=report.notes + (note,))
@@ -266,33 +247,16 @@ class HardnessResult:
         return sum(p.total_samples for p in self.probe_log)
 
 
-def _normalize_grid(
-    eps_grid: Optional[Sequence[float]],
-    eps_range: Optional[Tuple[float, float, float]],
-) -> List[float]:
-    if (eps_grid is None) == (eps_range is None):
-        raise OutOfRangeError("provide exactly one of eps_grid or eps_range")
-    if eps_grid is not None:
-        grid = [float(e) for e in eps_grid]
-        if not grid:
-            raise OutOfRangeError("eps_grid must be nonempty")
-        if any(e <= 0.0 for e in grid):
-            raise OutOfRangeError("radii must be positive")
-        if sorted(grid) != grid or len(set(grid)) != len(grid):
-            raise OutOfRangeError("eps_grid must be strictly increasing")
-        return grid
-    lo, hi, resolution = eps_range
+def _normalize_grid(eps_grid: Sequence[float]) -> List[float]:
+    grid = [float(e) for e in eps_grid]
+    if not grid:
+        raise OutOfRangeError("eps_grid must be nonempty")
     # Negated so that NaN fails too.
-    if not (0.0 < lo < hi < math.inf and resolution > 0.0):
-        raise OutOfRangeError(
-            "eps_range needs finite 0 < lo < hi and a positive resolution"
-        )
-    steps = int(round(min((hi - lo) / resolution, _MAX_GRID_POINTS)))
-    if steps < 1:
-        raise OutOfRangeError("eps_range spans less than one resolution step")
-    if steps >= _MAX_GRID_POINTS:
-        raise OutOfRangeError(f"eps_range grids hold at most {_MAX_GRID_POINTS} points")
-    return [lo + resolution * k for k in range(steps)] + [hi]
+    if not all(0.0 < e < math.inf for e in grid):
+        raise OutOfRangeError("radii must be finite and positive")
+    if sorted(grid) != grid or len(set(grid)) != len(grid):
+        raise OutOfRangeError("eps_grid must be strictly increasing")
+    return grid
 
 
 def adversarial_hardness(
@@ -300,15 +264,17 @@ def adversarial_hardness(
     x0: np.ndarray,
     query: ThresholdQuery,
     seed: SeedSpec,
-    eps_grid: Optional[Sequence[float]] = None,
-    eps_range: Optional[Tuple[float, float, float]] = None,
+    eps_grid: Sequence[float],
     method: Literal["sweep", "bisect"] = "sweep",
     norm: Norm = "linf",
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
 ) -> HardnessResult:
-    """Largest radius on the grid at which the density stays certified low.
+    """Largest radius in eps_grid at which the density stays certified low.
 
+    eps_grid is a nonempty, strictly increasing list of finite positive
+    radii; a bad grid raises OutOfRangeError before the first probe.  Each
+    probe is one certify_density call on the ball of that radius around x0.
     sweep probes radii in ascending order and stops at the first non-yes;
     bisect assumes verdicts are monotone in the radius and binary-searches
     the grid, probing both ends first.  A non-yes includes inconclusive
@@ -318,15 +284,17 @@ def adversarial_hardness(
     its probe sequence number.
     """
     q = validate_query(query)
-    grid = _normalize_grid(eps_grid, eps_range)
+    grid = _normalize_grid(eps_grid)
     probes: List[ProbeRecord] = []
 
     def probe(eps: float) -> str:
-        request = RobustnessQuery(center=x0, epsilon=eps, norm=norm, query=q)
         report = certify_density(
             model,
-            request,
+            x0,
+            q,
             seed.child(len(probes)),
+            eps,
+            norm=norm,
             strategy=strategy,
             limits=limits,
         )

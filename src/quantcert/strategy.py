@@ -160,8 +160,6 @@ class FixedCertParams:
 
     n_left: int
     n_right: int
-    alpha_left: float
-    alpha_right: float
     delta_left: float
     delta_right: float
     delta_final: float
@@ -176,8 +174,6 @@ class FixedCertParams:
         return cls(
             n_left=n_left,
             n_right=n_right,
-            alpha_left=theta / n_left if n_left else 0.0,
-            alpha_right=room / n_right if n_right else 0.0,
             delta_left=delta / (3.0 * n_left) if n_left else 0.0,
             delta_right=delta / (3.0 * n_right) if n_right else 0.0,
             delta_final=delta / 3.0,

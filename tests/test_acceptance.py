@@ -15,7 +15,6 @@ from quantcert import (
     BernoulliOracle,
     L2BallSampler,
     LinfBallSampler,
-    RobustnessQuery,
     SeedSpec,
     ThresholdQuery,
     adversarial_hardness,
@@ -235,10 +234,9 @@ def test_c08_analytic_density_verdicts():
     stream = 0
     for q, expected in ((0.05, "yes"), (0.10, "yes"), (0.15, "no"), (0.25, "no")):
         model = linear_model(0.6 - 0.2 * q)
-        request = RobustnessQuery(center, 0.1, "linf", query)
         wrong = 0
         for _ in range(runs):
-            report = certify_density(model, request, seed.child(stream))
+            report = certify_density(model, center, query, seed.child(stream), 0.1)
             stream += 1
             wrong += report.verdict.kind != expected
         failures[q] = wrong / runs

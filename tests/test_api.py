@@ -24,7 +24,6 @@ EXPORTS = [
     "ChildExitError",
     "DegenerateQueryError",
     "DimensionMismatchError",
-    "EmptySupportError",
     "HardnessResult",
     "InvalidConfidenceError",
     "InvalidIntervalError",
@@ -42,7 +41,6 @@ EXPORTS = [
     "QuantCertError",
     "ReportInvariantError",
     "ResourceLimits",
-    "RobustnessQuery",
     "SampleTally",
     "Sampler",
     "SeedSpec",
@@ -98,7 +96,16 @@ def test_readme_and_bench_names_are_exported():
 
 
 @pytest.mark.parametrize(
-    "name", ["chernoff_tail", "DomainError", "IntervalSchedule", "forward", "predict"]
+    "name",
+    [
+        "chernoff_tail",
+        "DomainError",
+        "IntervalSchedule",
+        "forward",
+        "predict",
+        "RobustnessQuery",
+        "EmptySupportError",
+    ],
 )
 def test_removed_names_are_gone(name):
     assert not hasattr(quantcert, name)
@@ -113,6 +120,35 @@ def test_library_quick_start_prints_pinned_counts():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines()[0] == "yes 5937"
+
+
+def test_classifier_example_prints_pinned_counts(tmp_path, monkeypatch):
+    model = re.search(r"## Model format.*?```json\n(.*?)```", README, re.S).group(1)
+    (tmp_path / "model.json").write_text(model)
+    section = README.split("For classifiers", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == ["yes 102", "0.1 275206"]
+
+
+# The robustness entry points take plain arguments and one grid form.
+@pytest.mark.parametrize(
+    "name, gone", [("certify_density", "request"), ("adversarial_hardness", "eps_range")]
+)
+def test_robustness_signatures_drop_removed_parameters(name, gone):
+    fn = getattr(importlib.import_module("quantcert.robustness"), name)
+    assert gone not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("flag", ["--eps-lo", "--eps-hi", "--resolution"])
+def test_removed_hardness_range_flags_are_usage_errors(capsys, flag):
+    argv = ["hardness", "--theta", "0.3", "--eta", "0.2", "--delta", "0.1",
+            "--model", "model.json", "--center", "center.csv", "--eps-grid", "0.1"]
+    assert main([*argv, flag, "0.1"]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 # Every function that once took a batch_size; draws are sized by the oracle.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quantcert.oracle as oracle_module
-from quantcert import RobustnessQuery, SeedSpec, ThresholdQuery, certify_density
+from quantcert import SeedSpec, ThresholdQuery, certify_density
 from quantcert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
@@ -220,6 +220,16 @@ class TestCertifyModel:
         )
         assert code == EXIT_USAGE
 
+    def test_non_finite_eps_is_typed_error(self, capsys, model_path, center_path):
+        code, out, err = run(
+            capsys,
+            "certify", *self.QUERY,
+            "--model", model_path(0.62), "--center", center_path,
+            "--eps", "nan", "--seed", "5",
+        )
+        assert code == EXIT_INTERNAL and out == ""
+        assert "OutOfRangeError" in err and "Traceback" not in err
+
     def test_model_without_center_is_usage_error(self, capsys, model_path):
         code, _, err = run(
             capsys, "certify", *self.QUERY, "--model", model_path(0.62)
@@ -259,10 +269,11 @@ class TestCertifyModel:
         assert '"wall_time_ms"' not in out
         # The oracle certify_density builds draws BATCH_WORDS // d trials at a time.
         query = ThresholdQuery(0.1, 0.05, 0.05)
-        request = RobustnessQuery(np.array([0.5, 0.5]), 0.1, "linf", query)
         for words in (oracle_module.BATCH_WORDS, 2 * 64, 2 * 256):
             monkeypatch.setattr(oracle_module, "BATCH_WORDS", words)
-            report = certify_density(linear_model(0.55), request, SeedSpec(17))
+            report = certify_density(
+                linear_model(0.55), np.array([0.5, 0.5]), query, SeedSpec(17), 0.1
+            )
             assert out == report.canonical_json() + "\n"
 
 
@@ -301,21 +312,14 @@ class TestHardness:
             "--model", model_path(0.7), "--center", center_path,
         ]
         code, _, err = run(capsys, *base)
-        assert code == EXIT_USAGE
-        code, _, err = run(
-            capsys, *base, "--eps-grid", "0.1,0.2", "--eps-lo", "0.1"
-        )
-        assert code == EXIT_USAGE
-        code, _, err = run(capsys, *base, "--eps-lo", "0.1")
-        assert code == EXIT_USAGE and "--eps-hi" in err
+        assert code == EXIT_USAGE and "--eps-grid" in err
 
     def test_range_flags(self, capsys, model_path, center_path):
         code, out, _ = run(
             capsys,
             "hardness", *self.QUERY,
             "--model", model_path(0.7), "--center", center_path,
-            "--eps-lo", "0.05", "--eps-hi", "0.3", "--resolution", "0.05",
-            "--method", "bisect", "--seed", "5",
+            "--eps-grid", "0.05:0.3:0.05", "--method", "bisect", "--seed", "5",
         )
         assert code == EXIT_YES
         doc = json.loads(out)
@@ -327,7 +331,7 @@ class TestHardness:
             capsys,
             "hardness", *self.QUERY,
             "--model", model_path(0.7), "--center", center_path,
-            "--eps-lo", "0.1", "--eps-hi", "inf", "--resolution", "0.1",
+            "--eps-grid", "nan",
         )
         assert code == EXIT_INTERNAL
         assert "OutOfRangeError" in err and "Traceback" not in err
@@ -430,12 +434,27 @@ class TestParseGrid:
         from quantcert.cli import UsageError
 
         for text in ("0.1:0.2", "0.1:0.2:0:4", "0.3:0.1:0.1", "0.1:0.2:0", "a,b",
-                     "0:1:x", "a:b:c", "nan:1:0.1", "0:inf:1", "0:1:nan", "0:1:1e-5"):
+                     "0:1:x", "a:b:c", "nan:1:0.1", "0:inf:1", "0:1:nan", "0:1:1e-5",
+                     "", ",", " , "):
             with pytest.raises(UsageError):
                 _parse_grid(text)
 
 
 class TestUsageBasics:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--p-grid", ","],
+            ["simulate", "--p-grid", "0.1", "--strategy", ",", "--mode", "soundness"],
+            ["hardness", "--model", "m.json", "--center", "c.csv", "--eps-grid", ","],
+        ],
+    )
+    def test_empty_lists_are_usage_errors(self, capsys, argv):
+        query = ["--theta", "0.3", "--eta", "0.2", "--delta", "0.1", "--seed", "1"]
+        code, out, err = run(capsys, *argv, *query)
+        assert code == EXIT_USAGE and out == ""
+        assert "Traceback" not in err
+
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == EXIT_USAGE

@@ -18,7 +18,6 @@ import pytest
 from quantcert import (
     BernoulliOracle,
     ResourceLimits,
-    RobustnessQuery,
     SeedSpec,
     ThresholdQuery,
     certify_density,
@@ -68,13 +67,14 @@ DENSITY_RADII = {"linf": (0.04, 0.08), "l2": (0.8, 2.0)}
 
 def density_reports(norm):
     model = pin_model()
+    query = ThresholdQuery(0.05, 0.05, 0.1)
     for epsilon in DENSITY_RADII[norm]:
-        request = RobustnessQuery(
-            pin_inputs()[0], epsilon, norm, ThresholdQuery(0.05, 0.05, 0.1)
-        )
         for strategy in STRATEGY_NAMES:
             for limits in (None, ResourceLimits(max_samples=2500)):
-                yield certify_density(model, request, SeedSpec(PIN_SEED), strategy, limits)
+                yield certify_density(
+                    model, pin_inputs()[0], query, SeedSpec(PIN_SEED), epsilon,
+                    norm, strategy, limits,
+                )
 
 
 GOLDEN_BERNOULLI = {

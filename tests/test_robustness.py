@@ -10,7 +10,6 @@ from quantcert import (
     LinfBallSampler,
     NoYesFoundError,
     OutOfRangeError,
-    RobustnessQuery,
     SeedSpec,
     ThresholdQuery,
     adversarial_hardness,
@@ -57,6 +56,12 @@ class TestMakeSampler:
     def test_unknown_norm(self, center2):
         with pytest.raises(OutOfRangeError):
             make_sampler("l1", center2, 0.1)
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_radius(self, center2, norm, eps):
+        with pytest.raises(OutOfRangeError):
+            make_sampler(norm, center2, eps)
 
 
 class TestLinfBallSampler:
@@ -207,21 +212,23 @@ class TestMisclassificationProperty:
             misclassification_property(linear_model(0.5), np.zeros(3))
 
 
-class TestRobustnessQuery:
-    def test_validates_fields(self, center2):
-        with pytest.raises(OutOfRangeError):
-            RobustnessQuery(center2, -0.1, "linf", DENSITY_QUERY)
-        with pytest.raises(OutOfRangeError):
-            RobustnessQuery(center2, 0.1, "l7", DENSITY_QUERY)
-        with pytest.raises(OutOfRangeError):
-            RobustnessQuery(np.array([2.0, 0.5]), 0.1, "linf", DENSITY_QUERY)
-
-
 class TestCertifyDensity:
+    @pytest.mark.parametrize(
+        "center, eps, norm",
+        [
+            (np.array([0.5, 0.5]), -0.1, "linf"),
+            (np.array([0.5, 0.5]), 0.1, "l7"),
+            (np.array([2.0, 0.5]), 0.1, "linf"),
+        ],
+        ids=["negative-eps", "bad-norm", "center-off-box"],
+    )
+    def test_validates_ball(self, seed, center, eps, norm):
+        with pytest.raises(OutOfRangeError):
+            certify_density(linear_model(0.62), center, DENSITY_QUERY, seed, eps, norm)
+
     def test_zero_density_certifies_yes(self, seed, center2):
         # boundary at 0.62 sits outside the eps-box, so no sample flips
-        request = RobustnessQuery(center2, 0.1, "linf", DENSITY_QUERY)
-        report = certify_density(linear_model(0.62), request, seed)
+        report = certify_density(linear_model(0.62), center2, DENSITY_QUERY, seed, 0.1)
         assert report.verdict.kind == "yes"
         assert report.config["norm"] == "linf"
         assert report.config["reference_label"] == 0
@@ -229,20 +236,19 @@ class TestCertifyDensity:
 
     def test_high_density_certifies_no(self, seed, center2):
         # boundary at 0.45: three quarters of the box flips labels
-        request = RobustnessQuery(center2, 0.1, "linf", DENSITY_QUERY)
-        report = certify_density(linear_model(0.45), request, seed)
+        report = certify_density(linear_model(0.45), center2, DENSITY_QUERY, seed, 0.1)
         assert report.verdict.kind == "no"
 
     def test_l2_report_discloses_clipping(self, seed, center2):
-        request = RobustnessQuery(center2, 0.1, "l2", DENSITY_QUERY)
-        report = certify_density(linear_model(0.62), request, seed)
+        report = certify_density(
+            linear_model(0.62), center2, DENSITY_QUERY, seed, 0.1, norm="l2"
+        )
         assert report.verdict.kind == "yes"
         assert any("clipped" in note for note in report.notes)
 
     def test_strategy_dispatch(self, seed, center2):
-        request = RobustnessQuery(center2, 0.1, "linf", DENSITY_QUERY)
         report = certify_density(
-            linear_model(0.62), request, seed, strategy="fixedcert"
+            linear_model(0.62), center2, DENSITY_QUERY, seed, 0.1, strategy="fixedcert"
         )
         assert report.strategy == "fixedcert"
         assert report.verdict.kind == "yes"
@@ -252,54 +258,41 @@ class TestCertifyDensity:
             raise AssertionError("sampled before the dimension check")
 
         monkeypatch.setattr(SeedSpec, "raw_block", no_words)
-        request = RobustnessQuery(np.full(3, 0.5), 0.1, "linf", DENSITY_QUERY)
         with pytest.raises(DimensionMismatchError):
-            certify_density(linear_model(0.62), request, seed)
+            certify_density(linear_model(0.62), np.full(3, 0.5), DENSITY_QUERY, seed, 0.1)
 
     def test_canonical_report_ignores_batch_size(self, monkeypatch, center2):
         # The oracle certify_density builds draws BATCH_WORDS // d trials at a time.
-        request = RobustnessQuery(center2, 0.1, "linf", DENSITY_QUERY)
         blobs = set()
         for words in (oracle_module.BATCH_WORDS, 2 * 64, 2 * 512):
             monkeypatch.setattr(oracle_module, "BATCH_WORDS", words)
-            report = certify_density(linear_model(0.55), request, SeedSpec(424242))
+            report = certify_density(
+                linear_model(0.55), center2, DENSITY_QUERY, SeedSpec(424242), 0.1
+            )
             blobs.add(report.canonical_json())
         assert len(blobs) == 1
 
 
 class TestNormalizeGrid:
     def test_explicit_grid_passthrough(self):
-        assert _normalize_grid([0.1, 0.2, 0.4], None) == [0.1, 0.2, 0.4]
-
-    def test_range_form(self):
-        grid = _normalize_grid(None, (0.05, 0.3, 0.05))
-        assert grid[0] == 0.05 and grid[-1] == 0.3
-        assert len(grid) == 6
-        np.testing.assert_allclose(np.diff(grid), 0.05)
-        assert len(_normalize_grid(None, (1e-4, 1.0, 1e-4))) == 10_000
+        assert _normalize_grid([0.1, 0.2, 0.4]) == [0.1, 0.2, 0.4]
 
     @pytest.mark.parametrize(
-        "grid,rng",
+        "grid",
         [
-            (None, None),
-            ([0.1], (0.05, 0.3, 0.05)),
-            ([], None),
-            ([0.1, 0.1], None),
-            ([0.2, 0.1], None),
-            ([-0.1, 0.2], None),
-            (None, (0.0, 0.3, 0.05)),
-            (None, (0.3, 0.1, 0.05)),
-            (None, (0.1, 0.3, 0.0)),
-            (None, (0.1, 0.3, 0.5)),
-            (None, (0.1, math.inf, 0.1)),
-            (None, (0.1, math.nan, 0.1)),
-            (None, (math.nan, 1.0, 0.1)),
-            (None, (1e-5, 1.0, 1e-5)),
+            [],
+            [0.1, 0.1],
+            [0.2, 0.1],
+            [-0.1, 0.2],
+            [0.0, 0.2],
+            [0.1, math.nan],
+            [0.1, math.inf],
         ],
+        ids=["empty", "repeat", "decreasing", "negative", "zero", "nan", "inf"],
     )
-    def test_rejects_bad_specs(self, grid, rng):
+    def test_rejects_bad_grids(self, grid):
         with pytest.raises(OutOfRangeError):
-            _normalize_grid(grid, rng)
+            _normalize_grid(grid)
 
 
 HARDNESS_QUERY = ThresholdQuery(1e-3, 1e-3, 0.05)
@@ -386,6 +379,20 @@ class TestAdversarialHardness:
                 seed,
                 eps_grid=GRID,
                 method="newton",
+            )
+
+    def test_non_finite_radius_fails_before_any_probe(self, seed, center2, monkeypatch):
+        def no_words(*args, **kwargs):
+            raise AssertionError("probed before the grid check")
+
+        monkeypatch.setattr(SeedSpec, "raw_block", no_words)
+        with pytest.raises(OutOfRangeError):
+            adversarial_hardness(
+                linear_model(0.7),
+                center2,
+                HARDNESS_QUERY,
+                seed,
+                eps_grid=[0.1, math.nan],
             )
 
     def test_replay_is_deterministic(self, center2):

@@ -252,8 +252,6 @@ class TestFixedCertParams:
         # 0.3 / sqrt(0.01) evaluates one ulp under 3; the layout must still
         # cut the left flank three times.
         assert params.n_left == 3 and params.n_right == 6
-        assert params.alpha_left == pytest.approx(0.1)
-        assert params.alpha_right == pytest.approx(0.115)
         assert params.delta_left == pytest.approx(0.01 / 9.0)
         assert params.delta_right == pytest.approx(0.01 / 18.0)
         assert params.delta_final == pytest.approx(0.01 / 3.0)
@@ -261,7 +259,7 @@ class TestFixedCertParams:
     def test_narrow_left_flank_gets_no_calls(self):
         params = FixedCertParams.from_query(ThresholdQuery(0.04, 0.01, 0.01))
         assert params.n_left == 0
-        assert params.alpha_left == 0.0 and params.delta_left == 0.0
+        assert params.delta_left == 0.0
         assert params.n_right == 9
 
     def test_delta_accounting(self):
