@@ -10,8 +10,6 @@ its own module: quantcert.strategy, quantcert.tester, quantcert.sim, ...
 """
 
 from .core import (
-    DegenerateQueryError,
-    DimensionMismatchError,
     OutOfRangeError,
     QuantCertError,
     SampleTally,
@@ -21,21 +19,16 @@ from .core import (
 )
 from .nn import (
     Model,
-    NonFiniteWeightError,
     ParseError,
-    ShapeError,
     forward_batch,
     load_model,
     predict_batch,
 )
 from .oracle import (
     BernoulliOracle,
-    ChildExitError,
     Oracle,
     OracleFailure,
-    ProtocolViolationError,
     Sampler,
-    SpawnFailureError,
     SubprocessOracle,
 )
 from .robustness import (
@@ -59,7 +52,7 @@ from .strategy import (
     fixedcert,
     run_strategy,
 )
-from .tester import InvalidConfidenceError, InvalidIntervalError, TesterPlan
+from .tester import TesterPlan
 
 __version__ = "0.1.0"
 
@@ -67,31 +60,22 @@ __all__ = [
     "BernoulliOracle",
     "CallRecord",
     "CertificationReport",
-    "ChildExitError",
-    "DegenerateQueryError",
-    "DimensionMismatchError",
     "HardnessResult",
-    "InvalidConfidenceError",
-    "InvalidIntervalError",
     "L2BallSampler",
     "LinfBallSampler",
     "Model",
     "NoYesFoundError",
-    "NonFiniteWeightError",
     "Oracle",
     "OracleFailure",
     "OutOfRangeError",
     "ParseError",
     "ProbeRecord",
-    "ProtocolViolationError",
     "QuantCertError",
     "ReportInvariantError",
     "ResourceLimits",
     "SampleTally",
     "Sampler",
     "SeedSpec",
-    "ShapeError",
-    "SpawnFailureError",
     "SubprocessOracle",
     "TesterPlan",
     "ThresholdQuery",

@@ -420,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"quantcert: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QuantCertError as exc:
+    except (QuantCertError, OSError) as exc:
         print(f"quantcert: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception:

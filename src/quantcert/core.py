@@ -24,14 +24,6 @@ class OutOfRangeError(QuantCertError):
     """A parameter fell outside its documented range."""
 
 
-class DegenerateQueryError(QuantCertError):
-    """theta + eta exceeds 1; the query admits no refutation region."""
-
-
-class DimensionMismatchError(QuantCertError):
-    """Vector or model dimensions do not line up."""
-
-
 # ---------------------------------------------------------------------------
 # queries and verdicts
 # ---------------------------------------------------------------------------
@@ -58,7 +50,7 @@ class ThresholdQuery:
         if not 0.0 < self.delta <= 1.0:
             raise OutOfRangeError(f"delta must sit in (0, 1], got {self.delta}")
         if self.theta + self.eta > 1.0:
-            raise DegenerateQueryError(
+            raise OutOfRangeError(
                 f"theta + eta = {self.theta + self.eta} exceeds 1; "
                 "nothing above the threshold band remains to refute"
             )
@@ -80,8 +72,8 @@ def validate_query(raw: QueryLike) -> ThresholdQuery:
     """Coerce ``raw`` into a validated query.
 
     Accepts an existing ThresholdQuery (returned unchanged) or a
-    (theta, eta, delta) triple.  Raises OutOfRangeError or
-    DegenerateQueryError on bad parameters.
+    (theta, eta, delta) triple.  Raises OutOfRangeError on bad parameters,
+    theta + eta > 1 included.
     """
     if isinstance(raw, ThresholdQuery):
         return raw
@@ -107,18 +99,6 @@ class Verdict:
                 )
         elif self.reason is not None:
             raise OutOfRangeError("only inconclusive verdicts carry a reason")
-
-    @classmethod
-    def yes(cls) -> "Verdict":
-        return cls("yes")
-
-    @classmethod
-    def no(cls) -> "Verdict":
-        return cls("no")
-
-    @classmethod
-    def inconclusive(cls, reason: InconclusiveReason) -> "Verdict":
-        return cls("inconclusive", reason)
 
 
 @dataclass(frozen=True)

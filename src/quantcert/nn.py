@@ -20,19 +20,11 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import DimensionMismatchError, QuantCertError
+from .core import OutOfRangeError, QuantCertError
 
 
 class ParseError(QuantCertError):
-    """The model document is not valid JSON of the expected shape."""
-
-
-class ShapeError(QuantCertError):
-    """Layer dimensions are inconsistent with each other or the input."""
-
-
-class NonFiniteWeightError(QuantCertError):
-    """A weight or bias is NaN or infinite."""
+    """The model document is malformed: its JSON, its shapes or its weights."""
 
 
 _ACTIVATIONS = ("relu", "sigmoid", "tanh")
@@ -70,15 +62,15 @@ class Model:
 
 def _as_float_array(values, count: int, what: str) -> np.ndarray:
     if not isinstance(values, list) or len(values) != count:
-        raise ShapeError(f"{what} must be a list of {count} numbers")
+        raise ParseError(f"{what} must be a list of {count} numbers")
     try:
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{what} holds a non-numeric entry: {exc}") from None
     if arr.shape != (count,):
-        raise ShapeError(f"{what} must be flat, got shape {arr.shape}")
+        raise ParseError(f"{what} must be flat, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteWeightError(f"{what} holds a NaN or infinite value")
+        raise ParseError(f"{what} holds a NaN or infinite value")
     arr.flags.writeable = False
     return arr
 
@@ -86,9 +78,9 @@ def _as_float_array(values, count: int, what: str) -> np.ndarray:
 def load_model(doc: Union[str, bytes]) -> Model:
     """Parse and validate a model document.
 
-    Raises ParseError for malformed JSON or unknown layer kinds, ShapeError
-    for inconsistent dimensions (including an output narrower than two
-    classes), and NonFiniteWeightError for NaN or infinite parameters.
+    Raises ParseError for malformed JSON, unknown layer kinds, inconsistent
+    dimensions (an output narrower than two classes included) and NaN or
+    infinite parameters.
     """
     try:
         data = json.loads(doc)
@@ -120,7 +112,7 @@ def load_model(doc: Union[str, bytes]) -> Model:
             if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
                 raise ParseError(f"dense layer {i} needs positive integer rows/cols")
             if cols != width:
-                raise ShapeError(
+                raise ParseError(
                     f"dense layer {i} consumes {cols} features but receives {width}"
                 )
             flat = _as_float_array(entry.get("weights"), rows * cols, f"layer {i} weights")
@@ -135,7 +127,7 @@ def load_model(doc: Union[str, bytes]) -> Model:
             raise ParseError(f"layer {i} has unknown kind {kind!r}")
 
     if width < 2:
-        raise ShapeError(f"final output dimension must be at least 2, got {width}")
+        raise ParseError(f"final output dimension must be at least 2, got {width}")
     return Model(input_dim=input_dim, layers=tuple(layers))
 
 
@@ -162,7 +154,7 @@ def forward_batch(model: Model, points: np.ndarray) -> np.ndarray:
     """Evaluate the net on a (n, input_dim) batch; returns (n, output_dim)."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise DimensionMismatchError(
+        raise OutOfRangeError(
             f"expected a (n, {model.input_dim}) batch, got shape {x.shape}"
         )
     # An activation overwrites the array the layer before it made; until a

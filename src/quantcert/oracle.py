@@ -35,23 +35,15 @@ _ROUND_LINES = 1024
 
 
 class OracleFailure(QuantCertError):
-    """An oracle could not complete a draw; carries the partial tally."""
+    """An oracle could not start, or could not finish a draw.
+
+    ``partial_tally`` holds the trials answered before the failure; it is
+    None when the external oracle could not be started.
+    """
 
     def __init__(self, message: str, partial_tally: Optional[SampleTally] = None):
         super().__init__(message)
         self.partial_tally = partial_tally
-
-
-class SpawnFailureError(OracleFailure):
-    """The external oracle command could not be started."""
-
-
-class ProtocolViolationError(OracleFailure):
-    """The external oracle replied with something other than one label per line."""
-
-
-class ChildExitError(OracleFailure):
-    """The external oracle exited before answering a full batch."""
 
 
 @runtime_checkable
@@ -173,7 +165,7 @@ class SubprocessOracle:
                 bufsize=1,
             )
         except OSError as exc:
-            raise SpawnFailureError(f"could not start {argv!r}: {exc}") from exc
+            raise OracleFailure(f"could not start {argv!r}: {exc}") from exc
 
     def draw(
         self, k: int, call_index: int, seed: SeedSpec, start: int = 0
@@ -193,14 +185,14 @@ class SubprocessOracle:
                     self._proc.stdin.write(payload)
                     self._proc.stdin.flush()
                 except (BrokenPipeError, OSError) as exc:
-                    raise ChildExitError(
+                    raise OracleFailure(
                         f"oracle process died while receiving a batch: {exc}",
                         partial_tally=SampleTally(answered, successes),
                     ) from exc
                 for _ in range(len(rows)):
                     line = self._proc.stdout.readline()
                     if line == "":
-                        raise ChildExitError(
+                        raise OracleFailure(
                             f"oracle process closed its output after {answered} of "
                             f"{k} replies",
                             partial_tally=SampleTally(answered, successes),
@@ -209,12 +201,12 @@ class SubprocessOracle:
                     try:
                         label = int(text)
                     except ValueError:
-                        raise ProtocolViolationError(
+                        raise OracleFailure(
                             f"expected an integer label, got {text!r}",
                             partial_tally=SampleTally(answered, successes),
                         ) from None
                     if label < 0:
-                        raise ProtocolViolationError(
+                        raise OracleFailure(
                             f"labels must be nonnegative, got {label}",
                             partial_tally=SampleTally(answered, successes),
                         )

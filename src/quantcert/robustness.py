@@ -16,7 +16,6 @@ from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
-    DimensionMismatchError,
     OutOfRangeError,
     QuantCertError,
     SeedSpec,
@@ -180,7 +179,7 @@ def misclassification_property(model: Model, x0: np.ndarray) -> Misclassificatio
     """Predicate marking points the model labels differently from x0."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (model.input_dim,):
-        raise DimensionMismatchError(
+        raise OutOfRangeError(
             f"x0 has shape {x0.shape}, model expects ({model.input_dim},)"
         )
     return MisclassificationProperty(model, int(predict_batch(model, x0[None])[0]))
@@ -307,38 +306,27 @@ def adversarial_hardness(
         )
         return report.verdict.kind
 
-    if method == "sweep":
-        hardness: Optional[float] = None
-        for eps in grid:
-            if probe(eps) != "yes":
-                break
-            hardness = eps
-        if hardness is None:
-            raise NoYesFoundError(
-                f"smallest radius {grid[0]} did not certify yes",
-                probe_log=tuple(probes),
-            )
-        return HardnessResult(hardness=hardness, method="sweep", probe_log=tuple(probes))
-
-    if method != "bisect":
+    if method not in ("sweep", "bisect"):
         raise OutOfRangeError(f"method must be 'sweep' or 'bisect', got {method!r}")
-
     if probe(grid[0]) != "yes":
         raise NoYesFoundError(
             f"smallest radius {grid[0]} did not certify yes",
             probe_log=tuple(probes),
         )
-    if len(grid) == 1 or probe(grid[-1]) == "yes":
-        return HardnessResult(
-            hardness=grid[-1], method="bisect", probe_log=tuple(probes)
-        )
-    yes_idx, no_idx = 0, len(grid) - 1
-    while no_idx - yes_idx > 1:
-        mid = (yes_idx + no_idx) // 2
-        if probe(grid[mid]) == "yes":
-            yes_idx = mid
-        else:
-            no_idx = mid
+    yes_idx = 0
+    if method == "sweep":
+        while yes_idx + 1 < len(grid) and probe(grid[yes_idx + 1]) == "yes":
+            yes_idx += 1
+    elif len(grid) > 1:
+        no_idx = len(grid) - 1
+        if probe(grid[no_idx]) == "yes":
+            yes_idx = no_idx
+        while no_idx - yes_idx > 1:
+            mid = (yes_idx + no_idx) // 2
+            if probe(grid[mid]) == "yes":
+                yes_idx = mid
+            else:
+                no_idx = mid
     return HardnessResult(
-        hardness=grid[yes_idx], method="bisect", probe_log=tuple(probes)
+        hardness=grid[yes_idx], method=method, probe_log=tuple(probes)
     )

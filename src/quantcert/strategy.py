@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Literal, Optional, Tuple
 
 from .core import (
+    InconclusiveReason,
     OutOfRangeError,
     QuantCertError,
     QueryLike,
@@ -315,7 +316,7 @@ def _blocked(
     spent_samples: int,
     next_samples: int,
     started: float,
-) -> Optional[str]:
+) -> Optional[InconclusiveReason]:
     if limits is None:
         return None
     if (
@@ -359,7 +360,7 @@ def _run_schedule(
     for side, plan in entries:
         reason = _blocked(limits, total, plan.n_samples, started)
         if reason is not None:
-            verdict = Verdict.inconclusive(reason)  # type: ignore[arg-type]
+            verdict = Verdict("inconclusive", reason)
             break
         result = run_tester(plan, oracle, seed, call_index=len(calls))
         calls.append(CallRecord(side, plan, result.tally, result.outcome))

@@ -21,16 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec
+from .core import OutOfRangeError, SampleTally, SeedSpec
 from .oracle import Oracle, OracleFailure
-
-
-class InvalidIntervalError(QuantCertError):
-    """Tester endpoints must satisfy 0 <= theta1 < theta2 <= 1."""
-
-
-class InvalidConfidenceError(QuantCertError):
-    """Per-call failure budget must sit strictly inside (0, 1)."""
 
 
 @dataclass(frozen=True)
@@ -61,15 +53,15 @@ class TesterResult:
 def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     """Derive the sample size and decision boundary for one call.
 
-    Raises InvalidIntervalError unless 0 <= theta1 < theta2 <= 1, and
-    InvalidConfidenceError unless 0 < delta_call < 1.
+    Raises OutOfRangeError unless 0 < delta_call < 1 and
+    0 <= theta1 < theta2 <= 1.
     """
     if not 0.0 < delta_call < 1.0:
-        raise InvalidConfidenceError(
+        raise OutOfRangeError(
             f"delta_call must sit in (0, 1), got {delta_call}"
         )
     if not (0.0 <= theta1 < theta2 <= 1.0):
-        raise InvalidIntervalError(
+        raise OutOfRangeError(
             f"need 0 <= theta1 < theta2 <= 1, got ({theta1}, {theta2})"
         )
     width = theta2 - theta1

@@ -21,31 +21,22 @@ EXPORTS = [
     "BernoulliOracle",
     "CallRecord",
     "CertificationReport",
-    "ChildExitError",
-    "DegenerateQueryError",
-    "DimensionMismatchError",
     "HardnessResult",
-    "InvalidConfidenceError",
-    "InvalidIntervalError",
     "L2BallSampler",
     "LinfBallSampler",
     "Model",
     "NoYesFoundError",
-    "NonFiniteWeightError",
     "Oracle",
     "OracleFailure",
     "OutOfRangeError",
     "ParseError",
     "ProbeRecord",
-    "ProtocolViolationError",
     "QuantCertError",
     "ReportInvariantError",
     "ResourceLimits",
     "SampleTally",
     "Sampler",
     "SeedSpec",
-    "ShapeError",
-    "SpawnFailureError",
     "SubprocessOracle",
     "TesterPlan",
     "ThresholdQuery",
@@ -105,12 +96,39 @@ def test_readme_and_bench_names_are_exported():
         "predict",
         "RobustnessQuery",
         "EmptySupportError",
+        "DegenerateQueryError",
+        "DimensionMismatchError",
+        "InvalidIntervalError",
+        "InvalidConfidenceError",
+        "ShapeError",
+        "NonFiniteWeightError",
+        "SpawnFailureError",
+        "ProtocolViolationError",
+        "ChildExitError",
     ],
 )
 def test_removed_names_are_gone(name):
     assert not hasattr(quantcert, name)
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"quantcert.{module}"), name)
+
+
+def _subclasses(cls):
+    return [sub for direct in cls.__subclasses__() for sub in [direct, *_subclasses(direct)]]
+
+
+def test_error_tree():
+    """One error type for each kind of failure a caller can act on."""
+    for module in MODULES:
+        importlib.import_module(f"quantcert.{module}")
+    assert sorted(cls.__name__ for cls in _subclasses(quantcert.QuantCertError)) == [
+        "NoYesFoundError",
+        "OracleFailure",
+        "OutOfRangeError",
+        "ParseError",
+        "ReportInvariantError",
+        "UsageError",
+    ]
 
 
 def test_library_quick_start_prints_pinned_counts():

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -438,6 +440,85 @@ class TestParseGrid:
                      "", ",", " , "):
             with pytest.raises(UsageError):
                 _parse_grid(text)
+
+
+def _nan_weight_model(tmp_path):
+    doc = json.loads(linear_model_doc(0.6))
+    doc["layers"][0]["bias"][0] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _center_3d(tmp_path):
+    path = tmp_path / "center3.csv"
+    path.write_text("0.5,0.5,0.5\n")
+    return str(path)
+
+
+QUERY = ["--theta", "0.1", "--eta", "0.05", "--delta", "0.05", "--seed", "5"]
+NO_FILE = r"\[Errno 2\] No such file or directory: '.*'"
+
+# Each row builds its argv from (tmp_path, model path, center path).
+ERROR_LINES = [
+    pytest.param(
+        lambda tmp, model, center: ["certify", "--theta", "0.95", "--eta", "0.1",
+                                    "--delta", "0.01", "--bernoulli", "0.0"],
+        "OutOfRangeError", r"theta \+ eta = .* exceeds 1; .*",
+        id="theta-eta-above-one",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model", model,
+                                    "--center", _center_3d(tmp), "--eps", "0.1"],
+        "OutOfRangeError", r"x0 has shape \(3,\), model expects \(2,\)",
+        id="center-wrong-dimension",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model", _nan_weight_model(tmp),
+                                    "--center", center, "--eps", "0.1"],
+        "ParseError", r"layer 0 bias holds a NaN or infinite value",
+        id="nan-weight",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY,
+                                    "--oracle-cmd", str(tmp / "no-such-binary"),
+                                    "--center", center, "--eps", "0.1",
+                                    "--reference-label", "0"],
+        "OracleFailure", r"could not start .*",
+        id="oracle-cmd-cannot-start",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["plan", "--theta1", "0.3", "--theta2", "0.2",
+                                    "--delta", "0.01"],
+        "OutOfRangeError", r"need 0 <= theta1 < theta2 <= 1, got \(0\.3, 0\.2\)",
+        id="plan-bad-interval",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model", str(tmp / "none.json"),
+                                    "--center", center, "--eps", "0.1"],
+        "FileNotFoundError", NO_FILE,
+        id="missing-model",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model", model,
+                                    "--center", str(tmp / "none.csv"), "--eps", "0.1"],
+        "FileNotFoundError", NO_FILE,
+        id="missing-center",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--bernoulli", "0.0",
+                                    "--out", str(tmp / "no-dir" / "report.json")],
+        "FileNotFoundError", NO_FILE,
+        id="unwritable-out",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, kind, message", ERROR_LINES)
+def test_error_is_one_stderr_line(capsys, tmp_path, model_path, center_path, build, kind, message):
+    code, out, err = run(capsys, *build(tmp_path, model_path(0.6), center_path))
+    assert code == EXIT_INTERNAL and out == ""
+    assert re.fullmatch(rf"quantcert: {kind}: {message}\n", err), err
 
 
 class TestUsageBasics:

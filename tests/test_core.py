@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from quantcert import (
     BernoulliOracle,
-    DegenerateQueryError,
     OutOfRangeError,
     SampleTally,
     SeedSpec,
@@ -61,7 +60,7 @@ class TestValidateQuery:
 
     @pytest.mark.parametrize("triple", [(0.7, 0.4, 0.1), (1.0, 0.001, 0.1), (0.95, 0.1, 0.5)])
     def test_degenerate(self, triple):
-        with pytest.raises(DegenerateQueryError):
+        with pytest.raises(OutOfRangeError, match=r"theta \+ eta = .* exceeds 1"):
             validate_query(triple)
 
     @given(
@@ -83,9 +82,9 @@ class TestValidateQuery:
 
 class TestVerdict:
     def test_constructors(self):
-        assert Verdict.yes().kind == "yes"
-        assert Verdict.no().kind == "no"
-        v = Verdict.inconclusive("timeout")
+        assert Verdict("yes").kind == "yes"
+        assert Verdict("no").kind == "no"
+        v = Verdict("inconclusive", "timeout")
         assert v.kind == "inconclusive" and v.reason == "timeout"
 
     def test_inconclusive_requires_reason(self):

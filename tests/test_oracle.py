@@ -11,15 +11,13 @@ from hypothesis import example, given, strategies as st
 
 from quantcert import (
     BernoulliOracle,
-    ChildExitError,
     LinfBallSampler,
     Oracle,
+    OracleFailure,
     OutOfRangeError,
-    ProtocolViolationError,
     SampleTally,
     Sampler,
     SeedSpec,
-    SpawnFailureError,
     SubprocessOracle,
 )
 from quantcert.oracle import PropertyOracle
@@ -188,10 +186,11 @@ class TestSubprocessOracle:
 
     def test_spawn_failure(self, tmp_path, center2):
         sampler = LinfBallSampler(center2, 0.3)
-        with pytest.raises(SpawnFailureError):
+        with pytest.raises(OracleFailure, match="could not start") as info:
             SubprocessOracle(
                 [str(tmp_path / "no-such-binary")], sampler, reference_label=0
             )
+        assert info.value.partial_tally is None
 
     def test_rejects_negative_reference(self, center2):
         sampler = LinfBallSampler(center2, 0.3)
@@ -204,7 +203,7 @@ class TestSubprocessOracle:
         )
         sampler = LinfBallSampler(center2, 0.3)
         with SubprocessOracle(command, sampler, reference_label=0) as oracle:
-            with pytest.raises(ProtocolViolationError) as info:
+            with pytest.raises(OracleFailure, match="expected an integer label") as info:
                 oracle.draw(300, 0, seed)
         partial = info.value.partial_tally
         assert partial is not None and partial.trials < 300
@@ -213,8 +212,9 @@ class TestSubprocessOracle:
         command = _write_child(tmp_path, "return -4")
         sampler = LinfBallSampler(center2, 0.3)
         with SubprocessOracle(command, sampler, reference_label=0) as oracle:
-            with pytest.raises(ProtocolViolationError):
+            with pytest.raises(OracleFailure, match="labels must be nonnegative") as info:
                 oracle.draw(5, 0, seed)
+        assert info.value.partial_tally == SampleTally(0, 0)
 
     def test_child_death_carries_partial_tally(self, tmp_path, seed, center2):
         command = _write_child(
@@ -232,7 +232,9 @@ class TestSubprocessOracle:
         path.write_text("answered = 0\n" + path.read_text())
         sampler = LinfBallSampler(center2, 0.3)
         with SubprocessOracle(command, sampler, reference_label=0) as oracle:
-            with pytest.raises(ChildExitError) as info:
+            with pytest.raises(
+                OracleFailure, match="closed its output after 7 of 50 replies"
+            ) as info:
                 oracle.draw(50, 0, seed)
         partial = info.value.partial_tally
         assert partial is not None

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantcert import (
-    DimensionMismatchError,
     L2BallSampler,
     LinfBallSampler,
     NoYesFoundError,
@@ -208,7 +207,7 @@ class TestMisclassificationProperty:
         assert flags.tolist() == [prop.batch(row[None])[0] for row in points]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(OutOfRangeError, match=r"x0 has shape \(3,\), model expects \(2,\)"):
             misclassification_property(linear_model(0.5), np.zeros(3))
 
 
@@ -258,7 +257,7 @@ class TestCertifyDensity:
             raise AssertionError("sampled before the dimension check")
 
         monkeypatch.setattr(SeedSpec, "raw_block", no_words)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(OutOfRangeError, match=r"x0 has shape \(3,\), model expects \(2,\)"):
             certify_density(linear_model(0.62), np.full(3, 0.5), DENSITY_QUERY, seed, 0.1)
 
     def test_canonical_report_ignores_batch_size(self, monkeypatch, center2):

@@ -525,41 +525,41 @@ class TestReportInvariants:
 
     def test_accepts_consistent_report(self):
         rec = _record("proving", 0.0, 0.5, 0.01, "yes")
-        assert _check_report(_report(self.QUERY, [rec], Verdict.yes())) is not None
+        assert _check_report(_report(self.QUERY, [rec], Verdict("yes"))) is not None
 
     def test_total_must_match_tallies(self):
         rec = _record("proving", 0.0, 0.5, 0.01, "yes")
         with pytest.raises(ReportInvariantError, match="total_samples"):
             _check_report(
-                _report(self.QUERY, [rec], Verdict.yes(), total=rec.tally.trials + 1)
+                _report(self.QUERY, [rec], Verdict("yes"), total=rec.tally.trials + 1)
             )
 
     def test_proving_interval_must_stay_below_theta(self):
         rec = _record("proving", 0.0, 0.6, 0.01, "yes")
         with pytest.raises(ReportInvariantError, match="proving"):
-            _check_report(_report(self.QUERY, [rec], Verdict.yes()))
+            _check_report(_report(self.QUERY, [rec], Verdict("yes")))
 
     def test_refuting_interval_must_stay_above_band(self):
         rec = _record("refuting", 0.55, 1.0, 0.01, "no")
         with pytest.raises(ReportInvariantError, match="refuting"):
-            _check_report(_report(self.QUERY, [rec], Verdict.no()))
+            _check_report(_report(self.QUERY, [rec], Verdict("no")))
 
     def test_final_call_must_test_the_band(self):
         rec = _record("final", 0.5, 0.7, 0.01, "yes")
         with pytest.raises(ReportInvariantError, match="final"):
-            _check_report(_report(self.QUERY, [rec], Verdict.yes()))
+            _check_report(_report(self.QUERY, [rec], Verdict("yes")))
 
     def test_completed_call_must_draw_planned_trials(self):
         rec = _record("proving", 0.0, 0.5, 0.01, "yes", trials=3)
         with pytest.raises(ReportInvariantError, match="trial count"):
-            _check_report(_report(self.QUERY, [rec], Verdict.yes()))
+            _check_report(_report(self.QUERY, [rec], Verdict("yes")))
 
     def test_yes_needs_supporting_last_call(self):
         rec = _record("refuting", 0.6, 1.0, 0.01, "yes")
         with pytest.raises(ReportInvariantError, match="yes verdict"):
-            _check_report(_report(self.QUERY, [rec], Verdict.yes()))
+            _check_report(_report(self.QUERY, [rec], Verdict("yes")))
 
     def test_no_needs_supporting_last_call(self):
         rec = _record("proving", 0.0, 0.5, 0.01, "no")
         with pytest.raises(ReportInvariantError, match="no verdict"):
-            _check_report(_report(self.QUERY, [rec], Verdict.no()))
+            _check_report(_report(self.QUERY, [rec], Verdict("no")))

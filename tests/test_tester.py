@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 from quantcert import TesterPlan as HandPlan
 from quantcert import (
     BernoulliOracle,
-    InvalidConfidenceError,
-    InvalidIntervalError,
     OracleFailure,
     OutOfRangeError,
     SampleTally,
@@ -13,6 +11,12 @@ from quantcert import (
 from quantcert.tester import plan_tester, run_tester
 from chernoff_reference import chernoff_tail
 from conftest import CountingOracle, FixedSuccessOracle
+
+INTERVAL = r"need 0 <= theta1 < theta2 <= 1"
+CONFIDENCE = r"delta_call must sit in \(0, 1\)"
+# Test ids name each check by the error class it raised before both checks
+# became OutOfRangeError.
+CHECK_IDS = {INTERVAL: "InvalidIntervalError", CONFIDENCE: "InvalidConfidenceError"}
 
 # frozen by independent high-precision evaluation of the closed forms
 EXPECTED_ETA1 = 0.046410161513775458
@@ -90,16 +94,17 @@ class TestPlanTester:
         assert plan.theta1 <= plan.t <= plan.theta2
 
     @pytest.mark.parametrize(
-        "t1,t2,d,err",
-        [(0.2, 0.1, 0.01, InvalidIntervalError),
-         (0.1, 0.1, 0.01, InvalidIntervalError),
-         (-0.01, 0.1, 0.01, InvalidIntervalError),
-         (0.1, 1.01, 0.01, InvalidIntervalError),
-         (0.1, 0.2, 0.0, InvalidConfidenceError),
-         (0.1, 0.2, 1.0, InvalidConfidenceError)],
+        "t1,t2,d,message",
+        [(0.2, 0.1, 0.01, INTERVAL),
+         (0.1, 0.1, 0.01, INTERVAL),
+         (-0.01, 0.1, 0.01, INTERVAL),
+         (0.1, 1.01, 0.01, INTERVAL),
+         (0.1, 0.2, 0.0, CONFIDENCE),
+         (0.1, 0.2, 1.0, CONFIDENCE)],
+        ids=lambda v: CHECK_IDS.get(v),
     )
-    def test_preconditions(self, t1, t2, d, err):
-        with pytest.raises(err):
+    def test_preconditions(self, t1, t2, d, message):
+        with pytest.raises(OutOfRangeError, match=message):
             plan_tester(t1, t2, d)
 
 
