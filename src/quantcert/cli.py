@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import traceback
+from contextlib import nullcontext
 from dataclasses import asdict
 from typing import List, Optional, Sequence
 
@@ -93,14 +94,6 @@ def _limits(args: argparse.Namespace) -> Optional[ResourceLimits]:
     return ResourceLimits(max_samples=args.max_samples, max_wall_ms=args.max_wall_ms)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-
-
 def _read_center(path: str, row_index: int) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if any(tok.strip() for tok in r)]
@@ -127,6 +120,8 @@ def _parse_grid(text: str) -> List[float]:
         # Negated so that NaN ends or steps fail as well.
         if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
             raise UsageError("range grids need finite ends, hi >= lo and step > 0")
+        if hi == lo:
+            return [lo]
         n = max(1, int(round(min((hi - lo) / step, _MAX_GRID_POINTS))))
         if n >= _MAX_GRID_POINTS:
             raise UsageError(f"range grids hold at most {_MAX_GRID_POINTS} points")
@@ -223,7 +218,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             )
 
     text = report.canonical_json() if args.canonical else report.to_json()
-    _emit(text, args.out)
+    print(text, file=args.out)
     return _verdict_exit(report.verdict.kind)
 
 
@@ -248,7 +243,7 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
             limits=_limits(args),
         )
     except NoYesFoundError as exc:
-        _emit(
+        print(
             json.dumps(
                 {
                     "hardness": None,
@@ -258,10 +253,10 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
                 },
                 indent=2,
             ),
-            args.out,
+            file=args.out,
         )
         return EXIT_NO
-    _emit(
+    print(
         json.dumps(
             {
                 "hardness": result.hardness,
@@ -271,7 +266,7 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
             },
             indent=2,
         ),
-        args.out,
+        file=args.out,
     )
     return EXIT_YES
 
@@ -295,7 +290,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             strategies, query, p_grid, args.trials, seed, limits=limits
         )
         text = table.to_csv().rstrip("\n") if args.format == "csv" else table.to_json()
-        _emit(text, args.out)
+        print(text, file=args.out)
         return 0
 
     docs = []
@@ -307,13 +302,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
             stream += 1
             docs.append(asdict(stats))
-    _emit(json.dumps(docs, indent=2), args.out)
+    print(json.dumps(docs, indent=2), file=args.out)
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     plan = plan_tester(args.theta1, args.theta2, args.delta_call)
-    _emit(
+    print(
         json.dumps(
             {
                 "theta1": plan.theta1,
@@ -326,7 +321,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             },
             indent=2,
         ),
-        args.out,
+        file=args.out,
     )
     return 0
 
@@ -334,7 +329,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_budget(args: argparse.Namespace) -> int:
     query = validate_query((args.theta, args.eta, args.delta))
     bound = worst_case_budget(query)
-    _emit(
+    print(
         json.dumps(
             {
                 "k1": bound.k1,
@@ -346,7 +341,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
             },
             indent=2,
         ),
-        args.out,
+        file=args.out,
     )
     return 0
 
@@ -414,7 +409,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # Opened before the run, so an --out that cannot be written fails first.
+        out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+        with out as args.out:
+            return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except UsageError as exc:

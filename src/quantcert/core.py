@@ -8,6 +8,7 @@ ends) speaks in these types.
 
 from __future__ import annotations
 
+import numbers
 import secrets
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
@@ -72,12 +73,17 @@ def validate_query(raw: QueryLike) -> ThresholdQuery:
     """Coerce ``raw`` into a validated query.
 
     Accepts an existing ThresholdQuery (returned unchanged) or a
-    (theta, eta, delta) triple.  Raises OutOfRangeError on bad parameters,
-    theta + eta > 1 included.
+    (theta, eta, delta) triple.  Raises OutOfRangeError on anything else
+    and on bad parameters, theta + eta > 1 included.
     """
     if isinstance(raw, ThresholdQuery):
         return raw
-    theta, eta, delta = raw
+    try:
+        theta, eta, delta = raw
+    except (TypeError, ValueError):
+        theta = eta = delta = None
+    if not all(isinstance(v, numbers.Real) for v in (theta, eta, delta)):
+        raise OutOfRangeError(f"a query is three real numbers (theta, eta, delta), got {raw!r}")
     return ThresholdQuery(float(theta), float(eta), float(delta))
 
 
@@ -136,10 +142,6 @@ _HALF_OPEN_SCALE = 2.0 ** -53
 # The bits of 1.0: OR-ing a 52-bit m into them gives the double 1 + m * 2^-52.
 _ONE_BITS = np.uint64(0x3FF0000000000000)
 
-# Instance-dict key of a SeedSpec's read cursor: (call_index, next raw word,
-# Philox positioned at that word).  Not a dataclass field.
-_CURSOR = "_cursor"
-
 
 def to_unit(raw: np.ndarray) -> np.ndarray:
     """Map uint64 words to float64 in [0, 1)."""
@@ -171,12 +173,9 @@ class SeedSpec:
     so trial i's randomness is a pure function of (root_seed, call_index, i).
     Batch size can never change what any trial sees.
 
-    A tester call reads its stream once, in order: the spec keeps the bit
-    generator of the last window it served and resumes it when the next
-    window starts where that one ended.  Any other window is positioned from
-    scratch, so results never depend on the order windows are asked for.
-    The cursor is a cache, not state: it takes no part in equality, hashing,
-    repr, copies or pickles.
+    A spec is plain data, its root seed alone: every window is positioned
+    from its counter block when asked for, so results never depend on the
+    order windows are asked for, and threads may share a spec.
     """
 
     root_seed: int
@@ -184,11 +183,9 @@ class SeedSpec:
     DERIVATION = "philox4x64: spawn_key=(call_index,); trial i owns raw words [i*w, (i+1)*w)"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.root_seed < 2 ** 63:
-            raise OutOfRangeError("root_seed must sit in [0, 2^63)")
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != _CURSOR}
+        seed = self.root_seed
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 63):
+            raise OutOfRangeError(f"root_seed must be an integer in [0, 2^63), got {seed!r}")
 
     @classmethod
     def fresh(cls) -> "SeedSpec":
@@ -209,33 +206,18 @@ class SeedSpec:
     def raw_block(self, call_index: int, start: int, count: int, width: int) -> np.ndarray:
         """Raw words for trials [start, start + count), as a (count, width) array.
 
-        A window that starts where the previous one of the same call ended
-        continues that stream.  Otherwise Philox, which advances in counter
-        blocks of four 64-bit outputs, is positioned at the enclosing block
-        and the remainder is sliced off.  The result depends only on the
-        addressed window, and no one else holds it: callers may write to it.
+        Philox advances in counter blocks of four 64-bit outputs: each call
+        positions a fresh generator at the block that holds the window's
+        first word and slices off the remainder.  The result depends only on
+        the addressed window and is the caller's to write.
         """
         if start < 0 or count < 0 or width < 1:
             raise OutOfRangeError("need start >= 0, count >= 0, width >= 1")
         if count == 0:
             return np.empty((0, width), dtype=np.uint64)
-        first_raw = start * width
-        # Popping hands the generator to this caller alone: a second thread
-        # sharing the spec finds no cursor and builds its own stream.
-        cursor = self.__dict__.pop(_CURSOR, None)
-        if cursor is not None and cursor[0] == call_index and cursor[1] == first_raw:
-            bits = cursor[2]
-            words = bits.random_raw(count * width)
-        else:
-            if call_index < 0:
-                raise OutOfRangeError("call_index must be nonnegative")
-            bits = Philox(SeedSequence(self.root_seed, spawn_key=(call_index,)))
-            blocks, offset = divmod(first_raw, 4)
-            bits.advance(blocks)
-            words = bits.random_raw(offset + count * width)[offset:]
-        self.__dict__[_CURSOR] = (call_index, first_raw + count * width, bits)
-        return words.reshape(count, width)
-
-    def uniforms(self, call_index: int, start: int, count: int, width: int = 1) -> np.ndarray:
-        """Half-open [0, 1) uniforms, shaped (count, width)."""
-        return to_unit(self.raw_block(call_index, start, count, width))
+        if call_index < 0:
+            raise OutOfRangeError("call_index must be nonnegative")
+        bits = Philox(SeedSequence(self.root_seed, spawn_key=(call_index,)))
+        blocks, offset = divmod(start * width, 4)
+        bits.advance(blocks)
+        return bits.random_raw(offset + count * width)[offset:].reshape(count, width)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Literal, Optional, Tuple
@@ -65,8 +66,9 @@ class ResourceLimits:
     max_wall_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_samples is not None and self.max_samples < 0:
-            raise OutOfRangeError(f"max_samples must be nonnegative, got {self.max_samples}")
+        cap = self.max_samples
+        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 0):
+            raise OutOfRangeError(f"max_samples must be a nonnegative integer, got {cap}")
         # Written so that NaN fails too: it would compare false and never block.
         if self.max_wall_ms is not None and not self.max_wall_ms >= 0.0:
             raise OutOfRangeError(f"max_wall_ms must be nonnegative, got {self.max_wall_ms}")
@@ -96,7 +98,7 @@ class CertificationReport:
             "inconclusive_reason": self.verdict.reason,
             "total_samples": self.total_samples,
             "seed": {
-                "root_seed": self.seed.root_seed,
+                "root_seed": int(self.seed.root_seed),
                 "derivation": SeedSpec.DERIVATION,
             },
             "calls": [

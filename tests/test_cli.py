@@ -328,6 +328,18 @@ class TestHardness:
         assert doc["hardness"] == 0.2
         assert doc["method"] == "bisect"
 
+    def test_degenerate_range_is_one_probe(self, capsys, model_path, center_path):
+        code, out, _ = run(
+            capsys,
+            "hardness", *self.QUERY,
+            "--model", model_path(0.7), "--center", center_path,
+            "--eps-grid", "0.05:0.05:0.01", "--seed", "5",
+        )
+        assert code == EXIT_YES
+        doc = json.loads(out)
+        assert doc["hardness"] == 0.05
+        assert [p["epsilon"] for p in doc["probes"]] == [0.05]
+
     def test_non_finite_range_is_typed_error(self, capsys, model_path, center_path):
         code, _, err = run(
             capsys,
@@ -430,7 +442,7 @@ class TestParseGrid:
         assert len(_parse_grid("0:0.9999:0.0001")) == 10_000
 
     def test_degenerate_range(self):
-        assert _parse_grid("0.5:0.5:0.1") == [0.5, 0.5]
+        assert _parse_grid("0.5:0.5:0.1") == [0.5]
 
     def test_bad_specs(self):
         from quantcert.cli import UsageError
@@ -519,6 +531,20 @@ def test_error_is_one_stderr_line(capsys, tmp_path, model_path, center_path, bui
     code, out, err = run(capsys, *build(tmp_path, model_path(0.6), center_path))
     assert code == EXIT_INTERNAL and out == ""
     assert re.fullmatch(rf"quantcert: {kind}: {message}\n", err), err
+
+
+def test_unwritable_out_fails_before_the_first_draw(capsys, tmp_path, monkeypatch):
+    draws = []
+
+    def draw(self, *args, **kwargs):
+        draws.append(args)
+        raise AssertionError("drew before opening --out")
+
+    monkeypatch.setattr(oracle_module.BernoulliOracle, "draw", draw)
+    code, out, err = run(capsys, "certify", *QUERY, "--bernoulli", "0.02",
+                         "--out", str(tmp_path / "no-dir" / "r.json"))
+    assert code == EXIT_INTERNAL and out == "" and draws == []
+    assert re.fullmatch(rf"quantcert: FileNotFoundError: {NO_FILE}\n", err), err
 
 
 class TestUsageBasics:

@@ -52,7 +52,10 @@ class TestValidateQuery:
     @pytest.mark.parametrize(
         "triple",
         [(-0.1, 0.1, 0.1), (1.1, 0.1, 0.1), (0.1, 0.0, 0.1), (0.1, 1.0, 0.1),
-         (0.1, -0.2, 0.1), (0.1, 0.1, 0.0), (0.1, 0.1, -0.5), (0.1, 0.1, 1.5)],
+         (0.1, -0.2, 0.1), (0.1, 0.1, 0.0), (0.1, 0.1, -0.5), (0.1, 0.1, 1.5),
+         # not three real numbers
+         (0.1, 0.05), (0.1, 0.05, 0.1, 0.1), None, 0.1, ("0.1", "0.05", "0.1"),
+         (0.1, None, 0.1), "abc"],
     )
     def test_out_of_range(self, triple):
         with pytest.raises(OutOfRangeError):
@@ -170,7 +173,17 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(OutOfRangeError):
             SeedSpec(2**63)
+        for not_int in (1.5, 7.0, "7", None):
+            with pytest.raises(OutOfRangeError, match="root_seed must be an integer"):
+                SeedSpec(not_int)
         assert SeedSpec.fresh().root_seed >= 0
+
+    def test_numpy_integer_seed_replays_as_int(self):
+        reports = [
+            bincert((0.1, 0.05, 0.1), BernoulliOracle(0.13), SeedSpec(seed)).canonical_json()
+            for seed in (np.int64(7), 7)
+        ]
+        assert reports[0] == reports[1]
 
     def test_same_window_same_words(self):
         s = SeedSpec(99)
@@ -315,16 +328,16 @@ class TestReplayPins:
 
 
 # ---------------------------------------------------------------------------
-# the read cursor: one spec serving many windows must return exactly what a
-# fresh spec returns for each window alone
+# reading order: one spec serving many windows must return exactly what a
+# fresh spec returns for each window alone, and keep nothing but its seed
 # ---------------------------------------------------------------------------
 
 # A step either continues the last window ("seq", count), reads the same
 # position of another call ("call", call_index, count), switches width at
 # the first trial at or after the last window's end ("rewidth", count,
-# width), which resumes the stream when the widths line up, or addresses
-# any window at all ("jump", call_index, start, count, width).
-_cursor_steps = st.lists(
+# width), or addresses any window at all ("jump", call_index, start, count,
+# width).
+_window_steps = st.lists(
     st.one_of(
         st.tuples(st.just("seq"), st.integers(0, 40)),
         st.tuples(st.just("call"), st.integers(0, 3), st.integers(0, 40)),
@@ -359,7 +372,7 @@ def _windows(steps):
 
 
 class TestReadCursor:
-    @given(root=st.integers(0, 2**63 - 1), steps=_cursor_steps)
+    @given(root=st.integers(0, 2**63 - 1), steps=_window_steps)
     def test_any_window_sequence_matches_fresh_specs(self, root, steps):
         spec = SeedSpec(root)
         for window in _windows(steps):
@@ -367,18 +380,6 @@ class TestReadCursor:
             want = SeedSpec(root).raw_block(*window)
             assert got.shape == want.shape == window[2:]
             assert np.array_equal(got, want)
-
-    def test_sequential_windows_resume_one_generator(self):
-        spec = SeedSpec(11)
-        spec.raw_block(2, 0, 5, 3)
-        bits = spec.__dict__["_cursor"][2]
-        spec.raw_block(2, 5, 7, 3)
-        assert spec.__dict__["_cursor"][2] is bits
-        # width changes that land on the next word resume it too
-        spec.raw_block(2, 9, 4, 4)
-        assert spec.__dict__["_cursor"][2] is bits
-        spec.raw_block(2, 0, 1, 1)
-        assert spec.__dict__["_cursor"][2] is not bits
 
     def test_cursor_is_not_state(self):
         used = SeedSpec(31)
@@ -388,48 +389,13 @@ class TestReadCursor:
         assert repr(used) == repr(clean) == "SeedSpec(root_seed=31)"
         assert pickle.dumps(used) == pickle.dumps(clean)
         for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
-            assert "_cursor" not in twin.__dict__
             assert np.array_equal(twin.raw_block(0, 16, 4, 2), clean.raw_block(0, 16, 4, 2))
 
-    def test_a_reader_owns_the_cursor_while_it_reads(self):
-        # thread A stalls inside its read of a resumed stream; thread B asks
-        # for the same window meanwhile and must not share A's generator
-        want = SeedSpec(77).raw_block(1, 5, 5, 3)
-        spec = SeedSpec(77)
-        spec.raw_block(1, 0, 5, 3)
-        a_inside = threading.Event()
-        b_done = threading.Event()
-
-        class StallingBits:
-            def __init__(self, inner):
-                self.inner = inner
-                self.stalled = False
-
-            def random_raw(self, n):
-                if not self.stalled:
-                    self.stalled = True
-                    a_inside.set()
-                    b_done.wait(timeout=10)
-                return self.inner.random_raw(n)
-
-        call, next_word, bits = spec.__dict__["_cursor"]
-        spec.__dict__["_cursor"] = (call, next_word, StallingBits(bits))
-        results = {}
-
-        def reader_a():
-            results["a"] = spec.raw_block(1, 5, 5, 3)
-
-        a = threading.Thread(target=reader_a)
-        a.start()
-        try:
-            assert a_inside.wait(timeout=10)
-            results["b"] = spec.raw_block(1, 5, 5, 3)
-        finally:
-            b_done.set()
-            a.join(timeout=10)
-        assert not a.is_alive()
-        assert np.array_equal(results["a"], want)
-        assert np.array_equal(results["b"], want)
+    def test_reads_leave_only_the_root_seed(self):
+        spec = SeedSpec(41)
+        for window in [(0, 0, 5, 3), (0, 5, 7, 3), (2, 0, 2, 785), (0, 12, 0, 3), (1, 9, 4, 1)]:
+            spec.raw_block(*window)
+        assert vars(spec) == {"root_seed": 41}
 
     def test_threads_sharing_a_spec_get_fresh_spec_words(self):
         windows = [(1, start, 5, 3) for start in range(0, 1000, 5)]

@@ -90,7 +90,7 @@ class TestBernoulliOracle:
     @given(p=_rates, start=st.integers(0, 1000), k=st.integers(0, 300))
     def test_draw_matches_uniforms(self, p, start, k):
         seed = SeedSpec(99)
-        u = seed.uniforms(4, start, k)[:, 0]
+        u = to_unit(seed.raw_block(4, start, k, 1))[:, 0]
         assert BernoulliOracle(p).draw(k, 4, seed, start=start) == SampleTally(
             k, int(np.count_nonzero(u < p))
         )

@@ -97,7 +97,7 @@ class TestLinfBallSampler:
         hi = np.minimum(1.0, center + 0.1)
         spec = SeedSpec(5)
         for call_index, start, count in ((0, 0, 7), (2, 31, 5)):
-            u = spec.uniforms(call_index, start, count, width=d)
+            u = to_unit(spec.raw_block(call_index, start, count, d))
             points = sampler.batch(spec, call_index, start, count)
             assert points.tobytes() == (lo + u * (hi - lo)).tobytes()
 
