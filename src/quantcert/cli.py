@@ -1,11 +1,12 @@
 """Command line front end.
 
 Subcommands: certify (run one query against an oracle), hardness (scan
-radii), simulate (Bernoulli-only soundness and cost studies), plan and
-budget (pure arithmetic, no oracle).  Exit codes: 0 yes, 1 no,
-2 inconclusive, 64 usage error, 70 internal error.  The QUANTCERT_SEED
-environment variable overrides --seed; with neither set, a fresh root seed
-is drawn from OS entropy and recorded in the report.
+radii), simulate (exact soundness and cost on Bernoulli rates, computed
+from each schedule, not sampled), plan and budget (pure arithmetic, no
+oracle).  Exit codes: 0 yes, 1 no, 2 inconclusive, 64 usage error or an
+out-of-range value, 70 internal error.  The QUANTCERT_SEED environment
+variable overrides --seed; with neither set, a fresh root seed is drawn
+from OS entropy and recorded in the report.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import QuantCertError, SeedSpec, validate_query
+from .core import OutOfRangeError, QuantCertError, SeedSpec, validate_query
 from .nn import load_model
 from .oracle import BernoulliOracle, SubprocessOracle
 from .robustness import (
@@ -32,7 +33,7 @@ from .robustness import (
     certify_density,
     make_sampler,
 )
-from .sim import _check_rates, complexity_sweep, soundness_trial
+from .sim import complexity_sweep
 from .strategy import (
     STRATEGIES,
     ResourceLimits,
@@ -273,36 +274,17 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     query = validate_query((args.theta, args.eta, args.delta))
-    seed = _resolve_seed(args)
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     if not strategies:
         raise UsageError(f"--strategy {args.strategy!r} names no strategy")
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise UsageError(f"unknown strategies: {unknown}; expected {sorted(STRATEGIES)}")
-    p_grid = _parse_grid(args.p_grid)
-    # Both modes reject a bad rate before the first run.
-    _check_rates(p_grid)
-    limits = _limits(args)
-
-    if args.mode == "sweep":
-        table = complexity_sweep(
-            strategies, query, p_grid, args.trials, seed, limits=limits
-        )
-        text = table.to_csv().rstrip("\n") if args.format == "csv" else table.to_json()
-        print(text, file=args.out)
-        return 0
-
-    docs = []
-    stream = 0
-    for name in strategies:
-        for p in p_grid:
-            stats = soundness_trial(
-                name, query, p, args.trials, seed.child(stream), limits=limits
-            )
-            stream += 1
-            docs.append(asdict(stats))
-    print(json.dumps(docs, indent=2), file=args.out)
+    table = complexity_sweep(
+        strategies, query, _parse_grid(args.p_grid), max_samples=args.max_samples
+    )
+    text = table.to_csv().rstrip("\n") if args.format == "csv" else table.to_json()
+    print(text, file=args.out)
     return 0
 
 
@@ -379,15 +361,14 @@ def build_parser() -> _Parser:
     _add_run_flags(hard)
     hard.set_defaults(func=_cmd_hardness)
 
-    simp = sub.add_parser("simulate", help="Bernoulli-only studies, no model")
+    simp = sub.add_parser("simulate", help="exact Bernoulli studies, no sampling")
     _add_query_flags(simp)
     simp.add_argument("--strategy", default="bincert",
                       help="comma-separated strategy names")
     simp.add_argument("--p-grid", required=True, help="comma list or lo:hi:step")
-    simp.add_argument("--trials", type=int, default=100)
-    simp.add_argument("--mode", choices=("sweep", "soundness"), default="sweep")
     simp.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_run_flags(simp)
+    simp.add_argument("--max-samples", type=int, default=None)
+    simp.add_argument("--out", default=None, help="write output here instead of stdout")
     simp.set_defaults(func=_cmd_simulate)
 
     plan = sub.add_parser("plan", help="derive one tester call, no sampling")
@@ -420,7 +401,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (QuantCertError, OSError) as exc:
         print(f"quantcert: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        # Every range check the CLI can reach tests a flag, a file or the
+        # environment, so it is the caller's input that is wrong.
+        return EXIT_USAGE if isinstance(exc, OutOfRangeError) else EXIT_INTERNAL
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -1,53 +1,47 @@
-"""Monte Carlo studies of the certifiers against known Bernoulli rates.
+"""Exact studies of the certifiers against known Bernoulli rates.
 
-soundness_trial measures how often a strategy answers wrongly when the true
-rate is known; complexity_sweep compares observed sample costs against the
-estimation baseline across a grid of rates.
+complexity_sweep computes, for each strategy and each rate of a grid, how a
+run ends and what it costs: the verdict probabilities, the probability of
+a wrong verdict, and the mean, median and spread of the samples it spends,
+against the estimation baseline.  Every figure comes from the strategy's
+schedule through strategy.schedule_law; nothing is sampled.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
-import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
-from .core import OutOfRangeError, SeedSpec, ThresholdQuery, validate_query
-from .oracle import BernoulliOracle
-from .strategy import ResourceLimits, baseline_samples, run_strategy
-
-
-@dataclass(frozen=True)
-class SoundnessStats:
-    """Verdict counts for repeated runs against a known rate.
-
-    failure_rate is None when p falls inside the guarantee-free band
-    (theta, theta + eta): no verdict is wrong there, so no rate applies.
-    """
-
-    p: float
-    strategy: str
-    trials: int
-    yes_count: int
-    no_count: int
-    inconclusive_count: int
-    failure_rate: Optional[float]
-    mean_samples: float
-    median_samples: float
-    stddev_samples: float
+from .core import OutOfRangeError, ThresholdQuery, validate_query
+from .strategy import ResourceLimits, baseline_samples, schedule, schedule_law
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One strategy at one rate.
+
+    p_wrong is the probability of any verdict but yes at p <= theta, or any
+    but no at p >= theta + eta; inside the open band no verdict is wrong and
+    it is None.
+    """
+
     p: float
     theta: float
     eta: float
     delta: float
     strategy: str
+    p_yes: float
+    p_no: float
+    p_inconclusive: float
+    p_wrong: Optional[float]
     mean_samples: float
+    median_samples: float
+    stddev_samples: float
     baseline_samples: int
     ratio: float
 
@@ -56,118 +50,54 @@ class SweepRow:
 class SweepTable:
     rows: Tuple[SweepRow, ...]
 
-    _FIELDS = (
-        "p",
-        "theta",
-        "eta",
-        "delta",
-        "strategy",
-        "mean_samples",
-        "baseline_samples",
-        "ratio",
-    )
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self._FIELDS)
-        for row in self.rows:
-            writer.writerow([getattr(row, f) for f in self._FIELDS])
+        writer.writerow(f.name for f in fields(SweepRow))
+        writer.writerows(astuple(row) for row in self.rows)
         return buf.getvalue()
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(
-            [{f: getattr(row, f) for f in self._FIELDS} for row in self.rows],
-            indent=indent,
-        )
+        return json.dumps([asdict(row) for row in self.rows], indent=indent)
 
 
-def _check_rates(p_grid: Sequence[float]) -> None:
-    """Raise OutOfRangeError unless every rate sits in [0, 1]."""
-    for p in p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise OutOfRangeError(f"p must sit in [0, 1], got {p}")
+def _moments(samples: Sequence[Tuple[int, float]]) -> Tuple[float, float, float]:
+    """Mean, median and standard deviation of a law's run totals.
 
-
-def soundness_trial(
-    strategy: str,
-    query: ThresholdQuery,
-    p: float,
-    trials: int,
-    seed: SeedSpec,
-    limits: Optional[ResourceLimits] = None,
-) -> SoundnessStats:
-    """Run the strategy repeatedly against Bernoulli(p) and score verdicts.
-
-    A run fails when p <= theta but the verdict is not yes, or when
-    p >= theta + eta but the verdict is not no.  Rates strictly inside the
-    band carry no guarantee and produce failure_rate None.
+    Weights are divided by their sum, which rounding leaves a few ulps off 1.
     """
-    q = validate_query(query)
-    _check_rates([p])
-    if trials < 1:
-        raise OutOfRangeError(f"trials must be at least 1, got {trials}")
-    oracle = BernoulliOracle(p)
-    counts = {"yes": 0, "no": 0, "inconclusive": 0}
-    totals: List[int] = []
-    wrong = 0
-    for j in range(trials):
-        report = run_strategy(
-            strategy, q, oracle, seed.child(j), limits=limits
-        )
-        counts[report.verdict.kind] += 1
-        totals.append(report.total_samples)
-        if p <= q.theta:
-            wrong += report.verdict.kind != "yes"
-        elif p >= q.upper:
-            wrong += report.verdict.kind != "no"
-
-    in_band = q.theta < p < q.upper
-    return SoundnessStats(
-        p=p,
-        strategy=strategy,
-        trials=trials,
-        yes_count=counts["yes"],
-        no_count=counts["no"],
-        inconclusive_count=counts["inconclusive"],
-        failure_rate=None if in_band else wrong / trials,
-        mean_samples=statistics.fmean(totals),
-        median_samples=float(statistics.median(totals)),
-        stddev_samples=statistics.stdev(totals) if trials > 1 else 0.0,
-    )
+    mass = math.fsum(w for _, w in samples)
+    mean = math.fsum(t * w for t, w in samples) / mass
+    spread = math.fsum(w * (t - mean) ** 2 for t, w in samples) / mass
+    cumulative = itertools.accumulate(w for _, w in samples)
+    median = next(t for (t, _), c in zip(samples, cumulative) if c >= mass / 2.0)
+    return mean, float(median), math.sqrt(spread)
 
 
 def complexity_sweep(
     strategies: Sequence[str],
     query: ThresholdQuery,
     p_grid: Sequence[float],
-    trials: int,
-    seed: SeedSpec,
-    limits: Optional[ResourceLimits] = None,
+    max_samples: Optional[int] = None,
 ) -> SweepTable:
-    """Mean observed cost per strategy and rate, against the baseline size."""
+    """Exact verdict probabilities and sample costs per strategy and rate.
+
+    Rows run over the strategies, and for each over p_grid in order.
+    max_samples caps every run as ResourceLimits does: a call that would
+    pass it ends the run inconclusive.
+    """
     q = validate_query(query)
-    if trials < 1:
-        raise OutOfRangeError(f"trials must be at least 1, got {trials}")
-    _check_rates(p_grid)
+    for p in p_grid:
+        if not 0.0 <= p <= 1.0:
+            raise OutOfRangeError(f"p must sit in [0, 1], got {p}")
+    cap = ResourceLimits(max_samples=max_samples).max_samples
     base = baseline_samples(q)
     rows: List[SweepRow] = []
-    stream = 0
     for name in strategies:
         for p in p_grid:
-            oracle = BernoulliOracle(p)
-            totals = []
-            for j in range(trials):
-                report = run_strategy(
-                    name,
-                    q,
-                    oracle,
-                    seed.child(stream),
-                    limits=limits,
-                )
-                stream += 1
-                totals.append(report.total_samples)
-            mean = statistics.fmean(totals)
+            law = schedule_law(schedule(name, q), p, cap)
+            wrong = (law.p_no if p <= q.theta else law.p_yes) + law.p_inconclusive
+            mean, median, stddev = _moments(law.samples)
             rows.append(
                 SweepRow(
                     p=p,
@@ -175,7 +105,13 @@ def complexity_sweep(
                     eta=q.eta,
                     delta=q.delta,
                     strategy=name,
+                    p_yes=law.p_yes,
+                    p_no=law.p_no,
+                    p_inconclusive=law.p_inconclusive,
+                    p_wrong=None if q.theta < p < q.upper else wrong,
                     mean_samples=mean,
+                    median_samples=median,
+                    stddev_samples=stddev,
                     baseline_samples=base,
                     ratio=base / mean if mean > 0 else math.inf,
                 )

@@ -386,6 +386,64 @@ def _run_schedule(
     return _check_report(report)
 
 
+@dataclass(frozen=True)
+class ScheduleLaw:
+    """How a run of a schedule ends against Bernoulli(p), computed exactly."""
+
+    p_yes: float
+    p_no: float
+    p_inconclusive: float
+    # (run total, probability) for every possible total, in increasing order
+    samples: Tuple[Tuple[int, float], ...]
+
+
+def schedule_law(
+    entries: Iterable[Tuple[Side, TesterPlan]],
+    p: float,
+    max_samples: Optional[int] = None,
+) -> ScheduleLaw:
+    """The law of _run_schedule on these entries against Bernoulli(p), computed.
+
+    Same rules as the run: a call that would pass max_samples ends it
+    inconclusive; a proving yes, a refuting no or any final outcome settles
+    it.  Calls draw independent trials, so a call says yes with probability
+    P(S <= c), S ~ Bin(n, p).  The walk stops once no run reaches the next
+    call.
+    """
+    # Imported here: scipy.special costs more to import than the rest of
+    # the package, and only exact studies need it.
+    from scipy.special import bdtr, bdtrc
+
+    settled = {"yes": 0.0, "no": 0.0}
+    # A blocked call ends runs at the total where the call before settled some.
+    samples: Dict[int, float] = {}
+    reach = 1.0
+    total = 0
+    for side, plan in entries:
+        n = plan.n_samples
+        if max_samples is not None and total + n > max_samples:
+            samples[total] = samples.get(total, 0.0) + reach
+            break
+        says = {"yes": float(bdtr(plan.c, n, p)), "no": float(bdtrc(plan.c, n, p))}
+        total += n
+        if side == "final":
+            settled["yes"] += reach * says["yes"]
+            settled["no"] += reach * says["no"]
+            samples[total], reach = reach, 0.0
+            break
+        ends = _SETTLES[side]
+        settled[ends] += reach * says[ends]
+        samples[total] = reach * says[ends]
+        reach *= says["no" if ends == "yes" else "yes"]
+        if reach == 0.0:
+            break
+    # Whatever still reaches a call here was blocked by max_samples.
+    return ScheduleLaw(
+        settled["yes"], settled["no"], reach,
+        tuple((t, w) for t, w in samples.items() if w > 0.0),
+    )
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -409,16 +467,12 @@ def bincert(
     """
     q = validate_query(query)
     params = BinCertParams.from_query(q)
-    entries = (
-        (side, plan_tester(theta1, theta2, params.delta_min))
-        for side, theta1, theta2 in _halving_schedule(q)
-    )
     notes = (
         f"halving call budget n = {params.n_calls_bound!r} (base-2 depth), "
         f"delta_min = {params.delta_min!r}",
     )
     return _run_schedule(
-        "bincert", q, entries, oracle, seed, limits, config, notes
+        "bincert", q, schedule("bincert", q), oracle, seed, limits, config, notes
     )
 
 
@@ -469,16 +523,12 @@ def fixedcert(
     """
     q = validate_query(query)
     params = FixedCertParams.from_query(q)
-    entries = (
-        (side, plan_tester(theta1, theta2, delta_call))
-        for side, theta1, theta2, delta_call in _fixed_schedule(q, params)
-    )
     notes = (
         f"grid layout: {params.n_left} proving + {params.n_right} refuting "
         f"intervals at pitch sqrt(eta) = {math.sqrt(q.eta)!r}",
     )
     return _run_schedule(
-        "fixedcert", q, entries, oracle, seed, limits, config, notes
+        "fixedcert", q, schedule("fixedcert", q), oracle, seed, limits, config, notes
     )
 
 
@@ -506,17 +556,8 @@ def estimate_baseline(
     eta / 2, and the whole failure budget delta.  It exists to be beaten.
     """
     q = validate_query(query)
-    plan = TesterPlan(
-        theta1=q.theta,
-        theta2=q.upper,
-        delta_call=q.delta,
-        n_samples=baseline_samples(q),
-        eta1=q.eta / 2.0,
-        eta2=q.eta / 2.0,
-        t=q.theta + q.eta / 2.0,
-    )
     return _run_schedule(
-        "estimate", q, [("final", plan)], oracle, seed, limits, config, ()
+        "estimate", q, schedule("estimate", q), oracle, seed, limits, config, ()
     )
 
 
@@ -550,10 +591,7 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     k3 = (
         (math.sqrt(3.0 * theta) + math.sqrt(2.0 * q.upper)) ** 2 / (eta * eta) * big_l
     )
-    exact = sum(
-        plan_tester(t1, t2, params.delta_min).n_samples
-        for _, t1, t2 in _halving_schedule(q)
-    )
+    exact = sum(plan.n_samples for _, plan in schedule("bincert", q))
     return BudgetBound(k1=k1, k2=k2, k3=k3, exact_schedule_total=int(exact))
 
 
@@ -566,11 +604,40 @@ STRATEGIES: Dict[str, StrategyFn] = {
 }
 
 
+def _unknown_strategy(name: str) -> OutOfRangeError:
+    return OutOfRangeError(f"unknown strategy {name!r}; expected one of {sorted(STRATEGIES)}")
+
+
 def run_strategy(name: str, *args, **kwargs) -> CertificationReport:
     try:
         fn = STRATEGIES[name]
     except KeyError:
-        raise OutOfRangeError(
-            f"unknown strategy {name!r}; expected one of {sorted(STRATEGIES)}"
-        ) from None
+        raise _unknown_strategy(name) from None
     return fn(*args, **kwargs)
+
+
+def schedule(strategy: str, query: ThresholdQuery) -> Iterator[Tuple[Side, TesterPlan]]:
+    """The (side, plan) entries a strategy runs on a validated query, in order.
+
+    Lazy: a plan is made when its entry is read, so a run that settles early
+    plans nothing more.  Runs, worst_case_budget and schedule_law read these.
+    """
+    if strategy == "bincert":
+        delta_min = BinCertParams.from_query(query).delta_min
+        return (
+            (side, plan_tester(theta1, theta2, delta_min))
+            for side, theta1, theta2 in _halving_schedule(query)
+        )
+    if strategy == "fixedcert":
+        params = FixedCertParams.from_query(query)
+        return (
+            (side, plan_tester(theta1, theta2, delta_call))
+            for side, theta1, theta2, delta_call in _fixed_schedule(query, params)
+        )
+    if strategy == "estimate":
+        half = query.eta / 2.0
+        plan = TesterPlan(theta1=query.theta, theta2=query.upper, delta_call=query.delta,
+                          n_samples=baseline_samples(query), eta1=half, eta2=half,
+                          t=query.theta + half)
+        return iter([("final", plan)])
+    raise _unknown_strategy(strategy)

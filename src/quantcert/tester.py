@@ -9,10 +9,11 @@ additive Chernoff bounds with the slack split so both tails bind at once:
     eta1 = (theta2 - theta1) * sqrt(3 theta1) / (sqrt(3 theta1) + sqrt(2 theta2))
     eta2 = (theta2 - theta1) - eta1
 
-The verdict compares the empirical rate against the single boundary
-t = theta1 + eta1; ties count as yes.  At theta1 = 0 this collapses to
-N = ceil((2/theta2) ln(1/delta_call)) with t = 0, so yes requires a clean
-sweep of zero successes.
+The verdict compares the success count s against the integer cutoff c,
+the largest s in [0, N] with s / N <= t for the boundary t = theta1 + eta1:
+s <= c is yes, so a tie s / N == t counts as yes.  At theta1 = 0 this
+collapses to N = ceil((2/theta2) ln(1/delta_call)) with t = 0 and c = 0,
+so yes requires a clean sweep of zero successes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,19 @@ class TesterPlan:
     eta1: float
     eta2: float
     t: float
+
+    @property
+    def c(self) -> int:
+        """Largest s in [0, n_samples] with s / n_samples <= t: yes iff successes <= c.
+
+        Derived, not stored, so it stays out of every serialized form.
+        """
+        n = self.n_samples
+        # t * n can round across an integer; one step either way corrects it.
+        c = min(n, math.floor(self.t * n))
+        if c < n and (c + 1) / n <= self.t:
+            return c + 1
+        return c - 1 if c / n > self.t else c
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,7 @@ def run_tester(
     seed: SeedSpec,
     call_index: int = 0,
 ) -> TesterResult:
-    """Draw exactly plan.n_samples trials and decide against the boundary.
+    """Draw exactly plan.n_samples trials and decide against the cutoff c.
 
     Trials are fetched in order, in draws of the oracle's ``batch_trials``
     (128 for an oracle that does not set it); the final draw is truncated.
@@ -114,6 +128,5 @@ def run_tester(
         successes += tally.successes
         trials += tally.trials
 
-    tally = SampleTally(trials=trials, successes=successes)
-    outcome: Literal["yes", "no"] = "yes" if tally.p_hat <= plan.t else "no"
-    return TesterResult(plan=plan, tally=tally, outcome=outcome)
+    outcome: Literal["yes", "no"] = "yes" if successes <= plan.c else "no"
+    return TesterResult(plan=plan, tally=SampleTally(trials, successes), outcome=outcome)

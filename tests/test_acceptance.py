@@ -22,7 +22,7 @@ from quantcert import (
     certify_density,
     fixedcert,
 )
-from quantcert.sim import complexity_sweep, soundness_trial
+from quantcert.sim import complexity_sweep
 from quantcert.strategy import (
     BinCertParams,
     FixedCertParams,
@@ -82,35 +82,59 @@ def test_c03_easy_refutation_is_cheap():
 
 
 def test_c04_soundness_under_known_rates():
+    # The one Monte Carlo check of real runs: every cell's wrong count and
+    # mean cost must agree with the exact table complexity_sweep computes.
     seed = SeedSpec(20250802)
     trials = 500
     delta = 0.1
     worst = 0.0
     cells = 0
     stream = 0
-    for strategy in ("bincert", "fixedcert"):
+    mismatches = []
+    for strategy, runner in (("bincert", bincert), ("fixedcert", fixedcert)):
         for theta, eta in ((0.1, 0.05), (0.01, 0.01), (0.5, 0.1)):
             query = ThresholdQuery(theta, eta, delta)
             must_yes = [theta / 2.0, theta]
             must_no = [theta + 1.01 * eta, min(1.0, theta + 3.0 * eta)]
-            for p in must_yes + must_no:
-                result = soundness_trial(strategy, query, p, trials, seed.child(stream))
+            rates = must_yes + must_no
+            table = complexity_sweep([strategy], query, rates)
+            for p, row in zip(rates, table.rows):
+                cell_seed = seed.child(stream)
                 stream += 1
                 cells += 1
-                worst = max(worst, result.failure_rate)
-    ok = worst <= delta
+                oracle = BernoulliOracle(p)
+                wrong = 0
+                totals = []
+                for j in range(trials):
+                    report = runner(query, oracle, cell_seed.child(j))
+                    wrong += report.verdict.kind != ("yes" if p <= theta else "no")
+                    totals.append(report.total_samples)
+                allowed = sps.binom.isf(1e-4, trials, row.p_wrong)
+                gap = abs(statistics.fmean(totals) - row.mean_samples)
+                tolerance = 5.0 * row.stddev_samples / math.sqrt(trials)
+                # 1e-9 of the mean absorbs rounding in a law of one total
+                if not (
+                    row.p_wrong <= delta
+                    and wrong <= allowed
+                    and gap <= tolerance + 1e-9 * row.mean_samples
+                ):
+                    mismatches.append(
+                        f"{strategy} {query} p={p}: {wrong} wrong (allowed {allowed:.0f}), "
+                        f"mean {gap:.2f} off the law"
+                    )
+                worst = max(worst, wrong / trials)
     _verdict(
         4,
-        ok,
-        f"{cells} strategy/rate cells x {trials} trials: "
-        f"worst wrong-verdict rate {worst:.4f} <= delta {delta}",
+        worst <= delta and not mismatches,
+        f"{cells} strategy/rate cells x {trials} trials: worst wrong-verdict rate "
+        f"{worst:.4f} <= delta {delta}, law mismatches {mismatches or 'none'}",
     )
 
 
 def test_c05_mean_cost_beats_baseline_tenfold():
     query = ThresholdQuery(0.01, 0.01, 0.01)
     grid = [k * 0.05 for k in range(21)]
-    table = complexity_sweep(["bincert"], query, grid, 30, SeedSpec(20250803))
+    table = complexity_sweep(["bincert"], query, grid)
     grid_mean = statistics.fmean(row.mean_samples for row in table.rows)
     base = baseline_samples(query)
     ok = grid_mean <= base / 10.0

@@ -105,6 +105,8 @@ def test_readme_and_bench_names_are_exported():
         "SpawnFailureError",
         "ProtocolViolationError",
         "ChildExitError",
+        "soundness_trial",
+        "SoundnessStats",
     ],
 )
 def test_removed_names_are_gone(name):
@@ -169,6 +171,14 @@ def test_removed_hardness_range_flags_are_usage_errors(capsys, flag):
     assert flag in capsys.readouterr().err
 
 
+# simulate computes its table: it has no runs to count, seed or time.
+@pytest.mark.parametrize("flag", ["--trials", "--mode", "--seed", "--max-wall-ms"])
+def test_removed_simulate_flags_are_usage_errors(capsys, flag):
+    argv = ["simulate", "--theta", "0.3", "--eta", "0.2", "--delta", "0.1", "--p-grid", "0.4"]
+    assert main([*argv, flag, "5"]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
 # Every function that once took a batch_size; draws are sized by the oracle.
 ONCE_BATCHED = [
     ("tester", "run_tester"),
@@ -178,7 +188,6 @@ ONCE_BATCHED = [
     ("strategy", "estimate_baseline"),
     ("robustness", "certify_density"),
     ("robustness", "adversarial_hardness"),
-    ("sim", "soundness_trial"),
     ("sim", "complexity_sweep"),
 ]
 
@@ -192,12 +201,12 @@ def test_no_function_takes_a_batch_size(module, name):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certify", "--bernoulli", "0.4"],
-        ["simulate", "--p-grid", "0.4", "--trials", "1"],
+        ["certify", "--bernoulli", "0.4", "--seed", "1"],
+        ["simulate", "--p-grid", "0.4"],
     ],
 )
 def test_batch_size_flag_is_a_usage_error(capsys, argv):
-    query = ["--theta", "0.3", "--eta", "0.2", "--delta", "0.1", "--seed", "1"]
+    query = ["--theta", "0.3", "--eta", "0.2", "--delta", "0.1"]
     assert main([*argv, *query, "--batch-size", "64"]) == EXIT_USAGE
     assert "--batch-size" in capsys.readouterr().err
 

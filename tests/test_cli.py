@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import quantcert.oracle as oracle_module
+import quantcert.sim as sim_module
 from quantcert import SeedSpec, ThresholdQuery, certify_density
 from quantcert.cli import (
     EXIT_INCONCLUSIVE,
@@ -63,8 +64,8 @@ class TestPlan:
         code, _, err = run(
             capsys, "plan", "--theta1", "0.3", "--theta2", "0.2", "--delta", "0.01"
         )
-        assert code == EXIT_INTERNAL
-        assert "theta1" in err
+        assert code == EXIT_USAGE
+        assert "OutOfRangeError" in err and "theta1" in err
 
     def test_missing_flag(self, capsys):
         code, _, err = run(capsys, "plan", "--theta1", "0.1", "--theta2", "0.2")
@@ -141,7 +142,7 @@ class TestCertifyBernoulli:
             "certify", "--theta", "1.5", "--eta", "0.1", "--delta", "0.01",
             "--bernoulli", "0.0",
         )
-        assert code == EXIT_INTERNAL
+        assert code == EXIT_USAGE
         assert "OutOfRangeError" in err
 
     def test_out_file(self, capsys, tmp_path):
@@ -229,7 +230,7 @@ class TestCertifyModel:
             "--model", model_path(0.62), "--center", center_path,
             "--eps", "nan", "--seed", "5",
         )
-        assert code == EXIT_INTERNAL and out == ""
+        assert code == EXIT_USAGE and out == ""
         assert "OutOfRangeError" in err and "Traceback" not in err
 
     def test_model_without_center_is_usage_error(self, capsys, model_path):
@@ -347,7 +348,7 @@ class TestHardness:
             "--model", model_path(0.7), "--center", center_path,
             "--eps-grid", "nan",
         )
-        assert code == EXIT_INTERNAL
+        assert code == EXIT_USAGE
         assert "OutOfRangeError" in err and "Traceback" not in err
 
 
@@ -358,37 +359,56 @@ class TestSimulate:
         code, out, _ = run(
             capsys,
             "simulate", *self.QUERY,
-            "--p-grid", "0,0.9", "--trials", "2", "--seed", "3",
-            "--strategy", "bincert,estimate",
+            "--p-grid", "0,0.9", "--strategy", "bincert,estimate",
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("p,theta,eta,delta,strategy,")
+        assert lines[0].startswith("p,theta,eta,delta,strategy,p_yes,p_no,")
         assert len(lines) == 5
 
     def test_sweep_json(self, capsys):
         code, out, _ = run(
             capsys,
-            "simulate", *self.QUERY,
-            "--p-grid", "0.9", "--trials", "2", "--seed", "3",
-            "--format", "json",
+            "simulate", *self.QUERY, "--p-grid", "0.9", "--format", "json",
         )
         assert code == 0
         doc = json.loads(out)
         assert doc[0]["strategy"] == "bincert"
         assert doc[0]["p"] == 0.9
 
-    def test_soundness_mode(self, capsys):
+    def test_json_probability_columns(self, capsys):
         code, out, _ = run(
             capsys,
-            "simulate", *self.QUERY,
-            "--p-grid", "0", "--trials", "3", "--seed", "3",
-            "--mode", "soundness",
+            "simulate", *self.QUERY, "--p-grid", "0,0.4", "--format", "json",
         )
         assert code == 0
-        doc = json.loads(out)
-        assert doc[0]["yes_count"] == 3
-        assert doc[0]["failure_rate"] == 0.0
+        at_zero, in_band = json.loads(out)
+        assert at_zero["p_yes"] == 1.0 and at_zero["p_wrong"] == 0.0
+        assert in_band["p_wrong"] is None
+        assert in_band["p_yes"] + in_band["p_no"] == pytest.approx(1.0)
+
+    def test_max_samples_makes_runs_inconclusive(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "simulate", *self.QUERY, "--p-grid", "0", "--max-samples", "0",
+            "--format", "json",
+        )
+        assert code == 0
+        row = json.loads(out)[0]
+        assert row["p_inconclusive"] == 1.0 and row["mean_samples"] == 0.0
+
+    def test_makes_no_draw(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("simulate read a random word")
+
+        monkeypatch.setattr(SeedSpec, "raw_block", no_draw)
+        code, out, _ = run(
+            capsys,
+            "simulate", *self.QUERY, "--p-grid", "0:1:0.25",
+            "--strategy", "bincert,fixedcert,estimate",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 3 * 5
 
     def test_unknown_strategy(self, capsys):
         code, _, err = run(
@@ -406,28 +426,31 @@ class TestSimulate:
         assert code == EXIT_USAGE
         code, _, err = run(capsys, "simulate", *self.QUERY, "--p-grid", "0:1:x")
         assert code == EXIT_USAGE and "Traceback" not in err
-        # --trials 0 keeps a missed size check from running a 100,001-rate sweep.
-        code, _, err = run(
-            capsys, "simulate", *self.QUERY, "--p-grid", "0:1:1e-5", "--trials", "0"
-        )
+        code, _, err = run(capsys, "simulate", *self.QUERY, "--p-grid", "0:1:1e-5")
         assert code == EXIT_USAGE and "10000 points" in err
 
-    @pytest.mark.parametrize("mode", ["sweep", "soundness"])
-    def test_bad_rate_fails_before_any_run(self, capsys, monkeypatch, mode):
-        reads = []
-        raw_block = SeedSpec.raw_block
+    # "soundness" asks for the JSON document whose p_yes/p_no/p_wrong columns
+    # replaced the old soundness mode; "sweep" asks for every strategy in CSV.
+    @pytest.mark.parametrize(
+        "extra",
+        [["--strategy", "bincert,fixedcert,estimate"], ["--format", "json"]],
+        ids=["sweep", "soundness"],
+    )
+    def test_bad_rate_fails_before_any_run(self, capsys, monkeypatch, extra):
+        laws = []
+        schedule_law = sim_module.schedule_law
 
-        def counted(self, *args, **kwargs):
-            reads.append(args)
-            return raw_block(self, *args, **kwargs)
+        def counted(*args, **kwargs):
+            laws.append(args)
+            return schedule_law(*args, **kwargs)
 
-        monkeypatch.setattr(SeedSpec, "raw_block", counted)
+        monkeypatch.setattr(sim_module, "schedule_law", counted)
         code, _, err = run(
-            capsys, "simulate", *self.QUERY, "--p-grid", "0.02,0.5,0.2,2",
-            "--trials", "1000", "--seed", "3", "--mode", mode,
+            capsys, "simulate", *self.QUERY, "--p-grid", "0.02,0.5,0.2,2", *extra,
         )
-        assert code == EXIT_INTERNAL and "OutOfRangeError" in err
-        assert reads == []
+        assert code == EXIT_USAGE
+        assert re.fullmatch(r"quantcert: OutOfRangeError: p must sit in \[0, 1\], got 2\.0\n", err)
+        assert laws == []
 
 
 class TestParseGrid:
@@ -529,7 +552,9 @@ ERROR_LINES = [
 @pytest.mark.parametrize("build, kind, message", ERROR_LINES)
 def test_error_is_one_stderr_line(capsys, tmp_path, model_path, center_path, build, kind, message):
     code, out, err = run(capsys, *build(tmp_path, model_path(0.6), center_path))
-    assert code == EXIT_INTERNAL and out == ""
+    # A value out of range came from the caller's flags or files.
+    assert code == (EXIT_USAGE if kind == "OutOfRangeError" else EXIT_INTERNAL)
+    assert out == ""
     assert re.fullmatch(rf"quantcert: {kind}: {message}\n", err), err
 
 
@@ -552,12 +577,13 @@ class TestUsageBasics:
         "argv",
         [
             ["simulate", "--p-grid", ","],
-            ["simulate", "--p-grid", "0.1", "--strategy", ",", "--mode", "soundness"],
-            ["hardness", "--model", "m.json", "--center", "c.csv", "--eps-grid", ","],
+            ["simulate", "--p-grid", "0.1", "--strategy", ","],
+            ["hardness", "--model", "m.json", "--center", "c.csv", "--eps-grid", ",",
+             "--seed", "1"],
         ],
     )
     def test_empty_lists_are_usage_errors(self, capsys, argv):
-        query = ["--theta", "0.3", "--eta", "0.2", "--delta", "0.1", "--seed", "1"]
+        query = ["--theta", "0.3", "--eta", "0.2", "--delta", "0.1"]
         code, out, err = run(capsys, *argv, *query)
         assert code == EXIT_USAGE and out == ""
         assert "Traceback" not in err

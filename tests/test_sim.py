@@ -1,88 +1,87 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from quantcert import (
-    BernoulliOracle,
-    OutOfRangeError,
-    ResourceLimits,
-    SeedSpec,
-    ThresholdQuery,
-)
-from quantcert.sim import complexity_sweep, soundness_trial
-from quantcert.strategy import worst_case_budget
+import quantcert.sim as sim_module
+from quantcert import OutOfRangeError, ThresholdQuery
+from quantcert.sim import complexity_sweep
+from quantcert.strategy import schedule, schedule_law, worst_case_budget
 
 
 QUERY = ThresholdQuery(0.1, 0.05, 0.1)
 
 
+def _row(strategy, query, p, **kwargs):
+    (row,) = complexity_sweep([strategy], query, [p], **kwargs).rows
+    return row
+
+
 class TestSoundnessTrial:
-    def test_zero_rate_always_certifies(self, seed):
-        stats = soundness_trial("bincert", QUERY, 0.0, 20, seed)
-        assert stats.yes_count == 20
-        assert stats.no_count == stats.inconclusive_count == 0
-        assert stats.failure_rate == 0.0
-        assert stats.mean_samples > 0
+    """The verdict columns of a row: exact probabilities against a known rate."""
 
-    def test_high_rate_always_refutes(self, seed):
-        stats = soundness_trial("bincert", QUERY, 0.9, 20, seed)
-        assert stats.no_count == 20
-        assert stats.failure_rate == 0.0
+    def test_zero_rate_always_certifies(self):
+        row = _row("bincert", QUERY, 0.0)
+        assert row.p_yes == 1.0
+        assert row.p_no == row.p_inconclusive == 0.0
+        assert row.p_wrong == 0.0
+        # one call settles every run, so the cost is certain
+        assert row.mean_samples == row.median_samples == 88.0
+        assert row.stddev_samples == 0.0
 
-    def test_in_band_rate_has_no_failure_notion(self, seed):
-        stats = soundness_trial("bincert", QUERY, 0.125, 5, seed)
-        assert stats.failure_rate is None
-        assert stats.yes_count + stats.no_count + stats.inconclusive_count == 5
+    def test_high_rate_always_refutes(self):
+        row = _row("bincert", QUERY, 0.9)
+        assert row.p_no == pytest.approx(1.0, abs=1e-12)
+        assert row.p_wrong < 1e-12
 
-    def test_band_edges_carry_guarantees(self, seed):
+    def test_in_band_rate_has_no_failure_notion(self):
+        row = _row("bincert", QUERY, 0.125)
+        assert row.p_wrong is None
+        assert row.p_yes + row.p_no + row.p_inconclusive == pytest.approx(1.0)
+        assert 0.0 < row.p_yes < 1.0
+
+    def test_band_edges_carry_guarantees(self):
         # the band is open: p exactly at theta counts as a must-yes and p
         # exactly at theta + eta as a must-no; p just inside either edge
         # carries no guarantee
-        at_theta = soundness_trial("bincert", QUERY, QUERY.theta, 3, seed)
-        assert at_theta.failure_rate is not None
-        above = soundness_trial("bincert", QUERY, QUERY.theta + 1e-6, 3, seed)
-        assert above.failure_rate is None
-        at_upper = soundness_trial("bincert", QUERY, QUERY.upper, 3, seed)
-        assert at_upper.failure_rate is not None
-        below = soundness_trial("bincert", QUERY, QUERY.upper - 1e-6, 3, seed)
-        assert below.failure_rate is None
+        rates = [QUERY.theta, QUERY.theta + 1e-6, QUERY.upper - 1e-6, QUERY.upper]
+        at_theta, above, below, at_upper = complexity_sweep(["bincert"], QUERY, rates).rows
+        assert at_theta.p_wrong == at_theta.p_no + at_theta.p_inconclusive
+        assert at_upper.p_wrong == at_upper.p_yes + at_upper.p_inconclusive
+        assert above.p_wrong is None and below.p_wrong is None
+        assert 0.0 < at_theta.p_wrong <= QUERY.delta
+        assert 0.0 < at_upper.p_wrong <= QUERY.delta
 
-    def test_single_trial_has_zero_stddev(self, seed):
-        stats = soundness_trial("fixedcert", QUERY, 0.0, 1, seed)
-        assert stats.trials == 1
-        assert stats.stddev_samples == 0.0
-        assert stats.mean_samples == stats.median_samples
+    def test_inconclusive_counts_as_failure_outside_band(self):
+        row = _row("bincert", QUERY, 0.0, max_samples=1)
+        assert row.p_inconclusive == 1.0
+        assert row.p_wrong == 1.0
+        assert row.mean_samples == 0.0
 
-    def test_inconclusive_counts_as_failure_outside_band(self, seed):
-        limits = ResourceLimits(max_samples=1)
-        stats = soundness_trial("bincert", QUERY, 0.0, 4, seed, limits=limits)
-        assert stats.inconclusive_count == 4
-        assert stats.failure_rate == 1.0
-
-    def test_rejects_bad_arguments(self, seed):
+    def test_rejects_bad_arguments(self):
         with pytest.raises(OutOfRangeError):
-            soundness_trial("bincert", QUERY, 1.5, 5, seed)
-        with pytest.raises(OutOfRangeError):
-            soundness_trial("bincert", QUERY, 0.5, 0, seed)
-
-    def test_trials_use_distinct_child_seeds(self, seed):
-        # 0.62 sits near the second refuting call's cutoff, so some trials
-        # settle there and some fall through to the final call; identical
-        # per-trial seeds would make the stddev collapse to zero
-        stats = soundness_trial("bincert", ThresholdQuery(0.3, 0.2, 0.1), 0.62, 10, seed)
-        assert stats.stddev_samples > 0.0
+            _row("bincert", QUERY, 1.5)
+        with pytest.raises(OutOfRangeError, match="max_samples"):
+            _row("bincert", QUERY, 0.5, max_samples=-1)
+        with pytest.raises(OutOfRangeError, match="unknown strategy"):
+            _row("magic", QUERY, 0.5)
 
     def test_replay_is_deterministic(self):
-        a = soundness_trial("bincert", QUERY, 0.125, 5, SeedSpec(3))
-        b = soundness_trial("bincert", QUERY, 0.125, 5, SeedSpec(3))
-        assert a == b
+        assert _row("bincert", QUERY, 0.125) == _row("bincert", QUERY, 0.125)
+
+    def test_band_edge_errors_of_the_tight_query(self):
+        # bench's bern-tight query: both edges err far less often than delta
+        tight = ThresholdQuery(0.1, 2e-3, 0.01)
+        at_theta, at_upper = complexity_sweep(["bincert"], tight, [0.1, tight.upper]).rows
+        assert at_theta.p_wrong == pytest.approx(3.31e-5, rel=0.01)
+        assert at_upper.p_wrong == pytest.approx(2.64e-5, rel=0.01)
 
 
 class TestComplexitySweep:
-    def test_table_shape_and_ratios(self, seed):
-        table = complexity_sweep(["bincert", "estimate"], QUERY, [0.0, 0.5], 3, seed)
+    def test_table_shape_and_ratios(self):
+        table = complexity_sweep(["bincert", "estimate"], QUERY, [0.0, 0.5])
         assert len(table.rows) == 4
         assert [r.strategy for r in table.rows] == [
             "bincert",
@@ -96,66 +95,64 @@ class TestComplexitySweep:
         by_key = {(r.strategy, r.p): r for r in table.rows}
         # estimate always costs exactly the baseline
         assert by_key[("estimate", 0.0)].mean_samples == 11_053.0
+        assert by_key[("estimate", 0.0)].stddev_samples == 0.0
         assert by_key[("estimate", 0.0)].ratio == 1.0
         # far from theta the halving strategy is noticeably cheaper
         assert by_key[("bincert", 0.0)].ratio > 5.0
 
-    def test_easy_rates_beat_baseline_by_two_orders(self, seed):
-        query = ThresholdQuery(0.01, 0.01, 0.01)
-        table = complexity_sweep(["bincert"], query, [0.9], 5, seed)
-        assert table.rows[0].baseline_samples == 552_621
-        assert table.rows[0].ratio >= 100.0
+    def test_mean_cost_near_the_threshold(self):
+        row = _row("bincert", QUERY, 0.02)
+        assert row.mean_samples == pytest.approx(4948.50, abs=0.01)
 
-    def test_hard_rate_runs_the_whole_schedule(self, seed):
-        # at p = theta nothing settles early: every refuting call passes and
-        # the final call decides, so the cost is exactly the schedule total
+    def test_easy_rates_beat_baseline_by_two_orders(self):
+        query = ThresholdQuery(0.01, 0.01, 0.01)
+        row = _row("bincert", query, 0.9)
+        assert row.baseline_samples == 552_621
+        assert row.ratio >= 100.0
+
+    def test_hard_rate_runs_the_whole_schedule(self):
+        # at p = theta a run can pass every refuting call and reach the
+        # final one, so the largest possible cost is the schedule total
         query = ThresholdQuery(0.01, 0.01, 0.01)
         bound = worst_case_budget(query)
-        table = complexity_sweep(["bincert"], query, [query.theta], 5, seed)
-        mean = table.rows[0].mean_samples
-        assert mean == bound.exact_schedule_total
-        assert mean >= bound.k3
+        law = schedule_law(schedule("bincert", query), query.theta)
+        largest = max(total for total, _ in law.samples)
+        assert largest == bound.exact_schedule_total == 20_753
+        assert largest >= bound.k3
+        assert _row("bincert", query, query.theta).mean_samples <= largest
 
-    def test_csv_round_trip(self, seed):
-        table = complexity_sweep(["bincert"], QUERY, [0.0, 0.9], 2, seed)
+    def test_csv_round_trip(self):
+        table = complexity_sweep(["bincert"], QUERY, [0.0, 0.125])
         text = table.to_csv()
-        reader = csv.DictReader(io.StringIO(text))
-        rows = list(reader)
+        rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 2
         assert float(rows[0]["p"]) == 0.0
         assert rows[0]["strategy"] == "bincert"
         assert int(rows[0]["baseline_samples"]) == 11_053
+        assert float(rows[1]["p_yes"]) == table.rows[1].p_yes
+        assert rows[1]["p_wrong"] == ""  # inside the band
 
-    def test_json_matches_rows(self, seed):
-        table = complexity_sweep(["bincert"], QUERY, [0.9], 2, seed)
+    def test_json_matches_rows(self):
+        table = complexity_sweep(["bincert", "fixedcert"], QUERY, [0.125, 0.9])
         doc = json.loads(table.to_json())
-        assert doc[0]["p"] == 0.9
-        assert doc[0]["mean_samples"] == table.rows[0].mean_samples
+        assert doc == [dataclasses.asdict(row) for row in table.rows]
+        assert doc[0]["p_wrong"] is None
 
-    def test_rejects_bad_rate(self, seed):
+    def test_rejects_bad_rate(self):
         with pytest.raises(OutOfRangeError):
-            complexity_sweep(["bincert"], QUERY, [1.1], 2, seed)
+            complexity_sweep(["bincert"], QUERY, [1.1])
         with pytest.raises(OutOfRangeError):
-            complexity_sweep(["bincert"], QUERY, [0.5], 0, seed)
+            complexity_sweep(["bincert"], QUERY, [float("nan")])
 
-    def test_bad_rate_raises_before_any_draw(self, seed, monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew before checking the grid")
+    def test_bad_rate_raises_before_any_draw(self, monkeypatch):
+        def no_law(*args, **kwargs):
+            raise AssertionError("computed a row before checking the grid")
 
-        monkeypatch.setattr(BernoulliOracle, "draw", no_draw)
+        monkeypatch.setattr(sim_module, "schedule_law", no_law)
         with pytest.raises(OutOfRangeError):
-            complexity_sweep(["bincert"], QUERY, [0.5, 1.5], 2, seed)
+            complexity_sweep(["bincert"], QUERY, [0.5, 1.5])
 
     def test_replay_is_deterministic(self):
-        a = complexity_sweep(["bincert"], QUERY, [0.125], 3, SeedSpec(5))
-        b = complexity_sweep(["bincert"], QUERY, [0.125], 3, SeedSpec(5))
+        a = complexity_sweep(["bincert"], QUERY, [0.125])
+        b = complexity_sweep(["bincert"], QUERY, [0.125])
         assert a == b
-
-    def test_cells_use_disjoint_streams(self, seed):
-        # two cells at the same near-cutoff rate see different randomness
-        # because the child-seed counter runs across the whole sweep; a
-        # per-cell counter would replay identical runs
-        table = complexity_sweep(
-            ["bincert", "bincert"], ThresholdQuery(0.3, 0.2, 0.1), [0.62], 1, seed
-        )
-        assert table.rows[0].mean_samples != table.rows[1].mean_samples

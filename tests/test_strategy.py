@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -25,8 +26,11 @@ from quantcert.strategy import (
     FixedCertParams,
     baseline_samples,
     create_interval,
+    schedule,
+    schedule_law,
     worst_case_budget,
 )
+from quantcert.tester import TesterPlan as HandPlan
 from quantcert.tester import plan_tester
 from quantcert.strategy import _check_report, _fixed_schedule, _halving_schedule
 from conftest import CountingOracle
@@ -565,3 +569,84 @@ class TestReportInvariants:
         rec = _record("proving", 0.0, 0.5, 0.01, "no")
         with pytest.raises(ReportInvariantError, match="no verdict"):
             _check_report(_report(self.QUERY, [rec], Verdict("no")))
+
+
+def _hand_plan(n, t):
+    # only n_samples and t decide a call; the interval is irrelevant here
+    return HandPlan(theta1=0.0, theta2=1.0, delta_call=0.1,
+                      n_samples=n, eta1=t, eta2=1.0 - t, t=t)
+
+
+# Hand-built schedules with n <= 20, small enough to enumerate every vector
+# of success counts.  The last one ends in a final call that cannot settle
+# on either flank.
+HAND_SCHEDULES = [
+    [("proving", _hand_plan(4, 0.25)), ("refuting", _hand_plan(5, 0.6)),
+     ("proving", _hand_plan(3, 1 / 3)), ("refuting", _hand_plan(6, 0.5)),
+     ("final", _hand_plan(4, 0.5))],
+    [("refuting", _hand_plan(20, 0.3)), ("final", _hand_plan(7, 0.0))],
+    [("final", _hand_plan(11, 0.45))],
+]
+
+
+def _enumerated_law(entries, p, max_samples):
+    """Every success-count vector, weighted by its binomial pmf and walked."""
+    pmfs = [[math.comb(plan.n_samples, s) * p ** s * (1 - p) ** (plan.n_samples - s)
+             for s in range(plan.n_samples + 1)] for _, plan in entries]
+    ends = {"yes": 0.0, "no": 0.0, "inconclusive": 0.0}
+    samples = {}
+    for counts in itertools.product(*(range(plan.n_samples + 1) for _, plan in entries)):
+        weight = math.prod(pmf[s] for pmf, s in zip(pmfs, counts))
+        total = 0
+        for (side, plan), s in zip(entries, counts):
+            if max_samples is not None and total + plan.n_samples > max_samples:
+                verdict = "inconclusive"
+                break
+            total += plan.n_samples
+            outcome = "yes" if s / plan.n_samples <= plan.t else "no"
+            if side == "final" or (side, outcome) in (("proving", "yes"), ("refuting", "no")):
+                verdict = outcome
+                break
+        ends[verdict] += weight
+        samples[total] = samples.get(total, 0.0) + weight
+    return ends, {t: w for t, w in samples.items() if w > 0.0}
+
+
+class TestScheduleLaw:
+    @pytest.mark.parametrize("entries", HAND_SCHEDULES)
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.37, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("max_samples", [None, 0, 9, 14])
+    def test_matches_enumeration(self, entries, p, max_samples):
+        ends, samples = _enumerated_law(entries, p, max_samples)
+        law = schedule_law(entries, p, max_samples)
+        assert law.p_yes == pytest.approx(ends["yes"], abs=1e-12)
+        assert law.p_no == pytest.approx(ends["no"], abs=1e-12)
+        assert law.p_inconclusive == pytest.approx(ends["inconclusive"], abs=1e-12)
+        assert [t for t, _ in law.samples] == sorted(samples)
+        assert [w for _, w in law.samples] == pytest.approx(
+            [samples[t] for t in sorted(samples)], abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["bincert", "fixedcert", "estimate"])
+    @pytest.mark.parametrize("query", [ThresholdQuery(0.1, 0.05, 0.1),
+                                       ThresholdQuery(0.3, 0.2, 0.1),
+                                       ThresholdQuery(0.0, 0.1, 0.1)])
+    def test_no_rises_with_the_rate(self, name, query):
+        # More successes can only turn a call's yes into no, so P(no) is
+        # nondecreasing in p and each band edge is its side's worst case.
+        p_no = [schedule_law(schedule(name, query), p).p_no
+                for p in [k / 200 for k in range(201)]]
+        assert all(b >= a - 1e-12 for a, b in zip(p_no, p_no[1:]))
+
+    def test_settled_run_plans_nothing_further(self, monkeypatch):
+        import quantcert.strategy as strategy_module
+
+        planned = []
+        plan = strategy_module.plan_tester
+        monkeypatch.setattr(strategy_module, "plan_tester",
+                            lambda *a: planned.append(a) or plan(*a))
+        law = schedule_law(schedule("bincert", ThresholdQuery(0.1, 0.05, 0.1)), 0.0)
+        assert law.p_yes == 1.0 and len(planned) == 1
+
+    def test_unknown_strategy(self):
+        with pytest.raises(OutOfRangeError, match="unknown strategy"):
+            schedule("magic", ThresholdQuery(0.3, 0.01, 0.01))

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +10,13 @@ from quantcert import (
     OracleFailure,
     OutOfRangeError,
     SampleTally,
+    ThresholdQuery,
 )
+from quantcert.strategy import schedule
 from quantcert.tester import plan_tester, run_tester
 from chernoff_reference import chernoff_tail
 from conftest import CountingOracle, FixedSuccessOracle
+from test_corpus import QUERIES, STRATEGY_NAMES
 
 INTERVAL = r"need 0 <= theta1 < theta2 <= 1"
 CONFIDENCE = r"delta_call must sit in \(0, 1\)"
@@ -187,3 +193,49 @@ class TestRunTester:
         partial = exc_info.value.partial_tally
         assert partial.trials == 34  # 3 clean batches of 10, plus 4 from the failure
         assert partial.successes == 31
+
+
+def _corpus_plans():
+    """Every plan the Bernoulli corpus queries and bench's bern-tight produce."""
+    for query in (*QUERIES, ThresholdQuery(0.1, 2e-3, 0.01)):
+        for name in STRATEGY_NAMES:
+            for _, plan in schedule(name, query):
+                yield plan
+
+
+class TestCutoff:
+    def test_cutoff_matches_the_rate_rule_on_corpus_plans(self):
+        # s <= c must agree with s / n <= t at every count; chunked so the
+        # estimate plan of bern-tight (13.8 M trials) stays small in memory
+        plans = list(_corpus_plans())
+        assert max(plan.n_samples for plan in plans) > 10_000_000
+        for plan in plans:
+            n = plan.n_samples
+            for lo in range(0, n + 1, 1 << 20):
+                s = np.arange(lo, min(n + 1, lo + (1 << 20)))
+                assert np.array_equal(s <= plan.c, s / n <= plan.t), plan
+
+    @pytest.mark.parametrize(
+        "n, t, c",
+        [
+            (22, 15 / 22, 15),  # t * n rounds to just under 15
+            (6, math.nextafter(5 / 6, 0.0), 4),  # t * n rounds up to 5
+            (7, 0.0, 0),
+            (7, 1.0, 7),
+        ],
+    )
+    def test_cutoff_steps_past_rounding(self, n, t, c):
+        plan = HandPlan(theta1=0.0, theta2=1.0, delta_call=0.1,
+                        n_samples=n, eta1=t, eta2=1.0 - t, t=t)
+        assert plan.c == c
+
+    @given(
+        n=st.integers(min_value=1, max_value=10 ** 7),
+        t=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_cutoff_is_the_largest_count_at_or_under_t(self, n, t):
+        plan = HandPlan(theta1=0.0, theta2=1.0, delta_call=0.1,
+                        n_samples=n, eta1=t, eta2=1.0 - t, t=t)
+        c = plan.c
+        assert 0 <= c <= n and c / n <= t
+        assert c == n or (c + 1) / n > t
