@@ -47,9 +47,6 @@ from .strategy import (
     CertificationReport,
     ReportInvariantError,
     ResourceLimits,
-    bincert,
-    estimate_baseline,
-    fixedcert,
     run_strategy,
 )
 from .tester import TesterPlan
@@ -81,10 +78,7 @@ __all__ = [
     "ThresholdQuery",
     "Verdict",
     "adversarial_hardness",
-    "bincert",
     "certify_density",
-    "estimate_baseline",
-    "fixedcert",
     "forward_batch",
     "load_model",
     "make_sampler",

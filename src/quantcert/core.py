@@ -55,6 +55,13 @@ class ThresholdQuery:
                 f"theta + eta = {self.theta + self.eta} exceeds 1; "
                 "nothing above the threshold band remains to refute"
             )
+        # A band that rounds away, or whose width squared underflows, leaves
+        # the testers nothing to divide by.
+        if self.theta + self.eta == self.theta or self.eta * self.eta == 0.0:
+            raise OutOfRangeError(
+                f"eta = {self.eta} vanishes next to theta = {self.theta}: "
+                "theta + eta rounds to theta or eta squared underflows"
+            )
 
     @property
     def upper(self) -> float:

@@ -27,7 +27,8 @@ class SweepRow:
 
     p_wrong is the probability of any verdict but yes at p <= theta, or any
     but no at p >= theta + eta; inside the open band no verdict is wrong and
-    it is None.
+    it is None.  ratio is baseline_samples over mean_samples, and None when
+    runs spend nothing.
     """
 
     p: float
@@ -43,7 +44,7 @@ class SweepRow:
     median_samples: float
     stddev_samples: float
     baseline_samples: int
-    ratio: float
+    ratio: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def complexity_sweep(
     rows: List[SweepRow] = []
     for name in strategies:
         for p in p_grid:
-            law = schedule_law(schedule(name, q), p, cap)
+            law = schedule_law(schedule(name, q)[1], p, cap)
             wrong = (law.p_no if p <= q.theta else law.p_yes) + law.p_inconclusive
             mean, median, stddev = _moments(law.samples)
             rows.append(
@@ -113,7 +114,7 @@ def complexity_sweep(
                     median_samples=median,
                     stddev_samples=stddev,
                     baseline_samples=base,
-                    ratio=base / mean if mean > 0 else math.inf,
+                    ratio=base / mean if mean > 0 else None,
                 )
             )
     return SweepTable(rows=tuple(rows))

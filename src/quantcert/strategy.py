@@ -21,7 +21,8 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Literal, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterable, Iterator, List, Literal, Optional, Tuple
 
 from .core import (
     InconclusiveReason,
@@ -137,53 +138,6 @@ class CertificationReport:
 
 
 @dataclass(frozen=True)
-class BinCertParams:
-    """Derived constants for the halving strategy."""
-
-    n_calls_bound: float
-    delta_min: float
-
-    @classmethod
-    def from_query(cls, query: ThresholdQuery) -> "BinCertParams":
-        theta, eta = query.theta, query.eta
-        room = 1.0 - query.upper
-        left = max(0.0, math.log2(theta / eta)) if theta > 0.0 else 0.0
-        right = max(0.0, math.log2(room / eta)) if room > 0.0 else 0.0
-        n = 3.0 + left + right
-        return cls(n_calls_bound=n, delta_min=query.delta / n)
-
-
-@dataclass(frozen=True)
-class FixedCertParams:
-    """Derived layout for the non-adaptive strategy.
-
-    Both flanks are cut into intervals of width about sqrt(eta); a side too
-    narrow to hold even one such interval gets zero calls and zero budget.
-    """
-
-    n_left: int
-    n_right: int
-    delta_left: float
-    delta_right: float
-    delta_final: float
-
-    @classmethod
-    def from_query(cls, query: ThresholdQuery) -> "FixedCertParams":
-        theta, delta = query.theta, query.delta
-        room = 1.0 - query.upper
-        pitch = math.sqrt(query.eta)
-        n_left = int(math.floor(theta / pitch + _FLOOR_NUDGE))
-        n_right = int(math.floor(room / pitch + _FLOOR_NUDGE))
-        return cls(
-            n_left=n_left,
-            n_right=n_right,
-            delta_left=delta / (3.0 * n_left) if n_left else 0.0,
-            delta_right=delta / (3.0 * n_right) if n_right else 0.0,
-            delta_final=delta / 3.0,
-        )
-
-
-@dataclass(frozen=True)
 class BudgetBound:
     """Worst-case sample budget for the halving strategy.
 
@@ -203,79 +157,90 @@ class BudgetBound:
 
 
 # ---------------------------------------------------------------------------
-# interval construction
+# schedules
 # ---------------------------------------------------------------------------
 
 
-def create_interval(
-    theta: float,
-    prev_theta1: float,
-    prev_theta2: float,
-    eta: float,
-    left: bool,
-) -> Tuple[float, float]:
-    """Next interval on one flank of the threshold.
+def _halving_calls(query: ThresholdQuery) -> float:
+    """Bound n on the number of halving calls; each call runs at delta / n.
 
-    The first left interval is (0, theta) and the first right interval is
-    (theta + eta, 1); after that each step halves the previous width, never
-    below eta, keeping the threshold-side end pinned.  At theta = 0 the left
-    flank is the fixed stub (0, eta).  Endpoints are clamped to [0, 1];
-    clamping can only touch intervals already too narrow to be tested.
+    n = 3 + log2(theta/eta) + log2((1 - theta - eta)/eta), each log clipped
+    at 0.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise OutOfRangeError(f"theta must sit in [0, 1], got {theta}")
-    if eta <= 0.0:
-        raise OutOfRangeError(f"eta must be positive, got {eta}")
-    if not 0.0 <= prev_theta1 <= prev_theta2 <= 1.0:
-        raise OutOfRangeError(
-            f"previous interval ({prev_theta1}, {prev_theta2}) is not ordered in [0, 1]"
-        )
-    if left and theta == 0.0:
-        return (0.0, min(1.0, eta))
-    if prev_theta1 == 0.0 and prev_theta2 == 0.0:
-        if left:
-            return (0.0, theta)
-        return (min(1.0, theta + eta), 1.0)
-    step = max(eta, (prev_theta2 - prev_theta1) / 2.0)
-    if left:
-        return (max(0.0, prev_theta2 - step), prev_theta2)
-    return (prev_theta1, min(1.0, prev_theta1 + step))
+    theta, eta = query.theta, query.eta
+    room = 1.0 - query.upper
+    left = max(0.0, math.log2(theta / eta)) if theta > 0.0 else 0.0
+    right = max(0.0, math.log2(room / eta)) if room > 0.0 else 0.0
+    return 3.0 + left + right
 
 
 def _halving_schedule(query: ThresholdQuery) -> Iterator[Tuple[Side, float, float]]:
-    """Outcome-independent call schedule for bincert.
+    """Outcome-independent call intervals for bincert.
 
-    Interval construction never looks at tester outcomes, so the sequence of
-    testable intervals is fixed by the query alone.  The runner walks this
-    schedule and stops early; the budget calculator sums all of it.
+    The first proving interval is (0, theta) and the first refuting one
+    (theta + eta, 1); each step halves the previous width, never below eta,
+    keeping the threshold-side end pinned, and clamps the far end to
+    [0, 1].  A flank is tested while its width exceeds eta; at theta = 0
+    the left flank is empty and its stub (0, eta) is the final interval.
+    Once both flanks are within eta a final call on (theta, theta + eta)
+    ends the schedule.
 
     Widths are tracked by exact binary halving rather than recomputed from
     endpoints: subtracting a clamped endpoint can land one ulp above eta and
     would keep a width-eta interval in play forever.
     """
     theta, eta = query.theta, query.eta
-    left = (0.0, 0.0)
-    right = (0.0, 0.0)
-    left_width: Optional[float] = None
-    right_width: Optional[float] = None
+    left, left_width = (0.0, theta), theta
+    right, right_width = (query.upper, 1.0), 1.0 - query.upper
     while True:
-        left = create_interval(theta, left[0], left[1], eta, left=True)
-        if left_width is None:
-            left_width = eta if theta == 0.0 else theta
-        else:
-            left_width = max(eta, left_width / 2.0)
         if left_width > eta:
-            yield ("proving", left[0], left[1])
-        right = create_interval(theta, right[0], right[1], eta, left=False)
-        if right_width is None:
-            right_width = 1.0 - query.upper
-        else:
-            right_width = max(eta, right_width / 2.0)
+            yield ("proving", *left)
         if right_width > eta:
-            yield ("refuting", right[0], right[1])
+            yield ("refuting", *right)
         if left_width <= eta and right_width <= eta:
             yield ("final", theta, query.upper)
             return
+        step = max(eta, (left[1] - left[0]) / 2.0)
+        left = (max(0.0, left[1] - step), left[1])
+        left_width = max(eta, left_width / 2.0)
+        step = max(eta, (right[1] - right[0]) / 2.0)
+        right = (right[0], min(1.0, right[0] + step))
+        right_width = max(eta, right_width / 2.0)
+
+
+def _lerp(a: float, b: float, num: int, k: int) -> float:
+    """Endpoint k of num equal cuts of [a, b]; exact at both ends."""
+    t = k / num
+    return a * (1.0 - t) + b * t
+
+
+def _fixed_schedule(
+    query: ThresholdQuery, n_left: int, n_right: int
+) -> Iterator[Tuple[Side, float, float, float]]:
+    """(side, theta1, theta2, delta_call) of fixedcert's grid, in run order.
+
+    Proving intervals run leftmost first and refuting intervals rightmost
+    first, alternating while both flanks last; each flank splits delta/3
+    over its calls and the final call on (theta, theta + eta) keeps delta/3.
+    """
+    theta, upper, delta = query.theta, query.upper, query.delta
+    for i in range(1, max(n_left, n_right) + 1):
+        if i <= n_left:
+            yield (
+                "proving",
+                _lerp(0.0, theta, n_left, i - 1),
+                _lerp(0.0, theta, n_left, i),
+                delta / (3.0 * n_left),
+            )
+        if i <= n_right:
+            j = n_right - i + 1
+            yield (
+                "refuting",
+                _lerp(upper, 1.0, n_right, j - 1),
+                _lerp(upper, 1.0, n_right, j),
+                delta / (3.0 * n_right),
+            )
+    yield ("final", theta, upper, delta / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +305,20 @@ _SETTLES = {"proving": "yes", "refuting": "no"}
 
 def _run_schedule(
     strategy: str,
-    query: ThresholdQuery,
-    entries: Iterable[Tuple[Side, TesterPlan]],
+    query: QueryLike,
     oracle: Oracle,
     seed: SeedSpec,
-    limits: Optional[ResourceLimits],
-    config: Optional[Dict[str, object]],
-    notes: Tuple[str, ...],
+    limits: Optional[ResourceLimits] = None,
+    config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
-    """Run scheduled tester calls in order until one settles the query.
+    """Run a strategy's scheduled tester calls in order until one settles the query.
 
-    Entries are read one at a time, so a lazy schedule plans a call only
-    when it is reached.  The limits are checked before each call; a proving
-    yes, a refuting no, or any final outcome becomes the verdict.
+    Entries are read one at a time, so a call is planned only when it is
+    reached.  The limits are checked before each call; a proving yes, a
+    refuting no, or any final outcome becomes the verdict.
     """
+    query = validate_query(query)
+    notes, entries = schedule(strategy, query)
     started = time.perf_counter()
     calls: List[CallRecord] = []
     total = 0
@@ -402,7 +367,7 @@ def schedule_law(
     p: float,
     max_samples: Optional[int] = None,
 ) -> ScheduleLaw:
-    """The law of _run_schedule on these entries against Bernoulli(p), computed.
+    """The law of a run of these entries against Bernoulli(p), computed.
 
     Same rules as the run: a call that would pass max_samples ends it
     inconclusive; a proving yes, a refuting no or any final outcome settles
@@ -449,89 +414,6 @@ def schedule_law(
 # ---------------------------------------------------------------------------
 
 
-def bincert(
-    query: QueryLike,
-    oracle: Oracle,
-    seed: SeedSpec,
-    limits: Optional[ResourceLimits] = None,
-    config: Optional[Dict[str, object]] = None,
-) -> CertificationReport:
-    """Adaptive halving certification.
-
-    Alternates ever-narrower proving and refuting intervals toward the
-    threshold; any proving yes or refuting no settles the query early, and
-    once both flanks are within eta a final call on (theta, theta + eta)
-    decides.  Every call runs at delta_min = delta / n where n bounds the
-    number of possible calls, so the union of per-call failures stays
-    within delta.
-    """
-    q = validate_query(query)
-    params = BinCertParams.from_query(q)
-    notes = (
-        f"halving call budget n = {params.n_calls_bound!r} (base-2 depth), "
-        f"delta_min = {params.delta_min!r}",
-    )
-    return _run_schedule(
-        "bincert", q, schedule("bincert", q), oracle, seed, limits, config, notes
-    )
-
-
-def _lerp(a: float, b: float, num: int, k: int) -> float:
-    """Endpoint k of num equal cuts of [a, b]; exact at both ends."""
-    t = k / num
-    return a * (1.0 - t) + b * t
-
-
-def _fixed_schedule(
-    query: ThresholdQuery, params: FixedCertParams
-) -> Iterator[Tuple[Side, float, float, float]]:
-    theta = query.theta
-    upper = query.upper
-    for i in range(1, max(params.n_left, params.n_right) + 1):
-        if i <= params.n_left:
-            yield (
-                "proving",
-                theta * ((i - 1) / params.n_left),
-                theta * (i / params.n_left),
-                params.delta_left,
-            )
-        if i <= params.n_right:
-            j = params.n_right - i + 1
-            yield (
-                "refuting",
-                _lerp(upper, 1.0, params.n_right, j - 1),
-                _lerp(upper, 1.0, params.n_right, j),
-                params.delta_right,
-            )
-    yield ("final", theta, upper, params.delta_final)
-
-
-def fixedcert(
-    query: QueryLike,
-    oracle: Oracle,
-    seed: SeedSpec,
-    limits: Optional[ResourceLimits] = None,
-    config: Optional[Dict[str, object]] = None,
-) -> CertificationReport:
-    """Non-adaptive grid certification.
-
-    Both flanks are pre-cut into intervals of pitch about sqrt(eta).
-    Proving intervals run leftmost first, refuting intervals rightmost
-    first, alternating while both sides last, with a final call on
-    (theta, theta + eta).  Each flank splits delta/3 across its calls and
-    the final call keeps delta/3.
-    """
-    q = validate_query(query)
-    params = FixedCertParams.from_query(q)
-    notes = (
-        f"grid layout: {params.n_left} proving + {params.n_right} refuting "
-        f"intervals at pitch sqrt(eta) = {math.sqrt(q.eta)!r}",
-    )
-    return _run_schedule(
-        "fixedcert", q, schedule("fixedcert", q), oracle, seed, limits, config, notes
-    )
-
-
 def baseline_samples(query: QueryLike) -> int:
     """Sample size of the naive estimation baseline.
 
@@ -543,24 +425,6 @@ def baseline_samples(query: QueryLike) -> int:
     return int(math.floor(bound)) + 1
 
 
-def estimate_baseline(
-    query: QueryLike,
-    oracle: Oracle,
-    seed: SeedSpec,
-    limits: Optional[ResourceLimits] = None,
-    config: Optional[Dict[str, object]] = None,
-) -> CertificationReport:
-    """One-shot estimation baseline: measure the rate, compare to theta + eta/2.
-
-    The single call is recorded with the band split evenly, eta1 = eta2 =
-    eta / 2, and the whole failure budget delta.  It exists to be beaten.
-    """
-    q = validate_query(query)
-    return _run_schedule(
-        "estimate", q, schedule("estimate", q), oracle, seed, limits, config, ()
-    )
-
-
 def worst_case_budget(query: QueryLike) -> BudgetBound:
     """Worst-case halving budget: closed-form terms plus the exact schedule sum.
 
@@ -570,8 +434,7 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     dominates any observed run structurally.
     """
     q = validate_query(query)
-    params = BinCertParams.from_query(q)
-    big_l = math.log(1.0 / params.delta_min)
+    big_l = math.log(1.0 / (q.delta / _halving_calls(q)))
     const = (math.sqrt(3.0) + math.sqrt(2.0)) ** 2
     theta, eta = q.theta, q.eta
     room = 1.0 - q.upper
@@ -591,16 +454,13 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     k3 = (
         (math.sqrt(3.0 * theta) + math.sqrt(2.0 * q.upper)) ** 2 / (eta * eta) * big_l
     )
-    exact = sum(plan.n_samples for _, plan in schedule("bincert", q))
+    _, entries = schedule("bincert", q)
+    exact = sum(plan.n_samples for _, plan in entries)
     return BudgetBound(k1=k1, k2=k2, k3=k3, exact_schedule_total=int(exact))
 
 
-StrategyFn = Callable[..., CertificationReport]
-
-STRATEGIES: Dict[str, StrategyFn] = {
-    "bincert": bincert,
-    "fixedcert": fixedcert,
-    "estimate": estimate_baseline,
+STRATEGIES = {
+    name: partial(_run_schedule, name) for name in ("bincert", "fixedcert", "estimate")
 }
 
 
@@ -608,36 +468,64 @@ def _unknown_strategy(name: str) -> OutOfRangeError:
     return OutOfRangeError(f"unknown strategy {name!r}; expected one of {sorted(STRATEGIES)}")
 
 
-def run_strategy(name: str, *args, **kwargs) -> CertificationReport:
+def run_strategy(
+    name: str,
+    query: QueryLike,
+    oracle: Oracle,
+    seed: SeedSpec,
+    limits: Optional[ResourceLimits] = None,
+    config: Optional[Dict[str, object]] = None,
+) -> CertificationReport:
+    """Certify ``query`` against ``oracle`` with the named strategy.
+
+    The call goes through STRATEGIES[name], so a wrapper placed there sees
+    every run.  See schedule for what each strategy does.
+    """
     try:
-        fn = STRATEGIES[name]
+        certify = STRATEGIES[name]
     except KeyError:
         raise _unknown_strategy(name) from None
-    return fn(*args, **kwargs)
+    return certify(query, oracle, seed, limits, config)
 
 
-def schedule(strategy: str, query: ThresholdQuery) -> Iterator[Tuple[Side, TesterPlan]]:
-    """The (side, plan) entries a strategy runs on a validated query, in order.
+def schedule(
+    strategy: str, query: ThresholdQuery
+) -> Tuple[Tuple[str, ...], Iterator[Tuple[Side, TesterPlan]]]:
+    """A strategy's report notes and the (side, plan) entries it runs, in order.
 
-    Lazy: a plan is made when its entry is read, so a run that settles early
-    plans nothing more.  Runs, worst_case_budget and schedule_law read these.
+    This is the one place a strategy name decides anything: the layout of
+    the calls and the split of delta across them.  bincert runs every call
+    at delta / n (_halving_calls); fixedcert gives each flank delta/3,
+    split evenly over its grid, and the final call delta/3; estimate makes
+    one call at delta with the boundary theta + eta/2.  The entries are
+    lazy: a plan is made when its entry is read, so a run that settles
+    early plans nothing more.  Runs, worst_case_budget and schedule_law
+    read them.
     """
     if strategy == "bincert":
-        delta_min = BinCertParams.from_query(query).delta_min
-        return (
+        n = _halving_calls(query)
+        delta_min = query.delta / n
+        notes = (f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}",)
+        return notes, (
             (side, plan_tester(theta1, theta2, delta_min))
             for side, theta1, theta2 in _halving_schedule(query)
         )
     if strategy == "fixedcert":
-        params = FixedCertParams.from_query(query)
-        return (
+        pitch = math.sqrt(query.eta)
+        n_left = int(math.floor(query.theta / pitch + _FLOOR_NUDGE))
+        n_right = int(math.floor((1.0 - query.upper) / pitch + _FLOOR_NUDGE))
+        notes = (
+            f"grid layout: {n_left} proving + {n_right} refuting "
+            f"intervals at pitch sqrt(eta) = {pitch!r}",
+        )
+        return notes, (
             (side, plan_tester(theta1, theta2, delta_call))
-            for side, theta1, theta2, delta_call in _fixed_schedule(query, params)
+            for side, theta1, theta2, delta_call in _fixed_schedule(query, n_left, n_right)
         )
     if strategy == "estimate":
         half = query.eta / 2.0
         plan = TesterPlan(theta1=query.theta, theta2=query.upper, delta_call=query.delta,
                           n_samples=baseline_samples(query), eta1=half, eta2=half,
                           t=query.theta + half)
-        return iter([("final", plan)])
+        return (), iter([("final", plan)])
     raise _unknown_strategy(strategy)

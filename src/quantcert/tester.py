@@ -67,8 +67,8 @@ class TesterResult:
 def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     """Derive the sample size and decision boundary for one call.
 
-    Raises OutOfRangeError unless 0 < delta_call < 1 and
-    0 <= theta1 < theta2 <= 1.
+    Raises OutOfRangeError unless 0 < delta_call < 1,
+    0 <= theta1 < theta2 <= 1 and (theta2 - theta1)^2 is nonzero.
     """
     if not 0.0 < delta_call < 1.0:
         raise OutOfRangeError(
@@ -79,6 +79,10 @@ def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
             f"need 0 <= theta1 < theta2 <= 1, got ({theta1}, {theta2})"
         )
     width = theta2 - theta1
+    if width * width == 0.0:
+        raise OutOfRangeError(
+            f"interval ({theta1}, {theta2}) is too narrow: its width squared underflows"
+        )
     root1 = math.sqrt(3.0 * theta1)
     root2 = math.sqrt(2.0 * theta2)
     n = math.ceil((root1 + root2) ** 2 / (width * width) * math.log(1.0 / delta_call))

@@ -18,17 +18,11 @@ from quantcert import (
     SeedSpec,
     ThresholdQuery,
     adversarial_hardness,
-    bincert,
     certify_density,
-    fixedcert,
+    run_strategy,
 )
 from quantcert.sim import complexity_sweep
-from quantcert.strategy import (
-    BinCertParams,
-    FixedCertParams,
-    baseline_samples,
-    worst_case_budget,
-)
+from quantcert.strategy import baseline_samples, schedule, worst_case_budget
 from quantcert.tester import plan_tester
 from quantcert.cli import main as cli_main
 from conftest import CountingOracle, linear_model
@@ -68,7 +62,7 @@ def test_c03_easy_refutation_is_cheap():
     totals = []
     no_count = 0
     for j in range(100):
-        report = bincert(query, BernoulliOracle(0.3), seed.child(j))
+        report = run_strategy("bincert", query, BernoulliOracle(0.3), seed.child(j))
         totals.append(report.total_samples)
         no_count += report.verdict.kind == "no"
     mean = statistics.fmean(totals)
@@ -91,7 +85,7 @@ def test_c04_soundness_under_known_rates():
     cells = 0
     stream = 0
     mismatches = []
-    for strategy, runner in (("bincert", bincert), ("fixedcert", fixedcert)):
+    for strategy in ("bincert", "fixedcert"):
         for theta, eta in ((0.1, 0.05), (0.01, 0.01), (0.5, 0.1)):
             query = ThresholdQuery(theta, eta, delta)
             must_yes = [theta / 2.0, theta]
@@ -106,7 +100,7 @@ def test_c04_soundness_under_known_rates():
                 wrong = 0
                 totals = []
                 for j in range(trials):
-                    report = runner(query, oracle, cell_seed.child(j))
+                    report = run_strategy(strategy, query, oracle, cell_seed.child(j))
                     wrong += report.verdict.kind != ("yes" if p <= theta else "no")
                     totals.append(report.total_samples)
                 allowed = sps.binom.isf(1e-4, trials, row.p_wrong)
@@ -193,7 +187,7 @@ def test_c06_observed_cost_never_exceeds_budget():
         cap = worst_case_budget(query).exact_schedule_total
         for p in _probe_rates(query):
             for _ in range(2):
-                report = bincert(query, BernoulliOracle(p), seed.child(stream))
+                report = run_strategy("bincert", query, BernoulliOracle(p), seed.child(stream))
                 stream += 1
                 runs += 1
                 assert report.total_samples <= cap, (theta, eta, delta, p)
@@ -220,18 +214,13 @@ def test_c07_per_report_failure_accounting():
         rates = (0.0, query.theta + query.eta / 2.0, 1.0)
         for j, p in enumerate(rates):
             oracle = BernoulliOracle(p)
-            rep_b = bincert(query, oracle, seed.child(10 * i + j))
-            delta_min = BinCertParams.from_query(query).delta_min
+            rep_b = run_strategy("bincert", query, oracle, seed.child(10 * i + j))
+            (delta_min,) = {plan.delta_call for _, plan in schedule("bincert", query)[1]}
             assert len(rep_b.calls) * delta_min <= query.delta + 1e-12
             assert all(c.plan.delta_call == delta_min for c in rep_b.calls)
 
-            rep_f = fixedcert(query, oracle, seed.child(10 * i + j + 5))
-            params = FixedCertParams.from_query(query)
-            planned = (
-                params.n_left * params.delta_left
-                + params.n_right * params.delta_right
-                + params.delta_final
-            )
+            rep_f = run_strategy("fixedcert", query, oracle, seed.child(10 * i + j + 5))
+            planned = sum(plan.delta_call for _, plan in schedule("fixedcert", query)[1])
             assert planned <= query.delta + 1e-12
             assert (
                 sum(c.plan.delta_call for c in rep_f.calls)
@@ -330,7 +319,7 @@ def test_c11_reports_are_batch_size_invariant(capsys):
         CountingOracle(BernoulliOracle(0.4), batch_trials=b) for b in (64, 4096)
     ]
     lib = {
-        bincert(query, oracle, SeedSpec(seed), config=config).canonical_json()
+        run_strategy("bincert", query, oracle, SeedSpec(seed), config=config).canonical_json()
         for oracle in oracles
     }
 

@@ -42,10 +42,7 @@ EXPORTS = [
     "ThresholdQuery",
     "Verdict",
     "adversarial_hardness",
-    "bincert",
     "certify_density",
-    "estimate_baseline",
-    "fixedcert",
     "forward_batch",
     "load_model",
     "make_sampler",
@@ -81,7 +78,7 @@ def test_every_export_resolves():
 
 def test_readme_and_bench_names_are_exported():
     readme, bench = _readme_imports(), _bench_names()
-    assert {"bincert", "load_model"} <= set(readme) and "run_strategy" in bench
+    assert {"run_strategy", "load_model"} <= set(readme) and "run_strategy" in bench
     assert set(readme) <= set(quantcert.__all__)
     assert bench <= set(quantcert.__all__)
 
@@ -107,6 +104,13 @@ def test_readme_and_bench_names_are_exported():
         "ChildExitError",
         "soundness_trial",
         "SoundnessStats",
+        "bincert",
+        "fixedcert",
+        "estimate_baseline",
+        "BinCertParams",
+        "FixedCertParams",
+        "create_interval",
+        "StrategyFn",
     ],
 )
 def test_removed_names_are_gone(name):
@@ -179,10 +183,19 @@ def test_removed_simulate_flags_are_usage_errors(capsys, flag):
     assert flag in capsys.readouterr().err
 
 
+def test_run_strategy_is_the_one_entry_point():
+    # One explicit signature, not *args/**kwargs: every strategy takes it.
+    fn = importlib.import_module("quantcert.strategy").run_strategy
+    assert list(inspect.signature(fn).parameters) == [
+        "name", "query", "oracle", "seed", "limits", "config"]
+
+
 # Every function that once took a batch_size; draws are sized by the oracle.
+# The three strategy functions are now the STRATEGIES entries of their names.
 ONCE_BATCHED = [
     ("tester", "run_tester"),
     ("strategy", "_run_schedule"),
+    ("strategy", "run_strategy"),
     ("strategy", "bincert"),
     ("strategy", "fixedcert"),
     ("strategy", "estimate_baseline"),
@@ -194,7 +207,11 @@ ONCE_BATCHED = [
 
 @pytest.mark.parametrize("module, name", ONCE_BATCHED)
 def test_no_function_takes_a_batch_size(module, name):
-    fn = getattr(importlib.import_module(f"quantcert.{module}"), name)
+    mod = importlib.import_module(f"quantcert.{module}")
+    if hasattr(mod, name):
+        fn = getattr(mod, name)
+    else:
+        fn = mod.STRATEGIES[{"estimate_baseline": "estimate"}.get(name, name)]
     assert "batch_size" not in inspect.signature(fn).parameters
 
 

@@ -493,6 +493,7 @@ def _center_3d(tmp_path):
 
 QUERY = ["--theta", "0.1", "--eta", "0.05", "--delta", "0.05", "--seed", "5"]
 NO_FILE = r"\[Errno 2\] No such file or directory: '.*'"
+VANISHING = r"eta = 1e-200 vanishes next to theta = 0\.0: .*"
 
 # Each row builds its argv from (tmp_path, model path, center path).
 ERROR_LINES = [
@@ -527,6 +528,30 @@ ERROR_LINES = [
                                     "--delta", "0.01"],
         "OutOfRangeError", r"need 0 <= theta1 < theta2 <= 1, got \(0\.3, 0\.2\)",
         id="plan-bad-interval",
+    ),
+    # A vanishing eta once ended each of these four in a ZeroDivisionError.
+    pytest.param(
+        lambda tmp, model, center: ["certify", "--theta", "0", "--eta", "1e-200",
+                                    "--delta", "0.1", "--bernoulli", "0.5", "--seed", "1",
+                                    "--strategy", "estimate"],
+        "OutOfRangeError", VANISHING, id="certify-vanishing-eta",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["budget", "--theta", "0", "--eta", "1e-200",
+                                    "--delta", "0.1"],
+        "OutOfRangeError", VANISHING, id="budget-vanishing-eta",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["simulate", "--theta", "0", "--eta", "1e-200",
+                                    "--delta", "0.1", "--p-grid", "0.5",
+                                    "--strategy", "fixedcert"],
+        "OutOfRangeError", VANISHING, id="simulate-vanishing-eta",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["plan", "--theta1", "0", "--theta2", "1e-300",
+                                    "--delta", "0.5"],
+        "OutOfRangeError", r"interval \(0\.0, 1e-300\) is too narrow: .*",
+        id="plan-vanishing-width",
     ),
     pytest.param(
         lambda tmp, model, center: ["certify", *QUERY, "--model", str(tmp / "none.json"),

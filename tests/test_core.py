@@ -18,7 +18,7 @@ from quantcert import (
     SeedSpec,
     ThresholdQuery,
     Verdict,
-    bincert,
+    run_strategy,
 )
 from quantcert.core import to_open_unit, to_unit, validate_query
 from chernoff_reference import DomainError, chernoff_tail
@@ -55,7 +55,9 @@ class TestValidateQuery:
          (0.1, -0.2, 0.1), (0.1, 0.1, 0.0), (0.1, 0.1, -0.5), (0.1, 0.1, 1.5),
          # not three real numbers
          (0.1, 0.05), (0.1, 0.05, 0.1, 0.1), None, 0.1, ("0.1", "0.05", "0.1"),
-         (0.1, None, 0.1), "abc"],
+         (0.1, None, 0.1), "abc",
+         # theta + eta rounds to theta, or eta * eta underflows to 0
+         (0.1, 1e-300, 0.1), (0.5, 1e-17, 0.1), (0.0, 1e-200, 0.1), (0.0, 5e-324, 0.1)],
     )
     def test_out_of_range(self, triple):
         with pytest.raises(OutOfRangeError):
@@ -180,7 +182,9 @@ class TestSeedSpec:
 
     def test_numpy_integer_seed_replays_as_int(self):
         reports = [
-            bincert((0.1, 0.05, 0.1), BernoulliOracle(0.13), SeedSpec(seed)).canonical_json()
+            run_strategy(
+                "bincert", (0.1, 0.05, 0.1), BernoulliOracle(0.13), SeedSpec(seed)
+            ).canonical_json()
             for seed in (np.int64(7), 7)
         ]
         assert reports[0] == reports[1]
@@ -288,7 +292,7 @@ GOLDEN_WIDE = {
     "sha256": "2a335001c14feca88791e40e3270f2a5ced5319fc95b378bfea3b0cac24c7334",
 }
 
-# bincert((0.1, 0.05, 0.1), Bernoulli(0.13), SeedSpec(PIN_SEED)): 7 calls, no
+# bincert on (0.1, 0.05, 0.1), Bernoulli(0.13), SeedSpec(PIN_SEED): 7 calls, no
 GOLDEN_REPORT_SHA256 = "cbdcee85f4746c487483bb60d034a7c3e8996d9dd2467014e0c956379fdebd7c"
 
 
@@ -322,7 +326,7 @@ class TestReplayPins:
     @pytest.mark.parametrize("batch_trials", [1, 7, 128, 4096])
     def test_bincert_canonical_hash(self, batch_trials):
         oracle = CountingOracle(BernoulliOracle(0.13), batch_trials=batch_trials)
-        report = bincert((0.1, 0.05, 0.1), oracle, SeedSpec(PIN_SEED))
+        report = run_strategy("bincert", (0.1, 0.05, 0.1), oracle, SeedSpec(PIN_SEED))
         digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
         assert digest == GOLDEN_REPORT_SHA256
 
@@ -432,7 +436,7 @@ def test_bernoulli_runs_do_not_import_scipy():
     src = os.path.dirname(os.path.dirname(quantcert.__file__))
     code = (
         "import sys, quantcert as q\n"
-        "q.bincert((0.1, 0.05, 0.1), q.BernoulliOracle(0.13), q.SeedSpec(1))\n"
+        "q.run_strategy('bincert', (0.1, 0.05, 0.1), q.BernoulliOracle(0.13), q.SeedSpec(1))\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)

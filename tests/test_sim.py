@@ -115,7 +115,7 @@ class TestComplexitySweep:
         # final one, so the largest possible cost is the schedule total
         query = ThresholdQuery(0.01, 0.01, 0.01)
         bound = worst_case_budget(query)
-        law = schedule_law(schedule("bincert", query), query.theta)
+        law = schedule_law(schedule("bincert", query)[1], query.theta)
         largest = max(total for total, _ in law.samples)
         assert largest == bound.exact_schedule_total == 20_753
         assert largest >= bound.k3
@@ -131,6 +131,19 @@ class TestComplexitySweep:
         assert int(rows[0]["baseline_samples"]) == 11_053
         assert float(rows[1]["p_yes"]) == table.rows[1].p_yes
         assert rows[1]["p_wrong"] == ""  # inside the band
+
+    def test_free_runs_have_no_ratio(self):
+        # A run capped at 0 samples spends nothing: the ratio is undefined,
+        # and the JSON must stay JSON (no Infinity) and the CSV cell empty.
+        table = complexity_sweep(["bincert", "estimate"], QUERY, [0.0], max_samples=0)
+        assert [row.ratio for row in table.rows] == [None, None]
+
+        def no_constants(name):
+            raise AssertionError(f"not JSON: {name}")
+
+        doc = json.loads(table.to_json(), parse_constant=no_constants)
+        assert [row["ratio"] for row in doc] == [None, None]
+        assert [row["ratio"] for row in csv.DictReader(io.StringIO(table.to_csv()))] == ["", ""]
 
     def test_json_matches_rows(self):
         table = complexity_sweep(["bincert", "fixedcert"], QUERY, [0.125, 0.9])

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from quantcert import (
     BernoulliOracle,
@@ -16,97 +16,116 @@ from quantcert import (
     SeedSpec,
     ThresholdQuery,
     Verdict,
-    bincert,
-    estimate_baseline,
-    fixedcert,
     run_strategy,
 )
 from quantcert.strategy import (
-    BinCertParams,
-    FixedCertParams,
+    STRATEGIES,
     baseline_samples,
-    create_interval,
     schedule,
     schedule_law,
     worst_case_budget,
 )
 from quantcert.tester import TesterPlan as HandPlan
 from quantcert.tester import plan_tester
-from quantcert.strategy import _check_report, _fixed_schedule, _halving_schedule
+from quantcert.strategy import _check_report, _fixed_schedule, _halving_calls, _halving_schedule
 from conftest import CountingOracle
 
 
 class TestCreateInterval:
+    """The endpoint arithmetic of bincert's halving steps, on schedule rows."""
+
     def test_first_left_interval(self):
-        assert create_interval(0.1, 0.0, 0.0, 0.001, left=True) == (0.0, 0.1)
+        rows = list(_halving_schedule(ThresholdQuery(0.1, 1e-3, 0.01)))
+        assert rows[0] == ("proving", 0.0, 0.1)
 
     def test_first_right_interval(self):
-        lo, hi = create_interval(0.1, 0.0, 0.0, 0.05, left=False)
-        assert lo == 0.1 + 0.05 and hi == 1.0
+        rows = list(_halving_schedule(ThresholdQuery(0.1, 0.05, 0.1)))
+        _, lo, hi = rows[1]
+        assert rows[1][0] == "refuting" and lo == 0.1 + 0.05 and hi == 1.0
 
     def test_left_halving_keeps_inner_end(self):
-        assert create_interval(0.1, 0.0, 0.1, 0.001, left=True) == (0.05, 0.1)
+        rows = list(_halving_schedule(ThresholdQuery(0.1, 1e-3, 0.01)))
+        assert rows[2] == ("proving", 0.05, 0.1)
 
     def test_right_halving_keeps_inner_end(self):
-        lo, hi = create_interval(0.1, 0.15, 1.0, 0.001, left=False)
-        assert lo == 0.15 and hi == 0.15 + 0.425
+        query = ThresholdQuery(0.1, 0.05, 0.1)
+        rows = [row for row in _halving_schedule(query) if row[0] == "refuting"]
+        assert rows[1] == ("refuting", query.upper, 0.15 + 0.425)
 
     def test_zero_threshold_left_stub(self):
-        assert create_interval(0.0, 0.0, 0.0, 0.2, left=True) == (0.0, 0.2)
-        assert create_interval(0.0, 0.0, 0.2, 0.2, left=True) == (0.0, 0.2)
+        for eta in (1e-3, 0.2, 0.999):
+            rows = list(_halving_schedule(ThresholdQuery(0.0, eta, 0.1)))
+            assert all(side != "proving" for side, _, _ in rows)
+            assert rows[-1] == ("final", 0.0, eta)
 
     def test_step_never_shrinks_below_eta(self):
-        lo, hi = create_interval(0.5, 0.3, 0.5, 0.15, left=True)
-        assert (lo, hi) == (0.35, 0.5)
+        queries = [ThresholdQuery(0.1, 1e-3, 0.01), ThresholdQuery(0.1, 0.05, 0.1),
+                   ThresholdQuery(0.5, 0.15, 0.1), ThresholdQuery(0.9, 0.01, 0.1)]
+        for query in queries:
+            for side, pinned in (("proving", 2), ("refuting", 1)):
+                rows = [row for row in _halving_schedule(query) if row[0] == side]
+                assert all(row[pinned] == rows[0][pinned] for row in rows)
+                widths = [hi - lo for _, lo, hi in rows]
+                for wide, narrow in zip(widths, widths[1:]):
+                    assert narrow == pytest.approx(wide / 2.0, rel=1e-12)
+                # a width of eta or less is never tested on a flank
+                assert all(w > query.eta * (1.0 - 1e-12) for w in widths)
 
     def test_clamps_to_unit_interval(self):
-        assert create_interval(0.5, 0.0, 0.05, 0.2, left=True) == (0.0, 0.05)
-        assert create_interval(0.5, 0.9, 0.95, 0.2, left=False) == (0.9, 1.0)
+        # bands touching 0 or 1, and flanks that do not halve evenly into eta
+        for query in (ThresholdQuery(0.0, 0.25, 0.1), ThresholdQuery(0.5, 0.5, 0.1),
+                      ThresholdQuery(0.9, 0.1, 0.1), ThresholdQuery(0.7, 0.2, 0.1)):
+            rows = list(_halving_schedule(query))
+            assert all(0.0 <= lo < hi <= 1.0 for _, lo, hi in rows)
+            assert rows[-1] == ("final", query.theta, query.upper)
 
+    # The schedule reads theta and eta from a ThresholdQuery, which rejects
+    # what create_interval used to.
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(theta=-0.1, prev_theta1=0.0, prev_theta2=0.0, eta=0.1, left=True),
-            dict(theta=1.5, prev_theta1=0.0, prev_theta2=0.0, eta=0.1, left=True),
-            dict(theta=0.5, prev_theta1=0.0, prev_theta2=0.0, eta=0.0, left=True),
-            dict(theta=0.5, prev_theta1=0.6, prev_theta2=0.2, eta=0.1, left=True),
-            dict(theta=0.5, prev_theta1=0.2, prev_theta2=1.2, eta=0.1, left=False),
+            dict(theta=-0.1, eta=0.1, delta=0.1),
+            dict(theta=1.5, eta=0.1, delta=0.1),
+            dict(theta=0.5, eta=0.0, delta=0.1),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(OutOfRangeError):
-            create_interval(**kwargs)
+            list(_halving_schedule(ThresholdQuery(**kwargs)))
 
-    @given(
-        theta=st.floats(0.0, 1.0),
-        eta=st.floats(1e-6, 0.5),
-        prev=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
-        left=st.booleans(),
-    )
-    def test_result_is_ordered_and_clamped(self, theta, eta, prev, left):
-        lo, hi = create_interval(theta, prev[0], prev[1], eta, left)
-        assert 0.0 <= lo <= hi <= 1.0
+    @given(theta=st.floats(0.0, 1.0), eta=st.floats(1e-6, 1.0, exclude_max=True))
+    def test_result_is_ordered_and_clamped(self, theta, eta):
+        assume(theta + eta <= 1.0)
+        for side, lo, hi in _halving_schedule(ThresholdQuery(theta, eta, 0.1)):
+            assert 0.0 <= lo < hi <= 1.0
 
 
 class TestBinCertParams:
+    """The halving call bound n, each call's delta / n, and the bincert note."""
+
     def test_reference_query(self):
-        params = BinCertParams.from_query(ThresholdQuery(0.1, 1e-3, 0.01))
-        assert params.n_calls_bound == pytest.approx(19.45603349528917, rel=1e-12)
-        assert params.delta_min == pytest.approx(0.0005139793782952352, rel=1e-12)
+        query = ThresholdQuery(0.1, 1e-3, 0.01)
+        assert _halving_calls(query) == 19.45603349528917
+        notes, _ = schedule("bincert", query)
+        assert notes == (
+            "halving call budget n = 19.45603349528917 (base-2 depth), "
+            "delta_min = 0.0005139793782952352",
+        )
 
     def test_zero_threshold_drops_left_term(self):
-        params = BinCertParams.from_query(ThresholdQuery(0.0, 0.01, 0.1))
-        assert params.n_calls_bound == pytest.approx(3.0 + math.log2(0.99 / 0.01))
+        n = _halving_calls(ThresholdQuery(0.0, 0.01, 0.1))
+        assert n == pytest.approx(3.0 + math.log2(0.99 / 0.01))
 
     def test_band_touching_one_drops_right_term(self):
-        params = BinCertParams.from_query(ThresholdQuery(0.5, 0.5, 0.1))
-        assert params.n_calls_bound == 3.0
-        assert params.delta_min == pytest.approx(0.1 / 3.0)
+        query = ThresholdQuery(0.5, 0.5, 0.1)
+        assert _halving_calls(query) == 3.0
+        _, entries = schedule("bincert", query)
+        assert all(plan.delta_call == pytest.approx(0.1 / 3.0) for _, plan in entries)
 
     def test_flanks_narrower_than_eta_contribute_nothing(self):
-        params = BinCertParams.from_query(ThresholdQuery(0.05, 0.1, 0.1))
+        n = _halving_calls(ThresholdQuery(0.05, 0.1, 0.1))
         # left term clips at zero: log2(0.05 / 0.1) < 0
-        assert params.n_calls_bound == pytest.approx(3.0 + math.log2(0.85 / 0.1))
+        assert n == pytest.approx(3.0 + math.log2(0.85 / 0.1))
 
 
 class TestHalvingSchedule:
@@ -136,9 +155,8 @@ class TestHalvingSchedule:
         # a schedule keyed on endpoint differences would never finish.
         query = ThresholdQuery(0.1, 1e-3, 0.01)
         rows = list(_halving_schedule(query))
-        params = BinCertParams.from_query(query)
         assert rows[-1] == ("final", 0.1, query.upper)
-        assert len(rows) <= math.ceil(params.n_calls_bound)
+        assert len(rows) == 18 <= math.ceil(_halving_calls(query))
 
     def test_schedule_length_never_exceeds_call_bound(self):
         for theta in (0.0, 0.01, 0.1, 0.5, 0.9):
@@ -147,8 +165,7 @@ class TestHalvingSchedule:
                     continue
                 query = ThresholdQuery(theta, eta, 0.05)
                 rows = list(_halving_schedule(query))
-                bound = BinCertParams.from_query(query).n_calls_bound
-                assert len(rows) <= math.ceil(bound)
+                assert len(rows) <= math.ceil(_halving_calls(query))
 
     @given(
         theta=st.floats(0.0, 1.0),
@@ -156,36 +173,61 @@ class TestHalvingSchedule:
         delta=st.floats(1e-6, 1.0),
     )
     def test_union_bound_covers_every_call(self, theta, eta, delta):
-        # every call runs at delta / n_calls_bound, so the schedule may hold
-        # at most n_calls_bound calls for the failures to sum within delta
-        if theta + eta > 1.0:
-            return
+        # every call runs at delta / n, so the schedule may hold at most n
+        # calls for the failures to sum within delta
+        assume(theta + eta <= 1.0)
         query = ThresholdQuery(theta, eta, delta)
-        params = BinCertParams.from_query(query)
-        assert len(list(_halving_schedule(query))) <= params.n_calls_bound
+        n = _halving_calls(query)
+        _, entries = schedule("bincert", query)
+        spent = [plan.delta_call for _, plan in entries]
+        assert len(spent) <= n
+        assert set(spent) == {delta / n}
+
+
+# Queries whose flanks are empty, narrow, or touch 0 or 1.
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@given(
+    theta=st.floats(0.0, 1.0),
+    eta=st.floats(1e-6, 1.0, exclude_max=True),
+    delta=st.floats(1e-6, 1.0),
+)
+@example(theta=0.0, eta=0.01, delta=1.0)
+@example(theta=0.5, eta=0.5, delta=0.1)
+@example(theta=0.05, eta=0.1, delta=0.1)
+@example(theta=0.1, eta=1e-3, delta=0.01)
+@example(theta=0.3, eta=0.01, delta=0.01)
+def test_union_bound_covers_the_whole_schedule(name, theta, eta, delta):
+    # Every call a run could make is in the schedule, so the per-call
+    # failure budgets of the whole schedule must sum within delta.
+    assume(theta + eta <= 1.0)
+    _, entries = schedule(name, ThresholdQuery(theta, eta, delta))
+    spent = [plan.delta_call for _, plan in entries]
+    assert math.fsum(spent) <= delta * (1.0 + 1e-12)
+    if name == "bincert":
+        assert len(set(spent)) == 1
 
 
 class TestBinCert:
     def test_zero_rate_settles_on_first_proving_call(self, seed):
         query = ThresholdQuery(0.5, 0.1, 0.01)
-        report = bincert(query, BernoulliOracle(0.0), seed)
+        report = run_strategy("bincert", query, BernoulliOracle(0.0), seed)
         assert report.verdict.kind == "yes"
         assert len(report.calls) == 1
         call = report.calls[0]
         assert call.side == "proving"
         assert (call.plan.theta1, call.plan.theta2) == (0.0, 0.5)
-        delta_min = BinCertParams.from_query(query).delta_min
+        delta_min = query.delta / _halving_calls(query)
         assert report.total_samples == plan_tester(0.0, 0.5, delta_min).n_samples == 27
 
     def test_full_rate_settles_on_first_refuting_call(self, seed):
-        report = bincert(ThresholdQuery(0.5, 0.1, 0.01), BernoulliOracle(1.0), seed)
+        report = run_strategy("bincert", ThresholdQuery(0.5, 0.1, 0.01), BernoulliOracle(1.0), seed)
         assert report.verdict.kind == "no"
         assert [c.side for c in report.calls] == ["proving", "refuting"]
         assert report.calls[-1].outcome == "no"
 
     def test_in_band_rate_runs_whole_schedule(self, seed):
         query = ThresholdQuery(0.3, 0.2, 0.1)
-        report = bincert(query, BernoulliOracle(0.4), seed)
+        report = run_strategy("bincert", query, BernoulliOracle(0.4), seed)
         assert len(report.calls) == len(list(_halving_schedule(query)))
         last = report.calls[-1]
         assert last.side == "final"
@@ -193,29 +235,29 @@ class TestBinCert:
 
     def test_delta_accounting(self, seed):
         query = ThresholdQuery(0.3, 0.2, 0.1)
-        report = bincert(query, BernoulliOracle(0.4), seed)
+        report = run_strategy("bincert", query, BernoulliOracle(0.4), seed)
         spent = sum(c.plan.delta_call for c in report.calls)
         assert spent <= query.delta + 1e-12
 
     def test_calls_use_consecutive_stream_indices(self, seed):
         oracle = CountingOracle(BernoulliOracle(0.4), batch_trials=10**9)
-        report = bincert(ThresholdQuery(0.3, 0.2, 0.1), oracle, seed)
+        report = run_strategy("bincert", ThresholdQuery(0.3, 0.2, 0.1), oracle, seed)
         assert [w[0] for w in oracle.windows] == list(range(len(report.calls)))
 
     def test_zero_threshold_query(self, seed):
-        report = bincert(ThresholdQuery(0.0, 0.25, 0.1), BernoulliOracle(0.0), seed)
+        report = run_strategy("bincert", ThresholdQuery(0.0, 0.25, 0.1), BernoulliOracle(0.0), seed)
         assert report.verdict.kind == "yes"
         assert [c.side for c in report.calls] == [
             "refuting",
             "refuting",
             "final",
         ]
-        report = bincert(ThresholdQuery(0.0, 0.25, 0.1), BernoulliOracle(1.0), seed)
+        report = run_strategy("bincert", ThresholdQuery(0.0, 0.25, 0.1), BernoulliOracle(1.0), seed)
         assert report.verdict.kind == "no"
         assert len(report.calls) == 1
 
     def test_sample_budget_blocks_before_first_call(self, seed):
-        report = bincert(
+        report = run_strategy("bincert", 
             ThresholdQuery(0.5, 0.1, 0.01),
             BernoulliOracle(0.0),
             seed,
@@ -226,7 +268,7 @@ class TestBinCert:
         assert report.calls == () and report.total_samples == 0
 
     def test_wall_clock_budget(self, seed):
-        report = bincert(
+        report = run_strategy("bincert", 
             ThresholdQuery(0.5, 0.1, 0.01),
             BernoulliOracle(0.0),
             seed,
@@ -247,48 +289,52 @@ class TestBinCert:
 
     def test_notes_record_call_budget(self, seed):
         query = ThresholdQuery(0.1, 1e-3, 0.01)
-        params = BinCertParams.from_query(query)
-        report = bincert(query, BernoulliOracle(0.0), seed)
-        assert repr(params.delta_min) in report.notes[0]
+        report = run_strategy("bincert", query, BernoulliOracle(0.0), seed)
+        assert report.notes == schedule("bincert", query)[0]
+        assert "delta_min = 0.0005139793782952352" in report.notes[0]
 
 
 class TestFixedCertParams:
+    def _plans(self, query):
+        notes, entries = schedule("fixedcert", query)
+        return notes, [(side, plan.delta_call) for side, plan in entries]
+
     def test_reference_layout(self):
-        params = FixedCertParams.from_query(ThresholdQuery(0.3, 0.01, 0.01))
+        notes, plans = self._plans(ThresholdQuery(0.3, 0.01, 0.01))
         # 0.3 / sqrt(0.01) evaluates one ulp under 3; the layout must still
         # cut the left flank three times.
-        assert params.n_left == 3 and params.n_right == 6
-        assert params.delta_left == pytest.approx(0.01 / 9.0)
-        assert params.delta_right == pytest.approx(0.01 / 18.0)
-        assert params.delta_final == pytest.approx(0.01 / 3.0)
+        assert notes == ("grid layout: 3 proving + 6 refuting intervals at pitch sqrt(eta) = 0.1",)
+        by_side = {side: [d for s, d in plans if s == side] for side in ("proving", "refuting", "final")}
+        assert by_side["proving"] == [pytest.approx(0.01 / 9.0)] * 3
+        assert by_side["refuting"] == [pytest.approx(0.01 / 18.0)] * 6
+        assert by_side["final"] == [pytest.approx(0.01 / 3.0)]
 
     def test_narrow_left_flank_gets_no_calls(self):
-        params = FixedCertParams.from_query(ThresholdQuery(0.04, 0.01, 0.01))
-        assert params.n_left == 0
-        assert params.delta_left == 0.0
-        assert params.n_right == 9
+        notes, plans = self._plans(ThresholdQuery(0.04, 0.01, 0.01))
+        assert notes[0].startswith("grid layout: 0 proving + 9 refuting")
+        assert [side for side, _ in plans] == ["refuting"] * 9 + ["final"]
 
     def test_delta_accounting(self):
+        # each non-empty flank splits delta/3 evenly; the final call keeps delta/3
         for theta, eta in ((0.3, 0.01), (0.04, 0.01), (0.0, 0.04), (0.9, 0.05)):
-            q = ThresholdQuery(theta, eta, 0.05)
-            p = FixedCertParams.from_query(q)
-            spent = (
-                p.n_left * p.delta_left
-                + p.n_right * p.delta_right
-                + p.delta_final
-            )
-            assert spent <= q.delta + 1e-12
+            query = ThresholdQuery(theta, eta, 0.05)
+            _, plans = self._plans(query)
+            for side in ("proving", "refuting"):
+                spent = [d for s, d in plans if s == side]
+                assert len(set(spent)) <= 1
+                assert math.fsum(spent) == pytest.approx(0.05 / 3.0 if spent else 0.0)
+            assert [d for s, d in plans if s == "final"] == [0.05 / 3.0]
+            assert math.fsum(d for _, d in plans) <= query.delta + 1e-12
 
 
 class TestFixedSchedule:
     def test_reference_schedule(self):
         query = ThresholdQuery(0.3, 0.01, 0.01)
-        params = FixedCertParams.from_query(query)
-        rows = list(_fixed_schedule(query, params))
-        assert len(rows) == params.n_left + params.n_right + 1
+        rows = list(_fixed_schedule(query, 3, 6))
+        assert len(rows) == 3 + 6 + 1
         side0, lo0, hi0, d0 = rows[0]
         assert (side0, lo0) == ("proving", 0.0)
-        assert hi0 == pytest.approx(0.1) and d0 == params.delta_left
+        assert hi0 == pytest.approx(0.1) and d0 == 0.01 / 9.0
         side1, lo1, hi1, _ = rows[1]
         assert (side1, hi1) == ("refuting", 1.0)
         assert lo1 == pytest.approx(0.885)
@@ -301,12 +347,11 @@ class TestFixedSchedule:
             "proving",
             "refuting",
         ]
-        assert rows[-1] == ("final", 0.3, query.upper, params.delta_final)
+        assert rows[-1] == ("final", 0.3, query.upper, 0.01 / 3.0)
 
     def test_grid_endpoints_are_exact(self):
         query = ThresholdQuery(0.3, 0.01, 0.01)
-        params = FixedCertParams.from_query(query)
-        rows = list(_fixed_schedule(query, params))
+        rows = list(_fixed_schedule(query, 3, 6))
         proving = [r for r in rows if r[0] == "proving"]
         refuting = [r for r in rows if r[0] == "refuting"]
         # the innermost proving interval ends exactly at theta, and the
@@ -322,7 +367,7 @@ class TestFixedSchedule:
 
     def test_empty_left_flank(self):
         query = ThresholdQuery(0.04, 0.01, 0.01)
-        rows = list(_fixed_schedule(query, FixedCertParams.from_query(query)))
+        rows = list(_fixed_schedule(query, 0, 9))
         assert all(r[0] != "proving" for r in rows)
         assert rows[0][0] == "refuting"
         assert rows[-1][0] == "final"
@@ -330,19 +375,19 @@ class TestFixedSchedule:
 
 class TestFixedCert:
     def test_zero_rate_reference_cost(self, seed):
-        report = fixedcert(ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(0.0), seed)
+        report = run_strategy("fixedcert", ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(0.0), seed)
         assert report.verdict.kind == "yes"
         assert len(report.calls) == 1
         assert report.total_samples == 137
 
     def test_full_rate(self, seed):
-        report = fixedcert(ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(1.0), seed)
+        report = run_strategy("fixedcert", ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(1.0), seed)
         assert report.verdict.kind == "no"
         assert [c.side for c in report.calls] == ["proving", "refuting"]
 
     def test_in_band_rate_reaches_final_call(self, seed):
         query = ThresholdQuery(0.3, 0.04, 0.05)
-        report = fixedcert(query, BernoulliOracle(0.32), seed)
+        report = run_strategy("fixedcert", query, BernoulliOracle(0.32), seed)
         last = report.calls[-1]
         assert last.side == "final"
         assert (last.plan.theta1, last.plan.theta2) == (query.theta, query.upper)
@@ -350,12 +395,12 @@ class TestFixedCert:
 
     def test_report_delta_accounting(self, seed):
         query = ThresholdQuery(0.3, 0.04, 0.05)
-        report = fixedcert(query, BernoulliOracle(0.32), seed)
+        report = run_strategy("fixedcert", query, BernoulliOracle(0.32), seed)
         spent = sum(c.plan.delta_call for c in report.calls)
         assert spent <= query.delta + 1e-12
 
     def test_sample_budget(self, seed):
-        report = fixedcert(
+        report = run_strategy("fixedcert", 
             ThresholdQuery(0.3, 0.01, 0.01),
             BernoulliOracle(0.0),
             seed,
@@ -380,7 +425,7 @@ class TestBaseline:
 
     def test_estimate_run_shape(self, seed):
         query = ThresholdQuery(0.1, 0.1, 0.5)
-        report = estimate_baseline(query, BernoulliOracle(0.0), seed)
+        report = run_strategy("estimate", query, BernoulliOracle(0.0), seed)
         assert report.strategy == "estimate"
         assert report.verdict.kind == "yes"
         assert report.total_samples == 832
@@ -391,13 +436,13 @@ class TestBaseline:
         assert call.plan.delta_call == query.delta
 
     def test_estimate_rejects_high_rate(self, seed):
-        report = estimate_baseline(
+        report = run_strategy("estimate", 
             ThresholdQuery(0.1, 0.1, 0.5), BernoulliOracle(0.5), seed
         )
         assert report.verdict.kind == "no"
 
     def test_estimate_respects_budget(self, seed):
-        report = estimate_baseline(
+        report = run_strategy("estimate", 
             ThresholdQuery(0.1, 0.1, 0.5),
             BernoulliOracle(0.0),
             seed,
@@ -432,7 +477,7 @@ class TestWorstCaseBudget:
         query = ThresholdQuery(0.3, 0.2, 0.1)
         cap = worst_case_budget(query).exact_schedule_total
         for p in (0.0, 0.25, 0.5, 1.0):
-            report = bincert(query, BernoulliOracle(p), seed)
+            report = run_strategy("bincert", query, BernoulliOracle(p), seed)
             assert report.total_samples <= cap
 
 
@@ -443,7 +488,7 @@ class TestReportSerialization:
             CountingOracle(BernoulliOracle(0.4), batch_trials=b) for b in (16, 128, 4096)
         ]
         blobs = {
-            bincert(query, oracle, seed, config={"tag": "keep"}).canonical_json()
+            run_strategy("bincert", query, oracle, seed, config={"tag": "keep"}).canonical_json()
             for oracle in oracles
         }
         assert len(blobs) == 1
@@ -453,17 +498,17 @@ class TestReportSerialization:
 
     def test_canonical_json_keeps_config_verbatim(self, seed):
         config = {"batch_size": 64, "wall_time_ms": 1.5, "tag": "keep"}
-        report = bincert(ThresholdQuery(0.3, 0.2, 0.1), BernoulliOracle(0.4), seed, config=config)
+        report = run_strategy("bincert", ThresholdQuery(0.3, 0.2, 0.1), BernoulliOracle(0.4), seed, config=config)
         assert json.loads(report.canonical_json())["config"] == config
 
     def test_replay_is_byte_identical(self):
         query = ThresholdQuery(0.3, 0.2, 0.1)
-        a = bincert(query, BernoulliOracle(0.4), SeedSpec(99))
-        b = bincert(query, BernoulliOracle(0.4), SeedSpec(99))
+        a = run_strategy("bincert", query, BernoulliOracle(0.4), SeedSpec(99))
+        b = run_strategy("bincert", query, BernoulliOracle(0.4), SeedSpec(99))
         assert a.canonical_json() == b.canonical_json()
 
     def test_full_json_keeps_timing(self, seed):
-        report = bincert(ThresholdQuery(0.5, 0.1, 0.01), BernoulliOracle(0.0), seed)
+        report = run_strategy("bincert", ThresholdQuery(0.5, 0.1, 0.01), BernoulliOracle(0.0), seed)
         assert '"wall_time_ms"' in report.to_json()
         doc = report.to_dict(include_timing=True)
         assert doc["wall_time_ms"] == report.wall_time_ms
@@ -633,7 +678,7 @@ class TestScheduleLaw:
     def test_no_rises_with_the_rate(self, name, query):
         # More successes can only turn a call's yes into no, so P(no) is
         # nondecreasing in p and each band edge is its side's worst case.
-        p_no = [schedule_law(schedule(name, query), p).p_no
+        p_no = [schedule_law(schedule(name, query)[1], p).p_no
                 for p in [k / 200 for k in range(201)]]
         assert all(b >= a - 1e-12 for a, b in zip(p_no, p_no[1:]))
 
@@ -644,7 +689,7 @@ class TestScheduleLaw:
         plan = strategy_module.plan_tester
         monkeypatch.setattr(strategy_module, "plan_tester",
                             lambda *a: planned.append(a) or plan(*a))
-        law = schedule_law(schedule("bincert", ThresholdQuery(0.1, 0.05, 0.1)), 0.0)
+        law = schedule_law(schedule("bincert", ThresholdQuery(0.1, 0.05, 0.1))[1], 0.0)
         assert law.p_yes == 1.0 and len(planned) == 1
 
     def test_unknown_strategy(self):

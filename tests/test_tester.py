@@ -106,7 +106,9 @@ class TestPlanTester:
          (-0.01, 0.1, 0.01, INTERVAL),
          (0.1, 1.01, 0.01, INTERVAL),
          (0.1, 0.2, 0.0, CONFIDENCE),
-         (0.1, 0.2, 1.0, CONFIDENCE)],
+         (0.1, 0.2, 1.0, CONFIDENCE),
+         # ordered, but the width squared underflows to 0
+         (0.0, 1e-300, 0.5, "too narrow")],
         ids=lambda v: CHECK_IDS.get(v),
     )
     def test_preconditions(self, t1, t2, d, message):
@@ -199,7 +201,7 @@ def _corpus_plans():
     """Every plan the Bernoulli corpus queries and bench's bern-tight produce."""
     for query in (*QUERIES, ThresholdQuery(0.1, 2e-3, 0.01)):
         for name in STRATEGY_NAMES:
-            for _, plan in schedule(name, query):
+            for _, plan in schedule(name, query)[1]:
                 yield plan
 
 
