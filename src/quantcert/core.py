@@ -173,12 +173,14 @@ def to_open_unit(raw: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Root seed plus the derivation rule for all per-call randomness.
+    """Root seed plus the derivation rule for all of a run's randomness.
 
-    Every tester call gets its own counter-based stream, keyed by the call
-    index.  Within a stream, trial i owns a fixed-width window of raw words,
-    so trial i's randomness is a pure function of (root_seed, call_index, i).
-    Batch size can never change what any trial sees.
+    A run reads one counter-based stream, keyed (0,); every tester call of
+    the run decides on a prefix of it, so call k sees trials [0, n_k).
+    Trial i owns a fixed-width window of raw words, so its randomness is a
+    pure function of (root_seed, i); ``raw_block`` addresses other keys too,
+    for samplers and tests.  Batch size can never change what any trial
+    sees.
 
     A spec is plain data, its root seed alone: every window is positioned
     from its counter block when asked for, so results never depend on the
@@ -187,7 +189,10 @@ class SeedSpec:
 
     root_seed: int
 
-    DERIVATION = "philox4x64: spawn_key=(call_index,); trial i owns raw words [i*w, (i+1)*w)"
+    DERIVATION = (
+        "philox4x64: one stream per run, spawn_key=(0,); call k reads trials [0, n_k); "
+        "trial i owns raw words [i*w, (i+1)*w)"
+    )
 
     def __post_init__(self) -> None:
         seed = self.root_seed
@@ -203,7 +208,7 @@ class SeedSpec:
         """Derive an independent child spec, for batches of related runs.
 
         Child keys use a two-element spawn key, so they can never collide
-        with the single-element keys that address tester calls.
+        with the single-element key of a run's trial stream.
         """
         if index < 0:
             raise OutOfRangeError("child index must be nonnegative")

@@ -2,8 +2,9 @@
 
 An oracle's draw(k, call_index, seed, start) must be a pure function of its
 arguments: batch k trials however you like, the i-th trial of a given call
-always sees the same randomness.  That contract is what lets testers batch
-and replay without changing any verdict.
+always sees the same randomness.  That contract is what lets testers batch,
+redraw and replay without changing any verdict.  Testers read call_index 0,
+the one trial stream of a run.
 
 An oracle sizes its own draws with ``batch_trials``, the trials a tester
 asks of it at a time: the in-process oracles size it so that one draw reads

@@ -11,18 +11,24 @@ shape; they differ in how they schedule tester calls:
   one giant call.
 
 Per-call failure budgets are chosen so each strategy's total wrong-verdict
-probability stays within the query's delta by a union bound.
+probability stays within the query's delta by a union bound.  Every call
+of a run reads a prefix of one trial stream (tester.TrialStream), so a run
+costs its largest call.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, Iterator, List, Literal, Optional, Tuple
+from typing import DefaultDict, Dict, Iterable, Iterator, List, Literal, Optional, Tuple
+
+import numpy as np
 
 from .core import (
     InconclusiveReason,
@@ -36,7 +42,7 @@ from .core import (
     validate_query,
 )
 from .oracle import Oracle
-from .tester import TesterPlan, plan_tester, run_tester
+from .tester import TesterPlan, TrialStream, _sample_count, plan_tester, run_tester
 
 Side = Literal["proving", "refuting", "final"]
 
@@ -61,7 +67,11 @@ class CallRecord:
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Optional caps checked before each tester call starts; zero is allowed."""
+    """Optional caps checked before each tester call starts; zero is allowed.
+
+    max_samples caps the length of the run's trial stream: a call of size n
+    is blocked when n, or the stream already drawn, exceeds it.
+    """
 
     max_samples: Optional[int] = None
     max_wall_ms: Optional[float] = None
@@ -141,9 +151,10 @@ class CertificationReport:
 class BudgetBound:
     """Worst-case sample budget for the halving strategy.
 
-    k1/k2/k3 are the closed-form left, right, and final terms; the exact
-    schedule total sums the planned sizes of every call the schedule could
-    ever make, so any observed run total is a subset sum of it.
+    A run costs its largest call.  k1 and k2 bound the largest call of the
+    left and right flank in closed form, and k3 is the final call; the
+    exact schedule total is the largest planned size of every call the
+    schedule could ever make, so no run's total exceeds it.
     """
 
     k1: float
@@ -153,7 +164,8 @@ class BudgetBound:
 
     @property
     def analytic_total(self) -> float:
-        return self.k1 + self.k2 + self.k3
+        """The closed-form bound on any run's total, max(k1, k2, k3)."""
+        return max(self.k1, self.k2, self.k3)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +262,16 @@ def _fixed_schedule(
 
 def _check_report(report: CertificationReport) -> CertificationReport:
     query = report.query
-    if report.total_samples != sum(rec.tally.trials for rec in report.calls):
-        raise ReportInvariantError("total_samples disagrees with per-call tallies")
+    if report.total_samples != max((rec.tally.trials for rec in report.calls), default=0):
+        raise ReportInvariantError("total_samples is not the largest call's trial count")
+    # Every call counts a prefix of one stream: a longer prefix holds no
+    # fewer successes, and no more new ones than the trials it adds.
+    prefixes = sorted((rec.tally.trials, rec.tally.successes) for rec in report.calls)
+    for (n, s), (longer, more) in zip(prefixes, prefixes[1:]):
+        if not 0 <= more - s <= longer - n:
+            raise ReportInvariantError(
+                f"prefix tallies disagree: {s} successes in {n} trials, {more} in {longer}"
+            )
     for rec in report.calls:
         if rec.side == "proving" and not rec.plan.theta2 <= query.theta:
             raise ReportInvariantError(
@@ -280,7 +300,7 @@ def _check_report(report: CertificationReport) -> CertificationReport:
 
 def _blocked(
     limits: Optional[ResourceLimits],
-    spent_samples: int,
+    drawn: int,
     next_samples: int,
     started: float,
 ) -> Optional[InconclusiveReason]:
@@ -288,7 +308,7 @@ def _blocked(
         return None
     if (
         limits.max_samples is not None
-        and spent_samples + next_samples > limits.max_samples
+        and max(drawn, next_samples) > limits.max_samples
     ):
         return "budget-exhausted"
     if (
@@ -314,24 +334,25 @@ def _run_schedule(
     """Run a strategy's scheduled tester calls in order until one settles the query.
 
     Entries are read one at a time, so a call is planned only when it is
-    reached.  The limits are checked before each call; a proving yes, a
-    refuting no, or any final outcome becomes the verdict.
+    reached.  Every call reads a prefix of the run's one trial stream, and
+    the run's total is the stream's length.  The limits are checked before
+    each call; a proving yes, a refuting no, or any final outcome becomes
+    the verdict.
     """
     query = validate_query(query)
     notes, entries = schedule(strategy, query)
     started = time.perf_counter()
+    stream = TrialStream(oracle, seed)
     calls: List[CallRecord] = []
-    total = 0
     verdict: Optional[Verdict] = None
 
     for side, plan in entries:
-        reason = _blocked(limits, total, plan.n_samples, started)
+        reason = _blocked(limits, stream.length, plan.n_samples, started)
         if reason is not None:
             verdict = Verdict("inconclusive", reason)
             break
-        result = run_tester(plan, oracle, seed, call_index=len(calls))
+        result = run_tester(plan, stream)
         calls.append(CallRecord(side, plan, result.tally, result.outcome))
-        total += result.tally.trials
         if side == "final" or _SETTLES[side] == result.outcome:
             verdict = Verdict(result.outcome)
             break
@@ -341,7 +362,7 @@ def _run_schedule(
         query=query,
         strategy=strategy,
         verdict=verdict,
-        total_samples=total,
+        total_samples=stream.length,
         seed=seed,
         calls=tuple(calls),
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
@@ -362,6 +383,47 @@ class ScheduleLaw:
     samples: Tuple[Tuple[int, float], ...]
 
 
+# Probability mass the law may drop at each step: a binomial tail, the tail
+# of a run-state's count distribution, or a whole run-state.
+_TAIL = 1e-30
+
+
+def _trim(lo: int, mass: np.ndarray) -> Tuple[int, np.ndarray]:
+    """Drop the longest head and the longest tail of ``mass`` holding at most _TAIL each."""
+    head = int(np.searchsorted(np.cumsum(mass), _TAIL, side="right"))
+    tail = int(np.searchsorted(np.cumsum(mass[::-1]), _TAIL, side="right"))
+    return lo + head, mass[head : max(head, mass.size - tail)]
+
+
+def _binomial(m: int, p: float) -> Tuple[int, np.ndarray]:
+    """Bin(m, p) as (lo, pmf of lo, lo + 1, ...), each tail cut at most _TAIL.
+
+    Hoeffding's bound puts at most _TAIL beyond m p -/+ sqrt(m ln(1/_TAIL) / 2);
+    inside, the pmf comes from the ratio recursion in log space, scaled to
+    sum to 1.
+    """
+    if p == 0.0 or p == 1.0:
+        return (m if p == 1.0 else 0), np.ones(1)
+    half = math.sqrt(m * math.log(1.0 / _TAIL) / 2.0)
+    lo = max(0, math.floor(m * p - half))
+    hi = min(m, math.ceil(m * p + half))
+    k = np.arange(lo, hi, dtype=np.float64)
+    steps = np.log((m - k) / (k + 1.0)) + (math.log(p) - math.log1p(-p))
+    logs = np.concatenate(([0.0], np.cumsum(steps)))
+    pmf = np.exp(logs - logs.max())
+    pmf /= pmf.sum()
+    return _trim(lo, pmf)
+
+
+def _surely_settles(side: Side, n: int, c: int, p: float) -> bool:
+    """Whether the call settles every run that reaches it: no later call is reached."""
+    if side == "final":
+        return True
+    # The counts S(n) can take: only 0 at p = 0, only n at p = 1.
+    least, most = (0 if p < 1.0 else n), (n if p > 0.0 else 0)
+    return most <= c if side == "proving" else least > c
+
+
 def schedule_law(
     entries: Iterable[Tuple[Side, TesterPlan]],
     p: float,
@@ -369,43 +431,76 @@ def schedule_law(
 ) -> ScheduleLaw:
     """The law of a run of these entries against Bernoulli(p), computed.
 
-    Same rules as the run: a call that would pass max_samples ends it
+    Same rules as the run: a call larger than max_samples ends it
     inconclusive; a proving yes, a refuting no or any final outcome settles
-    it.  Calls draw independent trials, so a call says yes with probability
-    P(S <= c), S ~ Bin(n, p).  The walk stops once no run reaches the next
-    call.
-    """
-    # Imported here: scipy.special costs more to import than the rest of
-    # the package, and only exact studies need it.
-    from scipy.special import bdtr, bdtrc
+    it, and a run's total is the largest call it made.  Every call k reads
+    a prefix of one stream, so it says yes when S(n_k) <= c_k, where S(n)
+    counts the successes among the first n trials; the calls are dependent.
 
-    settled = {"yes": 0.0, "no": 0.0}
-    # A blocked call ends runs at the total where the call before settled some.
-    samples: Dict[int, float] = {}
-    reach = 1.0
-    total = 0
+    A dynamic program walks the distinct call sizes in increasing order.
+    Its state is S(n) together with the earliest call in schedule order
+    that settles a run on the trials seen so far; between sizes n < n' the
+    count distribution is convolved with Bin(n' - n, p).  A state whose
+    settling call precedes every call still to come is final and keeps only
+    its probability.  Entries are read until one settles every run that
+    reaches it, so a run that surely settles early plans nothing more.
+    Binomial tails, the tails of each state's count distribution and whole
+    states of mass at most 1e-30 are dropped at each step, so each figure
+    may fall short by that much per step.
+    """
+    calls: List[Tuple[Side, int, int]] = []
     for side, plan in entries:
-        n = plan.n_samples
-        if max_samples is not None and total + n > max_samples:
-            samples[total] = samples.get(total, 0.0) + reach
+        if max_samples is not None and plan.n_samples > max_samples:
             break
-        says = {"yes": float(bdtr(plan.c, n, p)), "no": float(bdtrc(plan.c, n, p))}
-        total += n
-        if side == "final":
-            settled["yes"] += reach * says["yes"]
-            settled["no"] += reach * says["no"]
-            samples[total], reach = reach, 0.0
+        calls.append((side, plan.n_samples, plan.c))
+        if _surely_settles(side, plan.n_samples, plan.c, p):
             break
-        ends = _SETTLES[side]
-        settled[ends] += reach * says[ends]
-        samples[total] = reach * says[ends]
-        reach *= says["no" if ends == "yes" else "yes"]
-        if reach == 0.0:
-            break
-    # Whatever still reaches a call here was blocked by max_samples.
+    # A run settled by call k has made calls 0..k and drawn their largest.
+    totals = list(itertools.accumulate((n for _, n, _ in calls), max, initial=0))[1:]
+    order = sorted(range(len(calls)), key=lambda k: (calls[k][1], k))
+    # The earliest call still to come after each step of the walk.
+    upcoming = list(itertools.accumulate(reversed(order), min, initial=len(calls)))[::-1][1:]
+
+    # label (settling call, verdict) -> (n, lo, mass of S(n) = lo, lo + 1, ...);
+    # runs not settled yet carry the label (len(calls), "").
+    states: Dict[Tuple[int, str], Tuple[int, int, np.ndarray]] = {
+        (len(calls), ""): (0, 0, np.ones(1))
+    }
+    ends = {"yes": 0.0, "no": 0.0}
+    samples: DefaultDict[int, float] = defaultdict(float)
+    for k, first_left in zip(order, upcoming):
+        side, n, c = calls[k]
+        pieces: Dict[Tuple[int, str], List[Tuple[int, np.ndarray]]] = {}
+        for label in [label for label in states if label[0] > k]:
+            at, lo, mass = states.pop(label)
+            if n > at:
+                low, pmf = _binomial(n - at, p)
+                lo, mass = _trim(lo + low, np.convolve(mass, pmf))
+            cut = min(max(c + 1 - lo, 0), mass.size)
+            says = {"yes": (lo, mass[:cut]), "no": (lo + cut, mass[cut:])}
+            for verdict, part in says.items():
+                settles = side == "final" or _SETTLES[side] == verdict
+                if part[1].size:
+                    pieces.setdefault((k, verdict) if settles else label, []).append(part)
+        for label, parts in pieces.items():
+            lo = min(part_lo for part_lo, _ in parts)
+            mass = np.zeros(max(part_lo + part.size for part_lo, part in parts) - lo)
+            for part_lo, part in parts:
+                mass[part_lo - lo : part_lo - lo + part.size] += part
+            if mass.sum() > _TAIL:
+                states[label] = (n, lo, mass)
+        # A settled run whose call precedes every call to come stays settled.
+        for label in [label for label in states if label[0] < first_left]:
+            weight = float(states.pop(label)[2].sum())
+            ends[label[1]] += weight
+            samples[totals[label[0]]] += weight
+    # Runs not settled were blocked by max_samples or ran out of calls.
+    unsettled = math.fsum(float(mass.sum()) for _, _, mass in states.values())
+    if unsettled > 0.0:
+        samples[totals[-1] if totals else 0] += unsettled
     return ScheduleLaw(
-        settled["yes"], settled["no"], reach,
-        tuple((t, w) for t, w in samples.items() if w > 0.0),
+        ends["yes"], ends["no"], unsettled,
+        tuple((t, w) for t, w in sorted(samples.items()) if w > 0.0),
     )
 
 
@@ -418,45 +513,41 @@ def baseline_samples(query: QueryLike) -> int:
     """Sample size of the naive estimation baseline.
 
     Smallest integer strictly greater than 12 ln(1/delta) / eta^2, which
-    estimates the rate within eta/2 at confidence delta.
+    estimates the rate within eta/2 at confidence delta.  Raises
+    OutOfRangeError when that bound overflows.
     """
     q = validate_query(query)
     bound = 12.0 * math.log(1.0 / q.delta) / (q.eta * q.eta)
-    return int(math.floor(bound)) + 1
+    n = _sample_count(bound)
+    return n + 1 if n == bound else n
 
 
 def worst_case_budget(query: QueryLike) -> BudgetBound:
-    """Worst-case halving budget: closed-form terms plus the exact schedule sum.
+    """Worst-case halving budget: closed-form terms plus the exact largest call.
 
-    The closed forms bound the left flank, right flank, and final call
-    separately; a flank narrower than eta contributes zero.  The exact term
-    plans every interval the halving schedule could ever test, so it
-    dominates any observed run structurally.
+    With C = (sqrt 3 + sqrt 2)^2 and L = ln(n / delta) for the halving call
+    bound n, a proving call on an interval wider than eta needs at most
+    theta C / eta^2 L samples and a refuting one at most C / eta^2 L; a
+    flank the schedule makes no call on contributes zero.  The exact term
+    plans every interval the halving schedule could ever test and keeps the
+    largest size, so it dominates any observed run structurally.  Raises
+    OutOfRangeError when a bound overflows.
     """
     q = validate_query(query)
     big_l = math.log(1.0 / (q.delta / _halving_calls(q)))
     const = (math.sqrt(3.0) + math.sqrt(2.0)) ** 2
     theta, eta = q.theta, q.eta
-    room = 1.0 - q.upper
-    k1 = (
-        0.0
-        if theta < eta
-        else (4.0 / 3.0) * const * (1.0 / (eta * eta) - 1.0 / (theta * theta)) * big_l
-    )
-    k2 = (
-        0.0
-        if room < eta
-        else (4.0 / 3.0)
-        * const
-        * (1.0 / (eta * eta) - 1.0 / (4.0 * room * room))
-        * big_l
-    )
+    _, entries = schedule("bincert", q)
+    sizes: Dict[str, int] = {}
+    for side, plan in entries:
+        sizes[side] = max(sizes.get(side, 0), plan.n_samples)
+    k1 = theta * const / (eta * eta) * big_l if "proving" in sizes else 0.0
+    k2 = const / (eta * eta) * big_l if "refuting" in sizes else 0.0
     k3 = (
         (math.sqrt(3.0 * theta) + math.sqrt(2.0 * q.upper)) ** 2 / (eta * eta) * big_l
     )
-    _, entries = schedule("bincert", q)
-    exact = sum(plan.n_samples for _, plan in entries)
-    return BudgetBound(k1=k1, k2=k2, k3=k3, exact_schedule_total=int(exact))
+    _sample_count(max(k1, k2, k3))  # an overflowing bound is bad input, as in planning
+    return BudgetBound(k1=k1, k2=k2, k3=k3, exact_schedule_total=max(sizes.values()))
 
 
 STRATEGIES = {

@@ -1,4 +1,4 @@
-"""Two-point threshold tester.
+"""Two-point threshold tester over one shared trial stream.
 
 Distinguishes Bernoulli rates p <= theta1 from p >= theta2 with one-sided
 failure probability delta_call each way.  The sample size comes from the
@@ -14,13 +14,20 @@ the largest s in [0, N] with s / N <= t for the boundary t = theta1 + eta1:
 s <= c is yes, so a tie s / N == t counts as yes.  At theta1 = 0 this
 collapses to N = ceil((2/theta2) ln(1/delta_call)) with t = 0 and c = 0,
 so yes requires a clean sweep of zero successes.
+
+Every call of a run decides on a prefix of one TrialStream: a call of size
+N counts the successes among trials [0, N).  Each call's error bound holds
+for the first N trials of any i.i.d. stream, so calls need not be
+independent for a union bound over them, and a run costs its largest call
+instead of the sum of its calls.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Literal
+from typing import List, Literal
 
 from .core import OutOfRangeError, SampleTally, SeedSpec
 from .oracle import Oracle, OracleFailure
@@ -64,6 +71,19 @@ class TesterResult:
     outcome: Literal["yes", "no"]
 
 
+def _sample_count(bound: float) -> int:
+    """The smallest integer at or above a sample-size bound.
+
+    Raises OutOfRangeError when the bound is not finite: a query too tight
+    for any sample count is bad input, not an internal failure.
+    """
+    if not math.isfinite(bound):
+        raise OutOfRangeError(
+            f"the sample size bound {bound} is not finite; the query is too tight"
+        )
+    return math.ceil(bound)
+
+
 def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     """Derive the sample size and decision boundary for one call.
 
@@ -85,52 +105,82 @@ def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
         )
     root1 = math.sqrt(3.0 * theta1)
     root2 = math.sqrt(2.0 * theta2)
-    n = math.ceil((root1 + root2) ** 2 / (width * width) * math.log(1.0 / delta_call))
+    n = _sample_count((root1 + root2) ** 2 / (width * width) * math.log(1.0 / delta_call))
     eta1 = width * root1 / (root1 + root2)
     eta2 = width - eta1
     return TesterPlan(
         theta1=theta1,
         theta2=theta2,
         delta_call=delta_call,
-        n_samples=int(n),
+        n_samples=n,
         eta1=eta1,
         eta2=eta2,
         t=theta1 + eta1,
     )
 
 
-def run_tester(
-    plan: TesterPlan,
-    oracle: Oracle,
-    seed: SeedSpec,
-    call_index: int = 0,
-) -> TesterResult:
-    """Draw exactly plan.n_samples trials and decide against the cutoff c.
+class TrialStream:
+    """The prefix tallies of one run's trial stream.
 
-    Trials are fetched in order, in draws of the oracle's ``batch_trials``
-    (128 for an oracle that does not set it); the final draw is truncated.
-    The draw size changes no trial and no outcome, only the number of draws.
-    Oracle failures propagate as OracleFailure with the tally accumulated
-    so far attached.
+    Trial i of the stream is trial i of the oracle's call 0 under ``seed``.
+    The stream records the cumulative successes at the end of every draw it
+    made.  Asking for n trials past its end extends it in draws of the
+    oracle's ``batch_trials`` (128 for an oracle that does not set it), the
+    last one truncated at n; asking for n inside it redraws only the trials
+    from the nearest recorded end below n.  Oracles are pure functions of
+    the trial index, so a redrawn trial is the trial drawn before, and the
+    draw sizes change no tally, only the number of draws.
     """
-    batch_size = getattr(oracle, "batch_trials", 128)
-    if batch_size < 1:
-        raise OutOfRangeError(f"batch_trials must be at least 1, got {batch_size}")
 
+    def __init__(self, oracle: Oracle, seed: SeedSpec) -> None:
+        batch = getattr(oracle, "batch_trials", 128)
+        if batch < 1:
+            raise OutOfRangeError(f"batch_trials must be at least 1, got {batch}")
+        self.oracle = oracle
+        self.seed = seed
+        self.batch_trials = batch
+        # Recorded draw ends, increasing, and the successes before each.
+        self._ends: List[int] = [0]
+        self._successes: List[int] = [0]
+
+    @property
+    def length(self) -> int:
+        """Trials drawn so far: the largest n asked for."""
+        return self._ends[-1]
+
+    def successes(self, n: int) -> int:
+        """Successes among trials [0, n) of the stream.
+
+        Oracle failures propagate as OracleFailure, with the tally of the
+        stream up to the failed trial attached.
+        """
+        at = bisect_right(self._ends, n) - 1
+        start, hits = self._ends[at], self._successes[at]
+        while start < n:
+            k = min(self.batch_trials, n - start)
+            try:
+                tally = self.oracle.draw(k, 0, self.seed, start=start)
+            except OracleFailure as exc:
+                part = exc.partial_tally or SampleTally(0, 0)
+                raise OracleFailure(
+                    str(exc),
+                    partial_tally=SampleTally(start + part.trials, hits + part.successes),
+                ) from exc
+            start += k
+            hits += tally.successes
+            at += 1
+            self._ends.insert(at, start)
+            self._successes.insert(at, hits)
+        return hits
+
+
+def run_tester(plan: TesterPlan, stream: TrialStream) -> TesterResult:
+    """Decide on trials [0, plan.n_samples) of the stream against the cutoff c.
+
+    Only trials the stream has not drawn yet are drawn, plus at most one
+    draw below its end when plan.n_samples falls inside it.
+    """
     n = plan.n_samples
-    successes = 0
-    trials = 0
-    for s in range(0, n, batch_size):
-        try:
-            tally = oracle.draw(min(batch_size, n - s), call_index, seed, start=s)
-        except OracleFailure as exc:
-            part = exc.partial_tally or SampleTally(0, 0)
-            raise OracleFailure(
-                str(exc),
-                partial_tally=SampleTally(trials + part.trials, successes + part.successes),
-            ) from exc
-        successes += tally.successes
-        trials += tally.trials
-
+    successes = stream.successes(n)
     outcome: Literal["yes", "no"] = "yes" if successes <= plan.c else "no"
-    return TesterResult(plan=plan, tally=SampleTally(trials, successes), outcome=outcome)
+    return TesterResult(plan=plan, tally=SampleTally(n, successes), outcome=outcome)

@@ -143,7 +143,7 @@ def test_library_quick_start_prints_pinned_counts():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(code, {})
-    assert out.getvalue().splitlines()[0] == "yes 5937"
+    assert out.getvalue().splitlines()[0] == "yes 2664"
 
 
 def test_classifier_example_prints_pinned_counts(tmp_path, monkeypatch):
@@ -155,7 +155,7 @@ def test_classifier_example_prints_pinned_counts(tmp_path, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(code, {})
-    assert out.getvalue().splitlines() == ["yes 102", "0.1 275206"]
+    assert out.getvalue().splitlines() == ["yes 102", "0.1 154822"]
 
 
 # The robustness entry points take plain arguments and one grid form.

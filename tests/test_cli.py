@@ -79,11 +79,9 @@ class TestBudget:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["exact_schedule_total"] == 14_884_190
+        assert doc["exact_schedule_total"] == 7_530_473
         assert doc["baseline_samples"] == 55_262_043
-        assert doc["analytic_total"] == pytest.approx(
-            doc["k1"] + doc["k2"] + doc["k3"]
-        )
+        assert doc["analytic_total"] == max(doc["k1"], doc["k2"], doc["k3"])
 
 
 class TestCertifyBernoulli:
@@ -494,6 +492,7 @@ def _center_3d(tmp_path):
 QUERY = ["--theta", "0.1", "--eta", "0.05", "--delta", "0.05", "--seed", "5"]
 NO_FILE = r"\[Errno 2\] No such file or directory: '.*'"
 VANISHING = r"eta = 1e-200 vanishes next to theta = 0\.0: .*"
+OVERFLOWING = r"the sample size bound inf is not finite; the query is too tight"
 
 # Each row builds its argv from (tmp_path, model path, center path).
 ERROR_LINES = [
@@ -552,6 +551,17 @@ ERROR_LINES = [
                                     "--delta", "0.5"],
         "OutOfRangeError", r"interval \(0\.0, 1e-300\) is too narrow: .*",
         id="plan-vanishing-width",
+    ),
+    # 1 / eta^2 overflows while eta^2 does not: once an OverflowError, exit 70.
+    pytest.param(
+        lambda tmp, model, center: ["budget", "--theta", "0", "--eta", "1e-160",
+                                    "--delta", "0.1"],
+        "OutOfRangeError", OVERFLOWING, id="budget-overflowing-bound",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["simulate", "--theta", "0", "--eta", "1e-160",
+                                    "--delta", "0.1", "--p-grid", "0.5"],
+        "OutOfRangeError", OVERFLOWING, id="simulate-overflowing-bound",
     ),
     pytest.param(
         lambda tmp, model, center: ["certify", *QUERY, "--model", str(tmp / "none.json"),

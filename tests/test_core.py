@@ -293,7 +293,7 @@ GOLDEN_WIDE = {
 }
 
 # bincert on (0.1, 0.05, 0.1), Bernoulli(0.13), SeedSpec(PIN_SEED): 7 calls, no
-GOLDEN_REPORT_SHA256 = "cbdcee85f4746c487483bb60d034a7c3e8996d9dd2467014e0c956379fdebd7c"
+GOLDEN_REPORT_SHA256 = "efb9a2046e023ea16093f55c072ca83e0b48f740c0f1f77130873cabc6bd4e6c"
 
 
 def _words_sha256(words):

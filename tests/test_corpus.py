@@ -78,14 +78,14 @@ def density_reports(norm):
 
 
 GOLDEN_BERNOULLI = {
-    "bincert": "c2b297b1dededb11e5287d90d5b2d15a56343549c426bacef71de6dd8ba70d76",
-    "fixedcert": "db7d443a1ef77fd493369ca14080d16d8a3fedb06b066dc0af7dc5ee91e40de6",
-    "estimate": "907a51a62f1fad71243a5d15516d9a6a45d82b129d8b3ebb1226f48a1fcd1dcb",
+    "bincert": "45768b3402e10d7b1a9a5d08262e97574990100837918dd044842c5e36fa9fe1",
+    "fixedcert": "eab5988630bb5ad01c68f8169f60007a184a02efafb35c972f208bf50a03e4f0",
+    "estimate": "6f6f110af86dbeab33550ad07a3adbd57ed1b590b1186f339742ac529a189d29",
 }
 
 GOLDEN_DENSITY = {
-    "linf": "3e9e8f55ddcea7f6620a660c69ee77a08cd4ca160a19b78499695dcf89f716e2",
-    "l2": "5d26dae90b30238b622528a5f255a9a34023b88aaf7eab4e7b0213b63687c03a",
+    "linf": "d79a736ee3d9bee6d3b12ec6f1f2dcdf35693d0708a1c2c3b0605287bbc3d734",
+    "l2": "04f17d33dd08941b8a0104d634b0e71279bf9edb9af88868bafb7d5d53df3d71",
 }
 
 

@@ -1,7 +1,8 @@
-import itertools
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
@@ -26,7 +27,7 @@ from quantcert.strategy import (
     worst_case_budget,
 )
 from quantcert.tester import TesterPlan as HandPlan
-from quantcert.tester import plan_tester
+from quantcert.tester import _sample_count, plan_tester
 from quantcert.strategy import _check_report, _fixed_schedule, _halving_calls, _halving_schedule
 from conftest import CountingOracle
 
@@ -239,10 +240,37 @@ class TestBinCert:
         spent = sum(c.plan.delta_call for c in report.calls)
         assert spent <= query.delta + 1e-12
 
-    def test_calls_use_consecutive_stream_indices(self, seed):
-        oracle = CountingOracle(BernoulliOracle(0.4), batch_trials=10**9)
-        report = run_strategy("bincert", ThresholdQuery(0.3, 0.2, 0.1), oracle, seed)
-        assert [w[0] for w in oracle.windows] == list(range(len(report.calls)))
+    def test_calls_read_one_stream(self, seed, monkeypatch):
+        # Every call reads a prefix of stream 0; a call smaller than what
+        # the stream holds redraws less than one batch below the stream end.
+        import quantcert.strategy as strategy_module
+
+        batch = 16
+        oracle = CountingOracle(BernoulliOracle(0.125), batch_trials=batch)
+        marks = []
+        run = strategy_module.run_tester
+
+        def marked(plan, stream):
+            marks.append((stream.length, len(oracle.windows)))
+            return run(plan, stream)
+
+        monkeypatch.setattr(strategy_module, "run_tester", marked)
+        report = run_strategy("bincert", ThresholdQuery(0.1, 0.05, 0.1), oracle, seed)
+        assert [c.side for c in report.calls][-2:] == ["refuting", "final"]
+        assert report.total_samples == max(c.plan.n_samples for c in report.calls)
+        assert {w[0] for w in oracle.windows} == {0}
+        covered = sorted((start, start + k) for _, start, k in oracle.windows)
+        assert covered[0][0] == 0 and max(end for _, end in covered) == report.total_samples
+        assert all(b[0] <= a[1] for a, b in zip(covered, covered[1:]))
+        redrawn = 0
+        for (length, first), nxt in zip(marks, [m[1] for m in marks[1:]] + [len(oracle.windows)]):
+            below = [w for w in oracle.windows[first:nxt] if w[1] < length]
+            assert len(below) <= 1 and sum(k for _, _, k in below) < batch
+            redrawn += len(below)
+        # 27 and 74 redraw inside the proving call's 88 trials; the final
+        # call's 2109 = 749 + 85 * 16 is a draw end already recorded
+        assert [c.plan.n_samples for c in report.calls] == [88, 27, 74, 226, 749, 2664, 2109]
+        assert redrawn == 2
 
     def test_zero_threshold_query(self, seed):
         report = run_strategy("bincert", ThresholdQuery(0.0, 0.25, 0.1), BernoulliOracle(0.0), seed)
@@ -453,13 +481,14 @@ class TestBaseline:
 
 
 class TestWorstCaseBudget:
+    # A run costs its largest call, so every term bounds one call.
     def test_reference_budget(self):
         bound = worst_case_budget(ThresholdQuery(0.1, 1e-3, 0.01))
-        assert bound.exact_schedule_total == 14_884_190
-        assert bound.k1 == pytest.approx(99947621.17477162, rel=1e-10)
-        assert bound.k2 == pytest.approx(99957586.01667646, rel=1e-10)
+        assert bound.exact_schedule_total == 7_530_473  # the final call
+        assert bound.k1 == pytest.approx(7496821.270234897, rel=1e-10)
+        assert bound.k2 == pytest.approx(74968212.70234895, rel=1e-10)
         assert bound.k3 == pytest.approx(7530472.566355482, rel=1e-10)
-        assert bound.analytic_total == bound.k1 + bound.k2 + bound.k3
+        assert bound.analytic_total == max(bound.k1, bound.k2, bound.k3) == bound.k2
 
     def test_flank_terms_vanish_when_too_narrow(self):
         assert worst_case_budget(ThresholdQuery(0.01, 0.01, 0.1)).k1 == 0.0
@@ -467,11 +496,42 @@ class TestWorstCaseBudget:
         assert worst_case_budget(ThresholdQuery(0.9, 0.099, 0.1)).k2 == 0.0
 
     def test_zero_threshold_budget(self):
+        # theta = 0 leaves no left flank, and a right flank of width eta
+        # gets no call either
         bound = worst_case_budget(ThresholdQuery(0.0, 0.5, 0.01))
-        assert bound.k1 == 0.0
-        assert bound.k2 == pytest.approx(225.84650282701858, rel=1e-12)
+        assert bound.k1 == bound.k2 == 0.0
         assert bound.k3 == pytest.approx(22.815129898624804, rel=1e-12)
         assert bound.exact_schedule_total == 23
+
+    @given(theta=st.floats(0.0, 0.99), eta=st.floats(1e-4, 0.5), delta=st.floats(1e-6, 1.0))
+    @example(theta=0.1, eta=1e-3, delta=0.01)
+    @example(theta=0.0, eta=0.5, delta=0.01)
+    def test_terms_bound_each_flank_and_the_final_call(self, theta, eta, delta):
+        assume(theta + eta <= 1.0)
+        query = ThresholdQuery(theta, eta, delta)
+        bound = worst_case_budget(query)
+        term = {"proving": bound.k1, "refuting": bound.k2, "final": bound.k3}
+        sizes = [(side, plan.n_samples) for side, plan in schedule("bincert", query)[1]]
+        for side, n in sizes:
+            # a size is its bound rounded up; 1e-9 absorbs eta versus upper - theta
+            assert n <= math.ceil(term[side] * (1.0 + 1e-9)), (side, n, term[side])
+        assert bound.exact_schedule_total == max(n for _, n in sizes)
+        assert bound.exact_schedule_total <= math.ceil(bound.analytic_total * (1.0 + 1e-9))
+        for side in ("proving", "refuting"):
+            assert (term[side] == 0.0) == all(s != side for s, _ in sizes)
+
+    def test_overflowing_bound_is_out_of_range(self):
+        # eta squared is still nonzero, but 1 / eta^2 overflows
+        query = ThresholdQuery(0.0, 1e-160, 0.1)
+        with pytest.raises(OutOfRangeError, match="not finite"):
+            worst_case_budget(query)
+        with pytest.raises(OutOfRangeError, match="not finite"):
+            baseline_samples(query)
+        # plan_tester converts its bound with the same helper
+        for bound in (math.inf, math.nan):
+            with pytest.raises(OutOfRangeError, match="not finite"):
+                _sample_count(bound)
+        assert _sample_count(2.0) == 2 and _sample_count(2.5) == 3
 
     def test_exact_total_dominates_observed_runs(self, seed):
         query = ThresholdQuery(0.3, 0.2, 0.1)
@@ -564,7 +624,7 @@ def _report(query, calls, verdict, total=None):
         query=query,
         strategy="bincert",
         verdict=verdict,
-        total_samples=sum(c.tally.trials for c in calls) if total is None else total,
+        total_samples=max(c.tally.trials for c in calls) if total is None else total,
         seed=SeedSpec(1),
         calls=tuple(calls),
         wall_time_ms=0.0,
@@ -615,6 +675,28 @@ class TestReportInvariants:
         with pytest.raises(ReportInvariantError, match="no verdict"):
             _check_report(_report(self.QUERY, [rec], Verdict("no")))
 
+    @pytest.mark.parametrize(
+        "short, long",
+        [(5, 4),  # a longer prefix with fewer successes
+         (1, 219),  # more new successes than the trials added
+         ],
+    )
+    def test_prefix_tallies_must_agree(self, short, long):
+        first = _record("proving", 0.0, 0.5, 0.01, "no", successes=short)
+        last = _record("refuting", 0.6, 1.0, 0.01, "no", successes=long)
+        assert (first.plan.n_samples, last.plan.n_samples) == (19, 219)
+        with pytest.raises(ReportInvariantError, match="prefix tallies"):
+            _check_report(_report(self.QUERY, [first, last], Verdict("no")))
+        # the same calls with tallies one stream can give pass
+        honest = replace(last, tally=SampleTally(219, short + 1))
+        assert _check_report(_report(self.QUERY, [first, honest], Verdict("no"))) is not None
+
+    def test_equal_prefixes_have_equal_tallies(self):
+        first = _record("refuting", 0.6, 1.0, 0.01, "yes", successes=3)
+        again = _record("refuting", 0.6, 1.0, 0.01, "no", successes=4)
+        with pytest.raises(ReportInvariantError, match="prefix tallies"):
+            _check_report(_report(self.QUERY, [first, again], Verdict("no")))
+
 
 def _hand_plan(n, t):
     # only n_samples and t decide a call; the interval is irrelevant here
@@ -622,38 +704,48 @@ def _hand_plan(n, t):
                       n_samples=n, eta1=t, eta2=1.0 - t, t=t)
 
 
-# Hand-built schedules with n <= 20, small enough to enumerate every vector
-# of success counts.  The last one ends in a final call that cannot settle
-# on either flank.
+# Hand-built schedules with n <= 16, small enough to enumerate every
+# outcome sequence of the shared stream.  Sizes are not monotone, as on
+# bincert's interleaved flanks, so a later call can read a shorter prefix;
+# caps of 9 and 14 cut the first two schedules partway.  The first ends in
+# a final call that cannot settle on either flank.
 HAND_SCHEDULES = [
-    [("proving", _hand_plan(4, 0.25)), ("refuting", _hand_plan(5, 0.6)),
+    [("proving", _hand_plan(4, 0.25)), ("refuting", _hand_plan(9, 0.6)),
      ("proving", _hand_plan(3, 1 / 3)), ("refuting", _hand_plan(6, 0.5)),
-     ("final", _hand_plan(4, 0.5))],
-    [("refuting", _hand_plan(20, 0.3)), ("final", _hand_plan(7, 0.0))],
+     ("final", _hand_plan(12, 0.5))],
+    [("refuting", _hand_plan(16, 0.3)), ("proving", _hand_plan(5, 0.2)),
+     ("final", _hand_plan(7, 0.0))],
     [("final", _hand_plan(11, 0.45))],
 ]
 
 
+# The outcome with which a flank's call settles a run, written out again
+# so the enumeration does not lean on the code it checks.
+_SETTLES_ON = {"proving": "yes", "refuting": "no"}
+
+
 def _enumerated_law(entries, p, max_samples):
-    """Every success-count vector, weighted by its binomial pmf and walked."""
-    pmfs = [[math.comb(plan.n_samples, s) * p ** s * (1 - p) ** (plan.n_samples - s)
-             for s in range(plan.n_samples + 1)] for _, plan in entries]
-    ends = {"yes": 0.0, "no": 0.0, "inconclusive": 0.0}
-    samples = {}
-    for counts in itertools.product(*(range(plan.n_samples + 1) for _, plan in entries)):
-        weight = math.prod(pmf[s] for pmf, s in zip(pmfs, counts))
-        total = 0
-        for (side, plan), s in zip(entries, counts):
-            if max_samples is not None and total + plan.n_samples > max_samples:
-                verdict = "inconclusive"
-                break
-            total += plan.n_samples
-            outcome = "yes" if s / plan.n_samples <= plan.t else "no"
-            if side == "final" or (side, outcome) in (("proving", "yes"), ("refuting", "no")):
-                verdict = outcome
-                break
-        ends[verdict] += weight
-        samples[total] = samples.get(total, 0.0) + weight
+    """Every 0/1 sequence of the stream's first T trials, weighted and walked."""
+    length = max(plan.n_samples for _, plan in entries)
+    trials = (np.arange(2 ** length)[:, None] >> np.arange(length)) & 1
+    prefix = np.concatenate([np.zeros((2 ** length, 1), int), np.cumsum(trials, axis=1)], axis=1)
+    hits = trials.sum(axis=1)
+    weight = p ** hits * (1.0 - p) ** (length - hits)
+    verdict = np.full(2 ** length, "open", dtype="<U12")
+    total = np.zeros(2 ** length, int)
+    for side, plan in entries:
+        n = plan.n_samples
+        live = verdict == "open"
+        if max_samples is not None:
+            verdict[live & (np.maximum(total, n) > max_samples)] = "inconclusive"
+            live = verdict == "open"
+        total[live] = np.maximum(total[live], n)
+        says = np.where(prefix[:, n] / n <= plan.t, "yes", "no")
+        settles = live & ((side == "final") | (says == _SETTLES_ON.get(side, "")))
+        verdict[settles] = says[settles]
+    verdict[verdict == "open"] = "inconclusive"
+    ends = {v: math.fsum(weight[verdict == v]) for v in ("yes", "no", "inconclusive")}
+    samples = {int(t): math.fsum(weight[total == t]) for t in np.unique(total)}
     return ends, {t: w for t, w in samples.items() if w > 0.0}
 
 

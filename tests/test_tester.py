@@ -13,7 +13,7 @@ from quantcert import (
     ThresholdQuery,
 )
 from quantcert.strategy import schedule
-from quantcert.tester import plan_tester, run_tester
+from quantcert.tester import TrialStream, plan_tester, run_tester
 from chernoff_reference import chernoff_tail
 from conftest import CountingOracle, FixedSuccessOracle
 from test_corpus import QUERIES, STRATEGY_NAMES
@@ -116,11 +116,16 @@ class TestPlanTester:
             plan_tester(t1, t2, d)
 
 
+def _run(plan, oracle, seed):
+    """One call on a fresh stream, as the first call of a run makes it."""
+    return run_tester(plan, TrialStream(oracle, seed))
+
+
 class TestRunTester:
     def test_draws_exactly_n(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
         oracle = CountingOracle(BernoulliOracle(0.2), batch_trials=17)
-        result = run_tester(plan, oracle, seed)
+        result = _run(plan, oracle, seed)
         assert result.tally.trials == plan.n_samples
         assert oracle.total_trials == plan.n_samples
         # windows are disjoint, contiguous, and cover [0, N)
@@ -134,13 +139,13 @@ class TestRunTester:
     def test_single_batch_when_batch_exceeds_n(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
         oracle = CountingOracle(BernoulliOracle(0.2), batch_trials=10 * plan.n_samples)
-        run_tester(plan, oracle, seed)
+        _run(plan, oracle, seed)
         assert len(oracle.windows) == 1
 
     def test_batch_size_invariance(self, seed):
         plan = plan_tester(0.05, 0.25, 0.1)
-        results = [run_tester(plan, BernoulliOracle(0.17), seed)] + [
-            run_tester(plan, CountingOracle(BernoulliOracle(0.17), batch_trials=b), seed)
+        results = [_run(plan, BernoulliOracle(0.17), seed)] + [
+            _run(plan, CountingOracle(BernoulliOracle(0.17), batch_trials=b), seed)
             for b in (1, 7, 128, 4096)
         ]
         assert len({r.tally.successes for r in results}) == 1
@@ -150,34 +155,47 @@ class TestRunTester:
         plan = plan_tester(0.1, 0.3, 0.05)
         assert plan.n_samples == 131
         plain = CountingOracle(BernoulliOracle(0.2))  # no batch_trials
-        run_tester(plan, plain, seed)
+        _run(plan, plain, seed)
         assert [k for _, _, k in plain.windows] == [128, 3]
         sized = CountingOracle(BernoulliOracle(0.2), batch_trials=50)
-        run_tester(plan, sized, seed)
+        _run(plan, sized, seed)
         assert [k for _, _, k in sized.windows] == [50, 50, 31]
         sized = CountingOracle(BernoulliOracle(0.2), batch_trials=100)
-        run_tester(plan, sized, seed)
+        _run(plan, sized, seed)
         assert [k for _, _, k in sized.windows] == [100, 31]
 
     def test_tie_counts_as_yes(self, seed):
         plan = HandPlan(theta1=0.25, theta2=0.75, delta_call=0.1,
                           n_samples=4, eta1=0.25, eta2=0.25, t=0.5)
         exactly_half = FixedSuccessOracle({0, 1})
-        assert run_tester(plan, exactly_half, seed).outcome == "yes"
+        assert _run(plan, exactly_half, seed).outcome == "yes"
         over_half = FixedSuccessOracle({0, 1, 2})
-        assert run_tester(plan, over_half, seed).outcome == "no"
+        assert _run(plan, over_half, seed).outcome == "no"
 
-    def test_call_index_changes_draws(self, seed):
-        # deterministic under the pinned seed; distinct calls see distinct streams
-        plan = plan_tester(0.05, 0.25, 0.1)
-        a = run_tester(plan, BernoulliOracle(0.17), seed, call_index=0)
-        b = run_tester(plan, BernoulliOracle(0.17), seed, call_index=1)
-        assert a.tally.successes != b.tally.successes
+    def test_calls_read_prefixes_of_one_stream(self, seed):
+        # a shorter call counts a prefix of a longer one's trials, drawing
+        # only the trials after the nearest draw end below it
+        short, long = plan_tester(0.05, 0.25, 0.1), plan_tester(0.1, 0.2, 0.05)
+        assert short.n_samples < long.n_samples
+        oracle = CountingOracle(BernoulliOracle(0.17), batch_trials=16)
+        stream = TrialStream(oracle, seed)
+        a = run_tester(long, stream)
+        drawn = oracle.total_trials
+        b = run_tester(short, stream)
+        assert b.tally == _run(short, BernoulliOracle(0.17), seed).tally
+        assert a.tally == _run(long, BernoulliOracle(0.17), seed).tally
+        assert 0 <= a.tally.successes - b.tally.successes <= long.n_samples - short.n_samples
+        assert oracle.total_trials - drawn == short.n_samples % 16
+        assert stream.length == long.n_samples
+        # the redrawn end is recorded: asking again draws nothing
+        run_tester(short, stream)
+        assert oracle.total_trials - drawn == short.n_samples % 16
+        assert {w[0] for w in oracle.windows} == {0}
 
     def test_bad_knobs_rejected(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
         with pytest.raises(OutOfRangeError):
-            run_tester(plan, CountingOracle(BernoulliOracle(0.2), batch_trials=0), seed)
+            _run(plan, CountingOracle(BernoulliOracle(0.2), batch_trials=0), seed)
 
     def test_failure_carries_partial_tally(self, seed):
         class Breaks:
@@ -191,7 +209,7 @@ class TestRunTester:
         plan = HandPlan(theta1=0.1, theta2=0.2, delta_call=0.01,
                           n_samples=100, eta1=0.05, eta2=0.05, t=0.15)
         with pytest.raises(OracleFailure) as exc_info:
-            run_tester(plan, Breaks(), seed)
+            _run(plan, Breaks(), seed)
         partial = exc_info.value.partial_tally
         assert partial.trials == 34  # 3 clean batches of 10, plus 4 from the failure
         assert partial.successes == 31
