@@ -29,6 +29,7 @@ from .nn import load_model
 from .oracle import BernoulliOracle, SubprocessOracle
 from .robustness import (
     NoYesFoundError,
+    _with_ball_note,
     adversarial_hardness,
     certify_density,
     make_sampler,
@@ -37,6 +38,7 @@ from .sim import complexity_sweep
 from .strategy import (
     STRATEGIES,
     ResourceLimits,
+    _lerp,
     baseline_samples,
     run_strategy,
     worst_case_budget,
@@ -126,7 +128,7 @@ def _parse_grid(text: str) -> List[float]:
         n = max(1, int(round(min((hi - lo) / step, _MAX_GRID_POINTS))))
         if n >= _MAX_GRID_POINTS:
             raise UsageError(f"range grids hold at most {_MAX_GRID_POINTS} points")
-        return [lo * (1.0 - k / n) + hi * (k / n) for k in range(n + 1)]
+        return [_lerp(lo, hi, n, k) for k in range(n + 1)]
     try:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
@@ -217,6 +219,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 limits=limits,
                 config=config,
             )
+        report = _with_ball_note(report, args.norm)
 
     text = report.canonical_json() if args.canonical else report.to_json()
     print(text, file=args.out)

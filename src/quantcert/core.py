@@ -178,9 +178,8 @@ class SeedSpec:
     A run reads one counter-based stream, keyed (0,); every tester call of
     the run decides on a prefix of it, so call k sees trials [0, n_k).
     Trial i owns a fixed-width window of raw words, so its randomness is a
-    pure function of (root_seed, i); ``raw_block`` addresses other keys too,
-    for samplers and tests.  Batch size can never change what any trial
-    sees.
+    pure function of (root_seed, i).  Batch size can never change what any
+    trial sees.
 
     A spec is plain data, its root seed alone: every window is positioned
     from its counter block when asked for, so results never depend on the
@@ -215,7 +214,7 @@ class SeedSpec:
         ss = SeedSequence(self.root_seed, spawn_key=(index, 1))
         return SeedSpec(int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1)))
 
-    def raw_block(self, call_index: int, start: int, count: int, width: int) -> np.ndarray:
+    def raw_block(self, start: int, count: int, width: int) -> np.ndarray:
         """Raw words for trials [start, start + count), as a (count, width) array.
 
         Philox advances in counter blocks of four 64-bit outputs: each call
@@ -227,9 +226,7 @@ class SeedSpec:
             raise OutOfRangeError("need start >= 0, count >= 0, width >= 1")
         if count == 0:
             return np.empty((0, width), dtype=np.uint64)
-        if call_index < 0:
-            raise OutOfRangeError("call_index must be nonnegative")
-        bits = Philox(SeedSequence(self.root_seed, spawn_key=(call_index,)))
+        bits = Philox(SeedSequence(self.root_seed, spawn_key=(0,)))
         blocks, offset = divmod(start * width, 4)
         bits.advance(blocks)
         return bits.random_raw(offset + count * width)[offset:].reshape(count, width)

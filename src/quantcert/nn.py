@@ -51,14 +51,6 @@ class Model:
     input_dim: int
     layers: Tuple[Layer, ...]
 
-    @property
-    def output_dim(self) -> int:
-        width = self.input_dim
-        for layer in self.layers:
-            if isinstance(layer, DenseLayer):
-                width = layer.rows
-        return width
-
 
 def _as_float_array(values, count: int, what: str) -> np.ndarray:
     if not isinstance(values, list) or len(values) != count:
@@ -131,27 +123,8 @@ def load_model(doc: Union[str, bytes]) -> Model:
     return Model(input_dim=input_dim, layers=tuple(layers))
 
 
-def serialize(model: Model) -> str:
-    """Emit the JSON document form; load_model round-trips it exactly."""
-    entries = []
-    for layer in model.layers:
-        if isinstance(layer, DenseLayer):
-            entries.append(
-                {
-                    "kind": "dense",
-                    "rows": layer.rows,
-                    "cols": layer.cols,
-                    "weights": [float(v) for v in layer.weights.ravel()],
-                    "bias": [float(v) for v in layer.bias],
-                }
-            )
-        else:
-            entries.append({"kind": layer.kind})
-    return json.dumps({"input_dim": model.input_dim, "layers": entries})
-
-
 def forward_batch(model: Model, points: np.ndarray) -> np.ndarray:
-    """Evaluate the net on a (n, input_dim) batch; returns (n, output_dim)."""
+    """Evaluate the net on a (n, input_dim) batch; returns its (n, k) logits."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise OutOfRangeError(

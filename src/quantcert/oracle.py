@@ -1,10 +1,10 @@
 """Success oracles: stateless sources of 0/1 trial outcomes.
 
-An oracle's draw(k, call_index, seed, start) must be a pure function of its
-arguments: batch k trials however you like, the i-th trial of a given call
-always sees the same randomness.  That contract is what lets testers batch,
-redraw and replay without changing any verdict.  Testers read call_index 0,
-the one trial stream of a run.
+An oracle's draw(seed, start, count) runs trials [start, start + count) of
+the run's one trial stream under seed, and must be a pure function of its
+arguments: batch the trials however you like, trial i always sees the same
+randomness.  That contract is what lets testers batch, redraw and replay
+without changing any verdict.
 
 An oracle sizes its own draws with ``batch_trials``, the trials a tester
 asks of it at a time: the in-process oracles size it so that one draw reads
@@ -49,10 +49,8 @@ class OracleFailure(QuantCertError):
 
 @runtime_checkable
 class Oracle(Protocol):
-    def draw(
-        self, k: int, call_index: int, seed: SeedSpec, start: int = 0
-    ) -> SampleTally:
-        """Run trials [start, start + k) of the given call; return the tally."""
+    def draw(self, seed: SeedSpec, start: int, count: int) -> SampleTally:
+        """Run trials [start, start + count) of the stream; return the tally."""
         ...
 
 
@@ -62,9 +60,8 @@ class Sampler(Protocol):
 
     dimension: int
 
-    def batch(
-        self, seed: SeedSpec, call_index: int, start: int, count: int
-    ) -> np.ndarray:
+    def batch(self, seed: SeedSpec, start: int, count: int) -> np.ndarray:
+        """Points of trials [start, start + count), as a (count, dimension) array."""
         ...
 
 
@@ -89,13 +86,11 @@ class BernoulliOracle:
         cut = None if self.p == 1.0 else np.uint64(math.ceil(self.p * 2.0 ** 53) << 11)
         object.__setattr__(self, "_cut", cut)
 
-    def draw(
-        self, k: int, call_index: int, seed: SeedSpec, start: int = 0
-    ) -> SampleTally:
-        if k == 0:
+    def draw(self, seed: SeedSpec, start: int, count: int) -> SampleTally:
+        if count == 0:
             return SampleTally(0, 0)
-        hits = self._hits(seed.raw_block(call_index, start, k, width=1))
-        return SampleTally(trials=k, successes=int(np.count_nonzero(hits)))
+        hits = self._hits(seed.raw_block(start, count, width=1))
+        return SampleTally(trials=count, successes=int(np.count_nonzero(hits)))
 
     def _hits(self, raw: np.ndarray) -> np.ndarray:
         """Per word, whether its trial succeeds: ``to_unit(raw) < p``."""
@@ -120,14 +115,12 @@ class PropertyOracle:
         self.predicate = predicate
         self.batch_trials = max(1, BATCH_WORDS // sampler.dimension)
 
-    def draw(
-        self, k: int, call_index: int, seed: SeedSpec, start: int = 0
-    ) -> SampleTally:
-        if k == 0:
+    def draw(self, seed: SeedSpec, start: int, count: int) -> SampleTally:
+        if count == 0:
             return SampleTally(0, 0)
-        points = self.sampler.batch(seed, call_index, start, k)
+        points = self.sampler.batch(seed, start, count)
         hits = np.asarray(self.predicate.batch(points), dtype=bool)
-        return SampleTally(trials=k, successes=int(np.count_nonzero(hits)))
+        return SampleTally(trials=count, successes=int(np.count_nonzero(hits)))
 
 
 class SubprocessOracle:
@@ -154,7 +147,14 @@ class SubprocessOracle:
             raise OutOfRangeError("reference_label must be a nonnegative class index")
         self.sampler = sampler
         self.reference_label = int(reference_label)
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        try:
+            argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as exc:
+            raise OutOfRangeError(
+                f"the oracle command {command!r} does not parse: {exc}"
+            ) from None
+        if not argv:
+            raise OutOfRangeError(f"the oracle command {command!r} names no program")
         self.command = argv
         self._lock = threading.Lock()
         try:
@@ -168,16 +168,14 @@ class SubprocessOracle:
         except OSError as exc:
             raise OracleFailure(f"could not start {argv!r}: {exc}") from exc
 
-    def draw(
-        self, k: int, call_index: int, seed: SeedSpec, start: int = 0
-    ) -> SampleTally:
-        if k == 0:
+    def draw(self, seed: SeedSpec, start: int, count: int) -> SampleTally:
+        if count == 0:
             return SampleTally(0, 0)
-        points = self.sampler.batch(seed, call_index, start, k)
+        points = self.sampler.batch(seed, start, count)
         successes = 0
         answered = 0
         with self._lock:
-            for first in range(0, k, _ROUND_LINES):
+            for first in range(0, count, _ROUND_LINES):
                 rows = points[first : first + _ROUND_LINES]
                 payload = "".join(
                     ",".join(repr(float(v)) for v in row) + "\n" for row in rows
@@ -195,7 +193,7 @@ class SubprocessOracle:
                     if line == "":
                         raise OracleFailure(
                             f"oracle process closed its output after {answered} of "
-                            f"{k} replies",
+                            f"{count} replies",
                             partial_tally=SampleTally(answered, successes),
                         )
                     text = line.strip()
@@ -214,7 +212,7 @@ class SubprocessOracle:
                     answered += 1
                     if label != self.reference_label:
                         successes += 1
-        return SampleTally(trials=k, successes=successes)
+        return SampleTally(trials=count, successes=successes)
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)

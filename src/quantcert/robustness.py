@@ -82,10 +82,8 @@ class LinfBallSampler:
     def dimension(self) -> int:
         return int(self.center.size)
 
-    def batch(
-        self, seed: SeedSpec, call_index: int, start: int, count: int
-    ) -> np.ndarray:
-        raw = seed.raw_block(call_index, start, count, width=self.dimension)
+    def batch(self, seed: SeedSpec, start: int, count: int) -> np.ndarray:
+        raw = seed.raw_block(start, count, width=self.dimension)
         # to_unit(raw) * span + lo, shifting the fresh raw block in place.
         raw >>= np.uint64(11)
         points = raw.astype(np.float64)
@@ -126,15 +124,13 @@ class L2BallSampler:
     def dimension(self) -> int:
         return int(self.center.size)
 
-    def batch(
-        self, seed: SeedSpec, call_index: int, start: int, count: int
-    ) -> np.ndarray:
+    def batch(self, seed: SeedSpec, start: int, count: int) -> np.ndarray:
         # Imported here: scipy.special costs more to import than the rest of
         # the package, and only l2 sampling needs it.
         from scipy.special import ndtri
 
         d = self.dimension
-        raw = seed.raw_block(call_index, start, count, width=d + 1)
+        raw = seed.raw_block(start, count, width=d + 1)
         # One (count, d) buffer holds the normals, the directions, then the
         # points; squares is the only other (count, d) array.
         points = to_open_unit(raw[:, :d])
@@ -218,6 +214,11 @@ def certify_density(
         limits=limits,
         config=config,
     )
+    return _with_ball_note(report, norm)
+
+
+def _with_ball_note(report: CertificationReport, norm: Norm) -> CertificationReport:
+    """The report with a note on how its ball was sampled appended."""
     note = (
         "linf sampling is exact on the clipped box"
         if norm == "linf"

@@ -69,8 +69,8 @@ class CallRecord:
 class ResourceLimits:
     """Optional caps checked before each tester call starts; zero is allowed.
 
-    max_samples caps the length of the run's trial stream: a call of size n
-    is blocked when n, or the stream already drawn, exceeds it.
+    max_samples caps the run's trial stream, as long as its largest call:
+    a call of size n is blocked when n exceeds it.
     """
 
     max_samples: Optional[int] = None
@@ -299,17 +299,11 @@ def _check_report(report: CertificationReport) -> CertificationReport:
 
 
 def _blocked(
-    limits: Optional[ResourceLimits],
-    drawn: int,
-    next_samples: int,
-    started: float,
+    limits: Optional[ResourceLimits], next_samples: int, started: float
 ) -> Optional[InconclusiveReason]:
     if limits is None:
         return None
-    if (
-        limits.max_samples is not None
-        and max(drawn, next_samples) > limits.max_samples
-    ):
+    if limits.max_samples is not None and next_samples > limits.max_samples:
         return "budget-exhausted"
     if (
         limits.max_wall_ms is not None
@@ -347,7 +341,7 @@ def _run_schedule(
     verdict: Optional[Verdict] = None
 
     for side, plan in entries:
-        reason = _blocked(limits, stream.length, plan.n_samples, started)
+        reason = _blocked(limits, plan.n_samples, started)
         if reason is not None:
             verdict = Verdict("inconclusive", reason)
             break

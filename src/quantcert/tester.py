@@ -122,8 +122,8 @@ def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
 class TrialStream:
     """The prefix tallies of one run's trial stream.
 
-    Trial i of the stream is trial i of the oracle's call 0 under ``seed``.
-    The stream records the cumulative successes at the end of every draw it
+    Trial i of the stream is the oracle's trial i under ``seed``.  The
+    stream records the cumulative successes at the end of every draw it
     made.  Asking for n trials past its end extends it in draws of the
     oracle's ``batch_trials`` (128 for an oracle that does not set it), the
     last one truncated at n; asking for n inside it redraws only the trials
@@ -159,7 +159,7 @@ class TrialStream:
         while start < n:
             k = min(self.batch_trials, n - start)
             try:
-                tally = self.oracle.draw(k, 0, self.seed, start=start)
+                tally = self.oracle.draw(self.seed, start, k)
             except OracleFailure as exc:
                 part = exc.partial_tally or SampleTally(0, 0)
                 raise OracleFailure(

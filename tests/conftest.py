@@ -20,9 +20,9 @@ class CountingOracle:
         if batch_trials is not None:
             self.batch_trials = batch_trials
 
-    def draw(self, k, call_index, seed, start=0):
-        tally = self.inner.draw(k, call_index, seed, start=start)
-        self.windows.append((call_index, start, k))
+    def draw(self, seed, start, count):
+        tally = self.inner.draw(seed, start, count)
+        self.windows.append((start, count))
         self.total_trials += tally.trials
         return tally
 
@@ -31,17 +31,17 @@ class FixedSuccessOracle:
     """Returns a predetermined global success pattern, for boundary tests.
 
     successes_at holds the trial indices that count as successes; draws are
-    stateless functions of (start, k) as the oracle contract requires.
+    stateless functions of (start, count) as the oracle contract requires.
     """
 
     def __init__(self, successes_at):
         self.successes_at = frozenset(successes_at)
 
-    def draw(self, k, call_index, seed, start=0):
+    def draw(self, seed, start, count):
         from quantcert import SampleTally
 
-        hits = sum(1 for i in range(start, start + k) if i in self.successes_at)
-        return SampleTally(trials=k, successes=hits)
+        hits = sum(1 for i in range(start, start + count) if i in self.successes_at)
+        return SampleTally(trials=count, successes=hits)
 
 
 def linear_model_doc(boundary, input_dim=2, feature=0):

@@ -292,13 +292,13 @@ def test_c10_sampler_distributions():
     seed = SeedSpec(20250808)
     d, eps, n = 8, 0.3, 100_000
     center = np.full(d, 0.5)
-    points = L2BallSampler(center, eps).batch(seed, 0, 0, n)
+    points = L2BallSampler(center, eps).batch(seed, 0, n)
     u = (np.linalg.norm(points - center, axis=1) / eps) ** d
     ks = sps.kstest(u, "uniform")
 
     corner = np.array([0.05, 0.9, 0.5, 0.02])
     sampler = LinfBallSampler(corner, 0.25)
-    box = sampler.batch(seed, 1, 0, n)
+    box = sampler.batch(seed, 0, n)
     inside = np.all((box >= sampler.lo) & (box <= sampler.hi))
 
     ok = ks.pvalue > 0.01 and bool(inside)

@@ -215,6 +215,30 @@ def test_no_function_takes_a_batch_size(module, name):
     assert "batch_size" not in inspect.signature(fn).parameters
 
 
+# A run reads one trial stream, so trials are addressed by (seed, start,
+# count) alone: no protocol or implementation takes a per-call stream key.
+TRIAL_ADDRESSED = [
+    ("oracle", "Oracle", "draw"),
+    ("oracle", "BernoulliOracle", "draw"),
+    ("oracle", "PropertyOracle", "draw"),
+    ("oracle", "SubprocessOracle", "draw"),
+    ("oracle", "Sampler", "batch"),
+    ("robustness", "LinfBallSampler", "batch"),
+    ("robustness", "L2BallSampler", "batch"),
+    ("core", "SeedSpec", "raw_block"),
+]
+
+
+@pytest.mark.parametrize("module, owner, method", TRIAL_ADDRESSED)
+def test_no_method_takes_a_call_index(module, owner, method):
+    cls = getattr(importlib.import_module(f"quantcert.{module}"), owner)
+    params = inspect.signature(getattr(cls, method)).parameters
+    assert "call_index" not in params
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+    if method != "raw_block":
+        assert list(params) == ["self", "seed", "start", "count"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

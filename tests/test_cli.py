@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +258,29 @@ class TestCertifyModel:
         )
         assert code == EXIT_INTERNAL
         assert "ParseError" in err
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_oracle_cmd_matches_model_run(self, capsys, tmp_path, model_path, center_path,
+                                          norm):
+        # A child that labels like the 0.62 model gives the model run's
+        # report, the note on how the ball was sampled included.
+        child = tmp_path / "child.py"
+        child.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print(1 if float(line.split(',')[0]) > 0.62 else 0, flush=True)\n"
+        )
+        common = [*self.QUERY, "--center", center_path, "--eps", "0.1", "--norm", norm,
+                  "--seed", "5"]
+        code, out, _ = run(capsys, "certify", *common, "--model", model_path(0.62))
+        by_model = json.loads(out)
+        code, out, _ = run(capsys, "certify", *common, "--reference-label", "0",
+                           "--oracle-cmd", shlex.join([sys.executable, str(child)]))
+        by_cmd = json.loads(out)
+        assert code == EXIT_YES and by_cmd["verdict"] == by_model["verdict"] == "yes"
+        assert by_cmd["calls"] == by_model["calls"]
+        assert by_cmd["notes"] == by_model["notes"]
+        assert ("clipped ball" in by_cmd["notes"][-1]) == (norm == "l2")
 
     def test_canonical_output_ignores_batch_size(
         self, capsys, monkeypatch, model_path, center_path
@@ -521,6 +546,22 @@ ERROR_LINES = [
                                     "--reference-label", "0"],
         "OracleFailure", r"could not start .*",
         id="oracle-cmd-cannot-start",
+    ),
+    # An empty command once reached Popen([]) and ended in an IndexError, and an
+    # unclosed quote in shlex.split in a ValueError.
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--oracle-cmd", "",
+                                    "--center", center, "--eps", "0.1",
+                                    "--reference-label", "0"],
+        "OutOfRangeError", r"the oracle command '' names no program",
+        id="oracle-cmd-empty",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--oracle-cmd", "'child",
+                                    "--center", center, "--eps", "0.1",
+                                    "--reference-label", "0"],
+        "OutOfRangeError", "the oracle command \"'child\" does not parse: No closing quotation",
+        id="oracle-cmd-unclosed-quote",
     ),
     pytest.param(
         lambda tmp, model, center: ["plan", "--theta1", "0.3", "--theta2", "0.2",

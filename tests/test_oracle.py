@@ -44,34 +44,28 @@ class TestBernoulliOracle:
             BernoulliOracle(p)
 
     def test_degenerate_rates_are_exact(self, seed):
-        assert BernoulliOracle(0.0).draw(5000, 0, seed).successes == 0
-        assert BernoulliOracle(1.0).draw(5000, 0, seed).successes == 5000
+        assert BernoulliOracle(0.0).draw(seed, 0, 5000).successes == 0
+        assert BernoulliOracle(1.0).draw(seed, 0, 5000).successes == 5000
 
     def test_empty_draw(self, seed):
-        tally = BernoulliOracle(0.5).draw(0, 0, seed)
+        tally = BernoulliOracle(0.5).draw(seed, 0, 0)
         assert tally.trials == 0 and tally.successes == 0
 
     def test_rate_is_calibrated(self, seed):
         # 3 sigma at a million trials; flake odds ~0.3% on a pinned seed,
         # i.e. zero: the draw is deterministic given the seed.
         n = 1_000_000
-        tally = BernoulliOracle(0.3).draw(n, 0, seed)
+        tally = BernoulliOracle(0.3).draw(seed, 0, n)
         sigma = math.sqrt(0.3 * 0.7 / n)
         assert abs(tally.p_hat - 0.3) < 3 * sigma
 
     def test_windows_partition_the_call(self, seed):
         oracle = BernoulliOracle(0.47)
-        whole = oracle.draw(1000, 3, seed)
-        left = oracle.draw(400, 3, seed, start=0)
-        right = oracle.draw(600, 3, seed, start=400)
+        whole = oracle.draw(seed, 0, 1000)
+        left = oracle.draw(seed, 0, 400)
+        right = oracle.draw(seed, 400, 600)
         assert left.trials + right.trials == whole.trials
         assert left.successes + right.successes == whole.successes
-
-    def test_calls_use_distinct_streams(self, seed):
-        oracle = BernoulliOracle(0.5)
-        a = oracle.draw(2000, 0, seed)
-        b = oracle.draw(2000, 1, seed)
-        assert a.successes != b.successes
 
     def test_satisfies_oracle_protocol(self):
         assert isinstance(BernoulliOracle(0.5), Oracle)
@@ -90,8 +84,8 @@ class TestBernoulliOracle:
     @given(p=_rates, start=st.integers(0, 1000), k=st.integers(0, 300))
     def test_draw_matches_uniforms(self, p, start, k):
         seed = SeedSpec(99)
-        u = to_unit(seed.raw_block(4, start, k, 1))[:, 0]
-        assert BernoulliOracle(p).draw(k, 4, seed, start=start) == SampleTally(
+        u = to_unit(seed.raw_block(start, k, 1))[:, 0]
+        assert BernoulliOracle(p).draw(seed, start, k) == SampleTally(
             k, int(np.count_nonzero(u < p))
         )
 
@@ -127,7 +121,7 @@ class TestPropertyOracle:
 
     def test_empty_draw_skips_sampling(self, seed, center2):
         sampler = LinfBallSampler(center2, 0.3)
-        tally = PropertyOracle(sampler, _BatchHalfPlane()).draw(0, 0, seed)
+        tally = PropertyOracle(sampler, _BatchHalfPlane()).draw(seed, 0, 0)
         assert tally.trials == 0
 
     def test_sampler_protocol(self, center2):
@@ -165,16 +159,16 @@ class TestSubprocessOracle:
         sampler = LinfBallSampler(center2, 0.3)
         reference = PropertyOracle(sampler, _BatchHalfPlane())
         with SubprocessOracle(command, sampler, reference_label=0) as oracle:
-            got = oracle.draw(300, 0, seed)
-        assert got == reference.draw(300, 0, seed)
+            got = oracle.draw(seed, 0, 300)
+        assert got == reference.draw(seed, 0, 300)
 
     def test_windows_partition_the_call(self, tmp_path, seed, center2):
         command = _write_child(tmp_path, "return 1 if coords[0] > 0.5 else 0")
         sampler = LinfBallSampler(center2, 0.3)
         with SubprocessOracle(command, sampler, reference_label=0) as oracle:
-            whole = oracle.draw(200, 1, seed)
-            left = oracle.draw(80, 1, seed, start=0)
-            right = oracle.draw(120, 1, seed, start=80)
+            whole = oracle.draw(seed, 0, 200)
+            left = oracle.draw(seed, 0, 80)
+            right = oracle.draw(seed, 80, 120)
         assert left.successes + right.successes == whole.successes
 
     def test_string_command_is_split(self, tmp_path, seed, center2):
@@ -182,7 +176,7 @@ class TestSubprocessOracle:
         command = " ".join(argv)
         sampler = LinfBallSampler(center2, 0.3)
         with SubprocessOracle(command, sampler, reference_label=0) as oracle:
-            assert oracle.draw(10, 0, seed).successes == 0
+            assert oracle.draw(seed, 0, 10).successes == 0
 
     def test_spawn_failure(self, tmp_path, center2):
         sampler = LinfBallSampler(center2, 0.3)
@@ -197,6 +191,12 @@ class TestSubprocessOracle:
         with pytest.raises(OutOfRangeError):
             SubprocessOracle([sys.executable, "-c", "pass"], sampler, -1)
 
+    @pytest.mark.parametrize("command", ["", "   ", []])
+    def test_rejects_empty_command(self, command, center2):
+        sampler = LinfBallSampler(center2, 0.3)
+        with pytest.raises(OutOfRangeError, match="names no program"):
+            SubprocessOracle(command, sampler, reference_label=0)
+
     def test_non_integer_reply(self, tmp_path, seed, center2):
         command = _write_child(
             tmp_path, 'return "banana" if coords[0] > 0.5 else 0'
@@ -204,7 +204,7 @@ class TestSubprocessOracle:
         sampler = LinfBallSampler(center2, 0.3)
         with SubprocessOracle(command, sampler, reference_label=0) as oracle:
             with pytest.raises(OracleFailure, match="expected an integer label") as info:
-                oracle.draw(300, 0, seed)
+                oracle.draw(seed, 0, 300)
         partial = info.value.partial_tally
         assert partial is not None and partial.trials < 300
 
@@ -213,7 +213,7 @@ class TestSubprocessOracle:
         sampler = LinfBallSampler(center2, 0.3)
         with SubprocessOracle(command, sampler, reference_label=0) as oracle:
             with pytest.raises(OracleFailure, match="labels must be nonnegative") as info:
-                oracle.draw(5, 0, seed)
+                oracle.draw(seed, 0, 5)
         assert info.value.partial_tally == SampleTally(0, 0)
 
     def test_child_death_carries_partial_tally(self, tmp_path, seed, center2):
@@ -235,7 +235,7 @@ class TestSubprocessOracle:
             with pytest.raises(
                 OracleFailure, match="closed its output after 7 of 50 replies"
             ) as info:
-                oracle.draw(50, 0, seed)
+                oracle.draw(seed, 0, 50)
         partial = info.value.partial_tally
         assert partial is not None
         assert partial.trials == 7
@@ -252,7 +252,7 @@ class TestSubprocessOracle:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             oracle = SubprocessOracle(command, LinfBallSampler(center2, 0.3), 0)
-            oracle.draw(10, 0, seed)
+            oracle.draw(seed, 0, 10)
             oracle.close()
             del oracle
             gc.collect()
@@ -268,9 +268,9 @@ class TestSubprocessOracle:
         got = {}
 
         def draw_all():
-            got["whole"] = oracle.draw(k, 0, seed)
+            got["whole"] = oracle.draw(seed, 0, k)
             got["parts"] = [
-                oracle.draw(min(window, k - s), 0, seed, start=s)
+                oracle.draw(seed, s, min(window, k - s))
                 for s in range(0, k, window)
             ]
 

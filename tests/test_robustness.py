@@ -25,20 +25,18 @@ from conftest import linear_model
 
 def _center(d, faces, root):
     """A center in the unit box; with faces, a third of it at 0 and a quarter at 1."""
-    center = to_unit(SeedSpec(root).raw_block(0, 0, 1, d))[0]
+    center = to_unit(SeedSpec(root).raw_block(0, 1, d))[0]
     if faces:
         center[::3] = 0.0
         center[1::4] = 1.0
     return center
 
 
-# A window of any call, anywhere in its stream, on centers inside the box or
-# on its faces.
+# A window anywhere in the stream, on centers inside the box or on its faces.
 WINDOW_ARGS = dict(
     d=st.sampled_from([1, 2, 7, 784, 785]),
     faces=st.booleans(),
     root=st.integers(0, 2**63 - 1),
-    call_index=st.integers(0, 5),
     start=st.integers(0, 10**6),
     count=st.integers(0, 40),
 )
@@ -72,20 +70,20 @@ class TestLinfBallSampler:
 
     def test_samples_stay_in_clipped_box(self, seed):
         sampler = LinfBallSampler(np.array([0.05, 0.5, 0.98]), 0.1)
-        points = sampler.batch(seed, 0, 0, 5000)
+        points = sampler.batch(seed, 0, 5000)
         assert points.shape == (5000, 3)
         assert np.all(points >= sampler.lo) and np.all(points <= sampler.hi)
 
     def test_windows_are_consistent(self, seed, center2):
         sampler = LinfBallSampler(center2, 0.2)
-        whole = sampler.batch(seed, 2, 0, 100)
+        whole = sampler.batch(seed, 0, 100)
         split = np.vstack(
-            [sampler.batch(seed, 2, 0, 60), sampler.batch(seed, 2, 60, 40)]
+            [sampler.batch(seed, 0, 60), sampler.batch(seed, 60, 40)]
         )
         np.testing.assert_array_equal(whole, split)
 
     def test_mean_sits_at_center(self, seed, center2):
-        points = LinfBallSampler(center2, 0.2).batch(seed, 0, 0, 100_000)
+        points = LinfBallSampler(center2, 0.2).batch(seed, 0, 100_000)
         np.testing.assert_allclose(points.mean(axis=0), center2, atol=3e-3)
 
     @pytest.mark.parametrize("d", [784, 785])
@@ -96,9 +94,9 @@ class TestLinfBallSampler:
         lo = np.maximum(0.0, center - 0.1)
         hi = np.minimum(1.0, center + 0.1)
         spec = SeedSpec(5)
-        for call_index, start, count in ((0, 0, 7), (2, 31, 5)):
-            u = to_unit(spec.raw_block(call_index, start, count, d))
-            points = sampler.batch(spec, call_index, start, count)
+        for start, count in ((0, 7), (31, 5)):
+            u = to_unit(spec.raw_block(start, count, d))
+            points = sampler.batch(spec, start, count)
             assert points.tobytes() == (lo + u * (hi - lo)).tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -107,12 +105,12 @@ class TestLinfBallSampler:
         eps=st.one_of(st.floats(1e-6, 2.0), st.sampled_from([1e-300, 2.0**-1000, 5e-324])),
         **WINDOW_ARGS,
     )
-    def test_matches_two_step_map(self, d, faces, eps, root, call_index, start, count):
+    def test_matches_two_step_map(self, d, faces, eps, root, start, count):
         center = _center(d, faces, root)
         lo = np.maximum(0.0, center - eps)
         span = np.minimum(1.0, center + eps) - lo
-        words = SeedSpec(root).raw_block(call_index, start, count, d)
-        points = LinfBallSampler(center, eps).batch(SeedSpec(root), call_index, start, count)
+        words = SeedSpec(root).raw_block(start, count, d)
+        points = LinfBallSampler(center, eps).batch(SeedSpec(root), start, count)
         assert points.tobytes() == (to_unit(words) * span + lo).tobytes()
 
     @pytest.mark.parametrize(
@@ -136,7 +134,7 @@ class TestL2BallSampler:
     def test_samples_stay_in_ball(self, seed):
         center = np.full(8, 0.5)
         sampler = L2BallSampler(center, 0.3)
-        points = sampler.batch(seed, 0, 0, 20_000)
+        points = sampler.batch(seed, 0, 20_000)
         shift = np.linalg.norm(points - center, axis=1)
         assert np.all(shift <= 0.3 * (1.0 + 1e-12))
 
@@ -144,21 +142,21 @@ class TestL2BallSampler:
         # r^d is uniform for a d-ball; the mean of (r/eps)^d sits at 1/2
         d = 8
         center = np.full(d, 0.5)
-        points = L2BallSampler(center, 0.3).batch(seed, 0, 0, 50_000)
+        points = L2BallSampler(center, 0.3).batch(seed, 0, 50_000)
         u = (np.linalg.norm(points - center, axis=1) / 0.3) ** d
         assert abs(u.mean() - 0.5) < 4e-3
 
     def test_clipping_keeps_ball_membership(self, seed):
         center = np.array([0.05, 0.05])
         sampler = L2BallSampler(center, 0.2)
-        points = sampler.batch(seed, 0, 0, 10_000)
+        points = sampler.batch(seed, 0, 10_000)
         assert np.all(points >= 0.0) and np.all(points <= 1.0)
         shift = np.linalg.norm(points - center, axis=1)
         assert np.all(shift <= 0.2 * (1.0 + 1e-12))
 
     def test_one_dimensional_ball(self, seed):
         sampler = L2BallSampler(np.array([0.5]), 0.2)
-        points = sampler.batch(seed, 0, 0, 2000)
+        points = sampler.batch(seed, 0, 2000)
         assert np.all(np.abs(points - 0.5) <= 0.2)
         # both directions show up
         assert np.any(points > 0.5) and np.any(points < 0.5)
@@ -166,13 +164,11 @@ class TestL2BallSampler:
     # eps up to 40 puts most coordinates of a 784-d point outside the box.
     @settings(max_examples=60, deadline=None)
     @given(eps=st.floats(1e-6, 40.0), **WINDOW_ARGS)
-    def test_matches_out_of_place_reference(
-        self, d, faces, eps, root, call_index, start, count
-    ):
+    def test_matches_out_of_place_reference(self, d, faces, eps, root, start, count):
         from scipy.special import ndtri
 
         center = _center(d, faces, root)
-        words = SeedSpec(root).raw_block(call_index, start, count, d + 1)
+        words = SeedSpec(root).raw_block(start, count, d + 1)
         normals = ndtri(((words[:, :d] >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52)
         norms = np.linalg.norm(normals, axis=1)
         assert np.all(norms > 0.0)
@@ -180,14 +176,14 @@ class TestL2BallSampler:
         u = (words[:, d] >> np.uint64(11)).astype(np.float64) * 2.0**-53
         radii = eps * u ** (1.0 / d)
         expected = np.clip(center + radii[:, None] * directions, 0.0, 1.0)
-        points = L2BallSampler(center, eps).batch(SeedSpec(root), call_index, start, count)
+        points = L2BallSampler(center, eps).batch(SeedSpec(root), start, count)
         assert points.tobytes() == expected.tobytes()
 
     def test_windows_are_consistent(self, seed, center2):
         sampler = L2BallSampler(center2, 0.2)
-        whole = sampler.batch(seed, 1, 0, 90)
+        whole = sampler.batch(seed, 0, 90)
         split = np.vstack(
-            [sampler.batch(seed, 1, 0, 50), sampler.batch(seed, 1, 50, 40)]
+            [sampler.batch(seed, 0, 50), sampler.batch(seed, 50, 40)]
         )
         np.testing.assert_array_equal(whole, split)
 
@@ -202,7 +198,7 @@ class TestMisclassificationProperty:
     def test_batch_matches_scalar(self, seed, center2):
         model = linear_model(0.55)
         prop = misclassification_property(model, center2)
-        points = LinfBallSampler(center2, 0.2).batch(seed, 0, 0, 200)
+        points = LinfBallSampler(center2, 0.2).batch(seed, 0, 200)
         flags = prop.batch(points)
         assert flags.tolist() == [prop.batch(row[None])[0] for row in points]
 
