@@ -3,10 +3,12 @@
 Subcommands: certify (run one query against an oracle), hardness (scan
 radii), simulate (exact soundness and cost on Bernoulli rates, computed
 from each schedule, not sampled), plan and budget (pure arithmetic, no
-oracle).  Exit codes: 0 yes, 1 no, 2 inconclusive, 64 usage error or an
-out-of-range value, 70 internal error.  The QUANTCERT_SEED environment
-variable overrides --seed; with neither set, a fresh root seed is drawn
-from OS entropy and recorded in the report.
+oracle).  Each parses its flags, calls one library path and prints one
+document.  Exit codes: 0 yes, 1 no, 2 inconclusive, 64 a malformed command
+line or an OutOfRangeError (every bad flag, file or environment value),
+70 internal error.  The QUANTCERT_SEED environment variable overrides
+--seed; with neither set, a fresh root seed is drawn from OS entropy and
+recorded in the report.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .nn import load_model
 from .oracle import BernoulliOracle, SubprocessOracle
 from .robustness import (
     NoYesFoundError,
-    _with_ball_note,
+    _certify_ball,
     adversarial_hardness,
     certify_density,
     make_sampler,
@@ -39,6 +41,7 @@ from .strategy import (
     STRATEGIES,
     ResourceLimits,
     _lerp,
+    _plan_fields,
     baseline_samples,
     run_strategy,
     worst_case_budget,
@@ -54,10 +57,6 @@ EXIT_INTERNAL = 70
 # Largest grid a range spec may expand to; a tiny step would otherwise ask
 # for more points than memory holds.
 _MAX_GRID_POINTS = 10_000
-
-
-class UsageError(QuantCertError):
-    """Bad flag combination or malformed argument value."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,29 +84,27 @@ def _resolve_seed(args: argparse.Namespace) -> SeedSpec:
         try:
             return SeedSpec(int(env))
         except ValueError:
-            raise UsageError(f"QUANTCERT_SEED must be an integer, got {env!r}") from None
+            raise OutOfRangeError(f"QUANTCERT_SEED must be an integer, got {env!r}") from None
     if args.seed is not None:
         return SeedSpec(args.seed)
     return SeedSpec.fresh()
 
 
-def _limits(args: argparse.Namespace) -> Optional[ResourceLimits]:
-    if args.max_samples is None and args.max_wall_ms is None:
-        return None
-    return ResourceLimits(max_samples=args.max_samples, max_wall_ms=args.max_wall_ms)
+def _limits(args: argparse.Namespace) -> ResourceLimits:
+    return ResourceLimits(args.max_samples, args.max_wall_ms)
 
 
 def _read_center(path: str, row_index: int) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if any(tok.strip() for tok in r)]
     if not rows:
-        raise UsageError(f"{path} holds no data rows")
+        raise OutOfRangeError(f"{path} holds no data rows")
     if not 0 <= row_index < len(rows):
-        raise UsageError(f"--center-row {row_index} outside 0..{len(rows) - 1}")
+        raise OutOfRangeError(f"--center-row {row_index} outside 0..{len(rows) - 1}")
     try:
         return np.array([float(tok) for tok in rows[row_index]], dtype=np.float64)
     except ValueError as exc:
-        raise UsageError(f"non-numeric value in {path}: {exc}") from None
+        raise OutOfRangeError(f"non-numeric value in {path}: {exc}") from None
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -115,26 +112,26 @@ def _parse_grid(text: str) -> List[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UsageError(f"range grids look like lo:hi:step, got {text!r}")
+            raise OutOfRangeError(f"range grids look like lo:hi:step, got {text!r}")
         try:
             lo, hi, step = (float(v) for v in parts)
         except ValueError as exc:
-            raise UsageError(f"bad grid value: {exc}") from None
+            raise OutOfRangeError(f"bad grid value: {exc}") from None
         # Negated so that NaN ends or steps fail as well.
         if not (step > 0 and hi >= lo and math.isfinite(hi - lo)):
-            raise UsageError("range grids need finite ends, hi >= lo and step > 0")
+            raise OutOfRangeError("range grids need finite ends, hi >= lo and step > 0")
         if hi == lo:
             return [lo]
         n = max(1, int(round(min((hi - lo) / step, _MAX_GRID_POINTS))))
         if n >= _MAX_GRID_POINTS:
-            raise UsageError(f"range grids hold at most {_MAX_GRID_POINTS} points")
+            raise OutOfRangeError(f"range grids hold at most {_MAX_GRID_POINTS} points")
         return [_lerp(lo, hi, n, k) for k in range(n + 1)]
     try:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad grid value: {exc}") from None
+        raise OutOfRangeError(f"bad grid value: {exc}") from None
     if not grid:
-        raise UsageError(f"grid {text!r} holds no values")
+        raise OutOfRangeError(f"grid {text!r} holds no values")
     return grid
 
 
@@ -157,7 +154,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         args.oracle_cmd is not None,
     ]
     if sum(sources) != 1:
-        raise UsageError(
+        raise OutOfRangeError(
             "pick exactly one oracle source: --bernoulli, --model, or --oracle-cmd"
         )
 
@@ -179,7 +176,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         )
     elif args.model is not None:
         if args.center is None or args.eps is None:
-            raise UsageError("--model runs need --center and --eps")
+            raise OutOfRangeError("--model runs need --center and --eps")
         with open(args.model) as fh:
             model = load_model(fh.read())
         center = _read_center(args.center, args.center_row)
@@ -195,7 +192,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         )
     else:
         if args.center is None or args.eps is None or args.reference_label is None:
-            raise UsageError(
+            raise OutOfRangeError(
                 "--oracle-cmd runs need --center, --eps, and --reference-label"
             )
         center = _read_center(args.center, args.center_row)
@@ -205,21 +202,19 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "source": "subprocess",
             "command": args.oracle_cmd,
             "strategy": args.strategy,
-            "norm": args.norm,
-            "epsilon": args.eps,
-            "center": [float(v) for v in center],
-            "reference_label": args.reference_label,
         }
         with SubprocessOracle(args.oracle_cmd, sampler, args.reference_label) as oracle:
-            report = run_strategy(
-                args.strategy,
-                query,
+            report = _certify_ball(
                 oracle,
+                sampler,
+                args.norm,
+                args.reference_label,
+                query,
                 seed,
-                limits=limits,
-                config=config,
+                args.strategy,
+                limits,
+                config,
             )
-        report = _with_ball_note(report, args.norm)
 
     text = report.canonical_json() if args.canonical else report.to_json()
     print(text, file=args.out)
@@ -246,43 +241,32 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             limits=_limits(args),
         )
+        doc = {
+            "hardness": result.hardness,
+            "method": result.method,
+            "total_samples": result.total_samples,
+            "probes": result.probe_log,
+        }
     except NoYesFoundError as exc:
-        print(
-            json.dumps(
-                {
-                    "hardness": None,
-                    "method": args.method,
-                    "error": "no-yes-found",
-                    "probes": [asdict(p) for p in exc.probe_log],
-                },
-                indent=2,
-            ),
-            file=args.out,
-        )
-        return EXIT_NO
-    print(
-        json.dumps(
-            {
-                "hardness": result.hardness,
-                "method": result.method,
-                "total_samples": result.total_samples,
-                "probes": [asdict(p) for p in result.probe_log],
-            },
-            indent=2,
-        ),
-        file=args.out,
-    )
-    return EXIT_YES
+        doc = {
+            "hardness": None,
+            "method": args.method,
+            "error": "no-yes-found",
+            "probes": exc.probe_log,
+        }
+    doc["probes"] = [asdict(p) for p in doc["probes"]]
+    print(json.dumps(doc, indent=2), file=args.out)
+    return EXIT_NO if doc["hardness"] is None else EXIT_YES
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     query = validate_query((args.theta, args.eta, args.delta))
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     if not strategies:
-        raise UsageError(f"--strategy {args.strategy!r} names no strategy")
+        raise OutOfRangeError(f"--strategy {args.strategy!r} names no strategy")
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
-        raise UsageError(f"unknown strategies: {unknown}; expected {sorted(STRATEGIES)}")
+        raise OutOfRangeError(f"unknown strategies: {unknown}; expected {sorted(STRATEGIES)}")
     table = complexity_sweep(
         strategies, query, _parse_grid(args.p_grid), max_samples=args.max_samples
     )
@@ -293,21 +277,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     plan = plan_tester(args.theta1, args.theta2, args.delta_call)
-    print(
-        json.dumps(
-            {
-                "theta1": plan.theta1,
-                "theta2": plan.theta2,
-                "delta_call": plan.delta_call,
-                "n": plan.n_samples,
-                "eta1": plan.eta1,
-                "eta2": plan.eta2,
-                "t": plan.t,
-            },
-            indent=2,
-        ),
-        file=args.out,
-    )
+    print(json.dumps(_plan_fields(plan), indent=2), file=args.out)
     return 0
 
 
@@ -399,9 +369,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"quantcert: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (QuantCertError, OSError) as exc:
         print(f"quantcert: {type(exc).__name__}: {exc}", file=sys.stderr)
         # Every range check the CLI can reach tests a flag, a file or the

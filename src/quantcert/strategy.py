@@ -85,6 +85,19 @@ class ResourceLimits:
             raise OutOfRangeError(f"max_wall_ms must be nonnegative, got {self.max_wall_ms}")
 
 
+def _plan_fields(plan: TesterPlan) -> Dict[str, object]:
+    """A plan as reports and ``quantcert plan`` print it."""
+    return {
+        "theta1": plan.theta1,
+        "theta2": plan.theta2,
+        "delta_call": plan.delta_call,
+        "n": plan.n_samples,
+        "eta1": plan.eta1,
+        "eta2": plan.eta2,
+        "t": plan.t,
+    }
+
+
 @dataclass(frozen=True)
 class CertificationReport:
     query: ThresholdQuery
@@ -115,13 +128,7 @@ class CertificationReport:
             "calls": [
                 {
                     "side": rec.side,
-                    "theta1": rec.plan.theta1,
-                    "theta2": rec.plan.theta2,
-                    "delta_call": rec.plan.delta_call,
-                    "n": rec.plan.n_samples,
-                    "eta1": rec.plan.eta1,
-                    "eta2": rec.plan.eta2,
-                    "t": rec.plan.t,
+                    **_plan_fields(rec.plan),
                     "successes": rec.tally.successes,
                     "p_hat": rec.tally.p_hat,
                     "outcome": rec.outcome,

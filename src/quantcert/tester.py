@@ -25,6 +25,7 @@ instead of the sum of its calls.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Literal
@@ -129,16 +130,17 @@ class TrialStream:
     last one truncated at n; asking for n inside it redraws only the trials
     from the nearest recorded end below n.  Oracles are pure functions of
     the trial index, so a redrawn trial is the trial drawn before, and the
-    draw sizes change no tally, only the number of draws.
+    draw sizes change no tally, only the number of draws.  A draw must
+    answer exactly the trials it was asked for.
     """
 
     def __init__(self, oracle: Oracle, seed: SeedSpec) -> None:
         batch = getattr(oracle, "batch_trials", 128)
-        if batch < 1:
-            raise OutOfRangeError(f"batch_trials must be at least 1, got {batch}")
+        if isinstance(batch, bool) or not isinstance(batch, numbers.Integral) or batch < 1:
+            raise OutOfRangeError(f"batch_trials must be an integer of at least 1, got {batch!r}")
         self.oracle = oracle
         self.seed = seed
-        self.batch_trials = batch
+        self.batch_trials = int(batch)
         # Recorded draw ends, increasing, and the successes before each.
         self._ends: List[int] = [0]
         self._successes: List[int] = [0]
@@ -152,7 +154,8 @@ class TrialStream:
         """Successes among trials [0, n) of the stream.
 
         Oracle failures propagate as OracleFailure, with the tally of the
-        stream up to the failed trial attached.
+        stream up to the failed trial attached; a draw that answers other
+        than the trials asked for fails the same way, at its first trial.
         """
         at = bisect_right(self._ends, n) - 1
         start, hits = self._ends[at], self._successes[at]
@@ -166,6 +169,11 @@ class TrialStream:
                     str(exc),
                     partial_tally=SampleTally(start + part.trials, hits + part.successes),
                 ) from exc
+            if tally.trials != k:
+                raise OracleFailure(
+                    f"the oracle answered {tally.trials} trials of the {k} asked for",
+                    partial_tally=SampleTally(start, hits),
+                )
             start += k
             hits += tally.successes
             at += 1

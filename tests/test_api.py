@@ -133,7 +133,6 @@ def test_error_tree():
         "OutOfRangeError",
         "ParseError",
         "ReportInvariantError",
-        "UsageError",
     ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 
 import quantcert.oracle as oracle_module
 import quantcert.sim as sim_module
-from quantcert import SeedSpec, ThresholdQuery, certify_density
+from quantcert import OutOfRangeError, SeedSpec, ThresholdQuery, certify_density
 from quantcert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERNAL,
@@ -491,12 +492,10 @@ class TestParseGrid:
         assert _parse_grid("0.5:0.5:0.1") == [0.5]
 
     def test_bad_specs(self):
-        from quantcert.cli import UsageError
-
         for text in ("0.1:0.2", "0.1:0.2:0:4", "0.3:0.1:0.1", "0.1:0.2:0", "a,b",
                      "0:1:x", "a:b:c", "nan:1:0.1", "0:inf:1", "0:1:nan", "0:1:1e-5",
                      "", ",", " , "):
-            with pytest.raises(UsageError):
+            with pytest.raises(OutOfRangeError):
                 _parse_grid(text)
 
 
@@ -519,8 +518,34 @@ NO_FILE = r"\[Errno 2\] No such file or directory: '.*'"
 VANISHING = r"eta = 1e-200 vanishes next to theta = 0\.0: .*"
 OVERFLOWING = r"the sample size bound inf is not finite; the query is too tight"
 
-# Each row builds its argv from (tmp_path, model path, center path).
+# Each row builds its argv from (tmp_path, model path, center path); leading
+# NAME=value words set the environment, as in a shell.
 ERROR_LINES = [
+    # The four rows below once printed "quantcert: error: <message>".
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY],
+        "OutOfRangeError",
+        r"pick exactly one oracle source: --bernoulli, --model, or --oracle-cmd",
+        id="no-oracle-source",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model", model],
+        "OutOfRangeError", r"--model runs need --center and --eps",
+        id="model-without-center",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model", model,
+                                    "--center", _center_3d(tmp), "--center-row", "5",
+                                    "--eps", "0.1"],
+        "OutOfRangeError", r"--center-row 5 outside 0\.\.0",
+        id="center-row-past-end",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["QUANTCERT_SEED=not-a-seed", "certify", *QUERY,
+                                    "--bernoulli", "0.0"],
+        "OutOfRangeError", r"QUANTCERT_SEED must be an integer, got 'not-a-seed'",
+        id="bad-seed-variable",
+    ),
     pytest.param(
         lambda tmp, model, center: ["certify", "--theta", "0.95", "--eta", "0.1",
                                     "--delta", "0.01", "--bernoulli", "0.0"],
@@ -626,8 +651,12 @@ ERROR_LINES = [
 
 
 @pytest.mark.parametrize("build, kind, message", ERROR_LINES)
-def test_error_is_one_stderr_line(capsys, tmp_path, model_path, center_path, build, kind, message):
-    code, out, err = run(capsys, *build(tmp_path, model_path(0.6), center_path))
+def test_error_is_one_stderr_line(capsys, monkeypatch, tmp_path, model_path, center_path,
+                                  build, kind, message):
+    argv = build(tmp_path, model_path(0.6), center_path)
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    code, out, err = run(capsys, *argv)
     # A value out of range came from the caller's flags or files.
     assert code == (EXIT_USAGE if kind == "OutOfRangeError" else EXIT_INTERNAL)
     assert out == ""
@@ -646,6 +675,57 @@ def test_unwritable_out_fails_before_the_first_draw(capsys, tmp_path, monkeypatc
                          "--out", str(tmp_path / "no-dir" / "r.json"))
     assert code == EXIT_INTERNAL and out == "" and draws == []
     assert re.fullmatch(rf"quantcert: FileNotFoundError: {NO_FILE}\n", err), err
+
+
+LABELS_LIKE_0_62 = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    print(1 if float(line.split(',')[0]) > 0.62 else 0, flush=True)\n"
+)
+HARDNESS = ["hardness", *TestHardness.QUERY, "--model", "model.json", "--center",
+            "center.csv", "--seed", "5"]
+ORACLE_CMD = ["certify", *TestCertifyModel.QUERY, "--center", "center.csv", "--eps", "0.1",
+              "--seed", "5", "--reference-label", "0", "--oracle-cmd", "./child.py",
+              "--canonical"]
+
+
+# sha256 of stdout and the exit code, recorded before the CLI was cut down to
+# one library call and one document per subcommand.
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        pytest.param(["plan", "--theta1", "0.1", "--theta2", "0.2", "--delta", "0.01"], 0,
+                     "53f390f065da2905f46ae4935750000d68590d23b7d063ba6419ce7835495d57",
+                     id="plan"),
+        pytest.param(["budget", "--theta", "0.1", "--eta", "0.001", "--delta", "0.01"], 0,
+                     "44a484e275b5a8a18d91af9a8a8890f63d04041cdc0fef9b68df9b28d58f8e10",
+                     id="budget"),
+        pytest.param([*HARDNESS, "--eps-grid", "0.05:0.3:0.05"], EXIT_YES,
+                     "c3aae86496402ba1c2e6e852b0f44c0bb53d33e1d50b4a5ca5d0f1c458527f3b",
+                     id="hardness-yes"),
+        pytest.param([*HARDNESS, "--eps-grid", "0.25,0.3"], EXIT_NO,
+                     "b6f621f2f8a15af5a2dc669c746b61d68db37c77747b753564f2c10d1cac9fca",
+                     id="hardness-no-yes-found"),
+        pytest.param([*ORACLE_CMD, "--norm", "linf"], EXIT_YES,
+                     "d68284e3e55cadd22e6e7ae81ef163ef987aa445a1891bffb0c57c6058fb055d",
+                     id="oracle-cmd-linf"),
+        pytest.param([*ORACLE_CMD, "--norm", "l2"], EXIT_YES,
+                     "0236e5df36b6e5ea0cf8a00eec1e1389b508758e17087f46de9f0c42cd54b76c",
+                     id="oracle-cmd-l2"),
+    ],
+)
+def test_stdout_is_pinned(capsys, monkeypatch, tmp_path, argv, code, digest):
+    # Relative paths keep every byte of the report, the command included,
+    # independent of where the test runs.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text(linear_model_doc(0.7))
+    (tmp_path / "center.csv").write_text("0.5,0.5\n0.25,0.75\n")
+    child = tmp_path / "child.py"
+    child.write_text(f"#!{sys.executable}\n{LABELS_LIKE_0_62}")
+    child.chmod(0o755)
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUsageBasics:

@@ -12,7 +12,7 @@ from quantcert import (
     SampleTally,
     ThresholdQuery,
 )
-from quantcert.strategy import schedule
+from quantcert.strategy import run_strategy, schedule
 from quantcert.tester import TrialStream, plan_tester, run_tester
 from chernoff_reference import chernoff_tail
 from conftest import CountingOracle, FixedSuccessOracle
@@ -192,8 +192,32 @@ class TestRunTester:
 
     def test_bad_knobs_rejected(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
-        with pytest.raises(OutOfRangeError):
-            _run(plan, CountingOracle(BernoulliOracle(0.2), batch_trials=0), seed)
+        # NaN, 2.5, "64" and True once died inside the first draw with a TypeError.
+        for batch in (0, -3, math.nan, 2.5, "64", True):
+            with pytest.raises(OutOfRangeError, match="batch_trials"):
+                _run(plan, CountingOracle(BernoulliOracle(0.2), batch_trials=batch), seed)
+
+    def test_numpy_batch_is_accepted(self, seed):
+        plan = plan_tester(0.1, 0.3, 0.05)
+        oracle = CountingOracle(BernoulliOracle(0.2), batch_trials=np.int64(50))
+        _run(plan, oracle, seed)
+        assert [k for _, k in oracle.windows] == [50, 50, 31]
+
+    # An oracle that answered nothing once certified yes, and one that
+    # over-reported died as an out-of-range value, the caller's error.
+    @pytest.mark.parametrize("answered", [lambda k: 0, lambda k: k - 1, lambda k: k + 5],
+                             ids=["none", "fewer", "more"])
+    def test_draw_must_answer_every_trial_asked_for(self, seed, answered):
+        class Miscounts:
+            batch_trials = 10
+
+            def draw(self, seed, start, count):
+                trials = count if start < 20 else answered(count)
+                return SampleTally(trials, min(trials, 1))
+
+        with pytest.raises(OracleFailure, match="answered") as exc_info:
+            run_strategy("bincert", (0.1, 0.05, 0.1), Miscounts(), seed)
+        assert exc_info.value.partial_tally == SampleTally(20, 2)
 
     def test_failure_carries_partial_tally(self, seed):
         class Breaks:
