@@ -29,7 +29,7 @@ from .oracle import (
     Oracle,
     OracleFailure,
     Sampler,
-    SubprocessOracle,
+    SubprocessProperty,
 )
 from .robustness import (
     HardnessResult,
@@ -73,7 +73,7 @@ __all__ = [
     "SampleTally",
     "Sampler",
     "SeedSpec",
-    "SubprocessOracle",
+    "SubprocessProperty",
     "TesterPlan",
     "ThresholdQuery",
     "Verdict",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import OutOfRangeError, QuantCertError, SeedSpec, validate_query
 from .nn import load_model
-from .oracle import BernoulliOracle, SubprocessOracle
+from .oracle import BernoulliOracle, SubprocessProperty
 from .robustness import (
     NoYesFoundError,
     _certify_ball,
@@ -203,17 +203,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "command": args.oracle_cmd,
             "strategy": args.strategy,
         }
-        with SubprocessOracle(args.oracle_cmd, sampler, args.reference_label) as oracle:
+        with SubprocessProperty(args.oracle_cmd, args.reference_label) as prop:
             report = _certify_ball(
-                oracle,
-                sampler,
-                args.norm,
-                args.reference_label,
-                query,
-                seed,
-                args.strategy,
-                limits,
-                config,
+                prop, sampler, args.norm, query, seed, args.strategy, limits, config
             )
 
     text = report.canonical_json() if args.canonical else report.to_json()

@@ -6,18 +6,23 @@ arguments: batch the trials however you like, trial i always sees the same
 randomness.  That contract is what lets testers batch, redraw and replay
 without changing any verdict.
 
+BernoulliOracle draws its trials from the raw words; PropertyOracle is the
+one oracle that samples a region, and it labels the points with a
+predicate, one bool per point.  The predicate runs in process (a model's
+misclassification property) or in a child process (SubprocessProperty).
+
 An oracle sizes its own draws with ``batch_trials``, the trials a tester
-asks of it at a time: the in-process oracles size it so that one draw reads
-about BATCH_WORDS raw words, whatever each trial costs, and SubprocessOracle
-asks for one write/read round.  A tester gives an oracle without it 128.
+asks of it at a time: both oracles here size it so that one draw reads
+about BATCH_WORDS raw words, whatever each trial costs.  A tester gives an
+oracle without it 128.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import shlex
 import subprocess
-import threading
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
@@ -29,7 +34,7 @@ from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec
 # per call on a cheap oracle, small enough to keep a batch in cache.
 BATCH_WORDS = 1 << 17
 
-# Trials per write/read round with an external oracle.  The child answers
+# Points per write/read round with an external classifier.  The child answers
 # each line as it reads it, so the replies of one round must fit in its
 # stdout pipe while the parent is still writing; 1024 short label lines do.
 _ROUND_LINES = 1024
@@ -103,7 +108,8 @@ class PropertyOracle:
     """Sampler plus predicate: success means the property holds at the point.
 
     The predicate labels a whole batch at once: ``predicate.batch(points)``
-    returns one truth value per row of an (n, d) array.
+    returns one truth value per row of an (n, d) array.  An answer of any
+    other shape fails the draw.
     """
 
     def __init__(self, sampler: Sampler, predicate) -> None:
@@ -120,33 +126,31 @@ class PropertyOracle:
             return SampleTally(0, 0)
         points = self.sampler.batch(seed, start, count)
         hits = np.asarray(self.predicate.batch(points), dtype=bool)
+        if hits.shape != (count,):
+            raise OracleFailure(
+                f"the predicate answered shape {hits.shape} for {count} points",
+                partial_tally=SampleTally(0, 0),
+            )
         return SampleTally(trials=count, successes=int(np.count_nonzero(hits)))
 
 
-class SubprocessOracle:
-    """Bridge to an external classifier speaking a line protocol on stdio.
+class SubprocessProperty:
+    """An external classifier speaking a line protocol on stdio, as a predicate.
 
-    Per trial the parent writes one line of comma-separated float
+    Per point the parent writes one line of comma-separated float
     coordinates; the child answers one line holding a nonnegative integer
     label.  The parent writes a batch in rounds of at most 1,024 lines and
     reads each round's replies before writing the next, so a child that
     flushes every reply cannot fill its output pipe and stall both sides.
-    Closing the child's stdin tells it to shut down.  Success means the
-    child's label differs from reference_label.
+    Closing the child's stdin tells it to shut down.  The property holds at
+    a point when the child's label differs from reference_label.
     """
 
-    batch_trials = _ROUND_LINES
-
-    def __init__(
-        self,
-        command: Union[str, Sequence[str]],
-        sampler: Sampler,
-        reference_label: int,
-    ) -> None:
-        if reference_label < 0:
-            raise OutOfRangeError("reference_label must be a nonnegative class index")
-        self.sampler = sampler
-        self.reference_label = int(reference_label)
+    def __init__(self, command: Union[str, Sequence[str]], reference_label: int) -> None:
+        ref = reference_label
+        if isinstance(ref, bool) or not isinstance(ref, numbers.Integral) or ref < 0:
+            raise OutOfRangeError(f"reference_label must be a nonnegative integer, got {ref!r}")
+        self.reference_label = int(ref)
         try:
             argv = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:
@@ -155,8 +159,6 @@ class SubprocessOracle:
             ) from None
         if not argv:
             raise OutOfRangeError(f"the oracle command {command!r} names no program")
-        self.command = argv
-        self._lock = threading.Lock()
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -168,51 +170,43 @@ class SubprocessOracle:
         except OSError as exc:
             raise OracleFailure(f"could not start {argv!r}: {exc}") from exc
 
-    def draw(self, seed: SeedSpec, start: int, count: int) -> SampleTally:
-        if count == 0:
-            return SampleTally(0, 0)
-        points = self.sampler.batch(seed, start, count)
-        successes = 0
+    def batch(self, points: np.ndarray) -> np.ndarray:
+        """Whether the child's label differs from reference_label, per row.
+
+        A failure's partial tally counts the rows answered before it.
+        """
+        count = len(points)
+        hits = np.zeros(count, dtype=bool)
         answered = 0
-        with self._lock:
-            for first in range(0, count, _ROUND_LINES):
-                rows = points[first : first + _ROUND_LINES]
-                payload = "".join(
-                    ",".join(repr(float(v)) for v in row) + "\n" for row in rows
-                )
+
+        def failure(message: str) -> OracleFailure:
+            tally = SampleTally(answered, int(np.count_nonzero(hits[:answered])))
+            return OracleFailure(message, partial_tally=tally)
+
+        for first in range(0, count, _ROUND_LINES):
+            rows = points[first : first + _ROUND_LINES]
+            payload = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+            try:
+                self._proc.stdin.write(payload)
+                self._proc.stdin.flush()
+            except (BrokenPipeError, OSError) as exc:
+                raise failure(f"oracle process died while receiving a batch: {exc}") from exc
+            for _ in range(len(rows)):
+                line = self._proc.stdout.readline()
+                if line == "":
+                    raise failure(
+                        f"oracle process closed its output after {answered} of {count} replies"
+                    )
+                text = line.strip()
                 try:
-                    self._proc.stdin.write(payload)
-                    self._proc.stdin.flush()
-                except (BrokenPipeError, OSError) as exc:
-                    raise OracleFailure(
-                        f"oracle process died while receiving a batch: {exc}",
-                        partial_tally=SampleTally(answered, successes),
-                    ) from exc
-                for _ in range(len(rows)):
-                    line = self._proc.stdout.readline()
-                    if line == "":
-                        raise OracleFailure(
-                            f"oracle process closed its output after {answered} of "
-                            f"{count} replies",
-                            partial_tally=SampleTally(answered, successes),
-                        )
-                    text = line.strip()
-                    try:
-                        label = int(text)
-                    except ValueError:
-                        raise OracleFailure(
-                            f"expected an integer label, got {text!r}",
-                            partial_tally=SampleTally(answered, successes),
-                        ) from None
-                    if label < 0:
-                        raise OracleFailure(
-                            f"labels must be nonnegative, got {label}",
-                            partial_tally=SampleTally(answered, successes),
-                        )
-                    answered += 1
-                    if label != self.reference_label:
-                        successes += 1
-        return SampleTally(trials=count, successes=successes)
+                    label = int(text)
+                except ValueError:
+                    raise failure(f"expected an integer label, got {text!r}") from None
+                if label < 0:
+                    raise failure(f"labels must be nonnegative, got {label}")
+                hits[answered] = label != self.reference_label
+                answered += 1
+        return hits
 
     def close(self) -> None:
         proc = getattr(self, "_proc", None)
@@ -231,7 +225,7 @@ class SubprocessOracle:
         if proc.stdout and not proc.stdout.closed:
             proc.stdout.close()
 
-    def __enter__(self) -> "SubprocessOracle":
+    def __enter__(self) -> "SubprocessProperty":
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -26,7 +26,7 @@ from .core import (
     validate_query,
 )
 from .nn import Model, predict_batch
-from .oracle import Oracle, PropertyOracle
+from .oracle import PropertyOracle
 from .strategy import CertificationReport, ResourceLimits, run_strategy
 
 Norm = Literal["linf", "l2"]
@@ -199,35 +199,34 @@ def certify_density(
     """
     sampler = make_sampler(norm, x0, epsilon)
     prop = misclassification_property(model, sampler.center)
-    return _certify_ball(
-        PropertyOracle(sampler, prop), sampler, norm, prop.reference_label,
-        query, seed, strategy, limits,
-    )
+    return _certify_ball(prop, sampler, norm, query, seed, strategy, limits)
 
 
 def _certify_ball(
-    oracle: Oracle,
+    prop,
     sampler: Union[LinfBallSampler, L2BallSampler],
     norm: Norm,
-    reference_label: int,
     query: ThresholdQuery,
     seed: SeedSpec,
     strategy: str,
     limits: Optional[ResourceLimits],
     config: Optional[Dict[str, object]] = None,
 ) -> CertificationReport:
-    """Run a strategy on an oracle over the sampler's ball and record the ball.
+    """Run a strategy on the property over the sampler's ball and record the ball.
 
-    The report's config holds the caller's keys, then the norm, radius,
-    center and reference label; its notes end with how the ball was sampled.
+    A trial succeeds where ``prop`` holds; ``prop.reference_label`` is the
+    label it compares against.  The report's config holds the caller's
+    keys, then the norm, radius, center and reference label; its notes end
+    with how the ball was sampled.
     """
     config = {
         **(config or {}),
         "norm": norm,
         "epsilon": sampler.epsilon,
         "center": [float(v) for v in sampler.center],
-        "reference_label": reference_label,
+        "reference_label": prop.reference_label,
     }
+    oracle = PropertyOracle(sampler, prop)
     report = run_strategy(strategy, query, oracle, seed, limits=limits, config=config)
     note = (
         "linf sampling is exact on the clipped box"

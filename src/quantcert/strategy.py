@@ -42,7 +42,7 @@ from .core import (
     validate_query,
 )
 from .oracle import Oracle
-from .tester import TesterPlan, TrialStream, _sample_count, plan_tester, run_tester
+from .tester import TesterPlan, TrialStream, _sample_count, plan_tester
 
 Side = Literal["proving", "refuting", "final"]
 
@@ -57,12 +57,29 @@ class ReportInvariantError(QuantCertError):
 
 @dataclass(frozen=True)
 class CallRecord:
-    """One completed tester call: the side it argued for, its plan and tally."""
+    """One completed tester call: the side it argued for, its plan, and the
+    successes among the stream's first plan.n_samples trials."""
 
     side: Side
     plan: TesterPlan
-    tally: SampleTally
-    outcome: Literal["yes", "no"]
+    successes: int
+
+    @property
+    def tally(self) -> SampleTally:
+        return SampleTally(self.plan.n_samples, self.successes)
+
+    @property
+    def outcome(self) -> Literal["yes", "no"]:
+        """yes when the successes are at most the plan's cutoff c."""
+        return "yes" if self.successes <= self.plan.c else "no"
+
+
+def _settles(side: Side, outcome: str) -> bool:
+    """Whether a call on this side settles the query when it answers outcome.
+
+    A proving call settles on yes, a refuting call on no, a final call on either.
+    """
+    return side == "final" or outcome == ("yes" if side == "proving" else "no")
 
 
 @dataclass(frozen=True)
@@ -103,12 +120,16 @@ class CertificationReport:
     query: ThresholdQuery
     strategy: str
     verdict: Verdict
-    total_samples: int
     seed: SeedSpec
     calls: Tuple[CallRecord, ...]
     wall_time_ms: float
     notes: Tuple[str, ...] = ()
     config: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def total_samples(self) -> int:
+        """The run's stream length: its largest call, 0 with no call."""
+        return max((rec.plan.n_samples for rec in self.calls), default=0)
 
     def to_dict(self, include_timing: bool = True) -> Dict[str, object]:
         doc: Dict[str, object] = {
@@ -129,7 +150,7 @@ class CertificationReport:
                 {
                     "side": rec.side,
                     **_plan_fields(rec.plan),
-                    "successes": rec.tally.successes,
+                    "successes": rec.successes,
                     "p_hat": rec.tally.p_hat,
                     "outcome": rec.outcome,
                 }
@@ -269,11 +290,10 @@ def _fixed_schedule(
 
 def _check_report(report: CertificationReport) -> CertificationReport:
     query = report.query
-    if report.total_samples != max((rec.tally.trials for rec in report.calls), default=0):
-        raise ReportInvariantError("total_samples is not the largest call's trial count")
-    # Every call counts a prefix of one stream: a longer prefix holds no
-    # fewer successes, and no more new ones than the trials it adds.
-    prefixes = sorted((rec.tally.trials, rec.tally.successes) for rec in report.calls)
+    # Every call counts a prefix of one stream, which starts empty: a longer
+    # prefix holds no fewer successes, and no more new ones than the trials
+    # it adds.
+    prefixes = [(0, 0)] + sorted((rec.plan.n_samples, rec.successes) for rec in report.calls)
     for (n, s), (longer, more) in zip(prefixes, prefixes[1:]):
         if not 0 <= more - s <= longer - n:
             raise ReportInvariantError(
@@ -292,16 +312,11 @@ def _check_report(report: CertificationReport) -> CertificationReport:
             rec.plan.theta1 != query.theta or rec.plan.theta2 != query.upper
         ):
             raise ReportInvariantError("final call must test (theta, theta+eta)")
-        if rec.tally.trials != rec.plan.n_samples:
-            raise ReportInvariantError("a completed call drew the wrong trial count")
-    if report.verdict.kind == "yes":
-        last = report.calls[-1]
-        if last.side not in ("proving", "final") or last.outcome != "yes":
-            raise ReportInvariantError("yes verdict without a supporting final call")
-    if report.verdict.kind == "no":
-        last = report.calls[-1]
-        if last.side not in ("refuting", "final") or last.outcome != "no":
-            raise ReportInvariantError("no verdict without a supporting final call")
+    kind = report.verdict.kind
+    if kind != "inconclusive":
+        last = report.calls[-1] if report.calls else None
+        if last is None or last.outcome != kind or not _settles(last.side, kind):
+            raise ReportInvariantError(f"{kind} verdict without a supporting final call")
     return report
 
 
@@ -320,8 +335,13 @@ def _blocked(
     return None
 
 
-# The outcome with which each flank's call settles the query on its own.
-_SETTLES = {"proving": "yes", "refuting": "no"}
+def run_tester(side: Side, plan: TesterPlan, stream: TrialStream) -> CallRecord:
+    """One call: count the successes among trials [0, plan.n_samples) of the stream.
+
+    Only trials the stream has not drawn yet are drawn, plus at most one
+    draw below its end when plan.n_samples falls inside it.
+    """
+    return CallRecord(side, plan, stream.successes(plan.n_samples))
 
 
 def _run_schedule(
@@ -337,8 +357,8 @@ def _run_schedule(
     Entries are read one at a time, so a call is planned only when it is
     reached.  Every call reads a prefix of the run's one trial stream, and
     the run's total is the stream's length.  The limits are checked before
-    each call; a proving yes, a refuting no, or any final outcome becomes
-    the verdict.
+    each call; the first call whose outcome settles the query (_settles)
+    gives the verdict.
     """
     query = validate_query(query)
     notes, entries = schedule(strategy, query)
@@ -352,10 +372,10 @@ def _run_schedule(
         if reason is not None:
             verdict = Verdict("inconclusive", reason)
             break
-        result = run_tester(plan, stream)
-        calls.append(CallRecord(side, plan, result.tally, result.outcome))
-        if side == "final" or _SETTLES[side] == result.outcome:
-            verdict = Verdict(result.outcome)
+        calls.append(run_tester(side, plan, stream))
+        outcome = calls[-1].outcome
+        if _settles(side, outcome):
+            verdict = Verdict(outcome)
             break
 
     assert verdict is not None
@@ -363,7 +383,6 @@ def _run_schedule(
         query=query,
         strategy=strategy,
         verdict=verdict,
-        total_samples=stream.length,
         seed=seed,
         calls=tuple(calls),
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
@@ -416,15 +435,6 @@ def _binomial(m: int, p: float) -> Tuple[int, np.ndarray]:
     return _trim(lo, pmf)
 
 
-def _surely_settles(side: Side, n: int, c: int, p: float) -> bool:
-    """Whether the call settles every run that reaches it: no later call is reached."""
-    if side == "final":
-        return True
-    # The counts S(n) can take: only 0 at p = 0, only n at p = 1.
-    least, most = (0 if p < 1.0 else n), (n if p > 0.0 else 0)
-    return most <= c if side == "proving" else least > c
-
-
 def schedule_law(
     entries: Iterable[Tuple[Side, TesterPlan]],
     p: float,
@@ -433,8 +443,8 @@ def schedule_law(
     """The law of a run of these entries against Bernoulli(p), computed.
 
     Same rules as the run: a call larger than max_samples ends it
-    inconclusive; a proving yes, a refuting no or any final outcome settles
-    it, and a run's total is the largest call it made.  Every call k reads
+    inconclusive, a call whose outcome settles (_settles) ends it, and a
+    run's total is the largest call it made.  Every call k reads
     a prefix of one stream, so it says yes when S(n_k) <= c_k, where S(n)
     counts the successes among the first n trials; the calls are dependent.
 
@@ -453,8 +463,12 @@ def schedule_law(
     for side, plan in entries:
         if max_samples is not None and plan.n_samples > max_samples:
             break
-        calls.append((side, plan.n_samples, plan.c))
-        if _surely_settles(side, plan.n_samples, plan.c, p):
+        n, c = plan.n_samples, plan.c
+        calls.append((side, n, c))
+        # The counts S(n) can take: only 0 at p = 0, only n at p = 1.  A
+        # call that settles on both ends settles every run that reaches it.
+        reachable = (0 if p < 1.0 else n, n if p > 0.0 else 0)
+        if all(_settles(side, "yes" if s <= c else "no") for s in reachable):
             break
     # A run settled by call k has made calls 0..k and drawn their largest.
     totals = list(itertools.accumulate((n for _, n, _ in calls), max, initial=0))[1:]
@@ -480,9 +494,9 @@ def schedule_law(
             cut = min(max(c + 1 - lo, 0), mass.size)
             says = {"yes": (lo, mass[:cut]), "no": (lo + cut, mass[cut:])}
             for verdict, part in says.items():
-                settles = side == "final" or _SETTLES[side] == verdict
                 if part[1].size:
-                    pieces.setdefault((k, verdict) if settles else label, []).append(part)
+                    settled = (k, verdict) if _settles(side, verdict) else label
+                    pieces.setdefault(settled, []).append(part)
         for label, parts in pieces.items():
             lo = min(part_lo for part_lo, _ in parts)
             mass = np.zeros(max(part_lo + part.size for part_lo, part in parts) - lo)

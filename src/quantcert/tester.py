@@ -28,7 +28,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Literal
+from typing import List
 
 from .core import OutOfRangeError, SampleTally, SeedSpec
 from .oracle import Oracle, OracleFailure
@@ -63,13 +63,6 @@ class TesterPlan:
         if c < n and (c + 1) / n <= self.t:
             return c + 1
         return c - 1 if c / n > self.t else c
-
-
-@dataclass(frozen=True)
-class TesterResult:
-    plan: TesterPlan
-    tally: SampleTally
-    outcome: Literal["yes", "no"]
 
 
 def _sample_count(bound: float) -> int:
@@ -180,15 +173,3 @@ class TrialStream:
             self._ends.insert(at, start)
             self._successes.insert(at, hits)
         return hits
-
-
-def run_tester(plan: TesterPlan, stream: TrialStream) -> TesterResult:
-    """Decide on trials [0, plan.n_samples) of the stream against the cutoff c.
-
-    Only trials the stream has not drawn yet are drawn, plus at most one
-    draw below its end when plan.n_samples falls inside it.
-    """
-    n = plan.n_samples
-    successes = stream.successes(n)
-    outcome: Literal["yes", "no"] = "yes" if successes <= plan.c else "no"
-    return TesterResult(plan=plan, tally=SampleTally(n, successes), outcome=outcome)

@@ -37,7 +37,7 @@ EXPORTS = [
     "SampleTally",
     "Sampler",
     "SeedSpec",
-    "SubprocessOracle",
+    "SubprocessProperty",
     "TesterPlan",
     "ThresholdQuery",
     "Verdict",
@@ -111,6 +111,8 @@ def test_readme_and_bench_names_are_exported():
         "FixedCertParams",
         "create_interval",
         "StrategyFn",
+        "SubprocessOracle",
+        "TesterResult",
     ],
 )
 def test_removed_names_are_gone(name):
@@ -192,7 +194,7 @@ def test_run_strategy_is_the_one_entry_point():
 # Every function that once took a batch_size; draws are sized by the oracle.
 # The three strategy functions are now the STRATEGIES entries of their names.
 ONCE_BATCHED = [
-    ("tester", "run_tester"),
+    ("strategy", "run_tester"),
     ("strategy", "_run_schedule"),
     ("strategy", "run_strategy"),
     ("strategy", "bincert"),
@@ -220,7 +222,6 @@ TRIAL_ADDRESSED = [
     ("oracle", "Oracle", "draw"),
     ("oracle", "BernoulliOracle", "draw"),
     ("oracle", "PropertyOracle", "draw"),
-    ("oracle", "SubprocessOracle", "draw"),
     ("oracle", "Sampler", "batch"),
     ("robustness", "LinfBallSampler", "batch"),
     ("robustness", "L2BallSampler", "batch"),

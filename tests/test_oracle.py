@@ -18,11 +18,14 @@ from quantcert import (
     SampleTally,
     Sampler,
     SeedSpec,
-    SubprocessOracle,
+    SubprocessProperty,
+    ThresholdQuery,
+    run_strategy,
 )
 from quantcert.oracle import PropertyOracle
 from quantcert.core import to_unit
 from quantcert.oracle import BATCH_WORDS
+from conftest import CountingOracle
 
 _WORD_MAX = 2**64 - 1
 
@@ -96,10 +99,6 @@ class TestBernoulliOracle:
         )
         wide = LinfBallSampler(np.full(784, 0.5), 0.1)
         assert PropertyOracle(wide, _BatchHalfPlane()).batch_trials == 167
-        # one write/read round a draw
-        sampler = LinfBallSampler(center2, 0.3)
-        with SubprocessOracle([sys.executable, "-c", "pass"], sampler, 0) as child:
-            assert child.batch_trials == 1024
 
 
 class _ScalarHalfPlane:
@@ -110,8 +109,11 @@ class _ScalarHalfPlane:
 
 
 class _BatchHalfPlane:
+    def __init__(self, cut=0.5):
+        self.cut = cut
+
     def batch(self, points):
-        return points[:, 0] > 0.5
+        return points[:, 0] > self.cut
 
 
 class TestPropertyOracle:
@@ -126,6 +128,26 @@ class TestPropertyOracle:
 
     def test_sampler_protocol(self, center2):
         assert isinstance(LinfBallSampler(center2, 0.3), Sampler)
+
+    # A predicate that answered one False for a whole batch once certified
+    # yes, and one that answered a value short counted a trial it never made.
+    @pytest.mark.parametrize(
+        "answer",
+        [lambda hits: np.False_, lambda hits: hits[:-1], lambda hits: hits[:, None]],
+        ids=["scalar", "short", "column"],
+    )
+    def test_answer_must_hold_one_bool_per_point(self, seed, center2, answer):
+        class Miscounts:
+            def batch(self, points):
+                return answer(points[:, 0] > 0.5)
+
+        oracle = PropertyOracle(LinfBallSampler(center2, 0.3), Miscounts())
+        with pytest.raises(OracleFailure, match="answered shape") as info:
+            oracle.draw(seed, 0, 27)
+        assert info.value.partial_tally == SampleTally(0, 0)
+        with pytest.raises(OracleFailure, match="answered shape") as info:
+            run_strategy("bincert", ThresholdQuery(0.1, 0.05, 0.1), oracle, seed)
+        assert info.value.partial_tally == SampleTally(0, 0)
 
 
 def _write_child(tmp_path, body, name="child.py"):
@@ -152,20 +174,25 @@ def _write_child(tmp_path, body, name="child.py"):
 
 
 class TestSubprocessOracle:
+    """PropertyOracle over a SubprocessProperty: an external classifier."""
+
     def test_matches_in_process_oracle(self, tmp_path, seed, center2):
         # Same sampler, same seed windows: the line protocol must reproduce
         # the in-process predicate verdict for verdict, trial by trial.
         command = _write_child(tmp_path, "return 1 if coords[0] > 0.5 else 0")
         sampler = LinfBallSampler(center2, 0.3)
         reference = PropertyOracle(sampler, _BatchHalfPlane())
-        with SubprocessOracle(command, sampler, reference_label=0) as oracle:
-            got = oracle.draw(seed, 0, 300)
+        with SubprocessProperty(command, reference_label=0) as prop:
+            points = sampler.batch(seed, 0, 300)
+            np.testing.assert_array_equal(prop.batch(points), _BatchHalfPlane().batch(points))
+            got = PropertyOracle(sampler, prop).draw(seed, 0, 300)
         assert got == reference.draw(seed, 0, 300)
 
     def test_windows_partition_the_call(self, tmp_path, seed, center2):
         command = _write_child(tmp_path, "return 1 if coords[0] > 0.5 else 0")
         sampler = LinfBallSampler(center2, 0.3)
-        with SubprocessOracle(command, sampler, reference_label=0) as oracle:
+        with SubprocessProperty(command, reference_label=0) as prop:
+            oracle = PropertyOracle(sampler, prop)
             whole = oracle.draw(seed, 0, 200)
             left = oracle.draw(seed, 0, 80)
             right = oracle.draw(seed, 80, 120)
@@ -175,45 +202,50 @@ class TestSubprocessOracle:
         argv = _write_child(tmp_path, "return 0")
         command = " ".join(argv)
         sampler = LinfBallSampler(center2, 0.3)
-        with SubprocessOracle(command, sampler, reference_label=0) as oracle:
-            assert oracle.draw(seed, 0, 10).successes == 0
+        with SubprocessProperty(command, reference_label=0) as prop:
+            assert PropertyOracle(sampler, prop).draw(seed, 0, 10).successes == 0
 
-    def test_spawn_failure(self, tmp_path, center2):
-        sampler = LinfBallSampler(center2, 0.3)
+    def test_spawn_failure(self, tmp_path):
         with pytest.raises(OracleFailure, match="could not start") as info:
-            SubprocessOracle(
-                [str(tmp_path / "no-such-binary")], sampler, reference_label=0
-            )
+            SubprocessProperty([str(tmp_path / "no-such-binary")], reference_label=0)
         assert info.value.partial_tally is None
 
-    def test_rejects_negative_reference(self, center2):
-        sampler = LinfBallSampler(center2, 0.3)
+    def test_rejects_negative_reference(self):
         with pytest.raises(OutOfRangeError):
-            SubprocessOracle([sys.executable, "-c", "pass"], sampler, -1)
+            SubprocessProperty([sys.executable, "-c", "pass"], -1)
+
+    # NaN once raised a bare ValueError and 1.5 became label 1.
+    @pytest.mark.parametrize("label", [math.nan, 1.5, "1", True, None])
+    def test_reference_label_must_be_an_integer(self, label):
+        with pytest.raises(OutOfRangeError, match="reference_label"):
+            SubprocessProperty([sys.executable, "-c", "pass"], label)
+
+    def test_numpy_reference_label_is_accepted(self):
+        with SubprocessProperty([sys.executable, "-c", "pass"], np.int64(3)) as prop:
+            assert prop.reference_label == 3 and type(prop.reference_label) is int
 
     @pytest.mark.parametrize("command", ["", "   ", []])
-    def test_rejects_empty_command(self, command, center2):
-        sampler = LinfBallSampler(center2, 0.3)
+    def test_rejects_empty_command(self, command):
         with pytest.raises(OutOfRangeError, match="names no program"):
-            SubprocessOracle(command, sampler, reference_label=0)
+            SubprocessProperty(command, reference_label=0)
 
     def test_non_integer_reply(self, tmp_path, seed, center2):
         command = _write_child(
             tmp_path, 'return "banana" if coords[0] > 0.5 else 0'
         )
         sampler = LinfBallSampler(center2, 0.3)
-        with SubprocessOracle(command, sampler, reference_label=0) as oracle:
+        with SubprocessProperty(command, reference_label=0) as prop:
             with pytest.raises(OracleFailure, match="expected an integer label") as info:
-                oracle.draw(seed, 0, 300)
+                PropertyOracle(sampler, prop).draw(seed, 0, 300)
         partial = info.value.partial_tally
         assert partial is not None and partial.trials < 300
 
     def test_negative_label_reply(self, tmp_path, seed, center2):
         command = _write_child(tmp_path, "return -4")
         sampler = LinfBallSampler(center2, 0.3)
-        with SubprocessOracle(command, sampler, reference_label=0) as oracle:
+        with SubprocessProperty(command, reference_label=0) as prop:
             with pytest.raises(OracleFailure, match="labels must be nonnegative") as info:
-                oracle.draw(seed, 0, 5)
+                PropertyOracle(sampler, prop).draw(seed, 0, 5)
         assert info.value.partial_tally == SampleTally(0, 0)
 
     def test_child_death_carries_partial_tally(self, tmp_path, seed, center2):
@@ -231,30 +263,65 @@ class TestSubprocessOracle:
         path = tmp_path / "child.py"
         path.write_text("answered = 0\n" + path.read_text())
         sampler = LinfBallSampler(center2, 0.3)
-        with SubprocessOracle(command, sampler, reference_label=0) as oracle:
+        with SubprocessProperty(command, reference_label=0) as prop:
             with pytest.raises(
                 OracleFailure, match="closed its output after 7 of 50 replies"
             ) as info:
-                oracle.draw(seed, 0, 50)
+                PropertyOracle(sampler, prop).draw(seed, 0, 50)
         partial = info.value.partial_tally
         assert partial is not None
         assert partial.trials == 7
         assert partial.successes == 7
 
-    def test_close_is_idempotent(self, tmp_path, center2):
+    def test_child_death_mid_run_tallies_the_stream(self, tmp_path, seed, center2):
+        # The child dies a few replies into the run's first draw that does
+        # not start at trial 0: the failure's tally counts the stream's
+        # trials up to the failed reply, offset by that draw's start.
+        sampler = LinfBallSampler(center2, 0.3)
+        query = ThresholdQuery(0.1, 0.05, 0.1)
+        inner = PropertyOracle(sampler, _BatchHalfPlane(0.7))
+        mirror = CountingOracle(inner, batch_trials=inner.batch_trials)
+        run_strategy("bincert", query, mirror, seed)
+        replies = 0
+        for start, count in mirror.windows:
+            if start > 0:
+                break
+            replies += count
+        assert start > 0 and count > 5
+        command = _write_child(
+            tmp_path,
+            f"""\
+            global answered
+            answered += 1
+            if answered > {replies + 5}:
+                sys.exit(3)
+            return 1 if coords[0] > 0.7 else 0
+            """,
+        )
+        path = tmp_path / "child.py"
+        path.write_text("answered = 0\n" + path.read_text())
+        with SubprocessProperty(command, reference_label=0) as prop:
+            with pytest.raises(
+                OracleFailure, match=f"closed its output after 5 of {count} replies"
+            ) as info:
+                run_strategy("bincert", query, PropertyOracle(sampler, prop), seed)
+        hits = inner.draw(seed, 0, start + 5).successes
+        assert info.value.partial_tally == SampleTally(start + 5, hits)
+
+    def test_close_is_idempotent(self, tmp_path):
         command = _write_child(tmp_path, "return 0")
-        oracle = SubprocessOracle(command, LinfBallSampler(center2, 0.3), 0)
-        oracle.close()
-        oracle.close()
+        prop = SubprocessProperty(command, 0)
+        prop.close()
+        prop.close()
 
     def test_close_releases_both_pipes(self, tmp_path, seed, center2):
         command = _write_child(tmp_path, "return 0")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            oracle = SubprocessOracle(command, LinfBallSampler(center2, 0.3), 0)
-            oracle.draw(seed, 0, 10)
-            oracle.close()
-            del oracle
+            prop = SubprocessProperty(command, 0)
+            PropertyOracle(LinfBallSampler(center2, 0.3), prop).draw(seed, 0, 10)
+            prop.close()
+            del prop
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -263,7 +330,8 @@ class TestSubprocessOracle:
         # any reply is read fills the child's stdout pipe and blocks both.
         command = _write_child(tmp_path, "return 1 if coords[0] > 0.5 else 0")
         sampler = LinfBallSampler(center2, 0.3)
-        oracle = SubprocessOracle(command, sampler, reference_label=0)
+        prop = SubprocessProperty(command, reference_label=0)
+        oracle = PropertyOracle(sampler, prop)
         k, window = 40_000, 8_192
         got = {}
 
@@ -278,9 +346,9 @@ class TestSubprocessOracle:
         worker.start()
         worker.join(timeout=60.0)
         if worker.is_alive():
-            oracle._proc.kill()
+            prop._proc.kill()
             worker.join(timeout=5.0)
-        oracle.close()
+        prop.close()
         assert not worker.is_alive() and "parts" in got
         assert got["whole"].trials == k
         assert got["whole"].successes == sum(t.successes for t in got["parts"])

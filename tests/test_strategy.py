@@ -250,9 +250,9 @@ class TestBinCert:
         marks = []
         run = strategy_module.run_tester
 
-        def marked(plan, stream):
+        def marked(side, plan, stream):
             marks.append((stream.length, len(oracle.windows)))
-            return run(plan, stream)
+            return run(side, plan, stream)
 
         monkeypatch.setattr(strategy_module, "run_tester", marked)
         report = run_strategy("bincert", ThresholdQuery(0.1, 0.05, 0.1), oracle, seed)
@@ -607,23 +607,15 @@ class TestRunStrategy:
         assert seen.count("plan_tester") == planned
 
 
-def _record(side, theta1, theta2, delta, outcome, trials=None, successes=0):
-    plan = plan_tester(theta1, theta2, delta)
-    tally = SampleTally(plan.n_samples if trials is None else trials, successes)
-    return CallRecord(
-        side=side,
-        plan=plan,
-        tally=tally,
-        outcome=outcome,
-    )
+def _record(side, theta1, theta2, delta, successes=0):
+    return CallRecord(side=side, plan=plan_tester(theta1, theta2, delta), successes=successes)
 
 
-def _report(query, calls, verdict, total=None):
+def _report(query, calls, verdict):
     return CertificationReport(
         query=query,
         strategy="bincert",
         verdict=verdict,
-        total_samples=max(c.tally.trials for c in calls) if total is None else total,
         seed=SeedSpec(1),
         calls=tuple(calls),
         wall_time_ms=0.0,
@@ -632,47 +624,74 @@ def _report(query, calls, verdict, total=None):
 
 class TestReportInvariants:
     QUERY = ThresholdQuery(0.5, 0.1, 0.01)
+    # Each side's interval for QUERY at delta_call 0.01, with its (n, c).
+    INTERVALS = {"proving": (0.0, 0.5), "refuting": (0.6, 1.0), "final": (0.5, 0.6)}
+
+    def test_intervals_are_as_pinned(self):
+        plans = {side: plan_tester(*interval, 0.01) for side, interval in self.INTERVALS.items()}
+        assert {side: (p.n_samples, p.c) for side, p in plans.items()} == {
+            "proving": (19, 0), "refuting": (219, 174), "final": (2480, 1370)}
 
     def test_accepts_consistent_report(self):
-        rec = _record("proving", 0.0, 0.5, 0.01, "yes")
+        rec = _record("proving", 0.0, 0.5, 0.01)
         assert _check_report(_report(self.QUERY, [rec], Verdict("yes"))) is not None
 
-    def test_total_must_match_tallies(self):
-        rec = _record("proving", 0.0, 0.5, 0.01, "yes")
-        with pytest.raises(ReportInvariantError, match="total_samples"):
-            _check_report(
-                _report(self.QUERY, [rec], Verdict("yes"), total=rec.tally.trials + 1)
-            )
+    def test_record_derives_tally_outcome_and_total(self):
+        rec = _record("refuting", 0.6, 1.0, 0.01, successes=175)
+        assert rec.tally == SampleTally(219, 175) and rec.outcome == "no"
+        assert replace(rec, successes=174).outcome == "yes"
+        first = _record("proving", 0.0, 0.5, 0.01)
+        assert _report(self.QUERY, [first, rec], Verdict("no")).total_samples == 219
+        assert _report(self.QUERY, [], Verdict("inconclusive", "timeout")).total_samples == 0
 
     def test_proving_interval_must_stay_below_theta(self):
-        rec = _record("proving", 0.0, 0.6, 0.01, "yes")
+        rec = _record("proving", 0.0, 0.6, 0.01)
         with pytest.raises(ReportInvariantError, match="proving"):
             _check_report(_report(self.QUERY, [rec], Verdict("yes")))
 
     def test_refuting_interval_must_stay_above_band(self):
-        rec = _record("refuting", 0.55, 1.0, 0.01, "no")
+        rec = _record("refuting", 0.55, 1.0, 0.01, successes=100)
         with pytest.raises(ReportInvariantError, match="refuting"):
             _check_report(_report(self.QUERY, [rec], Verdict("no")))
 
     def test_final_call_must_test_the_band(self):
-        rec = _record("final", 0.5, 0.7, 0.01, "yes")
+        rec = _record("final", 0.5, 0.7, 0.01)
         with pytest.raises(ReportInvariantError, match="final"):
             _check_report(_report(self.QUERY, [rec], Verdict("yes")))
 
-    def test_completed_call_must_draw_planned_trials(self):
-        rec = _record("proving", 0.0, 0.5, 0.01, "yes", trials=3)
-        with pytest.raises(ReportInvariantError, match="trial count"):
-            _check_report(_report(self.QUERY, [rec], Verdict("yes")))
-
     def test_yes_needs_supporting_last_call(self):
-        rec = _record("refuting", 0.6, 1.0, 0.01, "yes")
+        rec = _record("refuting", 0.6, 1.0, 0.01)
         with pytest.raises(ReportInvariantError, match="yes verdict"):
             _check_report(_report(self.QUERY, [rec], Verdict("yes")))
 
     def test_no_needs_supporting_last_call(self):
-        rec = _record("proving", 0.0, 0.5, 0.01, "no")
+        rec = _record("proving", 0.0, 0.5, 0.01, successes=19)
         with pytest.raises(ReportInvariantError, match="no verdict"):
             _check_report(_report(self.QUERY, [rec], Verdict("no")))
+
+    # A proving call settles on yes, a refuting call on no and a final call
+    # on either, written out here without the code it checks.
+    @pytest.mark.parametrize(
+        "side, successes, supports",
+        [("proving", 0, "yes"), ("proving", 1, None), ("proving", 19, None),
+         ("refuting", 0, None), ("refuting", 174, None), ("refuting", 175, "no"),
+         ("final", 1370, "yes"), ("final", 1371, "no")],
+    )
+    def test_verdict_needs_a_last_call_that_settles(self, side, successes, supports):
+        rec = _record(side, *self.INTERVALS[side], 0.01, successes=successes)
+        for kind in ("yes", "no"):
+            report = _report(self.QUERY, [rec], Verdict(kind))
+            if kind == supports:
+                assert _check_report(report) is report
+            else:
+                with pytest.raises(ReportInvariantError, match=f"{kind} verdict"):
+                    _check_report(report)
+        blocked = _report(self.QUERY, [rec], Verdict("inconclusive", "budget-exhausted"))
+        assert _check_report(blocked) is blocked
+
+    def test_verdict_needs_a_call(self):
+        with pytest.raises(ReportInvariantError, match="yes verdict"):
+            _check_report(_report(self.QUERY, [], Verdict("yes")))
 
     @pytest.mark.parametrize(
         "short, long",
@@ -681,18 +700,25 @@ class TestReportInvariants:
          ],
     )
     def test_prefix_tallies_must_agree(self, short, long):
-        first = _record("proving", 0.0, 0.5, 0.01, "no", successes=short)
-        last = _record("refuting", 0.6, 1.0, 0.01, "no", successes=long)
+        first = _record("proving", 0.0, 0.5, 0.01, successes=short)
+        last = _record("refuting", 0.6, 1.0, 0.01, successes=long)
         assert (first.plan.n_samples, last.plan.n_samples) == (19, 219)
         with pytest.raises(ReportInvariantError, match="prefix tallies"):
             _check_report(_report(self.QUERY, [first, last], Verdict("no")))
-        # the same calls with tallies one stream can give pass
-        honest = replace(last, tally=SampleTally(219, short + 1))
+        # the same calls with tallies one stream can give pass: 175 of 219
+        # is a refuting no
+        honest = replace(last, successes=175)
         assert _check_report(_report(self.QUERY, [first, honest], Verdict("no"))) is not None
 
+    @pytest.mark.parametrize("successes", [-1, 20])
+    def test_successes_must_fit_the_call(self, successes):
+        rec = _record("proving", 0.0, 0.5, 0.01, successes=successes)
+        with pytest.raises(ReportInvariantError, match="prefix tallies"):
+            _check_report(_report(self.QUERY, [rec], Verdict("no")))
+
     def test_equal_prefixes_have_equal_tallies(self):
-        first = _record("refuting", 0.6, 1.0, 0.01, "yes", successes=3)
-        again = _record("refuting", 0.6, 1.0, 0.01, "no", successes=4)
+        first = _record("refuting", 0.6, 1.0, 0.01, successes=3)
+        again = _record("refuting", 0.6, 1.0, 0.01, successes=4)
         with pytest.raises(ReportInvariantError, match="prefix tallies"):
             _check_report(_report(self.QUERY, [first, again], Verdict("no")))
 

@@ -12,8 +12,8 @@ from quantcert import (
     SampleTally,
     ThresholdQuery,
 )
-from quantcert.strategy import run_strategy, schedule
-from quantcert.tester import TrialStream, plan_tester, run_tester
+from quantcert.strategy import run_strategy, run_tester, schedule
+from quantcert.tester import TrialStream, plan_tester
 from chernoff_reference import chernoff_tail
 from conftest import CountingOracle, FixedSuccessOracle
 from test_corpus import QUERIES, STRATEGY_NAMES
@@ -118,7 +118,7 @@ class TestPlanTester:
 
 def _run(plan, oracle, seed):
     """One call on a fresh stream, as the first call of a run makes it."""
-    return run_tester(plan, TrialStream(oracle, seed))
+    return run_tester("final", plan, TrialStream(oracle, seed))
 
 
 class TestRunTester:
@@ -178,16 +178,16 @@ class TestRunTester:
         assert short.n_samples < long.n_samples
         oracle = CountingOracle(BernoulliOracle(0.17), batch_trials=16)
         stream = TrialStream(oracle, seed)
-        a = run_tester(long, stream)
+        a = run_tester("final", long, stream)
         drawn = oracle.total_trials
-        b = run_tester(short, stream)
+        b = run_tester("final", short, stream)
         assert b.tally == _run(short, BernoulliOracle(0.17), seed).tally
         assert a.tally == _run(long, BernoulliOracle(0.17), seed).tally
         assert 0 <= a.tally.successes - b.tally.successes <= long.n_samples - short.n_samples
         assert oracle.total_trials - drawn == short.n_samples % 16
         assert stream.length == long.n_samples
         # the redrawn end is recorded: asking again draws nothing
-        run_tester(short, stream)
+        run_tester("final", short, stream)
         assert oracle.total_trials - drawn == short.n_samples % 16
 
     def test_bad_knobs_rejected(self, seed):
