@@ -30,6 +30,7 @@ from .oracle import (
     OracleFailure,
     Sampler,
     SubprocessProperty,
+    TrialOutcomes,
 )
 from .robustness import (
     HardnessResult,
@@ -76,6 +77,7 @@ __all__ = [
     "SubprocessProperty",
     "TesterPlan",
     "ThresholdQuery",
+    "TrialOutcomes",
     "Verdict",
     "adversarial_hardness",
     "certify_density",

@@ -1,10 +1,11 @@
 """Success oracles: stateless sources of 0/1 trial outcomes.
 
 An oracle's draw(seed, start, count) runs trials [start, start + count) of
-the run's one trial stream under seed, and must be a pure function of its
-arguments: batch the trials however you like, trial i always sees the same
-randomness.  That contract is what lets testers batch, redraw and replay
-without changing any verdict.
+the run's one trial stream under seed and answers one outcome per trial, a
+TrialOutcomes.  It must be a pure function of its arguments: batch the
+trials however you like, trial i always sees the same randomness.  That
+contract is what lets testers batch, keep the outcomes and replay without
+changing any verdict.
 
 BernoulliOracle draws its trials from the raw words; PropertyOracle is the
 one oracle that samples a region, and it labels the points with a
@@ -52,10 +53,29 @@ class OracleFailure(QuantCertError):
         self.partial_tally = partial_tally
 
 
+@dataclass(frozen=True, eq=False)
+class TrialOutcomes:
+    """What one draw answers: ``hits[i]`` is whether trial start + i succeeded.
+
+    ``hits`` is a 1-d bool array with one entry per trial asked for; the
+    tally is derived from it.
+    """
+
+    hits: np.ndarray
+
+    @property
+    def trials(self) -> int:
+        return len(self.hits)
+
+    @property
+    def successes(self) -> int:
+        return int(np.count_nonzero(self.hits))
+
+
 @runtime_checkable
 class Oracle(Protocol):
-    def draw(self, seed: SeedSpec, start: int, count: int) -> SampleTally:
-        """Run trials [start, start + count) of the stream; return the tally."""
+    def draw(self, seed: SeedSpec, start: int, count: int) -> TrialOutcomes:
+        """Run trials [start, start + count) of the stream; return their outcomes."""
         ...
 
 
@@ -91,11 +111,8 @@ class BernoulliOracle:
         cut = None if self.p == 1.0 else np.uint64(math.ceil(self.p * 2.0 ** 53) << 11)
         object.__setattr__(self, "_cut", cut)
 
-    def draw(self, seed: SeedSpec, start: int, count: int) -> SampleTally:
-        if count == 0:
-            return SampleTally(0, 0)
-        hits = self._hits(seed.raw_block(start, count, width=1))
-        return SampleTally(trials=count, successes=int(np.count_nonzero(hits)))
+    def draw(self, seed: SeedSpec, start: int, count: int) -> TrialOutcomes:
+        return TrialOutcomes(self._hits(seed.raw_block(start, count, width=1).reshape(count)))
 
     def _hits(self, raw: np.ndarray) -> np.ndarray:
         """Per word, whether its trial succeeds: ``to_unit(raw) < p``."""
@@ -121,9 +138,9 @@ class PropertyOracle:
         self.predicate = predicate
         self.batch_trials = max(1, BATCH_WORDS // sampler.dimension)
 
-    def draw(self, seed: SeedSpec, start: int, count: int) -> SampleTally:
+    def draw(self, seed: SeedSpec, start: int, count: int) -> TrialOutcomes:
         if count == 0:
-            return SampleTally(0, 0)
+            return TrialOutcomes(np.zeros(0, dtype=bool))
         points = self.sampler.batch(seed, start, count)
         hits = np.asarray(self.predicate.batch(points), dtype=bool)
         if hits.shape != (count,):
@@ -131,7 +148,7 @@ class PropertyOracle:
                 f"the predicate answered shape {hits.shape} for {count} points",
                 partial_tally=SampleTally(0, 0),
             )
-        return SampleTally(trials=count, successes=int(np.count_nonzero(hits)))
+        return TrialOutcomes(hits)
 
 
 class SubprocessProperty:

@@ -338,8 +338,8 @@ def _blocked(
 def run_tester(side: Side, plan: TesterPlan, stream: TrialStream) -> CallRecord:
     """One call: count the successes among trials [0, plan.n_samples) of the stream.
 
-    Only trials the stream has not drawn yet are drawn, plus at most one
-    draw below its end when plan.n_samples falls inside it.
+    Only trials the stream has not drawn yet are drawn; a call inside the
+    stream reads the outcomes it keeps and draws nothing.
     """
     return CallRecord(side, plan, stream.successes(plan.n_samples))
 

@@ -19,7 +19,8 @@ Every call of a run decides on a prefix of one TrialStream: a call of size
 N counts the successes among trials [0, N).  Each call's error bound holds
 for the first N trials of any i.i.d. stream, so calls need not be
 independent for a union bound over them, and a run costs its largest call
-instead of the sum of its calls.
+instead of the sum of its calls.  The stream keeps the outcome of every
+trial it drew, so no trial is drawn twice, whatever order the calls come in.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List
 
+import numpy as np
+
 from .core import OutOfRangeError, SampleTally, SeedSpec
-from .oracle import Oracle, OracleFailure
+from .oracle import Oracle, OracleFailure, TrialOutcomes
 
 
 @dataclass(frozen=True)
@@ -114,17 +117,15 @@ def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
 
 
 class TrialStream:
-    """The prefix tallies of one run's trial stream.
+    """The outcomes of one run's trial stream, each trial drawn once.
 
-    Trial i of the stream is the oracle's trial i under ``seed``.  The
-    stream records the cumulative successes at the end of every draw it
-    made.  Asking for n trials past its end extends it in draws of the
-    oracle's ``batch_trials`` (128 for an oracle that does not set it), the
-    last one truncated at n; asking for n inside it redraws only the trials
-    from the nearest recorded end below n.  Oracles are pure functions of
-    the trial index, so a redrawn trial is the trial drawn before, and the
-    draw sizes change no tally, only the number of draws.  A draw must
-    answer exactly the trials it was asked for.
+    Trial i of the stream is the oracle's trial i under ``seed``.  Asking
+    for n trials past the stream's end extends it in draws of the oracle's
+    ``batch_trials`` (128 for an oracle that does not set it), the last one
+    truncated at n; asking for n inside it draws nothing.  The stream keeps
+    every draw's outcomes, packed at one bit per trial, beside the
+    successes before the draw, so the count below any n is a lookup.  A
+    draw must answer a TrialOutcomes holding one bool per trial asked for.
     """
 
     def __init__(self, oracle: Oracle, seed: SeedSpec) -> None:
@@ -134,9 +135,11 @@ class TrialStream:
         self.oracle = oracle
         self.seed = seed
         self.batch_trials = int(batch)
-        # Recorded draw ends, increasing, and the successes before each.
+        # Draw ends, increasing, and the successes before each; _packed[j]
+        # holds the outcomes of trials [_ends[j], _ends[j + 1]).
         self._ends: List[int] = [0]
         self._successes: List[int] = [0]
+        self._packed: List[np.ndarray] = []
 
     @property
     def length(self) -> int:
@@ -148,28 +151,44 @@ class TrialStream:
 
         Oracle failures propagate as OracleFailure, with the tally of the
         stream up to the failed trial attached; a draw that answers other
-        than the trials asked for fails the same way, at its first trial.
+        than one bool per trial asked for fails the same way, at its first
+        trial.
         """
+        while self.length < n:
+            self._draw(min(self.batch_trials, n - self.length))
         at = bisect_right(self._ends, n) - 1
-        start, hits = self._ends[at], self._successes[at]
-        while start < n:
-            k = min(self.batch_trials, n - start)
-            try:
-                tally = self.oracle.draw(self.seed, start, k)
-            except OracleFailure as exc:
-                part = exc.partial_tally or SampleTally(0, 0)
-                raise OracleFailure(
-                    str(exc),
-                    partial_tally=SampleTally(start + part.trials, hits + part.successes),
-                ) from exc
-            if tally.trials != k:
-                raise OracleFailure(
-                    f"the oracle answered {tally.trials} trials of the {k} asked for",
-                    partial_tally=SampleTally(start, hits),
-                )
-            start += k
-            hits += tally.successes
-            at += 1
-            self._ends.insert(at, start)
-            self._successes.insert(at, hits)
-        return hits
+        inside = n - self._ends[at]
+        if inside == 0:
+            return self._successes[at]
+        hits = np.unpackbits(self._packed[at], count=inside)
+        return self._successes[at] + int(np.count_nonzero(hits))
+
+    def _draw(self, k: int) -> None:
+        """Extend the stream by its next k trials."""
+        start, before = self._ends[-1], self._successes[-1]
+        try:
+            answer = self.oracle.draw(self.seed, start, k)
+        except OracleFailure as exc:
+            part = exc.partial_tally or SampleTally(0, 0)
+            raise OracleFailure(
+                str(exc),
+                partial_tally=SampleTally(start + part.trials, before + part.successes),
+            ) from exc
+        if not isinstance(answer, TrialOutcomes):
+            raise OracleFailure(
+                f"the oracle returned {type(answer).__name__}; a draw returns "
+                "TrialOutcomes, one bool per trial",
+                partial_tally=SampleTally(start, before),
+            )
+        hits = answer.hits
+        if not (isinstance(hits, np.ndarray) and hits.dtype == np.bool_ and hits.shape == (k,)):
+            what = (f"{hits.dtype} of shape {hits.shape}" if isinstance(hits, np.ndarray)
+                    else f"a {type(hits).__name__}")
+            raise OracleFailure(
+                f"the oracle answered {what} for the {k} trials asked for; "
+                "a draw answers one bool per trial",
+                partial_tally=SampleTally(start, before),
+            )
+        self._ends.append(start + k)
+        self._successes.append(before + int(np.count_nonzero(hits)))
+        self._packed.append(np.packbits(hits))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from quantcert import SeedSpec, load_model
+from quantcert import SeedSpec, TrialOutcomes, load_model
 
 
 class CountingOracle:
@@ -21,10 +21,10 @@ class CountingOracle:
             self.batch_trials = batch_trials
 
     def draw(self, seed, start, count):
-        tally = self.inner.draw(seed, start, count)
+        outcomes = self.inner.draw(seed, start, count)
         self.windows.append((start, count))
-        self.total_trials += tally.trials
-        return tally
+        self.total_trials += outcomes.trials
+        return outcomes
 
 
 class FixedSuccessOracle:
@@ -38,10 +38,8 @@ class FixedSuccessOracle:
         self.successes_at = frozenset(successes_at)
 
     def draw(self, seed, start, count):
-        from quantcert import SampleTally
-
-        hits = sum(1 for i in range(start, start + count) if i in self.successes_at)
-        return SampleTally(trials=count, successes=hits)
+        hits = [i in self.successes_at for i in range(start, start + count)]
+        return TrialOutcomes(np.array(hits, dtype=bool))
 
 
 def linear_model_doc(boundary, input_dim=2, feature=0):

@@ -40,6 +40,7 @@ EXPORTS = [
     "SubprocessProperty",
     "TesterPlan",
     "ThresholdQuery",
+    "TrialOutcomes",
     "Verdict",
     "adversarial_hardness",
     "certify_density",

@@ -58,9 +58,9 @@ class TestBernoulliOracle:
         # 3 sigma at a million trials; flake odds ~0.3% on a pinned seed,
         # i.e. zero: the draw is deterministic given the seed.
         n = 1_000_000
-        tally = BernoulliOracle(0.3).draw(seed, 0, n)
+        rate = BernoulliOracle(0.3).draw(seed, 0, n).successes / n
         sigma = math.sqrt(0.3 * 0.7 / n)
-        assert abs(tally.p_hat - 0.3) < 3 * sigma
+        assert abs(rate - 0.3) < 3 * sigma
 
     def test_windows_partition_the_call(self, seed):
         oracle = BernoulliOracle(0.47)
@@ -88,9 +88,7 @@ class TestBernoulliOracle:
     def test_draw_matches_uniforms(self, p, start, k):
         seed = SeedSpec(99)
         u = to_unit(seed.raw_block(start, k, 1))[:, 0]
-        assert BernoulliOracle(p).draw(seed, start, k) == SampleTally(
-            k, int(np.count_nonzero(u < p))
-        )
+        np.testing.assert_array_equal(BernoulliOracle(p).draw(seed, start, k).hits, u < p)
 
     def test_batch_sizes_follow_words_read(self, center2):
         assert BernoulliOracle(0.5).batch_trials == BATCH_WORDS
@@ -186,7 +184,30 @@ class TestSubprocessOracle:
             points = sampler.batch(seed, 0, 300)
             np.testing.assert_array_equal(prop.batch(points), _BatchHalfPlane().batch(points))
             got = PropertyOracle(sampler, prop).draw(seed, 0, 300)
-        assert got == reference.draw(seed, 0, 300)
+        np.testing.assert_array_equal(got.hits, reference.draw(seed, 0, 300).hits)
+
+    def test_each_point_is_answered_once(self, tmp_path):
+        # bincert's refuting calls fall inside the stream its proving call
+        # drew; the child must still answer each trial's point exactly once.
+        count_path = tmp_path / "answered.txt"
+        child = tmp_path / "counting_child.py"
+        child.write_text(textwrap.dedent(f"""\
+            import sys
+
+            answered = 0
+            for line in sys.stdin:
+                answered += 1
+                print(int(float(line.split(",")[0]) > 0.585), flush=True)
+            with open({str(count_path)!r}, "w") as out:
+                out.write(str(answered))
+            """))
+        sampler = LinfBallSampler(np.array([0.5, 0.5]), 0.1)
+        with SubprocessProperty([sys.executable, str(child)], reference_label=0) as prop:
+            report = run_strategy("bincert", ThresholdQuery(0.1, 0.05, 0.1),
+                                  PropertyOracle(sampler, prop), SeedSpec(7))
+        sizes = [call.plan.n_samples for call in report.calls]
+        assert any(n < max(sizes[:i]) for i, n in enumerate(sizes) if i)
+        assert int(count_path.read_text()) == report.total_samples
 
     def test_windows_partition_the_call(self, tmp_path, seed, center2):
         command = _write_child(tmp_path, "return 1 if coords[0] > 0.5 else 0")

@@ -241,8 +241,9 @@ class TestBinCert:
         assert spent <= query.delta + 1e-12
 
     def test_calls_read_one_stream(self, seed, monkeypatch):
-        # Every call reads a prefix of the stream; a call smaller than what
-        # the stream holds redraws less than one batch below the stream end.
+        # Every call reads a prefix of the stream; a call no longer than the
+        # stream draws nothing, and one past its end draws only the trials
+        # after it, so each trial is drawn once.
         import quantcert.strategy as strategy_module
 
         batch = 16
@@ -258,18 +259,20 @@ class TestBinCert:
         report = run_strategy("bincert", ThresholdQuery(0.1, 0.05, 0.1), oracle, seed)
         assert [c.side for c in report.calls][-2:] == ["refuting", "final"]
         assert report.total_samples == max(c.plan.n_samples for c in report.calls)
-        covered = sorted((start, start + k) for start, k in oracle.windows)
-        assert covered[0][0] == 0 and max(end for _, end in covered) == report.total_samples
-        assert all(b[0] <= a[1] for a, b in zip(covered, covered[1:]))
-        redrawn = 0
-        for (length, first), nxt in zip(marks, [m[1] for m in marks[1:]] + [len(oracle.windows)]):
-            below = [w for w in oracle.windows[first:nxt] if w[0] < length]
-            assert len(below) <= 1 and sum(k for _, k in below) < batch
-            redrawn += len(below)
-        # 27 and 74 redraw inside the proving call's 88 trials; the final
-        # call's 2109 = 749 + 85 * 16 is a draw end already recorded
+        assert oracle.total_trials == report.total_samples
+        starts = [start for start, _ in oracle.windows]
+        assert starts == sorted(starts) and starts[0] == 0
+        assert all(a + k == b for (a, k), b in zip(oracle.windows, starts[1:]))
+        ends = [m[1] for m in marks[1:]] + [len(oracle.windows)]
+        for call, (length, first), nxt in zip(report.calls, marks, ends):
+            drawn = oracle.windows[first:nxt]
+            assert all(start >= length for start, _ in drawn)
+            assert sum(k for _, k in drawn) == max(0, call.plan.n_samples - length)
+            assert all(k == batch for _, k in drawn[:-1])
+        # 27 and 74 read inside the proving call's 88 trials, and the final
+        # call's 2109 inside the 2664 before it: three calls draw nothing
         assert [c.plan.n_samples for c in report.calls] == [88, 27, 74, 226, 749, 2664, 2109]
-        assert redrawn == 2
+        assert [nxt - first for (_, first), nxt in zip(marks, ends)].count(0) == 3
 
     def test_zero_threshold_query(self, seed):
         report = run_strategy("bincert", ThresholdQuery(0.0, 0.25, 0.1), BernoulliOracle(0.0), seed)

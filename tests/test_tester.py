@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from quantcert import (
     OutOfRangeError,
     SampleTally,
     ThresholdQuery,
+    TrialOutcomes,
 )
 from quantcert.strategy import run_strategy, run_tester, schedule
 from quantcert.tester import TrialStream, plan_tester
@@ -23,6 +25,7 @@ CONFIDENCE = r"delta_call must sit in \(0, 1\)"
 # Test ids name each check by the error class it raised before both checks
 # became OutOfRangeError.
 CHECK_IDS = {INTERVAL: "InvalidIntervalError", CONFIDENCE: "InvalidConfidenceError"}
+ANSWERED = "answered .* one bool per trial"
 
 # frozen by independent high-precision evaluation of the closed forms
 EXPECTED_ETA1 = 0.046410161513775458
@@ -172,23 +175,25 @@ class TestRunTester:
         assert _run(plan, over_half, seed).outcome == "no"
 
     def test_calls_read_prefixes_of_one_stream(self, seed):
-        # a shorter call counts a prefix of a longer one's trials, drawing
-        # only the trials after the nearest draw end below it
+        # a shorter call counts a prefix of a longer one's trials and reads
+        # the outcomes the stream keeps, drawing nothing
         short, long = plan_tester(0.05, 0.25, 0.1), plan_tester(0.1, 0.2, 0.05)
         assert short.n_samples < long.n_samples
         oracle = CountingOracle(BernoulliOracle(0.17), batch_trials=16)
         stream = TrialStream(oracle, seed)
         a = run_tester("final", long, stream)
         drawn = oracle.total_trials
+        assert drawn == long.n_samples
         b = run_tester("final", short, stream)
         assert b.tally == _run(short, BernoulliOracle(0.17), seed).tally
         assert a.tally == _run(long, BernoulliOracle(0.17), seed).tally
         assert 0 <= a.tally.successes - b.tally.successes <= long.n_samples - short.n_samples
-        assert oracle.total_trials - drawn == short.n_samples % 16
+        assert oracle.total_trials == drawn
         assert stream.length == long.n_samples
-        # the redrawn end is recorded: asking again draws nothing
-        run_tester("final", short, stream)
-        assert oracle.total_trials - drawn == short.n_samples % 16
+        # asking again, or for the whole stream, draws nothing either
+        assert run_tester("final", short, stream) == b
+        assert run_tester("final", long, stream) == a
+        assert oracle.total_trials == drawn
 
     def test_bad_knobs_rejected(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
@@ -205,17 +210,26 @@ class TestRunTester:
 
     # An oracle that answered nothing once certified yes, and one that
     # over-reported died as an out-of-range value, the caller's error.
-    @pytest.mark.parametrize("answered", [lambda k: 0, lambda k: k - 1, lambda k: k + 5],
-                             ids=["none", "fewer", "more"])
-    def test_draw_must_answer_every_trial_asked_for(self, seed, answered):
+    # Draws once returned a bare SampleTally; that fails typed too, naming
+    # what a draw returns now.
+    @pytest.mark.parametrize(
+        "answer, message",
+        [(lambda k: TrialOutcomes(np.zeros(0, dtype=bool)), ANSWERED),
+         (lambda k: TrialOutcomes(np.arange(k - 1) == 0), ANSWERED),
+         (lambda k: TrialOutcomes(np.arange(k + 5) == 0), ANSWERED),
+         (lambda k: TrialOutcomes((np.arange(k) == 0).reshape(k, 1)), ANSWERED),
+         (lambda k: TrialOutcomes((np.arange(k) == 0).astype(np.int64)), ANSWERED),
+         (lambda k: SampleTally(k, 1), "returned SampleTally; a draw returns TrialOutcomes")],
+        ids=["none", "fewer", "more", "2-d", "not-bool", "bare-tally"],
+    )
+    def test_draw_must_answer_every_trial_asked_for(self, seed, answer, message):
         class Miscounts:
             batch_trials = 10
 
             def draw(self, seed, start, count):
-                trials = count if start < 20 else answered(count)
-                return SampleTally(trials, min(trials, 1))
+                return TrialOutcomes(np.arange(count) == 0) if start < 20 else answer(count)
 
-        with pytest.raises(OracleFailure, match="answered") as exc_info:
+        with pytest.raises(OracleFailure, match=message) as exc_info:
             run_strategy("bincert", (0.1, 0.05, 0.1), Miscounts(), seed)
         assert exc_info.value.partial_tally == SampleTally(20, 2)
 
@@ -226,7 +240,7 @@ class TestRunTester:
             def draw(self, seed, start, count):
                 if start >= 30:
                     raise OracleFailure("down", partial_tally=SampleTally(4, 1))
-                return SampleTally(count, count)  # all successes
+                return TrialOutcomes(np.ones(count, dtype=bool))  # all successes
 
         plan = HandPlan(theta1=0.1, theta2=0.2, delta_call=0.01,
                           n_samples=100, eta1=0.05, eta2=0.05, t=0.15)
@@ -235,6 +249,31 @@ class TestRunTester:
         partial = exc_info.value.partial_tally
         assert partial.trials == 34  # 3 clean batches of 10, plus 4 from the failure
         assert partial.successes == 31
+
+
+# Batch sizes of the draw-once test: one trial, a few, the fallback and
+# BernoulliOracle's own, which covers a whole run in one draw.
+ONCE_BATCHES = (1, 16, 128, BernoulliOracle.batch_trials)
+
+
+def test_each_trial_is_drawn_exactly_once(seed):
+    # Calls come in any size order (bincert's refuting calls are smaller
+    # than the proving call before them); the draws must still tile
+    # [0, total_samples) with no overlap and no gap, and every call must
+    # count the same prefix a single draw of the stream does.
+    query = ThresholdQuery(0.1, 0.05, 0.1)
+    for name, p, batch in itertools.product(STRATEGY_NAMES, (0.0, 0.02, 0.2, 0.5),
+                                            ONCE_BATCHES):
+        oracle = CountingOracle(BernoulliOracle(p), batch_trials=batch)
+        report = run_strategy(name, query, oracle, seed)
+        case = (name, p, batch)
+        starts = [start for start, _ in oracle.windows]
+        ends = list(itertools.accumulate(k for _, k in oracle.windows))
+        assert starts == [0] + ends[:-1], case
+        assert ends[-1] == report.total_samples == oracle.total_trials, case
+        hits = BernoulliOracle(p).draw(seed, 0, report.total_samples).hits
+        for call in report.calls:
+            assert call.successes == np.count_nonzero(hits[:call.plan.n_samples]), case
 
 
 def _corpus_plans():
