@@ -36,7 +36,6 @@ from .robustness import (
     HardnessResult,
     L2BallSampler,
     LinfBallSampler,
-    NoYesFoundError,
     ProbeRecord,
     adversarial_hardness,
     certify_density,
@@ -62,7 +61,6 @@ __all__ = [
     "L2BallSampler",
     "LinfBallSampler",
     "Model",
-    "NoYesFoundError",
     "Oracle",
     "OracleFailure",
     "OutOfRangeError",

@@ -29,13 +29,7 @@ import numpy as np
 from .core import OutOfRangeError, QuantCertError, SeedSpec, validate_query
 from .nn import load_model
 from .oracle import BernoulliOracle, SubprocessProperty
-from .robustness import (
-    NoYesFoundError,
-    _certify_ball,
-    adversarial_hardness,
-    certify_density,
-    make_sampler,
-)
+from .robustness import _certify_ball, adversarial_hardness, certify_density, make_sampler
 from .sim import complexity_sweep
 from .strategy import (
     STRATEGIES,
@@ -221,34 +215,25 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
         model = load_model(fh.read())
     center = _read_center(args.center, args.center_row)
 
-    try:
-        result = adversarial_hardness(
-            model,
-            center,
-            query,
-            seed,
-            eps_grid=grid,
-            method=args.method,
-            norm=args.norm,
-            strategy=args.strategy,
-            limits=_limits(args),
-        )
-        doc = {
-            "hardness": result.hardness,
-            "method": result.method,
-            "total_samples": result.total_samples,
-            "probes": result.probe_log,
-        }
-    except NoYesFoundError as exc:
-        doc = {
-            "hardness": None,
-            "method": args.method,
-            "error": "no-yes-found",
-            "probes": exc.probe_log,
-        }
-    doc["probes"] = [asdict(p) for p in doc["probes"]]
+    result = adversarial_hardness(
+        model,
+        center,
+        query,
+        seed,
+        eps_grid=grid,
+        method=args.method,
+        norm=args.norm,
+        strategy=args.strategy,
+        limits=_limits(args),
+    )
+    doc = {"hardness": result.hardness, "method": result.method}
+    if result.hardness is None:
+        doc["error"] = "no-yes-found"
+    else:
+        doc["total_samples"] = result.total_samples
+    doc["probes"] = [asdict(p) for p in result.probe_log]
     print(json.dumps(doc, indent=2), file=args.out)
-    return EXIT_NO if doc["hardness"] is None else EXIT_YES
+    return EXIT_NO if result.hardness is None else EXIT_YES
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -256,9 +241,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     if not strategies:
         raise OutOfRangeError(f"--strategy {args.strategy!r} names no strategy")
-    unknown = [s for s in strategies if s not in STRATEGIES]
-    if unknown:
-        raise OutOfRangeError(f"unknown strategies: {unknown}; expected {sorted(STRATEGIES)}")
     table = complexity_sweep(
         strategies, query, _parse_grid(args.p_grid), max_samples=args.max_samples
     )

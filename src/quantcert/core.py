@@ -25,6 +25,22 @@ class OutOfRangeError(QuantCertError):
     """A parameter fell outside its documented range."""
 
 
+def _check_int(name: str, value: object, low: int, high: Optional[int] = None) -> int:
+    """value as an int, once it is an integer in [low, high), else OutOfRangeError.
+
+    numpy integers pass; bools and integral floats do not.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < low
+        or (high is not None and value >= high)
+    ):
+        span = f"of at least {low}" if high is None else f"in [{low}, {high})"
+        raise OutOfRangeError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # queries and verdicts
 # ---------------------------------------------------------------------------
@@ -194,9 +210,8 @@ class SeedSpec:
     )
 
     def __post_init__(self) -> None:
-        seed = self.root_seed
-        if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 63):
-            raise OutOfRangeError(f"root_seed must be an integer in [0, 2^63), got {seed!r}")
+        seed = _check_int("root_seed", self.root_seed, 0, 2 ** 63)
+        object.__setattr__(self, "root_seed", seed)
 
     @classmethod
     def fresh(cls) -> "SeedSpec":
@@ -209,8 +224,7 @@ class SeedSpec:
         Child keys use a two-element spawn key, so they can never collide
         with the single-element key of a run's trial stream.
         """
-        if index < 0:
-            raise OutOfRangeError("child index must be nonnegative")
+        index = _check_int("child index", index, 0)
         ss = SeedSequence(self.root_seed, spawn_key=(index, 1))
         return SeedSpec(int(ss.generate_state(1, np.uint64)[0] >> np.uint64(1)))
 

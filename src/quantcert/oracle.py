@@ -21,7 +21,6 @@ oracle without it 128.
 from __future__ import annotations
 
 import math
-import numbers
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
-from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec
+from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec, _check_int
 
 # Raw words one draw reads by default (1 MiB): few enough Python round trips
 # per call on a cheap oracle, small enough to keep a batch in cache.
@@ -139,8 +138,6 @@ class PropertyOracle:
         self.batch_trials = max(1, BATCH_WORDS // sampler.dimension)
 
     def draw(self, seed: SeedSpec, start: int, count: int) -> TrialOutcomes:
-        if count == 0:
-            return TrialOutcomes(np.zeros(0, dtype=bool))
         points = self.sampler.batch(seed, start, count)
         hits = np.asarray(self.predicate.batch(points), dtype=bool)
         if hits.shape != (count,):
@@ -164,10 +161,7 @@ class SubprocessProperty:
     """
 
     def __init__(self, command: Union[str, Sequence[str]], reference_label: int) -> None:
-        ref = reference_label
-        if isinstance(ref, bool) or not isinstance(ref, numbers.Integral) or ref < 0:
-            raise OutOfRangeError(f"reference_label must be a nonnegative integer, got {ref!r}")
-        self.reference_label = int(ref)
+        self.reference_label = _check_int("reference_label", reference_label, 0)
         try:
             argv = shlex.split(command) if isinstance(command, str) else list(command)
         except ValueError as exc:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     OutOfRangeError,
-    QuantCertError,
     SeedSpec,
     ThresholdQuery,
     _HALF_OPEN_SCALE,
@@ -30,14 +29,6 @@ from .oracle import PropertyOracle
 from .strategy import CertificationReport, ResourceLimits, run_strategy
 
 Norm = Literal["linf", "l2"]
-
-
-class NoYesFoundError(QuantCertError):
-    """Even the smallest probed radius failed to certify yes."""
-
-    def __init__(self, message: str, probe_log: Tuple["ProbeRecord", ...] = ()):
-        super().__init__(message)
-        self.probe_log = probe_log
 
 
 def _check_ball(center: np.ndarray, epsilon: float) -> np.ndarray:
@@ -238,6 +229,8 @@ def _certify_ball(
 
 @dataclass(frozen=True)
 class ProbeRecord:
+    """One hardness probe: the radius, its density verdict and the samples it spent."""
+
     epsilon: float
     verdict: str
     total_samples: int
@@ -245,9 +238,13 @@ class ProbeRecord:
 
 @dataclass(frozen=True)
 class HardnessResult:
-    """Largest grid radius whose density query certified yes."""
+    """Largest grid radius whose density query certified yes, with every probe.
 
-    hardness: float
+    hardness is None when the smallest radius did not certify yes; the
+    probe log then holds that one probe.
+    """
+
+    hardness: Optional[float]
     method: Literal["sweep", "bisect"]
     probe_log: Tuple[ProbeRecord, ...]
 
@@ -284,59 +281,48 @@ def adversarial_hardness(
     eps_grid is a nonempty, strictly increasing list of finite positive
     radii; a bad grid raises OutOfRangeError before the first probe.  Each
     probe is one certify_density call on the ball of that radius around x0.
-    sweep probes radii in ascending order and stops at the first non-yes;
-    bisect assumes verdicts are monotone in the radius and binary-searches
-    the grid, probing both ends first.  A non-yes includes inconclusive
-    probes; they terminate the scan like a no but stay visible in the log.
-    Raises NoYesFoundError when even the smallest radius fails to certify.
-    Each probe reuses the same limits and derives its own child seed from
-    its probe sequence number.
+    The search keeps a bracket: yes is the largest grid index known to
+    certify yes (-1 while none is), no the smallest index known not to
+    (len(eps_grid) while none is), and yes < no always.  It probes inside
+    the bracket until no = yes + 1.  Both methods probe the smallest radius
+    first; sweep then probes yes + 1, and bisect, which assumes verdicts are
+    monotone in the radius, probes the largest radius and then the middle
+    of the bracket.  A non-yes includes inconclusive probes; they close the
+    bracket like a no but stay visible in the log.  When the smallest radius
+    does not certify yes, hardness is None.  Each probe reuses the same
+    limits and derives its own child seed from its probe sequence number.
     """
     q = validate_query(query)
     grid = _normalize_grid(eps_grid)
+    if method not in ("sweep", "bisect"):
+        raise OutOfRangeError(f"method must be 'sweep' or 'bisect', got {method!r}")
     probes: List[ProbeRecord] = []
-
-    def probe(eps: float) -> str:
+    yes, no = -1, len(grid)
+    while no - yes > 1:
+        if method == "sweep" or yes < 0:
+            k = yes + 1
+        elif no == len(grid):
+            k = no - 1
+        else:
+            k = (yes + no) // 2
         report = certify_density(
             model,
             x0,
             q,
             seed.child(len(probes)),
-            eps,
+            grid[k],
             norm=norm,
             strategy=strategy,
             limits=limits,
         )
+        verdict = report.verdict.kind
         probes.append(
-            ProbeRecord(
-                epsilon=eps,
-                verdict=report.verdict.kind,
-                total_samples=report.total_samples,
-            )
+            ProbeRecord(epsilon=grid[k], verdict=verdict, total_samples=report.total_samples)
         )
-        return report.verdict.kind
-
-    if method not in ("sweep", "bisect"):
-        raise OutOfRangeError(f"method must be 'sweep' or 'bisect', got {method!r}")
-    if probe(grid[0]) != "yes":
-        raise NoYesFoundError(
-            f"smallest radius {grid[0]} did not certify yes",
-            probe_log=tuple(probes),
-        )
-    yes_idx = 0
-    if method == "sweep":
-        while yes_idx + 1 < len(grid) and probe(grid[yes_idx + 1]) == "yes":
-            yes_idx += 1
-    elif len(grid) > 1:
-        no_idx = len(grid) - 1
-        if probe(grid[no_idx]) == "yes":
-            yes_idx = no_idx
-        while no_idx - yes_idx > 1:
-            mid = (yes_idx + no_idx) // 2
-            if probe(grid[mid]) == "yes":
-                yes_idx = mid
-            else:
-                no_idx = mid
+        if verdict == "yes":
+            yes = k
+        else:
+            no = k
     return HardnessResult(
-        hardness=grid[yes_idx], method=method, probe_log=tuple(probes)
+        hardness=grid[yes] if yes >= 0 else None, method=method, probe_log=tuple(probes)
     )

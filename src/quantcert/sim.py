@@ -18,7 +18,14 @@ from dataclasses import asdict, astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 from .core import OutOfRangeError, ThresholdQuery, validate_query
-from .strategy import ResourceLimits, baseline_samples, schedule, schedule_law
+from .strategy import (
+    STRATEGIES,
+    ResourceLimits,
+    _unknown_strategy,
+    baseline_samples,
+    schedule,
+    schedule_law,
+)
 
 
 @dataclass(frozen=True)
@@ -85,9 +92,13 @@ def complexity_sweep(
 
     Rows run over the strategies, and for each over p_grid in order.
     max_samples caps every run as ResourceLimits does: a call that would
-    pass it ends the run inconclusive.
+    pass it ends the run inconclusive.  Every argument is checked before the
+    first law is computed.
     """
     q = validate_query(query)
+    for name in strategies:
+        if name not in STRATEGIES:
+            raise _unknown_strategy(name)
     for p in p_grid:
         if not 0.0 <= p <= 1.0:
             raise OutOfRangeError(f"p must sit in [0, 1], got {p}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from .core import (
     SeedSpec,
     ThresholdQuery,
     Verdict,
+    _check_int,
     validate_query,
 )
 from .oracle import Oracle
@@ -94,9 +94,9 @@ class ResourceLimits:
     max_wall_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        cap = self.max_samples
-        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 0):
-            raise OutOfRangeError(f"max_samples must be a nonnegative integer, got {cap}")
+        if self.max_samples is not None:
+            cap = _check_int("max_samples", self.max_samples, 0)
+            object.__setattr__(self, "max_samples", cap)
         # Written so that NaN fails too: it would compare false and never block.
         if self.max_wall_ms is not None and not self.max_wall_ms >= 0.0:
             raise OutOfRangeError(f"max_wall_ms must be nonnegative, got {self.max_wall_ms}")

@@ -26,14 +26,13 @@ trial it drew, so no trial is drawn twice, whatever order the calls come in.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from .core import OutOfRangeError, SampleTally, SeedSpec
+from .core import OutOfRangeError, SampleTally, SeedSpec, _check_int
 from .oracle import Oracle, OracleFailure, TrialOutcomes
 
 
@@ -129,12 +128,9 @@ class TrialStream:
     """
 
     def __init__(self, oracle: Oracle, seed: SeedSpec) -> None:
-        batch = getattr(oracle, "batch_trials", 128)
-        if isinstance(batch, bool) or not isinstance(batch, numbers.Integral) or batch < 1:
-            raise OutOfRangeError(f"batch_trials must be an integer of at least 1, got {batch!r}")
         self.oracle = oracle
         self.seed = seed
-        self.batch_trials = int(batch)
+        self.batch_trials = _check_int("batch_trials", getattr(oracle, "batch_trials", 128), 1)
         # Draw ends, increasing, and the successes before each; _packed[j]
         # holds the outcomes of trials [_ends[j], _ends[j + 1]).
         self._ends: List[int] = [0]

@@ -175,10 +175,17 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(OutOfRangeError):
             SeedSpec(2**63)
-        for not_int in (1.5, 7.0, "7", None):
+        for not_int in (1.5, 7.0, "7", None, True):
             with pytest.raises(OutOfRangeError, match="root_seed must be an integer"):
                 SeedSpec(not_int)
         assert SeedSpec.fresh().root_seed >= 0
+
+    def test_child_index_range(self):
+        # 1.5 once died in numpy with a TypeError, and True passed as index 1.
+        for bad in (-1, 1.5, True, "1"):
+            with pytest.raises(OutOfRangeError, match="child index"):
+                SeedSpec(5).child(bad)
+        assert SeedSpec(5).child(np.int64(3)) == SeedSpec(5).child(3)
 
     def test_numpy_integer_seed_replays_as_int(self):
         reports = [

@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from quantcert import (
     L2BallSampler,
     LinfBallSampler,
-    NoYesFoundError,
     OutOfRangeError,
+    ProbeRecord,
     SeedSpec,
     ThresholdQuery,
     adversarial_hardness,
@@ -18,6 +20,7 @@ from quantcert import (
     predict_batch,
 )
 import quantcert.oracle as oracle_module
+import quantcert.robustness as robustness
 from quantcert.core import to_unit
 from quantcert.robustness import _normalize_grid
 from conftest import linear_model
@@ -294,6 +297,37 @@ HARDNESS_QUERY = ThresholdQuery(1e-3, 1e-3, 0.05)
 GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 
 
+def _two_loop_search(verdicts, method):
+    """Reference: hardness search as two loops, one per method.
+
+    Answers the grid indices probed, in order, and the hardness index, None
+    when the smallest radius is not a yes.
+    """
+    probed = []
+
+    def probe(k):
+        probed.append(k)
+        return verdicts[k]
+
+    if probe(0) != "yes":
+        return probed, None
+    yes_idx = 0
+    if method == "sweep":
+        while yes_idx + 1 < len(verdicts) and probe(yes_idx + 1) == "yes":
+            yes_idx += 1
+    elif len(verdicts) > 1:
+        no_idx = len(verdicts) - 1
+        if probe(no_idx) == "yes":
+            yes_idx = no_idx
+        while no_idx - yes_idx > 1:
+            mid = (yes_idx + no_idx) // 2
+            if probe(mid) == "yes":
+                yes_idx = mid
+            else:
+                no_idx = mid
+    return probed, yes_idx
+
+
 class TestAdversarialHardness:
     # boundary at 0.7: the density around (0.5, 0.5) is exactly zero up to
     # eps = 0.2 and jumps to 0.1 at eps = 0.25
@@ -352,18 +386,47 @@ class TestAdversarialHardness:
             assert len(result.probe_log) == 1
 
     @pytest.mark.parametrize("method", ["sweep", "bisect"])
-    def test_no_yes_raises(self, seed, center2, method):
-        with pytest.raises(NoYesFoundError) as info:
-            adversarial_hardness(
-                linear_model(0.7),
-                center2,
-                HARDNESS_QUERY,
-                seed,
-                eps_grid=[0.25, 0.3],
-                method=method,
+    def test_no_yes_returns_none(self, seed, center2, method):
+        result = adversarial_hardness(
+            linear_model(0.7),
+            center2,
+            HARDNESS_QUERY,
+            seed,
+            eps_grid=[0.25, 0.3],
+            method=method,
+        )
+        assert result.hardness is None
+        assert result.method == method
+        assert [(p.epsilon, p.verdict) for p in result.probe_log] == [(0.25, "no")]
+
+    def test_probe_order_matches_the_two_loop_search(self, seed, center2, monkeypatch):
+        """Every verdict pattern on grids of 1-7 radii, against the two-loop search."""
+        verdicts = {}
+        seeds = []
+
+        def fake_certify(model, x0, query, probe_seed, epsilon, **kwargs):
+            seeds.append(probe_seed)
+            return SimpleNamespace(
+                verdict=SimpleNamespace(kind=verdicts[epsilon]),
+                total_samples=round(epsilon * 1000),
             )
-        assert len(info.value.probe_log) == 1
-        assert info.value.probe_log[0].verdict == "no"
+
+        monkeypatch.setattr(robustness, "certify_density", fake_certify)
+        for n in range(1, 8):
+            grid = [(k + 1) / 1000 for k in range(n)]
+            for pattern in itertools.product(("yes", "no", "inconclusive"), repeat=n):
+                verdicts.update(zip(grid, pattern))
+                for method in ("sweep", "bisect"):
+                    probed, found = _two_loop_search(pattern, method)
+                    seeds.clear()
+                    result = adversarial_hardness(
+                        None, center2, HARDNESS_QUERY, seed, eps_grid=grid, method=method
+                    )
+                    assert result.probe_log == tuple(
+                        ProbeRecord(grid[k], pattern[k], k + 1) for k in probed
+                    ), (pattern, method)
+                    assert result.hardness == (None if found is None else grid[found])
+                    assert seeds == [seed.child(i) for i in range(len(probed))]
 
     def test_unknown_method(self, seed, center2):
         with pytest.raises(OutOfRangeError):

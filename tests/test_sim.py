@@ -159,11 +159,13 @@ class TestComplexitySweep:
 
     def test_bad_rate_raises_before_any_draw(self, monkeypatch):
         def no_law(*args, **kwargs):
-            raise AssertionError("computed a row before checking the grid")
+            raise AssertionError("computed a row before checking the arguments")
 
         monkeypatch.setattr(sim_module, "schedule_law", no_law)
         with pytest.raises(OutOfRangeError):
             complexity_sweep(["bincert"], QUERY, [0.5, 1.5])
+        with pytest.raises(OutOfRangeError, match="unknown strategy 'magic'"):
+            complexity_sweep(["bincert", "magic"], QUERY, [0.5])
 
     def test_replay_is_deterministic(self):
         a = complexity_sweep(["bincert"], QUERY, [0.125])

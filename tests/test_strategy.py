@@ -310,7 +310,7 @@ class TestBinCert:
     @pytest.mark.parametrize(
         "bad",
         [dict(max_samples=-5), dict(max_wall_ms=-1.0), dict(max_wall_ms=math.nan),
-         dict(max_samples=math.nan), dict(max_samples=1.5)],
+         dict(max_samples=math.nan), dict(max_samples=1.5), dict(max_samples=True)],
     )
     def test_limits_reject_negative_and_nan(self, bad):
         with pytest.raises(OutOfRangeError):

@@ -198,7 +198,7 @@ class TestRunTester:
     def test_bad_knobs_rejected(self, seed):
         plan = plan_tester(0.1, 0.3, 0.05)
         # NaN, 2.5, "64" and True once died inside the first draw with a TypeError.
-        for batch in (0, -3, math.nan, 2.5, "64", True):
+        for batch in (0, -3, math.nan, 1.5, 2.5, "64", True):
             with pytest.raises(OutOfRangeError, match="batch_trials"):
                 _run(plan, CountingOracle(BernoulliOracle(0.2), batch_trials=batch), seed)
 
