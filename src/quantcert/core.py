@@ -41,6 +41,11 @@ def _check_int(name: str, value: object, low: int, high: Optional[int] = None) -
     return int(value)
 
 
+def _is_real(value: object) -> bool:
+    """Whether value is a real number other than a bool, as _check_int rules for integers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # queries and verdicts
 # ---------------------------------------------------------------------------
@@ -105,7 +110,7 @@ def validate_query(raw: QueryLike) -> ThresholdQuery:
         theta, eta, delta = raw
     except (TypeError, ValueError):
         theta = eta = delta = None
-    if not all(isinstance(v, numbers.Real) for v in (theta, eta, delta)):
+    if not all(_is_real(v) for v in (theta, eta, delta)):
         raise OutOfRangeError(f"a query is three real numbers (theta, eta, delta), got {raw!r}")
     return ThresholdQuery(float(theta), float(eta), float(delta))
 

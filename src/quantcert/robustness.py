@@ -20,6 +20,7 @@ from .core import (
     SeedSpec,
     ThresholdQuery,
     _HALF_OPEN_SCALE,
+    _check_int,
     to_open_unit,
     to_unit,
     validate_query,
@@ -156,7 +157,7 @@ class MisclassificationProperty:
 
     def __init__(self, model: Model, reference_label: int) -> None:
         self.model = model
-        self.reference_label = int(reference_label)
+        self.reference_label = _check_int("reference_label", reference_label, 0)
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         return predict_batch(self.model, points) != self.reference_label
@@ -289,8 +290,8 @@ def adversarial_hardness(
     monotone in the radius, probes the largest radius and then the middle
     of the bracket.  A non-yes includes inconclusive probes; they close the
     bracket like a no but stay visible in the log.  When the smallest radius
-    does not certify yes, hardness is None.  Each probe reuses the same
-    limits and derives its own child seed from its probe sequence number.
+    does not certify yes, hardness is None.  Each probe runs under the same
+    limits, with its own deadline and a child seed from its probe number.
     """
     q = validate_query(query)
     grid = _normalize_grid(eps_grid)

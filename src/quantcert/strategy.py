@@ -30,7 +30,6 @@ from typing import DefaultDict, Dict, Iterable, Iterator, List, Literal, Optiona
 import numpy as np
 
 from .core import (
-    InconclusiveReason,
     OutOfRangeError,
     QuantCertError,
     QueryLike,
@@ -39,10 +38,11 @@ from .core import (
     ThresholdQuery,
     Verdict,
     _check_int,
+    _is_real,
     validate_query,
 )
 from .oracle import Oracle
-from .tester import TesterPlan, TrialStream, _sample_count, plan_tester
+from .tester import TesterPlan, TrialStream, _Deadline, _sample_count, plan_tester
 
 Side = Literal["proving", "refuting", "final"]
 
@@ -84,10 +84,12 @@ def _settles(side: Side, outcome: str) -> bool:
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Optional caps checked before each tester call starts; zero is allowed.
+    """Optional caps on one run; zero is allowed.
 
-    max_samples caps the run's trial stream, as long as its largest call:
-    a call of size n is blocked when n exceeds it.
+    max_samples ends a run budget-exhausted at its first call larger than
+    the cap (_capped), so it caps the run's stream.  max_wall_ms ends it
+    timeout at the first draw due once that many ms have passed, so a run
+    overshoots by at most one draw; the call it cut is not recorded.
     """
 
     max_samples: Optional[int] = None
@@ -97,9 +99,10 @@ class ResourceLimits:
         if self.max_samples is not None:
             cap = _check_int("max_samples", self.max_samples, 0)
             object.__setattr__(self, "max_samples", cap)
-        # Written so that NaN fails too: it would compare false and never block.
-        if self.max_wall_ms is not None and not self.max_wall_ms >= 0.0:
-            raise OutOfRangeError(f"max_wall_ms must be nonnegative, got {self.max_wall_ms}")
+        # Written so that NaN fails too: it would compare false and never stop a run.
+        wall = self.max_wall_ms
+        if wall is not None and not (_is_real(wall) and wall >= 0.0):
+            raise OutOfRangeError(f"max_wall_ms must be a nonnegative real, got {wall!r}")
 
 
 def _plan_fields(plan: TesterPlan) -> Dict[str, object]:
@@ -320,19 +323,13 @@ def _check_report(report: CertificationReport) -> CertificationReport:
     return report
 
 
-def _blocked(
-    limits: Optional[ResourceLimits], next_samples: int, started: float
-) -> Optional[InconclusiveReason]:
-    if limits is None:
-        return None
-    if limits.max_samples is not None and next_samples > limits.max_samples:
-        return "budget-exhausted"
-    if (
-        limits.max_wall_ms is not None
-        and (time.perf_counter() - started) * 1000.0 > limits.max_wall_ms
-    ):
-        return "timeout"
-    return None
+def _capped(
+    entries: Iterable[Tuple[Side, TesterPlan]], max_samples: Optional[int]
+) -> Iterable[Tuple[Side, TesterPlan]]:
+    """The entries up to the first call larger than max_samples: the one cap rule."""
+    if max_samples is None:
+        return entries
+    return itertools.takewhile(lambda entry: entry[1].n_samples <= max_samples, entries)
 
 
 def run_tester(side: Side, plan: TesterPlan, stream: TrialStream) -> CallRecord:
@@ -356,29 +353,31 @@ def _run_schedule(
 
     Entries are read one at a time, so a call is planned only when it is
     reached.  Every call reads a prefix of the run's one trial stream, and
-    the run's total is the stream's length.  The limits are checked before
-    each call; the first call whose outcome settles the query (_settles)
-    gives the verdict.
+    the run's total is the stream's length.  max_samples caps the entries,
+    max_wall_ms is the stream's deadline, and the first call whose outcome
+    settles the query (_settles) gives the verdict.
     """
     query = validate_query(query)
     notes, entries = schedule(strategy, query)
     started = time.perf_counter()
-    stream = TrialStream(oracle, seed)
+    max_samples = limits.max_samples if limits else None
+    wall = limits.max_wall_ms if limits else None
+    stream = TrialStream(oracle, seed, None if wall is None else started + wall / 1000.0)
     calls: List[CallRecord] = []
-    verdict: Optional[Verdict] = None
 
-    for side, plan in entries:
-        reason = _blocked(limits, plan.n_samples, started)
-        if reason is not None:
-            verdict = Verdict("inconclusive", reason)
-            break
-        calls.append(run_tester(side, plan, stream))
-        outcome = calls[-1].outcome
-        if _settles(side, outcome):
-            verdict = Verdict(outcome)
-            break
+    try:
+        for side, plan in _capped(entries, max_samples):
+            calls.append(run_tester(side, plan, stream))
+            outcome = calls[-1].outcome
+            if _settles(side, outcome):
+                verdict = Verdict(outcome)
+                break
+        else:
+            # Every schedule ends in a final call, so only the cap leaves a run open.
+            verdict = Verdict("inconclusive", "budget-exhausted")
+    except _Deadline:
+        verdict = Verdict("inconclusive", "timeout")
 
-    assert verdict is not None
     report = CertificationReport(
         query=query,
         strategy=strategy,
@@ -442,11 +441,11 @@ def schedule_law(
 ) -> ScheduleLaw:
     """The law of a run of these entries against Bernoulli(p), computed.
 
-    Same rules as the run: a call larger than max_samples ends it
-    inconclusive, a call whose outcome settles (_settles) ends it, and a
-    run's total is the largest call it made.  Every call k reads
-    a prefix of one stream, so it says yes when S(n_k) <= c_k, where S(n)
-    counts the successes among the first n trials; the calls are dependent.
+    Same rules as the run but max_wall_ms: a call larger than max_samples
+    ends it inconclusive (_capped), a call whose outcome settles (_settles)
+    ends it, and a run's total is the largest call it made.  Every call k
+    reads a prefix of one stream, so it says yes when S(n_k) <= c_k, where
+    S(n) counts the successes among the first n trials; they are dependent.
 
     A dynamic program walks the distinct call sizes in increasing order.
     Its state is S(n) together with the earliest call in schedule order
@@ -460,9 +459,7 @@ def schedule_law(
     may fall short by that much per step.
     """
     calls: List[Tuple[Side, int, int]] = []
-    for side, plan in entries:
-        if max_samples is not None and plan.n_samples > max_samples:
-            break
+    for side, plan in _capped(entries, max_samples):
         n, c = plan.n_samples, plan.c
         calls.append((side, n, c))
         # The counts S(n) can take: only 0 at p = 0, only n at p = 1.  A

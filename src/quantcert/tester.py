@@ -26,9 +26,10 @@ trial it drew, so no trial is drawn twice, whatever order the calls come in.
 from __future__ import annotations
 
 import math
+import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -115,6 +116,10 @@ def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     )
 
 
+class _Deadline(Exception):
+    """A stream's deadline passed before a draw it was asked for."""
+
+
 class TrialStream:
     """The outcomes of one run's trial stream, each trial drawn once.
 
@@ -125,11 +130,13 @@ class TrialStream:
     every draw's outcomes, packed at one bit per trial, beside the
     successes before the draw, so the count below any n is a lookup.  A
     draw must answer a TrialOutcomes holding one bool per trial asked for.
+    No draw starts once time.perf_counter() reaches ``deadline``; it raises _Deadline.
     """
 
-    def __init__(self, oracle: Oracle, seed: SeedSpec) -> None:
+    def __init__(self, oracle: Oracle, seed: SeedSpec, deadline: Optional[float] = None) -> None:
         self.oracle = oracle
         self.seed = seed
+        self.deadline = deadline
         self.batch_trials = _check_int("batch_trials", getattr(oracle, "batch_trials", 128), 1)
         # Draw ends, increasing, and the successes before each; _packed[j]
         # holds the outcomes of trials [_ends[j], _ends[j + 1]).
@@ -151,6 +158,8 @@ class TrialStream:
         trial.
         """
         while self.length < n:
+            if self.deadline is not None and time.perf_counter() >= self.deadline:
+                raise _Deadline
             self._draw(min(self.batch_trials, n - self.length))
         at = bisect_right(self._ends, n) - 1
         inside = n - self._ends[at]

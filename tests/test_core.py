@@ -57,7 +57,9 @@ class TestValidateQuery:
          (0.1, 0.05), (0.1, 0.05, 0.1, 0.1), None, 0.1, ("0.1", "0.05", "0.1"),
          (0.1, None, 0.1), "abc",
          # theta + eta rounds to theta, or eta * eta underflows to 0
-         (0.1, 1e-300, 0.1), (0.5, 1e-17, 0.1), (0.0, 1e-200, 0.1), (0.0, 5e-324, 0.1)],
+         (0.1, 1e-300, 0.1), (0.5, 1e-17, 0.1), (0.0, 1e-200, 0.1), (0.0, 5e-324, 0.1),
+         # a bool is not a real here: False would be theta 0, True delta 1
+         (False, 0.05, 0.1), (0.1, 0.05, True)],
     )
     def test_out_of_range(self, triple):
         with pytest.raises(OutOfRangeError):

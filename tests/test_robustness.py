@@ -209,6 +209,13 @@ class TestMisclassificationProperty:
         with pytest.raises(OutOfRangeError, match=r"x0 has shape \(3,\), model expects \(2,\)"):
             misclassification_property(linear_model(0.5), np.zeros(3))
 
+    @pytest.mark.parametrize("label", [1.7, 1.0, True, -1, "1", None])
+    def test_reference_label_is_a_nonnegative_integer(self, label):
+        with pytest.raises(OutOfRangeError, match="reference_label"):
+            robustness.MisclassificationProperty(linear_model(0.5), label)
+        prop = robustness.MisclassificationProperty(linear_model(0.5), np.int64(1))
+        assert prop.reference_label == 1 and type(prop.reference_label) is int
+
 
 class TestCertifyDensity:
     @pytest.mark.parametrize(

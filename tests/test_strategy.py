@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -310,7 +311,8 @@ class TestBinCert:
     @pytest.mark.parametrize(
         "bad",
         [dict(max_samples=-5), dict(max_wall_ms=-1.0), dict(max_wall_ms=math.nan),
-         dict(max_samples=math.nan), dict(max_samples=1.5), dict(max_samples=True)],
+         dict(max_samples=math.nan), dict(max_samples=1.5), dict(max_samples=True),
+         dict(max_wall_ms="5"), dict(max_wall_ms=True)],
     )
     def test_limits_reject_negative_and_nan(self, bad):
         with pytest.raises(OutOfRangeError):
@@ -322,6 +324,60 @@ class TestBinCert:
         report = run_strategy("bincert", query, BernoulliOracle(0.0), seed)
         assert report.notes == schedule("bincert", query)[0]
         assert "delta_min = 0.0005139793782952352" in report.notes[0]
+
+
+class _SlowOracle(CountingOracle):
+    """A CountingOracle whose draws each take a millisecond, stamped as they start."""
+
+    def __init__(self, inner, batch_trials):
+        super().__init__(inner, batch_trials)
+        self.starts = []
+
+    def draw(self, seed, start, count):
+        self.starts.append(time.perf_counter())
+        time.sleep(1e-3)
+        return super().draw(seed, start, count)
+
+
+class TestLimits:
+    QUERY = ThresholdQuery(0.1, 0.05, 0.1)
+
+    @pytest.mark.parametrize("name", ["bincert", "estimate"])
+    def test_no_draw_starts_past_the_deadline(self, seed, name):
+        # In 16-trial draws an unlimited run at p = 0.12 needs 167 draws
+        # (bincert, seven calls) or 691 (estimate, one call), far past
+        # 50 ms, so the deadline falls inside a call.
+        full = run_strategy(name, self.QUERY, BernoulliOracle(0.12), seed)
+        oracle = _SlowOracle(BernoulliOracle(0.12), batch_trials=16)
+        limits = ResourceLimits(max_wall_ms=50.0)
+        report = run_strategy(name, self.QUERY, oracle, seed, limits=limits)
+        assert report.verdict == Verdict("inconclusive", "timeout")
+        # The run starts its clock before its first draw, so its deadline
+        # is at most 50 ms after that draw starts.
+        assert oracle.starts[-1] < oracle.starts[0] + 0.050
+        # Calls that finished are recorded as an unlimited run makes them;
+        # the call that was cut is not, though the stream holds its trials.
+        assert report.calls == full.calls[: len(report.calls)]
+        assert len(report.calls) < len(full.calls)
+        assert oracle.total_trials >= report.total_samples
+        if name == "estimate":
+            assert report.calls == () and oracle.total_trials > 0
+
+    @pytest.mark.parametrize("name", ["bincert", "fixedcert", "estimate"])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_run_ends_where_the_law_puts_its_mass(self, seed, name, p):
+        # At p in {0, 1} every outcome is certain, so the law of a capped
+        # run is a point mass, and the run must land on it.
+        sizes = sorted({plan.n_samples for _, plan in schedule(name, self.QUERY)[1]})
+        for cap in [None, 0] + [n + d for n in sizes for d in (-1, 0)]:
+            law = schedule_law(schedule(name, self.QUERY)[1], p, cap)
+            report = run_strategy(name, self.QUERY, BernoulliOracle(p), seed,
+                                  limits=ResourceLimits(max_samples=cap))
+            ends = {"yes": law.p_yes, "no": law.p_no, "inconclusive": law.p_inconclusive}
+            assert ends[report.verdict.kind] == 1.0
+            assert law.samples == ((report.total_samples, 1.0),)
+            inconclusive = report.verdict.kind == "inconclusive"
+            assert (report.verdict.reason == "budget-exhausted") == inconclusive
 
 
 class TestFixedCertParams:
