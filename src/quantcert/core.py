@@ -8,10 +8,10 @@ ends) speaks in these types.
 
 from __future__ import annotations
 
-import numbers
 import secrets
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, Union
+from numbers import Integral, Real
+from typing import Dict, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random import Philox, SeedSequence
@@ -32,7 +32,7 @@ def _check_int(name: str, value: object, low: int, high: Optional[int] = None) -
     """
     if (
         isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
+        or not isinstance(value, Integral)
         or value < low
         or (high is not None and value >= high)
     ):
@@ -41,9 +41,24 @@ def _check_int(name: str, value: object, low: int, high: Optional[int] = None) -
     return int(value)
 
 
-def _is_real(value: object) -> bool:
-    """Whether value is a real number other than a bool, as _check_int rules for integers."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+_BOUNDS: Dict[str, Tuple[float, float, bool, bool]] = {}
+
+
+def _check_real(name: str, value: object, interval: str) -> float:
+    """value as a float, once it is a real number in interval, else OutOfRangeError.
+
+    interval is "[low, high]", with "(" or ")" at an excluded end.  Ints and
+    numpy reals pass; bools, strings, None and NaN (no comparison holds) fail.
+    """
+    if interval not in _BOUNDS:
+        low, high = interval[1:-1].split(",")
+        _BOUNDS[interval] = (float(low), float(high), interval[0] == "(", interval[-1] == ")")
+    low, high, low_open, high_open = _BOUNDS[interval]
+    if not ((type(value) is float or (isinstance(value, Real) and not isinstance(value, bool)))
+            and (low < value if low_open else low <= value)
+            and (value < high if high_open else value <= high)):
+        raise OutOfRangeError(f"{name} must sit in {interval}, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +73,7 @@ class ThresholdQuery:
     ``eta`` is the indifference width: densities inside the open band
     (theta, theta + eta) carry no guarantee.  ``delta`` bounds the
     probability of a wrong verdict outside that band, edges included.
+    Each field is checked by _check_real and stored as a Python float.
     """
 
     theta: float
@@ -65,12 +81,8 @@ class ThresholdQuery:
     delta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= 1.0:
-            raise OutOfRangeError(f"theta must sit in [0, 1], got {self.theta}")
-        if not 0.0 < self.eta < 1.0:
-            raise OutOfRangeError(f"eta must sit in (0, 1), got {self.eta}")
-        if not 0.0 < self.delta <= 1.0:
-            raise OutOfRangeError(f"delta must sit in (0, 1], got {self.delta}")
+        for name, interval in (("theta", "[0, 1]"), ("eta", "(0, 1)"), ("delta", "(0, 1]")):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), interval))
         if self.theta + self.eta > 1.0:
             raise OutOfRangeError(
                 f"theta + eta = {self.theta + self.eta} exceeds 1; "
@@ -100,19 +112,15 @@ QueryLike = Union[ThresholdQuery, Sequence[float]]
 def validate_query(raw: QueryLike) -> ThresholdQuery:
     """Coerce ``raw`` into a validated query.
 
-    Accepts an existing ThresholdQuery (returned unchanged) or a
-    (theta, eta, delta) triple.  Raises OutOfRangeError on anything else
-    and on bad parameters, theta + eta > 1 included.
+    A ThresholdQuery is returned unchanged and a triple (theta, eta, delta)
+    builds one; anything else, or a bad parameter, raises OutOfRangeError.
     """
     if isinstance(raw, ThresholdQuery):
         return raw
     try:
-        theta, eta, delta = raw
-    except (TypeError, ValueError):
-        theta = eta = delta = None
-    if not all(_is_real(v) for v in (theta, eta, delta)):
-        raise OutOfRangeError(f"a query is three real numbers (theta, eta, delta), got {raw!r}")
-    return ThresholdQuery(float(theta), float(eta), float(delta))
+        return ThresholdQuery(*raw)
+    except TypeError:
+        raise OutOfRangeError(f"a query is a triple (theta, eta, delta), got {raw!r}") from None
 
 
 InconclusiveReason = Literal["budget-exhausted", "timeout"]

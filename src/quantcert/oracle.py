@@ -28,7 +28,7 @@ from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
-from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec, _check_int
+from .core import OutOfRangeError, QuantCertError, SampleTally, SeedSpec, _check_int, _check_real
 
 # Raw words one draw reads by default (1 MiB): few enough Python round trips
 # per call on a cheap oracle, small enough to keep a batch in cache.
@@ -104,8 +104,7 @@ class BernoulliOracle:
     batch_trials = BATCH_WORDS
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise OutOfRangeError(f"p must sit in [0, 1], got {self.p}")
+        object.__setattr__(self, "p", _check_real("p", self.p, "[0, 1]"))
         # At p == 1 the cut would be 2^64, past uint64; every word passes.
         cut = None if self.p == 1.0 else np.uint64(math.ceil(self.p * 2.0 ** 53) << 11)
         object.__setattr__(self, "_cut", cut)

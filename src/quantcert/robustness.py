@@ -9,7 +9,6 @@ for which the density query still certifies yes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 
@@ -21,6 +20,7 @@ from .core import (
     ThresholdQuery,
     _HALF_OPEN_SCALE,
     _check_int,
+    _check_real,
     to_open_unit,
     to_unit,
     validate_query,
@@ -32,16 +32,13 @@ from .strategy import CertificationReport, ResourceLimits, run_strategy
 Norm = Literal["linf", "l2"]
 
 
-def _check_ball(center: np.ndarray, epsilon: float) -> np.ndarray:
-    """A read-only copy of the center, once the center and radius pass."""
+def _check_ball(center: np.ndarray) -> np.ndarray:
+    """A read-only copy of the center, once it passes."""
     x0 = np.asarray(center, dtype=np.float64)
     if x0.ndim != 1 or x0.size < 1:
         raise OutOfRangeError(f"center must be a nonempty vector, got shape {x0.shape}")
     if not np.all(np.isfinite(x0)) or np.any(x0 < 0.0) or np.any(x0 > 1.0):
         raise OutOfRangeError("center coordinates must sit in [0, 1]")
-    # Negated so that NaN fails too.
-    if not 0.0 < epsilon < math.inf:
-        raise OutOfRangeError(f"epsilon must be finite and positive, got {epsilon}")
     x0 = x0.copy()
     x0.flags.writeable = False
     return x0
@@ -60,7 +57,8 @@ class LinfBallSampler:
     epsilon: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _check_ball(self.center, self.epsilon))
+        object.__setattr__(self, "center", _check_ball(self.center))
+        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, "(0, inf)"))
         lo = np.maximum(0.0, self.center - self.epsilon)
         hi = np.minimum(1.0, self.center + self.epsilon)
         span = hi - lo
@@ -110,7 +108,8 @@ class L2BallSampler:
     epsilon: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _check_ball(self.center, self.epsilon))
+        object.__setattr__(self, "center", _check_ball(self.center))
+        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, "(0, inf)"))
 
     @property
     def dimension(self) -> int:
@@ -255,12 +254,9 @@ class HardnessResult:
 
 
 def _normalize_grid(eps_grid: Sequence[float]) -> List[float]:
-    grid = [float(e) for e in eps_grid]
+    grid = [_check_real("epsilon", e, "(0, inf)") for e in eps_grid]
     if not grid:
         raise OutOfRangeError("eps_grid must be nonempty")
-    # Negated so that NaN fails too.
-    if not all(0.0 < e < math.inf for e in grid):
-        raise OutOfRangeError("radii must be finite and positive")
     if sorted(grid) != grid or len(set(grid)) != len(grid):
         raise OutOfRangeError("eps_grid must be strictly increasing")
     return grid

@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
-from .core import OutOfRangeError, ThresholdQuery, validate_query
+from .core import ThresholdQuery, _check_real, validate_query
 from .strategy import (
     STRATEGIES,
     ResourceLimits,
@@ -65,8 +65,8 @@ class SweepTable:
         writer.writerows(astuple(row) for row in self.rows)
         return buf.getvalue()
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps([asdict(row) for row in self.rows], indent=indent)
+    def to_json(self) -> str:
+        return json.dumps([asdict(row) for row in self.rows], indent=2)
 
 
 def _moments(samples: Sequence[Tuple[int, float]]) -> Tuple[float, float, float]:
@@ -99,9 +99,7 @@ def complexity_sweep(
     for name in strategies:
         if name not in STRATEGIES:
             raise _unknown_strategy(name)
-    for p in p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise OutOfRangeError(f"p must sit in [0, 1], got {p}")
+    p_grid = [_check_real("p", p, "[0, 1]") for p in p_grid]
     cap = ResourceLimits(max_samples=max_samples).max_samples
     base = baseline_samples(q)
     rows: List[SweepRow] = []

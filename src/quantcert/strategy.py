@@ -38,7 +38,7 @@ from .core import (
     ThresholdQuery,
     Verdict,
     _check_int,
-    _is_real,
+    _check_real,
     validate_query,
 )
 from .oracle import Oracle
@@ -99,10 +99,9 @@ class ResourceLimits:
         if self.max_samples is not None:
             cap = _check_int("max_samples", self.max_samples, 0)
             object.__setattr__(self, "max_samples", cap)
-        # Written so that NaN fails too: it would compare false and never stop a run.
-        wall = self.max_wall_ms
-        if wall is not None and not (_is_real(wall) and wall >= 0.0):
-            raise OutOfRangeError(f"max_wall_ms must be a nonnegative real, got {wall!r}")
+        if self.max_wall_ms is not None:
+            wall = _check_real("max_wall_ms", self.max_wall_ms, "[0, inf]")
+            object.__setattr__(self, "max_wall_ms", wall)
 
 
 def _plan_fields(plan: TesterPlan) -> Dict[str, object]:
@@ -120,19 +119,22 @@ def _plan_fields(plan: TesterPlan) -> Dict[str, object]:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """One run's verdict and the calls that reached it.
+
+    total_samples is the length of the run's trial stream: its largest
+    call, 0 with no call, except in a run cut by its deadline, whose
+    stream also holds the trials the cut call drew.
+    """
+
     query: ThresholdQuery
     strategy: str
     verdict: Verdict
     seed: SeedSpec
     calls: Tuple[CallRecord, ...]
+    total_samples: int
     wall_time_ms: float
     notes: Tuple[str, ...] = ()
     config: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def total_samples(self) -> int:
-        """The run's stream length: its largest call, 0 with no call."""
-        return max((rec.plan.n_samples for rec in self.calls), default=0)
 
     def to_dict(self, include_timing: bool = True) -> Dict[str, object]:
         doc: Dict[str, object] = {
@@ -166,8 +168,8 @@ class CertificationReport:
             doc["wall_time_ms"] = self.wall_time_ms
         return doc
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(include_timing=True), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(include_timing=True), indent=2)
 
     def canonical_json(self) -> str:
         """Deterministic byte form: the top-level wall time removed."""
@@ -302,6 +304,13 @@ def _check_report(report: CertificationReport) -> CertificationReport:
             raise ReportInvariantError(
                 f"prefix tallies disagree: {s} successes in {n} trials, {more} in {longer}"
             )
+    # The stream is as long as the largest call, longer only when the
+    # deadline cut a call that had begun drawing.
+    largest, total = prefixes[-1][0], report.total_samples
+    if total < largest or (total > largest and report.verdict.reason != "timeout"):
+        raise ReportInvariantError(
+            f"total_samples {total} does not match the largest call, {largest} trials"
+        )
     for rec in report.calls:
         if rec.side == "proving" and not rec.plan.theta2 <= query.theta:
             raise ReportInvariantError(
@@ -353,9 +362,11 @@ def _run_schedule(
 
     Entries are read one at a time, so a call is planned only when it is
     reached.  Every call reads a prefix of the run's one trial stream, and
-    the run's total is the stream's length.  max_samples caps the entries,
-    max_wall_ms is the stream's deadline, and the first call whose outcome
-    settles the query (_settles) gives the verdict.
+    the report's total_samples is the stream's length: the largest call,
+    or in a run cut by its deadline every trial drawn, the cut call's
+    included.  max_samples caps the entries, max_wall_ms is the stream's
+    deadline, and the first call whose outcome settles the query
+    (_settles) gives the verdict.
     """
     query = validate_query(query)
     notes, entries = schedule(strategy, query)
@@ -384,6 +395,7 @@ def _run_schedule(
         verdict=verdict,
         seed=seed,
         calls=tuple(calls),
+        total_samples=stream.length,
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
         notes=notes,
         config=dict(config or {}),
@@ -458,6 +470,7 @@ def schedule_law(
     states of mass at most 1e-30 are dropped at each step, so each figure
     may fall short by that much per step.
     """
+    p = _check_real("p", p, "[0, 1]")
     calls: List[Tuple[Side, int, int]] = []
     for side, plan in _capped(entries, max_samples):
         n, c = plan.n_samples, plan.c

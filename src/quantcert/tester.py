@@ -33,7 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import OutOfRangeError, SampleTally, SeedSpec, _check_int
+from .core import OutOfRangeError, SampleTally, SeedSpec, _check_int, _check_real
 from .oracle import Oracle, OracleFailure, TrialOutcomes
 
 
@@ -84,13 +84,12 @@ def _sample_count(bound: float) -> int:
 def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     """Derive the sample size and decision boundary for one call.
 
-    Raises OutOfRangeError unless 0 < delta_call < 1,
-    0 <= theta1 < theta2 <= 1 and (theta2 - theta1)^2 is nonzero.
+    Raises OutOfRangeError unless 0 < delta_call < 1, the real numbers
+    0 <= theta1 < theta2 <= 1, and (theta2 - theta1)^2 is nonzero.
     """
-    if not 0.0 < delta_call < 1.0:
-        raise OutOfRangeError(
-            f"delta_call must sit in (0, 1), got {delta_call}"
-        )
+    delta_call = _check_real("delta_call", delta_call, "(0, 1)")
+    theta1 = _check_real("theta1", theta1, "[-inf, inf]")
+    theta2 = _check_real("theta2", theta2, "[-inf, inf]")
     if not (0.0 <= theta1 < theta2 <= 1.0):
         raise OutOfRangeError(
             f"need 0 <= theta1 < theta2 <= 1, got ({theta1}, {theta2})"

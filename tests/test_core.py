@@ -14,15 +14,21 @@ from hypothesis import given, strategies as st
 from quantcert import (
     BernoulliOracle,
     OutOfRangeError,
+    ResourceLimits,
     SampleTally,
     SeedSpec,
     ThresholdQuery,
     Verdict,
+    adversarial_hardness,
+    make_sampler,
     run_strategy,
 )
 from quantcert.core import to_open_unit, to_unit, validate_query
+from quantcert.sim import complexity_sweep
+from quantcert.strategy import schedule, schedule_law
+from quantcert.tester import plan_tester
 from chernoff_reference import DomainError, chernoff_tail
-from conftest import CountingOracle
+from conftest import CountingOracle, linear_model
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +86,60 @@ class TestValidateQuery:
             return
         q = validate_query((theta, eta, delta))
         assert validate_query(q) is q
+
+    @pytest.mark.parametrize("theta", [0, np.int64(0), np.float32(0.0)],
+                             ids=["int", "numpy-int", "numpy-float"])
+    def test_fields_print_as_floats(self, theta):
+        # A query built from ints or numpy reals is the query the tuple form builds.
+        built = ThresholdQuery(theta, 0.1, 0.1)
+        assert type(built.theta) is float
+        reports = [run_strategy("bincert", q, BernoulliOracle(0.02), SeedSpec(7))
+                   for q in (built, (0, 0.1, 0.1))]
+        assert reports[0].canonical_json() == reports[1].canonical_json()
+        assert '"theta":0.0' in reports[0].canonical_json()
+
+
+_CENTER = np.array([0.5, 0.5])
+_QUERY = ThresholdQuery(0.1, 0.05, 0.1)
+
+# (parameter, call with the value under test): every real parameter a
+# caller can pass, each checked by core._check_real where it is stored.
+REAL_PARAMETERS = [
+    ("theta", lambda v: ThresholdQuery(v, 0.05, 0.1)),
+    ("eta", lambda v: ThresholdQuery(0.1, v, 0.1)),
+    ("delta", lambda v: ThresholdQuery(0.1, 0.05, v)),
+    ("delta", lambda v: validate_query((0.1, 0.05, v))),
+    ("max_wall_ms", lambda v: ResourceLimits(max_wall_ms=v)),
+    ("p", lambda v: BernoulliOracle(v)),
+    ("epsilon", lambda v: make_sampler("linf", _CENTER, v)),
+    ("epsilon", lambda v: make_sampler("l2", _CENTER, v)),
+    ("epsilon", lambda v: adversarial_hardness(
+        linear_model(0.62), _CENTER, _QUERY, SeedSpec(1), eps_grid=[v])),
+    ("p", lambda v: complexity_sweep(["bincert"], _QUERY, [v])),
+    ("delta_call", lambda v: plan_tester(0.1, 0.2, v)),
+    ("theta1", lambda v: plan_tester(v, 0.2, 0.1)),
+    ("theta2", lambda v: plan_tester(0.1, v, 0.1)),
+    ("p", lambda v: schedule_law(schedule("bincert", _QUERY)[1], v)),
+]
+
+
+def test_every_real_parameter_has_one_rule():
+    # A bool, a string, None and NaN are not real numbers in any range;
+    # max_wall_ms=None is no limit at all.
+    missed = []
+    for name, call in REAL_PARAMETERS:
+        for value in (True, False, "0.1", None, math.nan):
+            if name == "max_wall_ms" and value is None:
+                continue
+            try:
+                call(value)
+            except Exception as exc:
+                if not (isinstance(exc, OutOfRangeError)
+                        and str(exc).startswith(f"{name} must sit in ")):
+                    missed.append((name, value, f"{type(exc).__name__}: {exc}"))
+            else:
+                missed.append((name, value, "accepted"))
+    assert missed == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from types import SimpleNamespace
 
@@ -230,6 +231,14 @@ class TestCertifyDensity:
     def test_validates_ball(self, seed, center, eps, norm):
         with pytest.raises(OutOfRangeError):
             certify_density(linear_model(0.62), center, DENSITY_QUERY, seed, eps, norm)
+
+    def test_numpy_radius_is_stored_as_a_float(self, seed, center2):
+        report = certify_density(
+            linear_model(0.62), center2, DENSITY_QUERY, seed, np.float32(0.05)
+        )
+        assert report.verdict.kind == "yes"
+        assert type(report.config["epsilon"]) is float
+        assert json.loads(report.canonical_json())["config"]["epsilon"] == float(np.float32(0.05))
 
     def test_zero_density_certifies_yes(self, seed, center2):
         # boundary at 0.62 sits outside the eps-box, so no sample flips

@@ -360,6 +360,7 @@ class TestLimits:
         assert report.calls == full.calls[: len(report.calls)]
         assert len(report.calls) < len(full.calls)
         assert oracle.total_trials >= report.total_samples
+        assert report.total_samples == oracle.total_trials
         if name == "estimate":
             assert report.calls == () and oracle.total_trials > 0
 
@@ -670,13 +671,17 @@ def _record(side, theta1, theta2, delta, successes=0):
     return CallRecord(side=side, plan=plan_tester(theta1, theta2, delta), successes=successes)
 
 
-def _report(query, calls, verdict):
+def _report(query, calls, verdict, total=None):
+    """A report of these calls; its total is the largest call unless given."""
+    if total is None:
+        total = max((rec.plan.n_samples for rec in calls), default=0)
     return CertificationReport(
         query=query,
         strategy="bincert",
         verdict=verdict,
         seed=SeedSpec(1),
         calls=tuple(calls),
+        total_samples=total,
         wall_time_ms=0.0,
     )
 
@@ -702,6 +707,25 @@ class TestReportInvariants:
         first = _record("proving", 0.0, 0.5, 0.01)
         assert _report(self.QUERY, [first, rec], Verdict("no")).total_samples == 219
         assert _report(self.QUERY, [], Verdict("inconclusive", "timeout")).total_samples == 0
+
+    @pytest.mark.parametrize(
+        "total, verdict, holds",
+        [(219, Verdict("no"), True),
+         (218, Verdict("no"), False),  # shorter than a call
+         (220, Verdict("no"), False),  # longer than the largest call
+         (220, Verdict("inconclusive", "budget-exhausted"), False),
+         (220, Verdict("inconclusive", "timeout"), True),  # a cut call drew 1 trial
+         (218, Verdict("inconclusive", "timeout"), False)],
+    )
+    def test_total_is_the_stream_length(self, total, verdict, holds):
+        first = _record("proving", 0.0, 0.5, 0.01, successes=1)
+        last = _record("refuting", 0.6, 1.0, 0.01, successes=175)
+        report = _report(self.QUERY, [first, last], verdict, total)
+        if holds:
+            assert _check_report(report) is report
+        else:
+            with pytest.raises(ReportInvariantError, match="total_samples"):
+                _check_report(report)
 
     def test_proving_interval_must_stay_below_theta(self):
         rec = _record("proving", 0.0, 0.6, 0.01)
