@@ -9,7 +9,9 @@ ends) speaks in these types.
 from __future__ import annotations
 
 import secrets
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral, Real
 from typing import Dict, Literal, Optional, Sequence, Tuple, Union
 
@@ -48,17 +50,21 @@ def _check_real(name: str, value: object, interval: str) -> float:
     """value as a float, once it is a real number in interval, else OutOfRangeError.
 
     interval is "[low, high]", with "(" or ")" at an excluded end.  Ints and
-    numpy reals pass; bools, strings, None and NaN (no comparison holds) fail.
+    numpy reals pass; bools, strings, None, NaN (no comparison holds) and
+    ints too large for a float fail.
     """
     if interval not in _BOUNDS:
         low, high = interval[1:-1].split(",")
         _BOUNDS[interval] = (float(low), float(high), interval[0] == "(", interval[-1] == ")")
     low, high, low_open, high_open = _BOUNDS[interval]
-    if not ((type(value) is float or (isinstance(value, Real) and not isinstance(value, bool)))
+    if ((type(value) is float or (isinstance(value, Real) and not isinstance(value, bool)))
             and (low < value if low_open else low <= value)
             and (value < high if high_open else value <= high)):
-        raise OutOfRangeError(f"{name} must sit in {interval}, got {value!r}")
-    return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond every float, inside an infinite end
+            pass
+    raise OutOfRangeError(f"{name} must sit in {interval}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +206,47 @@ def to_open_unit(raw: np.ndarray) -> np.ndarray:
     return u
 
 
+# Building Philox(SeedSequence(root_seed, spawn_key=(0,))) and advancing it
+# costs 15-20 us a call, setting the state of a kept generator about 1.5
+# (numpy 2.4, 2-vCPU x86 VM): so each root's key is derived once, and each
+# thread keeps one Philox that raw_block re-keys and positions.
+_WORD = (1 << 64) - 1
+_PER_THREAD = threading.local()
+
+
+@lru_cache(maxsize=64)
+def _stream_key(root_seed: int) -> np.ndarray:
+    """The key Philox(SeedSequence(root_seed, spawn_key=(0,))) uses, read-only."""
+    key = SeedSequence(root_seed, spawn_key=(0,)).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
+def _philox_at(root_seed: int, blocks: int) -> Philox:
+    """This thread's Philox, on root_seed's stream and blocks counter blocks in.
+
+    Its state is the one advance(blocks) leaves a fresh generator in: the
+    counter as four 64-bit words, wrapping at 2^256 as advance does, and an
+    empty buffer.
+    """
+    bits = getattr(_PER_THREAD, "philox", None)
+    if bits is None:
+        bits = _PER_THREAD.philox = Philox(0)
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [blocks & _WORD, (blocks >> 64) & _WORD,
+                        (blocks >> 128) & _WORD, (blocks >> 192) & _WORD],
+            "key": _stream_key(root_seed),
+        },
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bits
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Root seed plus the derivation rule for all of a run's randomness.
@@ -212,7 +259,9 @@ class SeedSpec:
 
     A spec is plain data, its root seed alone: every window is positioned
     from its counter block when asked for, so results never depend on the
-    order windows are asked for, and threads may share a spec.
+    order windows are asked for, and threads may share a spec.  The stream's
+    key is derived once per root seed and kept in a small module cache, not
+    on the spec.
     """
 
     root_seed: int
@@ -244,16 +293,18 @@ class SeedSpec:
     def raw_block(self, start: int, count: int, width: int) -> np.ndarray:
         """Raw words for trials [start, start + count), as a (count, width) array.
 
-        Philox advances in counter blocks of four 64-bit outputs: each call
-        positions a fresh generator at the block that holds the window's
-        first word and slices off the remainder.  The result depends only on
-        the addressed window and is the caller's to write.
+        Philox advances in counter blocks of four 64-bit outputs.  Each call
+        sets the calling thread's one Philox to the stream's key and to the
+        counter block that holds the window's first word, then slices off
+        the remainder: the words Philox(SeedSequence(root_seed,
+        spawn_key=(0,))) gives after advance(blocks), which
+        tests/test_core.py checks against numpy's own path.  The result
+        depends only on the addressed window and is the caller's to write.
         """
         if start < 0 or count < 0 or width < 1:
             raise OutOfRangeError("need start >= 0, count >= 0, width >= 1")
         if count == 0:
             return np.empty((0, width), dtype=np.uint64)
-        bits = Philox(SeedSequence(self.root_seed, spawn_key=(0,)))
         blocks, offset = divmod(start * width, 4)
-        bits.advance(blocks)
+        bits = _philox_at(self.root_seed, blocks)
         return bits.random_raw(offset + count * width)[offset:].reshape(count, width)

@@ -29,6 +29,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -85,11 +86,21 @@ def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     """Derive the sample size and decision boundary for one call.
 
     Raises OutOfRangeError unless 0 < delta_call < 1, the real numbers
-    0 <= theta1 < theta2 <= 1, and (theta2 - theta1)^2 is nonzero.
+    0 <= theta1 < theta2 <= 1, and (theta2 - theta1)^2 is nonzero.  The
+    last 256 intervals' plans are cached, so runs that repeat a query plan
+    each interval once.
     """
     delta_call = _check_real("delta_call", delta_call, "(0, 1)")
     theta1 = _check_real("theta1", theta1, "[-inf, inf]")
     theta2 = _check_real("theta2", theta2, "[-inf, inf]")
+    # The cache holds -0.0 and 0.0 as one key, and theta1 = -0.0 plans
+    # (and prints) a signed zero, so its sign is part of the key.
+    return _plan(theta1, theta2, delta_call, math.copysign(1.0, theta1))
+
+
+@lru_cache(maxsize=256)
+def _plan(theta1: float, theta2: float, delta_call: float, _sign: float) -> TesterPlan:
+    """plan_tester on floats that have passed its _check_real checks."""
     if not (0.0 <= theta1 < theta2 <= 1.0):
         raise OutOfRangeError(
             f"need 0 <= theta1 < theta2 <= 1, got ({theta1}, {theta2})"

@@ -9,7 +9,8 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from numpy.random import Philox, SeedSequence
 
 from quantcert import (
     BernoulliOracle,
@@ -124,11 +125,11 @@ REAL_PARAMETERS = [
 
 
 def test_every_real_parameter_has_one_rule():
-    # A bool, a string, None and NaN are not real numbers in any range;
-    # max_wall_ms=None is no limit at all.
+    # A bool, a string, None and NaN are not real numbers in any range, nor
+    # is an int beyond every float; max_wall_ms=None is no limit at all.
     missed = []
     for name, call in REAL_PARAMETERS:
-        for value in (True, False, "0.1", None, math.nan):
+        for value in (True, False, "0.1", None, math.nan, 10**400, -10**400):
             if name == "max_wall_ms" and value is None:
                 continue
             try:
@@ -483,6 +484,76 @@ class TestReadCursor:
         for got in results:
             assert got is not None and len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _numpy_words(root, start, count, width):
+    """The window as numpy's own path gives it: a generator seeded from the
+    run's spawn key, advanced to the window's counter block, then sliced."""
+    bits = Philox(SeedSequence(root, spawn_key=(0,)))
+    blocks, offset = divmod(start * width, 4)
+    bits.advance(blocks)
+    return bits.random_raw(offset + count * width)[offset:].reshape(count, width)
+
+
+class TestNumpyPath:
+    """raw_block re-keys and positions one generator per thread; each window
+    must equal what a fresh, advanced numpy generator gives."""
+
+    @settings(max_examples=60)
+    @given(
+        roots=st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2, unique=True),
+        windows=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 5000), st.integers(2**62, 2**72),
+                          st.integers(2**252, 2**260)),
+                st.integers(0, 9),
+                st.sampled_from([1, 3, 784, 785]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_two_roots_interleaved_match_numpy(self, roots, windows):
+        # Alternating roots on one thread: neither a cached key nor the
+        # reused generator may carry one root's stream into the other's.
+        for window in windows:
+            for root in roots:
+                got = SeedSpec(root).raw_block(*window)
+                assert got.shape == window[1:]
+                assert np.array_equal(got, _numpy_words(root, *window))
+
+    @pytest.mark.parametrize("start", [2**66 - 1, 2**66, 2**70, 2**70 + 3])
+    def test_block_index_past_two_to_the_64(self, start):
+        for root in (0, 2**63 - 1):
+            got = SeedSpec(root).raw_block(start, 9, 1)
+            assert np.array_equal(got, _numpy_words(root, start, 9, 1))
+
+    def test_threads_on_distinct_roots(self):
+        roots = [3, 5, 2**40 + 1, 2**63 - 1]
+        windows = [(start, 3, width) for start in range(0, 400, 7) for width in (1, 3, 785)]
+        results = [None] * len(roots)
+        gate = threading.Barrier(len(roots))
+
+        def read(slot):
+            gate.wait(timeout=10)
+            spec = SeedSpec(roots[slot])
+            results[slot] = [spec.raw_block(*w) for w in windows]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(i,)) for i in range(len(roots))]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(w.is_alive() for w in workers)
+        for root, got in zip(roots, results):
+            assert got is not None
+            for window, words in zip(windows, got):
+                assert np.array_equal(words, _numpy_words(root, *window))
 
 
 def test_bernoulli_runs_do_not_import_scipy():

@@ -118,6 +118,24 @@ class TestPlanTester:
         with pytest.raises(OutOfRangeError, match=message):
             plan_tester(t1, t2, d)
 
+    def test_cached_plans_keep_every_check(self):
+        # The plan cache keys on floats, where True == 1, np.float64(x) == x
+        # and -0.0 == 0.0; each check must still see the value passed.
+        warm = plan_tester(0.0, 1, 0.1)
+        with pytest.raises(OutOfRangeError, match="theta2 must sit in"):
+            plan_tester(0.0, True, 0.1)
+        with pytest.raises(OutOfRangeError, match="theta1 must sit in"):
+            plan_tester(math.nan, 1, 0.1)
+        with pytest.raises(OutOfRangeError, match="delta_call must sit in"):
+            plan_tester(0.0, 1, math.nan)
+        numpy_plan = plan_tester(np.float64(0.0), np.int64(1), np.float32(0.5) / 5)
+        assert numpy_plan == plan_tester(0.0, 1.0, float(np.float32(0.5) / 5))
+        assert plan_tester(np.float64(0.0), np.float64(1.0), 0.1) == warm
+        assert all(type(v) is float for v in (numpy_plan.theta1, numpy_plan.theta2))
+        signed = plan_tester(-0.0, 0.1, 0.1)
+        assert math.copysign(1.0, signed.theta1) == math.copysign(1.0, signed.t) == -1.0
+        assert math.copysign(1.0, plan_tester(0.0, 0.1, 0.1).theta1) == 1.0
+
 
 def _run(plan, oracle, seed):
     """One call on a fresh stream, as the first call of a run makes it."""
