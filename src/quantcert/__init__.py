@@ -28,7 +28,6 @@ from .oracle import (
     BernoulliOracle,
     Oracle,
     OracleFailure,
-    Sampler,
     SubprocessProperty,
     TrialOutcomes,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ReportInvariantError",
     "ResourceLimits",
     "SampleTally",
-    "Sampler",
     "SeedSpec",
     "SubprocessProperty",
     "TesterPlan",

@@ -32,15 +32,11 @@ def _check_int(name: str, value: object, low: int, high: Optional[int] = None) -
 
     numpy integers pass; bools and integral floats do not.
     """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, Integral)
-        or value < low
-        or (high is not None and value >= high)
-    ):
-        span = f"of at least {low}" if high is None else f"in [{low}, {high})"
-        raise OutOfRangeError(f"{name} must be an integer {span}, got {value!r}")
-    return int(value)
+    if ((type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool)))
+            and low <= value and (high is None or value < high)):
+        return int(value)
+    span = f"of at least {low}" if high is None else f"in [{low}, {high})"
+    raise OutOfRangeError(f"{name} must be an integer {span}, got {value!r}")
 
 
 _BOUNDS: Dict[str, Tuple[float, float, bool, bool]] = {}
@@ -51,7 +47,7 @@ def _check_real(name: str, value: object, interval: str) -> float:
 
     interval is "[low, high]", with "(" or ")" at an excluded end.  Ints and
     numpy reals pass; bools, strings, None, NaN (no comparison holds) and
-    ints too large for a float fail.
+    ints too large for a float fail.  A zero is stored as 0.0, never -0.0.
     """
     if interval not in _BOUNDS:
         low, high = interval[1:-1].split(",")
@@ -61,7 +57,7 @@ def _check_real(name: str, value: object, interval: str) -> float:
             and (low < value if low_open else low <= value)
             and (value < high if high_open else value <= high)):
         try:
-            return float(value)
+            return float(value) + 0.0
         except OverflowError:  # an int beyond every float, inside an infinite end
             pass
     raise OutOfRangeError(f"{name} must sit in {interval}, got {value!r}")
@@ -151,18 +147,15 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SampleTally:
-    """Immutable (trials, successes) pair; the rate is always derived."""
+    """Immutable (trials, successes) pair of ints; the rate is always derived."""
 
     trials: int
     successes: int
 
     def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise OutOfRangeError(f"trials must be nonnegative, got {self.trials}")
-        if not 0 <= self.successes <= self.trials:
-            raise OutOfRangeError(
-                f"successes {self.successes} outside [0, {self.trials}]"
-            )
+        trials = _check_int("trials", self.trials, 0)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "successes", _check_int("successes", self.successes, 0, trials + 1))
 
     @property
     def p_hat(self) -> float:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
@@ -56,19 +56,29 @@ class OracleFailure(QuantCertError):
 class TrialOutcomes:
     """What one draw answers: ``hits[i]`` is whether trial start + i succeeded.
 
-    ``hits`` is a 1-d bool array with one entry per trial asked for; the
-    tally is derived from it.
+    ``hits`` must be a 1-d numpy bool array, or the answer fails as an
+    OracleFailure with an empty partial tally; ``successes`` is counted
+    once, when the answer is built.  The stream checks that it holds one
+    outcome per trial asked for.
     """
 
     hits: np.ndarray
+    successes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        hits = self.hits
+        if not (isinstance(hits, np.ndarray) and hits.dtype == np.bool_ and hits.ndim == 1):
+            what = (f"shape {hits.shape} of {hits.dtype}" if isinstance(hits, np.ndarray)
+                    else f"a {type(hits).__name__}")
+            raise OracleFailure(
+                f"the oracle answered {what}; a draw answers one bool per trial",
+                partial_tally=SampleTally(0, 0),
+            )
+        object.__setattr__(self, "successes", int(np.count_nonzero(hits)))
 
     @property
     def trials(self) -> int:
         return len(self.hits)
-
-    @property
-    def successes(self) -> int:
-        return int(np.count_nonzero(self.hits))
 
 
 @runtime_checkable
@@ -123,8 +133,8 @@ class PropertyOracle:
     """Sampler plus predicate: success means the property holds at the point.
 
     The predicate labels a whole batch at once: ``predicate.batch(points)``
-    returns one truth value per row of an (n, d) array.  An answer of any
-    other shape fails the draw.
+    returns one truth value per row of an (n, d) array.  An answer that is
+    not 1-d fails the draw; one of another length fails the run's stream.
     """
 
     def __init__(self, sampler: Sampler, predicate) -> None:
@@ -138,13 +148,7 @@ class PropertyOracle:
 
     def draw(self, seed: SeedSpec, start: int, count: int) -> TrialOutcomes:
         points = self.sampler.batch(seed, start, count)
-        hits = np.asarray(self.predicate.batch(points), dtype=bool)
-        if hits.shape != (count,):
-            raise OracleFailure(
-                f"the predicate answered shape {hits.shape} for {count} points",
-                partial_tally=SampleTally(0, 0),
-            )
-        return TrialOutcomes(hits)
+        return TrialOutcomes(np.asarray(self.predicate.batch(points), dtype=bool))
 
 
 class SubprocessProperty:

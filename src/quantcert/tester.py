@@ -93,13 +93,11 @@ def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     delta_call = _check_real("delta_call", delta_call, "(0, 1)")
     theta1 = _check_real("theta1", theta1, "[-inf, inf]")
     theta2 = _check_real("theta2", theta2, "[-inf, inf]")
-    # The cache holds -0.0 and 0.0 as one key, and theta1 = -0.0 plans
-    # (and prints) a signed zero, so its sign is part of the key.
-    return _plan(theta1, theta2, delta_call, math.copysign(1.0, theta1))
+    return _plan(theta1, theta2, delta_call)
 
 
 @lru_cache(maxsize=256)
-def _plan(theta1: float, theta2: float, delta_call: float, _sign: float) -> TesterPlan:
+def _plan(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     """plan_tester on floats that have passed its _check_real checks."""
     if not (0.0 <= theta1 < theta2 <= 1.0):
         raise OutOfRangeError(
@@ -183,27 +181,22 @@ class TrialStream:
         start, before = self._ends[-1], self._successes[-1]
         try:
             answer = self.oracle.draw(self.seed, start, k)
+            if not isinstance(answer, TrialOutcomes):
+                raise OracleFailure(
+                    f"the oracle returned {type(answer).__name__}; a draw returns "
+                    "TrialOutcomes, one bool per trial"
+                )
+            if answer.trials != k:
+                raise OracleFailure(
+                    f"the oracle answered shape {answer.hits.shape} for the {k} trials "
+                    "asked for; a draw answers one bool per trial"
+                )
         except OracleFailure as exc:
             part = exc.partial_tally or SampleTally(0, 0)
             raise OracleFailure(
                 str(exc),
                 partial_tally=SampleTally(start + part.trials, before + part.successes),
             ) from exc
-        if not isinstance(answer, TrialOutcomes):
-            raise OracleFailure(
-                f"the oracle returned {type(answer).__name__}; a draw returns "
-                "TrialOutcomes, one bool per trial",
-                partial_tally=SampleTally(start, before),
-            )
-        hits = answer.hits
-        if not (isinstance(hits, np.ndarray) and hits.dtype == np.bool_ and hits.shape == (k,)):
-            what = (f"{hits.dtype} of shape {hits.shape}" if isinstance(hits, np.ndarray)
-                    else f"a {type(hits).__name__}")
-            raise OracleFailure(
-                f"the oracle answered {what} for the {k} trials asked for; "
-                "a draw answers one bool per trial",
-                partial_tally=SampleTally(start, before),
-            )
         self._ends.append(start + k)
-        self._successes.append(before + int(np.count_nonzero(hits)))
-        self._packed.append(np.packbits(hits))
+        self._successes.append(before + answer.successes)
+        self._packed.append(np.packbits(answer.hits))

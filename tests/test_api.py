@@ -34,7 +34,6 @@ EXPORTS = [
     "ReportInvariantError",
     "ResourceLimits",
     "SampleTally",
-    "Sampler",
     "SeedSpec",
     "SubprocessProperty",
     "TesterPlan",

@@ -88,10 +88,11 @@ class TestValidateQuery:
         q = validate_query((theta, eta, delta))
         assert validate_query(q) is q
 
-    @pytest.mark.parametrize("theta", [0, np.int64(0), np.float32(0.0)],
-                             ids=["int", "numpy-int", "numpy-float"])
+    @pytest.mark.parametrize("theta", [0, np.int64(0), np.float32(0.0), -0.0],
+                             ids=["int", "numpy-int", "numpy-float", "negative-zero"])
     def test_fields_print_as_floats(self, theta):
-        # A query built from ints or numpy reals is the query the tuple form builds.
+        # A query built from ints or numpy reals is the query the tuple form
+        # builds, and -0.0 is stored as 0.0, so its report replays as 0's.
         built = ThresholdQuery(theta, 0.1, 0.1)
         assert type(built.theta) is float
         reports = [run_strategy("bincert", q, BernoulliOracle(0.02), SeedSpec(7))
@@ -171,10 +172,20 @@ class TestSampleTally:
         assert SampleTally(200, 30).p_hat == 30 / 200
         assert SampleTally(0, 0).p_hat == 0.0
 
-    @pytest.mark.parametrize("trials,successes", [(10, 11), (10, -1), (-1, 0)])
+    # An oracle's partial tally is outside input the stream adds into its
+    # own: a float or a bool is not a count.
+    @pytest.mark.parametrize(
+        "trials,successes",
+        [(10, 11), (10, -1), (-1, 0), (2.5, 1), (True, False), (3, 1.0), (3.0, 1)],
+    )
     def test_bounds(self, trials, successes):
         with pytest.raises(OutOfRangeError):
             SampleTally(trials, successes)
+
+    def test_counts_are_stored_as_ints(self):
+        tally = SampleTally(np.int64(3), np.uint8(1))
+        assert tally == SampleTally(3, 1)
+        assert type(tally.trials) is int and type(tally.successes) is int
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     def test_rate_in_unit_interval(self, trials, successes):

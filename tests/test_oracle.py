@@ -16,13 +16,13 @@ from quantcert import (
     OracleFailure,
     OutOfRangeError,
     SampleTally,
-    Sampler,
     SeedSpec,
     SubprocessProperty,
     ThresholdQuery,
+    TrialOutcomes,
     run_strategy,
 )
-from quantcert.oracle import PropertyOracle
+from quantcert.oracle import PropertyOracle, Sampler
 from quantcert.core import to_unit
 from quantcert.oracle import BATCH_WORDS
 from conftest import CountingOracle
@@ -114,6 +114,29 @@ class _BatchHalfPlane:
         return points[:, 0] > self.cut
 
 
+class TestTrialOutcomes:
+    # The one place a draw's answer is checked: a malformed one fails typed,
+    # with nothing answered, wherever the answer is built.
+    @pytest.mark.parametrize(
+        "hits",
+        [[True, False], np.True_, np.ones((3, 1), dtype=bool), np.arange(3)],
+        ids=["list", "0-d", "2-d", "int"],
+    )
+    def test_rejects_all_but_a_1d_bool_array(self, hits):
+        with pytest.raises(OracleFailure, match="answered .* one bool per trial") as info:
+            TrialOutcomes(hits)
+        assert info.value.partial_tally == SampleTally(0, 0)
+
+    def test_successes_are_counted_once(self):
+        hits = np.array([True, False, True, True])
+        answer = TrialOutcomes(hits)
+        assert (answer.trials, answer.successes) == (4, 3)
+        assert vars(answer)["successes"] == 3
+        hits[:] = False
+        assert answer.successes == 3
+        assert TrialOutcomes(np.zeros(0, dtype=bool)).successes == 0
+
+
 class TestPropertyOracle:
     def test_predicate_without_batch_is_rejected(self, center2):
         with pytest.raises(TypeError, match="batch"):
@@ -140,9 +163,13 @@ class TestPropertyOracle:
                 return answer(points[:, 0] > 0.5)
 
         oracle = PropertyOracle(LinfBallSampler(center2, 0.3), Miscounts())
-        with pytest.raises(OracleFailure, match="answered shape") as info:
-            oracle.draw(seed, 0, 27)
-        assert info.value.partial_tally == SampleTally(0, 0)
+        if np.ndim(answer(np.zeros(27, dtype=bool))) == 1:
+            # A 1-d answer is a well-formed draw; the stream finds it short.
+            assert oracle.draw(seed, 0, 27).trials == 26
+        else:
+            with pytest.raises(OracleFailure, match="answered shape") as info:
+                oracle.draw(seed, 0, 27)
+            assert info.value.partial_tally == SampleTally(0, 0)
         with pytest.raises(OracleFailure, match="answered shape") as info:
             run_strategy("bincert", ThresholdQuery(0.1, 0.05, 0.1), oracle, seed)
         assert info.value.partial_tally == SampleTally(0, 0)

@@ -120,7 +120,8 @@ class TestPlanTester:
 
     def test_cached_plans_keep_every_check(self):
         # The plan cache keys on floats, where True == 1, np.float64(x) == x
-        # and -0.0 == 0.0; each check must still see the value passed.
+        # and -0.0 == 0.0; each check must still see the value passed, and
+        # a zero plans as 0.0 whatever its sign.
         warm = plan_tester(0.0, 1, 0.1)
         with pytest.raises(OutOfRangeError, match="theta2 must sit in"):
             plan_tester(0.0, True, 0.1)
@@ -133,7 +134,7 @@ class TestPlanTester:
         assert plan_tester(np.float64(0.0), np.float64(1.0), 0.1) == warm
         assert all(type(v) is float for v in (numpy_plan.theta1, numpy_plan.theta2))
         signed = plan_tester(-0.0, 0.1, 0.1)
-        assert math.copysign(1.0, signed.theta1) == math.copysign(1.0, signed.t) == -1.0
+        assert math.copysign(1.0, signed.theta1) == math.copysign(1.0, signed.t) == 1.0
         assert math.copysign(1.0, plan_tester(0.0, 0.1, 0.1).theta1) == 1.0
 
 
