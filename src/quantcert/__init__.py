@@ -19,7 +19,6 @@ from .core import (
 )
 from .nn import (
     Model,
-    ParseError,
     forward_batch,
     load_model,
     predict_batch,
@@ -63,7 +62,6 @@ __all__ = [
     "Oracle",
     "OracleFailure",
     "OutOfRangeError",
-    "ParseError",
     "ProbeRecord",
     "QuantCertError",
     "ReportInvariantError",

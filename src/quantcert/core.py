@@ -293,9 +293,13 @@ class SeedSpec:
         spawn_key=(0,))) gives after advance(blocks), which
         tests/test_core.py checks against numpy's own path.  The result
         depends only on the addressed window and is the caller's to write.
+        start and count are integers of at least 0, width of at least 1,
+        each checked by _check_int: numpy integers give the words their
+        Python ints give.
         """
-        if start < 0 or count < 0 or width < 1:
-            raise OutOfRangeError("need start >= 0, count >= 0, width >= 1")
+        start = _check_int("start", start, 0)
+        count = _check_int("count", count, 0)
+        width = _check_int("width", width, 1)
         if count == 0:
             return np.empty((0, width), dtype=np.uint64)
         blocks, offset = divmod(start * width, 4)

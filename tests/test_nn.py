@@ -1,12 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from quantcert import (
     OutOfRangeError,
-    ParseError,
     forward_batch,
     load_model,
     predict_batch,
@@ -48,24 +48,52 @@ class TestLoadModel:
             assert model.layers[1].kind == kind
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc,message",
         [
-            "not json",
-            '["top-level array"]',
-            '{"layers": []}',
-            '{"input_dim": 0, "layers": []}',
-            '{"input_dim": 2}',
-            '{"input_dim": 2, "layers": 3}',
-            _doc(["not a dict"]),
-            _doc([{"rows": 2}]),
-            _doc([{"kind": "softmax"}]),
-            _doc([{"kind": "dense", "rows": 2}]),
-            _doc([_dense(0, 2, [], [])]),
-            _doc([_dense(2, 2, [1, 2, 3, "x"], [0, 0])]),
+            # Each existing case keeps the id its document alone once gave.
+            pytest.param(doc, message, id=doc) for doc, message in [
+                ("not json", "model document is not valid JSON"),
+                ('["top-level array"]', "model document must be a JSON object"),
+                ('{"layers": []}', "input_dim must be an integer of at least 1, got None"),
+                ('{"input_dim": 0, "layers": []}',
+                 "input_dim must be an integer of at least 1, got 0"),
+                ('{"input_dim": 2}', "layers must be a list"),
+                ('{"input_dim": 2, "layers": 3}', "layers must be a list"),
+                (_doc(["not a dict"]), "layer 0 must be an object with a 'kind'"),
+                (_doc([{"rows": 2}]), "layer 0 must be an object with a 'kind'"),
+                (_doc([{"kind": "softmax"}]), "layer 0 has unknown kind 'softmax'"),
+                (_doc([{"kind": "dense", "rows": 2}]),
+                 "dense layer 0 cols must be an integer of at least 1, got None"),
+                (_doc([_dense(0, 2, [], [])]),
+                 "dense layer 0 rows must be an integer of at least 1, got 0"),
+                (_doc([_dense(2, 2, [1, 2, 3, "x"], [0, 0])]),
+                 "layer 0 weights holds a non-numeric entry: 'x'"),
+            ]
+        ] + [
+            # A bool is not a count, and only a JSON number is a weight: each
+            # of these once loaded as some other network or escaped untyped.
+            pytest.param(_doc([], input_dim=True),
+                         "input_dim must be an integer of at least 1, got True",
+                         id="input-dim-true"),
+            pytest.param(_doc([_dense(True, 2, [1, 0], [0])]),
+                         "dense layer 0 rows must be an integer of at least 1, got True",
+                         id="rows-true"),
+            pytest.param(_doc([_dense(2, True, [1, 0], [0, 0])]),
+                         "dense layer 0 cols must be an integer of at least 1, got True",
+                         id="cols-true"),
+            pytest.param(_doc([_dense(2, 2, ["1e3", 0, 0, 1], [0, 0])]),
+                         "layer 0 weights holds a non-numeric entry: '1e3'",
+                         id="string-weight"),
+            pytest.param(_doc([_dense(2, 2, [True, 0, 0, 1], [0, 0])]),
+                         "layer 0 weights holds a non-numeric entry: True",
+                         id="bool-weight"),
+            pytest.param(_doc([_dense(2, 2, [10**400, 0, 0, 1], [0, 0])]),
+                         "layer 0 weights holds an integer too large for a float",
+                         id="huge-int-weight"),
         ],
     )
-    def test_parse_errors(self, doc):
-        with pytest.raises(ParseError):
+    def test_parse_errors(self, doc, message):
+        with pytest.raises(OutOfRangeError, match=re.escape(message)):
             load_model(doc)
 
     @pytest.mark.parametrize(
@@ -86,16 +114,16 @@ class TestLoadModel:
     def test_shape_errors(self, doc):
         shape = (r"consumes \d+ features but receives|must be a list of \d+ numbers"
                  r"|final output dimension must be at least 2")
-        with pytest.raises(ParseError, match=shape):
+        with pytest.raises(OutOfRangeError, match=shape):
             load_model(doc)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weights(self, bad):
         doc = _doc([_dense(2, 2, [1, bad, 0, 1], [0, 0])])
-        with pytest.raises(ParseError, match="holds a NaN or infinite value"):
+        with pytest.raises(OutOfRangeError, match="holds a NaN or infinite value"):
             load_model(doc)
         doc = _doc([_dense(2, 2, [1, 0, 0, 1], [bad, 0])])
-        with pytest.raises(ParseError, match="holds a NaN or infinite value"):
+        with pytest.raises(OutOfRangeError, match="holds a NaN or infinite value"):
             load_model(doc)
 
 
