@@ -29,7 +29,7 @@ import numpy as np
 from .core import OutOfRangeError, QuantCertError, SeedSpec, validate_query
 from .nn import load_model
 from .oracle import BernoulliOracle, SubprocessProperty
-from .robustness import _certify_ball, adversarial_hardness, certify_density, make_sampler
+from .robustness import SAMPLERS, _certify_ball, adversarial_hardness, certify_density, make_sampler
 from .sim import complexity_sweep
 from .strategy import (
     STRATEGIES,
@@ -157,7 +157,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         config = {
             "subcommand": "certify",
             "source": "bernoulli",
-            "p": args.bernoulli,
+            "p": oracle.p,
             "strategy": args.strategy,
         }
         report = run_strategy(
@@ -198,9 +198,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "strategy": args.strategy,
         }
         with SubprocessProperty(args.oracle_cmd, args.reference_label) as prop:
-            report = _certify_ball(
-                prop, sampler, args.norm, query, seed, args.strategy, limits, config
-            )
+            report = _certify_ball(prop, sampler, query, seed, args.strategy, limits, config)
 
     text = report.canonical_json() if args.canonical else report.to_json()
     print(text, file=args.out)
@@ -289,7 +287,7 @@ def build_parser() -> _Parser:
     cert.add_argument("--center", default=None, help="center CSV path")
     cert.add_argument("--center-row", type=int, default=0)
     cert.add_argument("--eps", type=float, default=None)
-    cert.add_argument("--norm", choices=("linf", "l2"), default="linf")
+    cert.add_argument("--norm", choices=tuple(SAMPLERS), default="linf")
     cert.add_argument("--reference-label", type=int, default=None)
     cert.add_argument("--canonical", action="store_true",
                       help="emit the deterministic report form (no timing)")
@@ -301,7 +299,7 @@ def build_parser() -> _Parser:
     hard.add_argument("--model", required=True)
     hard.add_argument("--center", required=True)
     hard.add_argument("--center-row", type=int, default=0)
-    hard.add_argument("--norm", choices=("linf", "l2"), default="linf")
+    hard.add_argument("--norm", choices=tuple(SAMPLERS), default="linf")
     hard.add_argument("--strategy", choices=sorted(STRATEGIES), default="bincert")
     hard.add_argument("--method", choices=("sweep", "bisect"), default="sweep")
     hard.add_argument("--eps-grid", required=True, help="comma list or lo:hi:step")

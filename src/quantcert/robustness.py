@@ -10,7 +10,7 @@ for which the density query still certifies yes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Literal, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -29,23 +29,41 @@ from .nn import Model, predict_batch
 from .oracle import PropertyOracle
 from .strategy import CertificationReport, ResourceLimits, run_strategy
 
-Norm = Literal["linf", "l2"]
-
-
-def _check_ball(center: np.ndarray) -> np.ndarray:
-    """A read-only copy of the center, once it passes."""
-    x0 = np.asarray(center, dtype=np.float64)
-    if x0.ndim != 1 or x0.size < 1:
-        raise OutOfRangeError(f"center must be a nonempty vector, got shape {x0.shape}")
-    if not np.all(np.isfinite(x0)) or np.any(x0 < 0.0) or np.any(x0 > 1.0):
-        raise OutOfRangeError("center coordinates must sit in [0, 1]")
-    x0 = x0.copy()
-    x0.flags.writeable = False
-    return x0
+Norm = str  # a key of SAMPLERS
 
 
 @dataclass(frozen=True, eq=False)
-class LinfBallSampler:
+class _Ball:
+    """A ball's center and radius, checked here once for every norm.
+
+    The center is stored as a read-only float64 copy, a zero as 0.0.  Each
+    sampler names its ``norm`` and the ``note`` its reports carry.
+    """
+
+    center: np.ndarray
+    epsilon: float
+
+    norm: ClassVar[str]
+    note: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        x0 = np.asarray(self.center, dtype=np.float64)
+        if x0.ndim != 1 or x0.size < 1:
+            raise OutOfRangeError(f"center must be a nonempty vector, got shape {x0.shape}")
+        if not np.all(np.isfinite(x0)) or np.any(x0 < 0.0) or np.any(x0 > 1.0):
+            raise OutOfRangeError("center coordinates must sit in [0, 1]")
+        x0 = x0 + 0.0  # a fresh array, with -0.0 stored as 0.0
+        x0.flags.writeable = False
+        object.__setattr__(self, "center", x0)
+        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, "(0, inf)"))
+
+    @property
+    def dimension(self) -> int:
+        return int(self.center.size)
+
+
+@dataclass(frozen=True, eq=False)
+class LinfBallSampler(_Ball):
     """Uniform over the box [x0 - eps, x0 + eps] clipped to the unit box.
 
     The clipped region is itself a box, so sampling is exact: coordinate i
@@ -53,12 +71,11 @@ class LinfBallSampler:
     per coordinate per trial, mapped to ``to_unit(word) * span + lo``.
     """
 
-    center: np.ndarray
-    epsilon: float
+    norm = "linf"
+    note = "linf sampling is exact on the clipped box"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _check_ball(self.center))
-        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, "(0, inf)"))
+        super().__post_init__()
         lo = np.maximum(0.0, self.center - self.epsilon)
         hi = np.minimum(1.0, self.center + self.epsilon)
         span = hi - lo
@@ -67,10 +84,6 @@ class LinfBallSampler:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "span", span)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.center.size)
 
     def batch(self, seed: SeedSpec, start: int, count: int) -> np.ndarray:
         raw = seed.raw_block(start, count, width=self.dimension)
@@ -86,7 +99,7 @@ class LinfBallSampler:
 
 
 @dataclass(frozen=True, eq=False)
-class L2BallSampler:
+class L2BallSampler(_Ball):
     """Uniform over the euclidean eps-ball, then clipped into the unit box.
 
     Direction comes from normalized inverse-CDF gaussians, radius from
@@ -104,16 +117,8 @@ class L2BallSampler:
     1/2, so ndtri never returns 0.
     """
 
-    center: np.ndarray
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _check_ball(self.center))
-        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, "(0, inf)"))
-
-    @property
-    def dimension(self) -> int:
-        return int(self.center.size)
+    norm = "l2"
+    note = "l2 samples are clipped into the unit box; density refers to the clipped ball"
 
     def batch(self, seed: SeedSpec, start: int, count: int) -> np.ndarray:
         # Imported here: scipy.special costs more to import than the rest of
@@ -141,14 +146,15 @@ class L2BallSampler:
         return points
 
 
-def make_sampler(
-    norm: Norm, center: np.ndarray, epsilon: float
-) -> Union[LinfBallSampler, L2BallSampler]:
-    if norm == "linf":
-        return LinfBallSampler(center, epsilon)
-    if norm == "l2":
-        return L2BallSampler(center, epsilon)
-    raise OutOfRangeError(f"norm must be 'linf' or 'l2', got {norm!r}")
+# Every sampler by its norm, in the order the CLI's --norm help lists them.
+SAMPLERS: Dict[str, Type[_Ball]] = {cls.norm: cls for cls in (LinfBallSampler, L2BallSampler)}
+
+
+def make_sampler(norm: Norm, center: np.ndarray, epsilon: float) -> _Ball:
+    """SAMPLERS[norm](center, epsilon); a norm not in SAMPLERS is out of range."""
+    if isinstance(norm, str) and norm in SAMPLERS:
+        return SAMPLERS[norm](center, epsilon)
+    raise OutOfRangeError(f"norm must be {' or '.join(map(repr, SAMPLERS))}, got {norm!r}")
 
 
 class MisclassificationProperty:
@@ -184,19 +190,19 @@ def certify_density(
 ) -> CertificationReport:
     """Certify whether the adversarial density of the ball around x0 is <= theta.
 
-    The ball is the ``norm`` ball of radius ``epsilon`` around ``x0``,
-    clipped to the unit box; its sampler checks the center and radius.
-    The report's config records the norm, radius, center and x0's label.
+    The ball is ``make_sampler(norm, x0, epsilon)``, clipped to the unit box;
+    its sampler checks the norm, center and radius.  The report's config
+    records the norm, radius, center and x0's label; its last note is the
+    sampler's.
     """
     sampler = make_sampler(norm, x0, epsilon)
     prop = misclassification_property(model, sampler.center)
-    return _certify_ball(prop, sampler, norm, query, seed, strategy, limits)
+    return _certify_ball(prop, sampler, query, seed, strategy, limits)
 
 
 def _certify_ball(
     prop,
-    sampler: Union[LinfBallSampler, L2BallSampler],
-    norm: Norm,
+    sampler: _Ball,
     query: ThresholdQuery,
     seed: SeedSpec,
     strategy: str,
@@ -207,24 +213,19 @@ def _certify_ball(
 
     A trial succeeds where ``prop`` holds; ``prop.reference_label`` is the
     label it compares against.  The report's config holds the caller's
-    keys, then the norm, radius, center and reference label; its notes end
-    with how the ball was sampled.
+    keys, then the sampler's norm, radius and center and the reference
+    label; its notes end with the sampler's note on how it samples.
     """
     config = {
         **(config or {}),
-        "norm": norm,
+        "norm": sampler.norm,
         "epsilon": sampler.epsilon,
         "center": [float(v) for v in sampler.center],
         "reference_label": prop.reference_label,
     }
     oracle = PropertyOracle(sampler, prop)
     report = run_strategy(strategy, query, oracle, seed, limits=limits, config=config)
-    note = (
-        "linf sampling is exact on the clipped box"
-        if norm == "linf"
-        else "l2 samples are clipped into the unit box; density refers to the clipped ball"
-    )
-    return replace(report, notes=report.notes + (note,))
+    return replace(report, notes=report.notes + (sampler.note,))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -18,8 +19,10 @@ from quantcert.cli import (
     EXIT_USAGE,
     EXIT_YES,
     _parse_grid,
+    build_parser,
     main,
 )
+from quantcert.robustness import SAMPLERS
 from conftest import linear_model, linear_model_doc
 
 
@@ -146,6 +149,16 @@ class TestCertifyBernoulli:
         assert code == EXIT_USAGE
         assert "OutOfRangeError" in err
 
+    def test_negative_zero_rate_replays_as_zero(self, capsys):
+        # The report records the checked rate, 0.0, not the flag's -0.0.
+        query = ["certify", "--theta", "0.1", "--eta", "0.05", "--delta", "0.1", "--seed", "7"]
+        negative, positive = (
+            run(capsys, *query, flag, "--canonical")[1]
+            for flag in ("--bernoulli=-0.0", "--bernoulli=0")
+        )
+        assert negative == positive
+        assert math.copysign(1.0, json.loads(negative)["config"]["p"]) == 1.0
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(
@@ -261,6 +274,20 @@ class TestCertifyModel:
         )
         assert code == EXIT_USAGE
         assert err.startswith("quantcert: OutOfRangeError: model document is not valid JSON")
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_negative_zero_center_row_replays_as_zero(self, capsys, tmp_path, model_path,
+                                                      norm):
+        centers = tmp_path / "signed.csv"
+        centers.write_text("-0.0,0.5\n0.0,0.5\n")
+        negative, positive = (
+            run(capsys, "certify", *self.QUERY, "--model", model_path(0.62),
+                "--center", str(centers), "--center-row", row, "--eps", "0.1",
+                "--norm", norm, "--seed", "7", "--canonical")[1]
+            for row in ("0", "1")
+        )
+        assert negative == positive
+        assert json.loads(negative)["config"]["center"] == [0.0, 0.5]
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_oracle_cmd_matches_model_run(self, capsys, tmp_path, model_path, center_path,
@@ -741,6 +768,16 @@ def test_stdout_is_pinned(capsys, monkeypatch, tmp_path, argv, code, digest):
 
 
 class TestUsageBasics:
+    @pytest.mark.parametrize("command", ["certify", "hardness"])
+    def test_norm_choices_are_the_sampler_table(self, capsys, command):
+        subcommands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flag = next(a for a in subcommands.choices[command]._actions if a.dest == "norm")
+        assert list(flag.choices) == list(SAMPLERS) == ["linf", "l2"]
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "--norm {linf,l2}" in out
+
     @pytest.mark.parametrize(
         "argv",
         [

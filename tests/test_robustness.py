@@ -55,8 +55,35 @@ class TestMakeSampler:
         assert isinstance(make_sampler("l2", center2, 0.1), L2BallSampler)
 
     def test_unknown_norm(self, center2):
-        with pytest.raises(OutOfRangeError):
-            make_sampler("l1", center2, 0.1)
+        # A norm that is not a string, hashable or not, is out of range too.
+        for norm in ("l1", ["linf"], None):
+            with pytest.raises(OutOfRangeError, match=r"^norm must be 'linf' or 'l2', got "):
+                make_sampler(norm, center2, 0.1)
+
+    @pytest.mark.parametrize("norm, cls", list(robustness.SAMPLERS.items()))
+    def test_table_entry_names_the_ball(self, seed, center2, norm, cls):
+        sampler = make_sampler(norm, center2, 0.1)
+        assert type(sampler) is cls and cls.norm == norm
+        report = certify_density(linear_model(0.62), center2, DENSITY_QUERY, seed, 0.1, norm)
+        assert report.config["norm"] == norm
+        assert report.notes[-1] == cls.note
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_negative_zero_center_is_stored_as_zero(self, norm):
+        center = make_sampler(norm, [-0.0, 0.5], 0.1).center
+        np.testing.assert_array_equal(center, [0.0, 0.5])
+        assert not np.any(np.signbit(center))
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_negative_zero_center_replays_as_zero(self, seed, norm):
+        # Both centers draw the same points, so their reports match byte for byte.
+        negative, positive = (
+            certify_density(
+                linear_model(0.62), np.array([zero, 0.5]), DENSITY_QUERY, seed, 0.1, norm
+            ).canonical_json()
+            for zero in (-0.0, 0.0)
+        )
+        assert negative == positive
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.1])
