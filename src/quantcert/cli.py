@@ -29,7 +29,8 @@ import numpy as np
 from .core import OutOfRangeError, QuantCertError, SeedSpec, validate_query
 from .nn import load_model
 from .oracle import BernoulliOracle, SubprocessProperty
-from .robustness import SAMPLERS, _certify_ball, adversarial_hardness, certify_density, make_sampler
+from .robustness import (METHODS, SAMPLERS, _certify_ball, adversarial_hardness,
+                         certify_density, make_sampler)
 from .sim import complexity_sweep
 from .strategy import (
     STRATEGIES,
@@ -237,8 +238,6 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     query = validate_query((args.theta, args.eta, args.delta))
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
-    if not strategies:
-        raise OutOfRangeError(f"--strategy {args.strategy!r} names no strategy")
     table = complexity_sweep(
         strategies, query, _parse_grid(args.p_grid), max_samples=args.max_samples
     )
@@ -301,7 +300,7 @@ def build_parser() -> _Parser:
     hard.add_argument("--center-row", type=int, default=0)
     hard.add_argument("--norm", choices=tuple(SAMPLERS), default="linf")
     hard.add_argument("--strategy", choices=sorted(STRATEGIES), default="bincert")
-    hard.add_argument("--method", choices=("sweep", "bisect"), default="sweep")
+    hard.add_argument("--method", choices=METHODS, default="sweep")
     hard.add_argument("--eps-grid", required=True, help="comma list or lo:hi:step")
     _add_run_flags(hard)
     hard.set_defaults(func=_cmd_hardness)

@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
-from typing import Dict, Literal, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Literal, Optional, Sequence, Tuple, Union, get_args
 
 import numpy as np
 from numpy.random import Philox, SeedSequence
@@ -37,6 +37,13 @@ def _check_int(name: str, value: object, low: int, high: Optional[int] = None) -
         return int(value)
     span = f"of at least {low}" if high is None else f"in [{low}, {high})"
     raise OutOfRangeError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _check_choice(name: str, value: object, choices: Collection[str]) -> str:
+    """value as a plain str, once it is one of choices, else OutOfRangeError whatever its type."""
+    if isinstance(value, str) and value in choices:
+        return str(value)
+    raise OutOfRangeError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
 
 
 _BOUNDS: Dict[str, Tuple[float, float, bool, bool]] = {}
@@ -125,22 +132,22 @@ def validate_query(raw: QueryLike) -> ThresholdQuery:
         raise OutOfRangeError(f"a query is a triple (theta, eta, delta), got {raw!r}") from None
 
 
+VerdictKind = Literal["yes", "no", "inconclusive"]
 InconclusiveReason = Literal["budget-exhausted", "timeout"]
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a certification run: yes, no, or inconclusive."""
+    """Outcome of a run: yes, no, or inconclusive for a reason; _check_choice checks each."""
 
-    kind: Literal["yes", "no", "inconclusive"]
+    kind: VerdictKind
     reason: Optional[InconclusiveReason] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", _check_choice("kind", self.kind, get_args(VerdictKind)))
         if self.kind == "inconclusive":
-            if self.reason not in ("budget-exhausted", "timeout"):
-                raise OutOfRangeError(
-                    "inconclusive verdicts need a reason: budget-exhausted or timeout"
-                )
+            reason = _check_choice("reason", self.reason, get_args(InconclusiveReason))
+            object.__setattr__(self, "reason", reason)
         elif self.reason is not None:
             raise OutOfRangeError("only inconclusive verdicts carry a reason")
 

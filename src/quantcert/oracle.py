@@ -21,6 +21,7 @@ oracle without it 128.
 from __future__ import annotations
 
 import math
+import os
 import shlex
 import subprocess
 from dataclasses import dataclass, field
@@ -160,7 +161,8 @@ class SubprocessProperty:
     reads each round's replies before writing the next, so a child that
     flushes every reply cannot fill its output pipe and stall both sides.
     Closing the child's stdin tells it to shut down.  The property holds at
-    a point when the child's label differs from reference_label.
+    a point when the child's label differs from reference_label.  command
+    is a shell-style string or a sequence of str, bytes or path arguments.
     """
 
     def __init__(self, command: Union[str, Sequence[str]], reference_label: int) -> None:
@@ -171,6 +173,13 @@ class SubprocessProperty:
             raise OutOfRangeError(
                 f"the oracle command {command!r} does not parse: {exc}"
             ) from None
+        except TypeError:  # not iterable: fails the argument check below
+            argv = [command]
+        if not all(isinstance(arg, (str, bytes, os.PathLike)) for arg in argv):
+            raise OutOfRangeError(
+                f"the oracle command {command!r} is neither a string nor a sequence "
+                "of program arguments"
+            )
         if not argv:
             raise OutOfRangeError(f"the oracle command {command!r} names no program")
         try:

@@ -10,7 +10,7 @@ for which the density query still certifies yes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Dict, List, Literal, Optional, Sequence, Tuple, Type
+from typing import ClassVar, Dict, List, Literal, Optional, Sequence, Tuple, Type, get_args
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .core import (
     SeedSpec,
     ThresholdQuery,
     _HALF_OPEN_SCALE,
+    _check_choice,
     _check_int,
     _check_real,
     to_open_unit,
@@ -28,8 +29,6 @@ from .core import (
 from .nn import Model, predict_batch
 from .oracle import PropertyOracle
 from .strategy import CertificationReport, ResourceLimits, run_strategy
-
-Norm = str  # a key of SAMPLERS
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,13 +147,14 @@ class L2BallSampler(_Ball):
 
 # Every sampler by its norm, in the order the CLI's --norm help lists them.
 SAMPLERS: Dict[str, Type[_Ball]] = {cls.norm: cls for cls in (LinfBallSampler, L2BallSampler)}
+# The hardness search methods, in the order --method's help lists them.
+Method = Literal["sweep", "bisect"]
+METHODS = get_args(Method)
 
 
-def make_sampler(norm: Norm, center: np.ndarray, epsilon: float) -> _Ball:
-    """SAMPLERS[norm](center, epsilon); a norm not in SAMPLERS is out of range."""
-    if isinstance(norm, str) and norm in SAMPLERS:
-        return SAMPLERS[norm](center, epsilon)
-    raise OutOfRangeError(f"norm must be {' or '.join(map(repr, SAMPLERS))}, got {norm!r}")
+def make_sampler(norm: str, center: np.ndarray, epsilon: float) -> _Ball:
+    """SAMPLERS[norm](center, epsilon), the norm checked by _check_choice."""
+    return SAMPLERS[_check_choice("norm", norm, SAMPLERS)](center, epsilon)
 
 
 class MisclassificationProperty:
@@ -175,6 +175,8 @@ def misclassification_property(model: Model, x0: np.ndarray) -> Misclassificatio
         raise OutOfRangeError(
             f"x0 has shape {x0.shape}, model expects ({model.input_dim},)"
         )
+    if not np.all(np.isfinite(x0)):
+        raise OutOfRangeError("x0 coordinates must be finite")
     return MisclassificationProperty(model, int(predict_batch(model, x0[None])[0]))
 
 
@@ -184,7 +186,7 @@ def certify_density(
     query: ThresholdQuery,
     seed: SeedSpec,
     epsilon: float,
-    norm: Norm = "linf",
+    norm: str = "linf",
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
 ) -> CertificationReport:
@@ -246,7 +248,7 @@ class HardnessResult:
     """
 
     hardness: Optional[float]
-    method: Literal["sweep", "bisect"]
+    method: Method
     probe_log: Tuple[ProbeRecord, ...]
 
     @property
@@ -269,8 +271,8 @@ def adversarial_hardness(
     query: ThresholdQuery,
     seed: SeedSpec,
     eps_grid: Sequence[float],
-    method: Literal["sweep", "bisect"] = "sweep",
-    norm: Norm = "linf",
+    method: Method = "sweep",
+    norm: str = "linf",
     strategy: str = "bincert",
     limits: Optional[ResourceLimits] = None,
 ) -> HardnessResult:
@@ -292,8 +294,7 @@ def adversarial_hardness(
     """
     q = validate_query(query)
     grid = _normalize_grid(eps_grid)
-    if method not in ("sweep", "bisect"):
-        raise OutOfRangeError(f"method must be 'sweep' or 'bisect', got {method!r}")
+    method = _check_choice("method", method, METHODS)
     probes: List[ProbeRecord] = []
     yes, no = -1, len(grid)
     while no - yes > 1:

@@ -17,15 +17,8 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
-from .core import ThresholdQuery, _check_real, validate_query
-from .strategy import (
-    STRATEGIES,
-    ResourceLimits,
-    _unknown_strategy,
-    baseline_samples,
-    schedule,
-    schedule_law,
-)
+from .core import OutOfRangeError, ThresholdQuery, _check_choice, _check_real, validate_query
+from .strategy import STRATEGIES, ResourceLimits, baseline_samples, schedule, schedule_law
 
 
 @dataclass(frozen=True)
@@ -93,13 +86,15 @@ def complexity_sweep(
     Rows run over the strategies, and for each over p_grid in order.
     max_samples caps every run as ResourceLimits does: a call that would
     pass it ends the run inconclusive.  Every argument is checked before the
-    first law is computed.
+    first law is computed; both lists must be nonempty.
     """
     q = validate_query(query)
-    for name in strategies:
-        if name not in STRATEGIES:
-            raise _unknown_strategy(name)
+    strategies = [_check_choice("strategy", name, STRATEGIES) for name in strategies]
     p_grid = [_check_real("p", p, "[0, 1]") for p in p_grid]
+    if not strategies:
+        raise OutOfRangeError("strategies must be nonempty")
+    if not p_grid:
+        raise OutOfRangeError("p_grid must be nonempty")
     cap = ResourceLimits(max_samples=max_samples).max_samples
     base = baseline_samples(q)
     rows: List[SweepRow] = []

@@ -30,13 +30,13 @@ from typing import DefaultDict, Dict, Iterable, Iterator, List, Literal, Optiona
 import numpy as np
 
 from .core import (
-    OutOfRangeError,
     QuantCertError,
     QueryLike,
     SampleTally,
     SeedSpec,
     ThresholdQuery,
     Verdict,
+    _check_choice,
     _check_int,
     _check_real,
     validate_query,
@@ -45,6 +45,8 @@ from .oracle import Oracle
 from .tester import TesterPlan, TrialStream, _Deadline, _sample_count, plan_tester
 
 Side = Literal["proving", "refuting", "final"]
+# A strategy's report notes and its lazy (side, plan) entries, in run order.
+_Layout = Tuple[Tuple[str, ...], Iterator[Tuple[Side, TesterPlan]]]
 
 # Integer quotients like theta/sqrt(eta) can land one ulp under a whole
 # number; the nudge keeps layout counts from collapsing by one.
@@ -575,13 +577,42 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     return BudgetBound(k1=k1, k2=k2, k3=k3, exact_schedule_total=max(sizes.values()))
 
 
-STRATEGIES = {
-    name: partial(_run_schedule, name) for name in ("bincert", "fixedcert", "estimate")
-}
+def _bincert(query: ThresholdQuery) -> _Layout:
+    n = _halving_calls(query)
+    delta_min = query.delta / n
+    notes = (f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}",)
+    return notes, (
+        (side, plan_tester(theta1, theta2, delta_min))
+        for side, theta1, theta2 in _halving_schedule(query)
+    )
 
 
-def _unknown_strategy(name: str) -> OutOfRangeError:
-    return OutOfRangeError(f"unknown strategy {name!r}; expected one of {sorted(STRATEGIES)}")
+def _fixedcert(query: ThresholdQuery) -> _Layout:
+    pitch = math.sqrt(query.eta)
+    n_left = int(math.floor(query.theta / pitch + _FLOOR_NUDGE))
+    n_right = int(math.floor((1.0 - query.upper) / pitch + _FLOOR_NUDGE))
+    notes = (
+        f"grid layout: {n_left} proving + {n_right} refuting "
+        f"intervals at pitch sqrt(eta) = {pitch!r}",
+    )
+    return notes, (
+        (side, plan_tester(theta1, theta2, delta_call))
+        for side, theta1, theta2, delta_call in _fixed_schedule(query, n_left, n_right)
+    )
+
+
+def _estimate(query: ThresholdQuery) -> _Layout:
+    half = query.eta / 2.0
+    plan = TesterPlan(theta1=query.theta, theta2=query.upper, delta_call=query.delta,
+                      n_samples=baseline_samples(query), eta1=half, eta2=half,
+                      t=query.theta + half)
+    return (), iter([("final", plan)])
+
+
+# Each strategy's layout by its name: the one place strategy names are written.
+_LAYOUTS = {"bincert": _bincert, "fixedcert": _fixedcert, "estimate": _estimate}
+
+STRATEGIES = {name: partial(_run_schedule, name) for name in _LAYOUTS}
 
 
 def run_strategy(
@@ -594,23 +625,19 @@ def run_strategy(
 ) -> CertificationReport:
     """Certify ``query`` against ``oracle`` with the named strategy.
 
-    The call goes through STRATEGIES[name], so a wrapper placed there sees
-    every run.  See schedule for what each strategy does.
+    The call goes through STRATEGIES[name], name checked by _check_choice,
+    so a wrapper placed there sees every run.  See schedule for each one.
     """
-    try:
-        certify = STRATEGIES[name]
-    except KeyError:
-        raise _unknown_strategy(name) from None
+    certify = STRATEGIES[_check_choice("strategy", name, STRATEGIES)]
     return certify(query, oracle, seed, limits, config)
 
 
-def schedule(
-    strategy: str, query: ThresholdQuery
-) -> Tuple[Tuple[str, ...], Iterator[Tuple[Side, TesterPlan]]]:
+def schedule(strategy: str, query: ThresholdQuery) -> _Layout:
     """A strategy's report notes and the (side, plan) entries it runs, in order.
 
-    This is the one place a strategy name decides anything: the layout of
-    the calls and the split of delta across them.  bincert runs every call
+    The strategy's name, checked by _check_choice, picks its layout from
+    _LAYOUTS, the one place it decides anything: the layout of the calls
+    and the split of delta across them.  bincert runs every call
     at delta / n (_halving_calls); fixedcert gives each flank delta/3,
     split evenly over its grid, and the final call delta/3; estimate makes
     one call at delta with the boundary theta + eta/2.  The entries are
@@ -618,30 +645,4 @@ def schedule(
     early plans nothing more.  Runs, worst_case_budget and schedule_law
     read them.
     """
-    if strategy == "bincert":
-        n = _halving_calls(query)
-        delta_min = query.delta / n
-        notes = (f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}",)
-        return notes, (
-            (side, plan_tester(theta1, theta2, delta_min))
-            for side, theta1, theta2 in _halving_schedule(query)
-        )
-    if strategy == "fixedcert":
-        pitch = math.sqrt(query.eta)
-        n_left = int(math.floor(query.theta / pitch + _FLOOR_NUDGE))
-        n_right = int(math.floor((1.0 - query.upper) / pitch + _FLOOR_NUDGE))
-        notes = (
-            f"grid layout: {n_left} proving + {n_right} refuting "
-            f"intervals at pitch sqrt(eta) = {pitch!r}",
-        )
-        return notes, (
-            (side, plan_tester(theta1, theta2, delta_call))
-            for side, theta1, theta2, delta_call in _fixed_schedule(query, n_left, n_right)
-        )
-    if strategy == "estimate":
-        half = query.eta / 2.0
-        plan = TesterPlan(theta1=query.theta, theta2=query.upper, delta_call=query.delta,
-                          n_samples=baseline_samples(query), eta1=half, eta2=half,
-                          t=query.theta + half)
-        return (), iter([("final", plan)])
-    raise _unknown_strategy(strategy)
+    return _LAYOUTS[_check_choice("strategy", strategy, _LAYOUTS)](query)

@@ -472,6 +472,17 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "magic" in err
 
+    @pytest.mark.parametrize("names, message", [
+        ("bincert,magic", "strategy must be 'bincert' or 'fixedcert' or 'estimate', got 'magic'"),
+        (",", "strategies must be nonempty"),
+    ])
+    def test_strategy_list_errors_are_the_library_rule(self, capsys, names, message):
+        code, out, err = run(
+            capsys, "simulate", *self.QUERY, "--p-grid", "0", "--strategy", names
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"quantcert: OutOfRangeError: {message}\n"
+
     def test_bad_grid(self, capsys):
         code, _, err = run(
             capsys, "simulate", *self.QUERY, "--p-grid", "0,zebra"

@@ -23,6 +23,7 @@ from quantcert import (
     ThresholdQuery,
     Verdict,
     adversarial_hardness,
+    certify_density,
     load_model,
     make_sampler,
     run_strategy,
@@ -201,6 +202,55 @@ def test_every_integer_parameter_has_one_rule():
             else:
                 missed.append((name, value, "accepted"))
     assert missed == []
+
+
+def _hardness(**choice):
+    return adversarial_hardness(
+        linear_model(0.62), _CENTER, _QUERY, SeedSpec(1), eps_grid=[0.1], **choice)
+
+
+# (parameter, a valid name, call with the value under test): every named
+# choice a caller can pass, each checked by core._check_choice where it is used.
+NAMED_PARAMETERS = [
+    ("strategy", "bincert",
+     lambda v: run_strategy(v, _QUERY, BernoulliOracle(0.02), SeedSpec(1))),
+    ("strategy", "bincert", lambda v: schedule(v, _QUERY)),
+    ("strategy", "bincert", lambda v: complexity_sweep([v], _QUERY, [0.5])),
+    ("strategy", "bincert", lambda v: certify_density(
+        linear_model(0.62), _CENTER, _QUERY, SeedSpec(1), 0.1, strategy=v)),
+    ("strategy", "bincert", lambda v: _hardness(strategy=v)),
+    ("norm", "linf", lambda v: make_sampler(v, _CENTER, 0.1)),
+    ("method", "sweep", lambda v: _hardness(method=v)),
+    ("kind", "yes", lambda v: Verdict(v)),
+    ("reason", "timeout", lambda v: Verdict("inconclusive", v)),
+]
+
+
+def test_every_named_parameter_has_one_rule():
+    # Only a string can be a name: None, numbers, bools, and lists or dicts,
+    # unhashable, fail the same way as an unknown name, even holding a valid one.
+    missed = []
+    for name, valid, call in NAMED_PARAMETERS:
+        call(valid)
+        for value in ("nope", None, 3, True, [valid], {valid: valid}):
+            try:
+                call(value)
+            except Exception as exc:
+                if not (isinstance(exc, OutOfRangeError)
+                        and str(exc).startswith(f"{name} must be ")):
+                    missed.append((name, value, f"{type(exc).__name__}: {exc}"))
+            else:
+                missed.append((name, value, "accepted"))
+    assert missed == []
+
+
+def test_a_numpy_name_is_its_plain_string():
+    reports = [run_strategy(name, _QUERY, BernoulliOracle(0.02), SeedSpec(7))
+               for name in (np.str_("bincert"), "bincert")]
+    assert reports[0].canonical_json() == reports[1].canonical_json()
+    assert type(reports[0].strategy) is str
+    assert type(Verdict(np.str_("yes")).kind) is str
+    assert type(make_sampler(np.str_("l2"), _CENTER, 0.1)).norm == "l2"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import math
+import pathlib
 import sys
 import textwrap
 import threading
@@ -276,6 +277,20 @@ class TestSubprocessOracle:
     def test_rejects_empty_command(self, command):
         with pytest.raises(OutOfRangeError, match="names no program"):
             SubprocessProperty(command, reference_label=0)
+
+    @pytest.mark.parametrize("command", [5, None, ["python", 3], (b"python", 1.5)])
+    def test_rejects_command_of_wrong_type(self, command):
+        # Checked before a child starts, so no pipe is opened to leak.
+        with pytest.raises(OutOfRangeError, match="is neither a string nor a sequence"):
+            SubprocessProperty(command, reference_label=0)
+
+    def test_path_arguments_start_the_child(self, tmp_path, seed, center2):
+        executable, script = _write_child(tmp_path, "return int(coords[0] > 0.5)")
+        sampler = LinfBallSampler(center2, 0.3)
+        with SubprocessProperty([pathlib.Path(executable), pathlib.Path(script)], 0) as prop:
+            outcomes = PropertyOracle(sampler, prop).draw(seed, 0, 50)
+        points = sampler.batch(seed, 0, 50)
+        assert np.array_equal(outcomes.hits, points[:, 0] > 0.5)
 
     def test_non_integer_reply(self, tmp_path, seed, center2):
         command = _write_child(

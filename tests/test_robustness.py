@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,6 +237,14 @@ class TestMisclassificationProperty:
     def test_dimension_mismatch(self):
         with pytest.raises(OutOfRangeError, match=r"x0 has shape \(3,\), model expects \(2,\)"):
             misclassification_property(linear_model(0.5), np.zeros(3))
+
+    @pytest.mark.parametrize("x0", [[math.nan, 0.5], [0.5, math.inf], [-math.inf, 0.5]])
+    def test_non_finite_x0_is_rejected_before_the_model_runs(self, x0):
+        # NaN logits have an argmax too; the check comes before any matmul.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match="x0 coordinates must be finite"):
+                misclassification_property(linear_model(0.5), np.array(x0))
 
     @pytest.mark.parametrize("label", [1.7, 1.0, True, -1, "1", None])
     def test_reference_label_is_a_nonnegative_integer(self, label):

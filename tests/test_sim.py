@@ -65,7 +65,7 @@ class TestSoundnessTrial:
             _row("bincert", QUERY, 1.5)
         with pytest.raises(OutOfRangeError, match="max_samples"):
             _row("bincert", QUERY, 0.5, max_samples=-1)
-        with pytest.raises(OutOfRangeError, match="unknown strategy"):
+        with pytest.raises(OutOfRangeError, match="strategy must be "):
             _row("magic", QUERY, 0.5)
 
     def test_replay_is_deterministic(self):
@@ -164,8 +164,17 @@ class TestComplexitySweep:
         monkeypatch.setattr(sim_module, "schedule_law", no_law)
         with pytest.raises(OutOfRangeError):
             complexity_sweep(["bincert"], QUERY, [0.5, 1.5])
-        with pytest.raises(OutOfRangeError, match="unknown strategy 'magic'"):
+        with pytest.raises(OutOfRangeError, match="strategy must be .*, got 'magic'"):
             complexity_sweep(["bincert", "magic"], QUERY, [0.5])
+
+    @pytest.mark.parametrize("strategies, p_grid, message", [
+        ([], [0.5], "strategies must be nonempty"),
+        (["bincert"], [], "p_grid must be nonempty"),
+    ])
+    def test_empty_lists_are_out_of_range(self, strategies, p_grid, message):
+        # An empty table would read as a study that found nothing.
+        with pytest.raises(OutOfRangeError, match=message):
+            complexity_sweep(strategies, QUERY, p_grid)
 
     def test_replay_is_deterministic(self):
         a = complexity_sweep(["bincert"], QUERY, [0.125])

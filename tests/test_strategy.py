@@ -644,7 +644,7 @@ class TestRunStrategy:
         assert report.strategy == "fixedcert"
 
     def test_unknown_name(self, seed):
-        with pytest.raises(OutOfRangeError, match="unknown strategy"):
+        with pytest.raises(OutOfRangeError, match="strategy must be "):
             run_strategy("magic", ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(0.0), seed)
 
     @pytest.mark.parametrize("name", ["bincert", "fixedcert", "estimate"])
@@ -893,5 +893,5 @@ class TestScheduleLaw:
         assert law.p_yes == 1.0 and len(planned) == 1
 
     def test_unknown_strategy(self):
-        with pytest.raises(OutOfRangeError, match="unknown strategy"):
+        with pytest.raises(OutOfRangeError, match="strategy must be "):
             schedule("magic", ThresholdQuery(0.3, 0.01, 0.01))
