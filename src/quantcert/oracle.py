@@ -24,8 +24,9 @@ import math
 import os
 import shlex
 import subprocess
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 
@@ -168,13 +169,12 @@ class SubprocessProperty:
     def __init__(self, command: Union[str, Sequence[str]], reference_label: int) -> None:
         self.reference_label = _check_int("reference_label", reference_label, 0)
         try:
-            argv = shlex.split(command) if isinstance(command, str) else list(command)
+            argv = (shlex.split(command) if isinstance(command, str)
+                    else list(command) if isinstance(command, Sequence) else [command])
         except ValueError as exc:
             raise OutOfRangeError(
                 f"the oracle command {command!r} does not parse: {exc}"
             ) from None
-        except TypeError:  # not iterable: fails the argument check below
-            argv = [command]
         if not all(isinstance(arg, (str, bytes, os.PathLike)) for arg in argv):
             raise OutOfRangeError(
                 f"the oracle command {command!r} is neither a string nor a sequence "

@@ -89,6 +89,8 @@ def complexity_sweep(
     first law is computed; both lists must be nonempty.
     """
     q = validate_query(query)
+    if isinstance(strategies, str):
+        raise OutOfRangeError(f"strategies must be a list of names, got {strategies!r}")
     strategies = [_check_choice("strategy", name, STRATEGIES) for name in strategies]
     p_grid = [_check_real("p", p, "[0, 1]") for p in p_grid]
     if not strategies:

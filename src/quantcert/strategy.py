@@ -45,8 +45,11 @@ from .oracle import Oracle
 from .tester import TesterPlan, TrialStream, _Deadline, _sample_count, plan_tester
 
 Side = Literal["proving", "refuting", "final"]
-# A strategy's report notes and its lazy (side, plan) entries, in run order.
-_Layout = Tuple[Tuple[str, ...], Iterator[Tuple[Side, TesterPlan]]]
+# A call (plan, a, b) settles a run yes when S(n) <= a and no when S(n) > b,
+# for S(n) the successes among the stream's first n = plan.n_samples trials.
+# A strategy's layout is its report notes and its lazy entries, in run order.
+Entry = Tuple[TesterPlan, int, int]
+_Layout = Tuple[Tuple[str, ...], Iterator[Entry]]
 
 # Integer quotients like theta/sqrt(eta) can land one ulp under a whole
 # number; the nudge keeps layout counts from collapsing by one.
@@ -57,14 +60,28 @@ class ReportInvariantError(QuantCertError):
     """A strategy produced a report violating its own guarantees."""
 
 
+def _entry(side: Side, plan: TesterPlan) -> Entry:
+    """A side's call on plan as bounds: proving (c, n), refuting (-1, c), final (c, c)."""
+    c = plan.c
+    return (plan, *{"proving": (c, plan.n_samples), "refuting": (-1, c), "final": (c, c)}[side])
+
+
+def _side(a: int, b: int) -> Side:
+    """The side a call with bounds (a, b) argues for, as reports print it."""
+    return "final" if a == b else "refuting" if a < 0 else "proving"
+
+
 @dataclass(frozen=True)
 class CallRecord:
-    """One completed tester call: the side it argued for, its plan, and the
+    """One completed tester call: its plan, its bounds (a, b), and the
     successes among the stream's first plan.n_samples trials."""
 
-    side: Side
     plan: TesterPlan
+    a: int
+    b: int
     successes: int
+
+    side = property(lambda self: _side(self.a, self.b))
 
     @property
     def tally(self) -> SampleTally:
@@ -75,13 +92,10 @@ class CallRecord:
         """yes when the successes are at most the plan's cutoff c."""
         return "yes" if self.successes <= self.plan.c else "no"
 
-
-def _settles(side: Side, outcome: str) -> bool:
-    """Whether a call on this side settles the query when it answers outcome.
-
-    A proving call settles on yes, a refuting call on no, a final call on either.
-    """
-    return side == "final" or outcome == ("yes" if side == "proving" else "no")
+    @property
+    def settles(self) -> Optional[Literal["yes", "no"]]:
+        """yes at successes <= a, no at successes > b, None when the run reads on."""
+        return "yes" if self.successes <= self.a else "no" if self.successes > self.b else None
 
 
 @dataclass(frozen=True)
@@ -327,29 +341,26 @@ def _check_report(report: CertificationReport) -> CertificationReport:
         ):
             raise ReportInvariantError("final call must test (theta, theta+eta)")
     kind = report.verdict.kind
-    if kind != "inconclusive":
-        last = report.calls[-1] if report.calls else None
-        if last is None or last.outcome != kind or not _settles(last.side, kind):
-            raise ReportInvariantError(f"{kind} verdict without a supporting final call")
+    settled = report.calls[-1].settles if report.calls else None
+    if kind != "inconclusive" and settled != kind:
+        raise ReportInvariantError(f"{kind} verdict without a supporting final call")
     return report
 
 
-def _capped(
-    entries: Iterable[Tuple[Side, TesterPlan]], max_samples: Optional[int]
-) -> Iterable[Tuple[Side, TesterPlan]]:
+def _capped(entries: Iterable[Entry], max_samples: Optional[int]) -> Iterable[Entry]:
     """The entries up to the first call larger than max_samples: the one cap rule."""
     if max_samples is None:
         return entries
-    return itertools.takewhile(lambda entry: entry[1].n_samples <= max_samples, entries)
+    return itertools.takewhile(lambda entry: entry[0].n_samples <= max_samples, entries)
 
 
-def run_tester(side: Side, plan: TesterPlan, stream: TrialStream) -> CallRecord:
+def run_tester(plan: TesterPlan, a: int, b: int, stream: TrialStream) -> CallRecord:
     """One call: count the successes among trials [0, plan.n_samples) of the stream.
 
     Only trials the stream has not drawn yet are drawn; a call inside the
     stream reads the outcomes it keeps and draws nothing.
     """
-    return CallRecord(side, plan, stream.successes(plan.n_samples))
+    return CallRecord(plan, a, b, stream.successes(plan.n_samples))
 
 
 def _run_schedule(
@@ -367,23 +378,21 @@ def _run_schedule(
     the report's total_samples is the stream's length: the largest call,
     or in a run cut by its deadline every trial drawn, the cut call's
     included.  max_samples caps the entries, max_wall_ms is the stream's
-    deadline, and the first call whose outcome settles the query
-    (_settles) gives the verdict.
+    deadline, and the first call that settles the run (CallRecord.settles)
+    gives the verdict.
     """
     query = validate_query(query)
     notes, entries = schedule(strategy, query)
     started = time.perf_counter()
-    max_samples = limits.max_samples if limits else None
     wall = limits.max_wall_ms if limits else None
     stream = TrialStream(oracle, seed, None if wall is None else started + wall / 1000.0)
     calls: List[CallRecord] = []
 
     try:
-        for side, plan in _capped(entries, max_samples):
-            calls.append(run_tester(side, plan, stream))
-            outcome = calls[-1].outcome
-            if _settles(side, outcome):
-                verdict = Verdict(outcome)
+        for plan, a, b in _capped(entries, limits.max_samples if limits else None):
+            calls.append(run_tester(plan, a, b, stream))
+            if settled := calls[-1].settles:
+                verdict = Verdict(settled)
                 break
         else:
             # Every schedule ends in a final call, so only the cap leaves a run open.
@@ -449,17 +458,17 @@ def _binomial(m: int, p: float) -> Tuple[int, np.ndarray]:
 
 
 def schedule_law(
-    entries: Iterable[Tuple[Side, TesterPlan]],
+    entries: Iterable[Entry],
     p: float,
     max_samples: Optional[int] = None,
 ) -> ScheduleLaw:
     """The law of a run of these entries against Bernoulli(p), computed.
 
     Same rules as the run but max_wall_ms: a call larger than max_samples
-    ends it inconclusive (_capped), a call whose outcome settles (_settles)
-    ends it, and a run's total is the largest call it made.  Every call k
-    reads a prefix of one stream, so it says yes when S(n_k) <= c_k, where
-    S(n) counts the successes among the first n trials; they are dependent.
+    ends it inconclusive (_capped), a call ends it yes at S(n_k) <= a_k and
+    no at S(n_k) > b_k, and a run's total is the largest call it made.
+    S(n) counts the successes among the first n trials of one stream, which
+    every call reads a prefix of, so the calls are dependent.
 
     A dynamic program walks the distinct call sizes in increasing order.
     Its state is S(n) together with the earliest call in schedule order
@@ -473,18 +482,18 @@ def schedule_law(
     may fall short by that much per step.
     """
     p = _check_real("p", p, "[0, 1]")
-    calls: List[Tuple[Side, int, int]] = []
-    for side, plan in _capped(entries, max_samples):
-        n, c = plan.n_samples, plan.c
-        calls.append((side, n, c))
-        # The counts S(n) can take: only 0 at p = 0, only n at p = 1.  A
-        # call that settles on both ends settles every run that reaches it.
-        reachable = (0 if p < 1.0 else n, n if p > 0.0 else 0)
-        if all(_settles(side, "yes" if s <= c else "no") for s in reachable):
+    calls: List[Tuple[int, int, int]] = []
+    for plan, a, b in _capped(entries, max_samples):
+        n = plan.n_samples
+        calls.append((n, a, b))
+        # S(n) takes lo..hi: only 0 at p = 0, only n at p = 1.  A call that
+        # reads on at none of them settles every run that reaches it.
+        lo, hi = (0 if p < 1.0 else n), (n if p > 0.0 else 0)
+        if min(b, hi) <= max(a, lo - 1):
             break
     # A run settled by call k has made calls 0..k and drawn their largest.
-    totals = list(itertools.accumulate((n for _, n, _ in calls), max, initial=0))[1:]
-    order = sorted(range(len(calls)), key=lambda k: (calls[k][1], k))
+    totals = list(itertools.accumulate((n for n, _, _ in calls), max, initial=0))[1:]
+    order = sorted(range(len(calls)), key=lambda k: (calls[k][0], k))
     # The earliest call still to come after each step of the walk.
     upcoming = list(itertools.accumulate(reversed(order), min, initial=len(calls)))[::-1][1:]
 
@@ -496,18 +505,19 @@ def schedule_law(
     ends = {"yes": 0.0, "no": 0.0}
     samples: DefaultDict[int, float] = defaultdict(float)
     for k, first_left in zip(order, upcoming):
-        side, n, c = calls[k]
+        n, a, b = calls[k]
         pieces: Dict[Tuple[int, str], List[Tuple[int, np.ndarray]]] = {}
         for label in [label for label in states if label[0] > k]:
             at, lo, mass = states.pop(label)
             if n > at:
                 low, pmf = _binomial(n - at, p)
                 lo, mass = _trim(lo + low, np.convolve(mass, pmf))
-            cut = min(max(c + 1 - lo, 0), mass.size)
-            says = {"yes": (lo, mass[:cut]), "no": (lo + cut, mass[cut:])}
-            for verdict, part in says.items():
+            yes = min(max(a + 1 - lo, 0), mass.size)
+            no = min(max(b + 1 - lo, yes), mass.size)
+            says = {(k, "yes"): (lo, mass[:yes]), label: (lo + yes, mass[yes:no]),
+                    (k, "no"): (lo + no, mass[no:])}
+            for settled, part in says.items():
                 if part[1].size:
-                    settled = (k, verdict) if _settles(side, verdict) else label
                     pieces.setdefault(settled, []).append(part)
         for label, parts in pieces.items():
             lo = min(part_lo for part_lo, _ in parts)
@@ -564,10 +574,8 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     big_l = math.log(1.0 / (q.delta / _halving_calls(q)))
     const = (math.sqrt(3.0) + math.sqrt(2.0)) ** 2
     theta, eta = q.theta, q.eta
-    _, entries = schedule("bincert", q)
-    sizes: Dict[str, int] = {}
-    for side, plan in entries:
-        sizes[side] = max(sizes.get(side, 0), plan.n_samples)
+    sides = [(_side(a, b), plan.n_samples) for plan, a, b in schedule("bincert", q)[1]]
+    sizes = {side: max(n for s, n in sides if s == side) for side, _ in sides}
     k1 = theta * const / (eta * eta) * big_l if "proving" in sizes else 0.0
     k2 = const / (eta * eta) * big_l if "refuting" in sizes else 0.0
     k3 = (
@@ -582,7 +590,7 @@ def _bincert(query: ThresholdQuery) -> _Layout:
     delta_min = query.delta / n
     notes = (f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}",)
     return notes, (
-        (side, plan_tester(theta1, theta2, delta_min))
+        _entry(side, plan_tester(theta1, theta2, delta_min))
         for side, theta1, theta2 in _halving_schedule(query)
     )
 
@@ -596,7 +604,7 @@ def _fixedcert(query: ThresholdQuery) -> _Layout:
         f"intervals at pitch sqrt(eta) = {pitch!r}",
     )
     return notes, (
-        (side, plan_tester(theta1, theta2, delta_call))
+        _entry(side, plan_tester(theta1, theta2, delta_call))
         for side, theta1, theta2, delta_call in _fixed_schedule(query, n_left, n_right)
     )
 
@@ -606,7 +614,7 @@ def _estimate(query: ThresholdQuery) -> _Layout:
     plan = TesterPlan(theta1=query.theta, theta2=query.upper, delta_call=query.delta,
                       n_samples=baseline_samples(query), eta1=half, eta2=half,
                       t=query.theta + half)
-    return (), iter([("final", plan)])
+    return (), iter([_entry("final", plan)])
 
 
 # Each strategy's layout by its name: the one place strategy names are written.
@@ -633,7 +641,7 @@ def run_strategy(
 
 
 def schedule(strategy: str, query: ThresholdQuery) -> _Layout:
-    """A strategy's report notes and the (side, plan) entries it runs, in order.
+    """A strategy's report notes and the (plan, a, b) entries it runs, in order.
 
     The strategy's name, checked by _check_choice, picks its layout from
     _LAYOUTS, the one place it decides anything: the layout of the calls

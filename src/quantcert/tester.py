@@ -1,8 +1,11 @@
 """Two-point threshold tester over one shared trial stream.
 
-Distinguishes Bernoulli rates p <= theta1 from p >= theta2 with one-sided
-failure probability delta_call each way.  The sample size comes from the
-additive Chernoff bounds with the slack split so both tails bind at once:
+Distinguishes Bernoulli rates p <= theta1 from p >= theta2.  The sample
+size comes from the multiplicative Chernoff bounds exp(-e^2 mu / 3) on the
+upper tail at theta1 (e = eta1 / theta1) and exp(-e^2 mu / 2) on the lower
+tail at theta2 (e = eta2 / theta2).  The upper form holds only for e <= 1,
+so a plan with eta1 > theta1 > 0 can err above delta_call on that side.
+The slack is split so both tails bind at once:
 
     N    = ceil( (sqrt(3 theta1) + sqrt(2 theta2))^2 / (theta2 - theta1)^2
                  * ln(1/delta_call) )

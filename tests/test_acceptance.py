@@ -215,12 +215,12 @@ def test_c07_per_report_failure_accounting():
         for j, p in enumerate(rates):
             oracle = BernoulliOracle(p)
             rep_b = run_strategy("bincert", query, oracle, seed.child(10 * i + j))
-            (delta_min,) = {plan.delta_call for _, plan in schedule("bincert", query)[1]}
+            (delta_min,) = {plan.delta_call for plan, _, _ in schedule("bincert", query)[1]}
             assert len(rep_b.calls) * delta_min <= query.delta + 1e-12
             assert all(c.plan.delta_call == delta_min for c in rep_b.calls)
 
             rep_f = run_strategy("fixedcert", query, oracle, seed.child(10 * i + j + 5))
-            planned = sum(plan.delta_call for _, plan in schedule("fixedcert", query)[1])
+            planned = sum(plan.delta_call for plan, _, _ in schedule("fixedcert", query)[1])
             assert planned <= query.delta + 1e-12
             assert (
                 sum(c.plan.delta_call for c in rep_f.calls)

@@ -284,6 +284,18 @@ class TestSubprocessOracle:
         with pytest.raises(OutOfRangeError, match="is neither a string nor a sequence"):
             SubprocessProperty(command, reference_label=0)
 
+    @pytest.mark.parametrize("command", [{"true": 1}, {"true"}, iter(["true"])])
+    def test_unordered_or_one_shot_command_starts_no_child(self, command, monkeypatch):
+        # A mapping or set has no argument order, and an iterator is not a
+        # sequence: each is refused before any Popen.
+        import subprocess
+
+        started = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: started.append(args))
+        with pytest.raises(OutOfRangeError, match="is neither a string nor a sequence"):
+            SubprocessProperty(command, reference_label=0)
+        assert started == []
+
     def test_path_arguments_start_the_child(self, tmp_path, seed, center2):
         executable, script = _write_child(tmp_path, "return int(coords[0] > 0.5)")
         sampler = LinfBallSampler(center2, 0.3)

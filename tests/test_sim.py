@@ -19,7 +19,7 @@ def _row(strategy, query, p, **kwargs):
     return row
 
 
-class TestSoundnessTrial:
+class TestVerdictColumns:
     """The verdict columns of a row: exact probabilities against a known rate."""
 
     def test_zero_rate_always_certifies(self):
@@ -166,6 +166,14 @@ class TestComplexitySweep:
             complexity_sweep(["bincert"], QUERY, [0.5, 1.5])
         with pytest.raises(OutOfRangeError, match="strategy must be .*, got 'magic'"):
             complexity_sweep(["bincert", "magic"], QUERY, [0.5])
+
+    @pytest.mark.parametrize("strategies", ["bincert", ""])
+    def test_a_bare_string_is_not_a_strategy_list(self, strategies, monkeypatch):
+        # Read name by name, "bincert" would fail as the strategy 'b'.
+        monkeypatch.setattr(sim_module, "schedule_law", None)
+        message = f"strategies must be a list of names, got '{strategies}'"
+        with pytest.raises(OutOfRangeError, match=message):
+            complexity_sweep(strategies, QUERY, [0.5])
 
     @pytest.mark.parametrize("strategies, p_grid, message", [
         ([], [0.5], "strategies must be nonempty"),

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quantcert import (
     BernoulliOracle,
@@ -29,7 +29,8 @@ from quantcert.strategy import (
 )
 from quantcert.tester import TesterPlan as HandPlan
 from quantcert.tester import _sample_count, plan_tester
-from quantcert.strategy import _check_report, _fixed_schedule, _halving_calls, _halving_schedule
+from quantcert.strategy import (
+    _check_report, _entry, _fixed_schedule, _halving_calls, _halving_schedule, _side)
 from conftest import CountingOracle
 
 
@@ -122,7 +123,7 @@ class TestBinCertParams:
         query = ThresholdQuery(0.5, 0.5, 0.1)
         assert _halving_calls(query) == 3.0
         _, entries = schedule("bincert", query)
-        assert all(plan.delta_call == pytest.approx(0.1 / 3.0) for _, plan in entries)
+        assert all(plan.delta_call == pytest.approx(0.1 / 3.0) for plan, _, _ in entries)
 
     def test_flanks_narrower_than_eta_contribute_nothing(self):
         n = _halving_calls(ThresholdQuery(0.05, 0.1, 0.1))
@@ -181,7 +182,7 @@ class TestHalvingSchedule:
         query = ThresholdQuery(theta, eta, delta)
         n = _halving_calls(query)
         _, entries = schedule("bincert", query)
-        spent = [plan.delta_call for _, plan in entries]
+        spent = [plan.delta_call for plan, _, _ in entries]
         assert len(spent) <= n
         assert set(spent) == {delta / n}
 
@@ -203,7 +204,7 @@ def test_union_bound_covers_the_whole_schedule(name, theta, eta, delta):
     # failure budgets of the whole schedule must sum within delta.
     assume(theta + eta <= 1.0)
     _, entries = schedule(name, ThresholdQuery(theta, eta, delta))
-    spent = [plan.delta_call for _, plan in entries]
+    spent = [plan.delta_call for plan, _, _ in entries]
     assert math.fsum(spent) <= delta * (1.0 + 1e-12)
     if name == "bincert":
         assert len(set(spent)) == 1
@@ -252,9 +253,9 @@ class TestBinCert:
         marks = []
         run = strategy_module.run_tester
 
-        def marked(side, plan, stream):
+        def marked(plan, a, b, stream):
             marks.append((stream.length, len(oracle.windows)))
-            return run(side, plan, stream)
+            return run(plan, a, b, stream)
 
         monkeypatch.setattr(strategy_module, "run_tester", marked)
         report = run_strategy("bincert", ThresholdQuery(0.1, 0.05, 0.1), oracle, seed)
@@ -369,7 +370,7 @@ class TestLimits:
     def test_run_ends_where_the_law_puts_its_mass(self, seed, name, p):
         # At p in {0, 1} every outcome is certain, so the law of a capped
         # run is a point mass, and the run must land on it.
-        sizes = sorted({plan.n_samples for _, plan in schedule(name, self.QUERY)[1]})
+        sizes = sorted({plan.n_samples for plan, _, _ in schedule(name, self.QUERY)[1]})
         for cap in [None, 0] + [n + d for n in sizes for d in (-1, 0)]:
             law = schedule_law(schedule(name, self.QUERY)[1], p, cap)
             report = run_strategy(name, self.QUERY, BernoulliOracle(p), seed,
@@ -384,7 +385,7 @@ class TestLimits:
 class TestFixedCertParams:
     def _plans(self, query):
         notes, entries = schedule("fixedcert", query)
-        return notes, [(side, plan.delta_call) for side, plan in entries]
+        return notes, [(_side(a, b), plan.delta_call) for plan, a, b in entries]
 
     def test_reference_layout(self):
         notes, plans = self._plans(ThresholdQuery(0.3, 0.01, 0.01))
@@ -570,7 +571,7 @@ class TestWorstCaseBudget:
         query = ThresholdQuery(theta, eta, delta)
         bound = worst_case_budget(query)
         term = {"proving": bound.k1, "refuting": bound.k2, "final": bound.k3}
-        sizes = [(side, plan.n_samples) for side, plan in schedule("bincert", query)[1]]
+        sizes = [(_side(a, b), plan.n_samples) for plan, a, b in schedule("bincert", query)[1]]
         for side, n in sizes:
             # a size is its bound rounded up; 1e-9 absorbs eta versus upper - theta
             assert n <= math.ceil(term[side] * (1.0 + 1e-9)), (side, n, term[side])
@@ -668,7 +669,7 @@ class TestRunStrategy:
 
 
 def _record(side, theta1, theta2, delta, successes=0):
-    return CallRecord(side=side, plan=plan_tester(theta1, theta2, delta), successes=successes)
+    return CallRecord(*_entry(side, plan_tester(theta1, theta2, delta)), successes=successes)
 
 
 def _report(query, calls, verdict, total=None):
@@ -695,6 +696,13 @@ class TestReportInvariants:
         plans = {side: plan_tester(*interval, 0.01) for side, interval in self.INTERVALS.items()}
         assert {side: (p.n_samples, p.c) for side, p in plans.items()} == {
             "proving": (19, 0), "refuting": (219, 174), "final": (2480, 1370)}
+
+    def test_entry_bounds_by_side(self):
+        # proving (c, n), refuting (-1, c), final (c, c); each reads back as its side
+        plans = {side: plan_tester(*interval, 0.01) for side, interval in self.INTERVALS.items()}
+        bounds = {side: _entry(side, plan)[1:] for side, plan in plans.items()}
+        assert bounds == {"proving": (0, 19), "refuting": (-1, 174), "final": (1370, 1370)}
+        assert all(_side(a, b) == side for side, (a, b) in bounds.items())
 
     def test_accepts_consistent_report(self):
         rec = _record("proving", 0.0, 0.5, 0.01)
@@ -818,43 +826,66 @@ def _hand_plan(n, t):
 # caps of 9 and 14 cut the first two schedules partway.  The first ends in
 # a final call that cannot settle on either flank.
 HAND_SCHEDULES = [
-    [("proving", _hand_plan(4, 0.25)), ("refuting", _hand_plan(9, 0.6)),
-     ("proving", _hand_plan(3, 1 / 3)), ("refuting", _hand_plan(6, 0.5)),
-     ("final", _hand_plan(12, 0.5))],
-    [("refuting", _hand_plan(16, 0.3)), ("proving", _hand_plan(5, 0.2)),
-     ("final", _hand_plan(7, 0.0))],
-    [("final", _hand_plan(11, 0.45))],
+    [_entry("proving", _hand_plan(4, 0.25)), _entry("refuting", _hand_plan(9, 0.6)),
+     _entry("proving", _hand_plan(3, 1 / 3)), _entry("refuting", _hand_plan(6, 0.5)),
+     _entry("final", _hand_plan(12, 0.5))],
+    [_entry("refuting", _hand_plan(16, 0.3)), _entry("proving", _hand_plan(5, 0.2)),
+     _entry("final", _hand_plan(7, 0.0))],
+    [_entry("final", _hand_plan(11, 0.45))],
+    # An interim call that settles at both ends and reads on between them:
+    # a law that broke after it, judging by the two ends of S(6), would
+    # never reach the final call.
+    [(_hand_plan(6, 0.5), 0, 4), _entry("final", _hand_plan(10, 0.5))],
 ]
-
-
-# The outcome with which a flank's call settles a run, written out again
-# so the enumeration does not lean on the code it checks.
-_SETTLES_ON = {"proving": "yes", "refuting": "no"}
 
 
 def _enumerated_law(entries, p, max_samples):
     """Every 0/1 sequence of the stream's first T trials, weighted and walked."""
-    length = max(plan.n_samples for _, plan in entries)
+    length = max(plan.n_samples for plan, _, _ in entries)
     trials = (np.arange(2 ** length)[:, None] >> np.arange(length)) & 1
     prefix = np.concatenate([np.zeros((2 ** length, 1), int), np.cumsum(trials, axis=1)], axis=1)
     hits = trials.sum(axis=1)
     weight = p ** hits * (1.0 - p) ** (length - hits)
     verdict = np.full(2 ** length, "open", dtype="<U12")
     total = np.zeros(2 ** length, int)
-    for side, plan in entries:
+    for plan, a, b in entries:
         n = plan.n_samples
         live = verdict == "open"
         if max_samples is not None:
             verdict[live & (np.maximum(total, n) > max_samples)] = "inconclusive"
             live = verdict == "open"
         total[live] = np.maximum(total[live], n)
-        says = np.where(prefix[:, n] / n <= plan.t, "yes", "no")
-        settles = live & ((side == "final") | (says == _SETTLES_ON.get(side, "")))
-        verdict[settles] = says[settles]
+        says = np.where(prefix[:, n] <= a, "yes", np.where(prefix[:, n] > b, "no", "open"))
+        verdict[live] = says[live]
     verdict[verdict == "open"] = "inconclusive"
     ends = {v: math.fsum(weight[verdict == v]) for v in ("yes", "no", "inconclusive")}
     samples = {int(t): math.fsum(weight[total == t]) for t in np.unique(total)}
     return ends, {t: w for t, w in samples.items() if w > 0.0}
+
+
+def _assert_law_is_enumerated(entries, p, max_samples):
+    """schedule_law within 1e-12 of the enumeration; returns both laws of the run total."""
+    ends, samples = _enumerated_law(entries, p, max_samples)
+    law = schedule_law(entries, p, max_samples)
+    assert law.p_yes == pytest.approx(ends["yes"], abs=1e-12)
+    assert law.p_no == pytest.approx(ends["no"], abs=1e-12)
+    assert law.p_inconclusive == pytest.approx(ends["inconclusive"], abs=1e-12)
+    computed = dict(law.samples)
+    totals = sorted(set(computed) | set(samples))
+    assert [computed.get(t, 0.0) for t in totals] == pytest.approx(
+        [samples.get(t, 0.0) for t in totals], abs=1e-12)
+    return computed, samples
+
+
+@st.composite
+def _small_schedules(draw):
+    """1 to 4 entries of at most 10 trials each, with any bounds -1 <= a <= b <= n."""
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 10))
+        b = draw(st.integers(-1, n))
+        entries.append((_hand_plan(n, 0.5), draw(st.integers(-1, b)), b))
+    return entries
 
 
 class TestScheduleLaw:
@@ -862,14 +893,15 @@ class TestScheduleLaw:
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.37, 0.5, 0.8, 1.0])
     @pytest.mark.parametrize("max_samples", [None, 0, 9, 14])
     def test_matches_enumeration(self, entries, p, max_samples):
-        ends, samples = _enumerated_law(entries, p, max_samples)
-        law = schedule_law(entries, p, max_samples)
-        assert law.p_yes == pytest.approx(ends["yes"], abs=1e-12)
-        assert law.p_no == pytest.approx(ends["no"], abs=1e-12)
-        assert law.p_inconclusive == pytest.approx(ends["inconclusive"], abs=1e-12)
-        assert [t for t, _ in law.samples] == sorted(samples)
-        assert [w for _, w in law.samples] == pytest.approx(
-            [samples[t] for t in sorted(samples)], abs=1e-12)
+        computed, samples = _assert_law_is_enumerated(entries, p, max_samples)
+        assert list(computed) == sorted(samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries=_small_schedules(), p=st.floats(0.0, 1.0),
+           max_samples=st.none() | st.integers(0, 10))
+    def test_random_schedules_match_enumeration(self, entries, p, max_samples):
+        # A total of mass at most 1e-30, as at p = 5e-324, may be dropped.
+        _assert_law_is_enumerated(entries, p, max_samples)
 
     @pytest.mark.parametrize("name", ["bincert", "fixedcert", "estimate"])
     @pytest.mark.parametrize("query", [ThresholdQuery(0.1, 0.05, 0.1),

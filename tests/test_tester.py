@@ -14,7 +14,7 @@ from quantcert import (
     ThresholdQuery,
     TrialOutcomes,
 )
-from quantcert.strategy import run_strategy, run_tester, schedule
+from quantcert.strategy import _entry, run_strategy, run_tester, schedule
 from quantcert.tester import TrialStream, plan_tester
 from chernoff_reference import chernoff_tail
 from conftest import CountingOracle, FixedSuccessOracle
@@ -140,7 +140,7 @@ class TestPlanTester:
 
 def _run(plan, oracle, seed):
     """One call on a fresh stream, as the first call of a run makes it."""
-    return run_tester("final", plan, TrialStream(oracle, seed))
+    return run_tester(*_entry("final", plan), TrialStream(oracle, seed))
 
 
 class TestRunTester:
@@ -200,18 +200,18 @@ class TestRunTester:
         assert short.n_samples < long.n_samples
         oracle = CountingOracle(BernoulliOracle(0.17), batch_trials=16)
         stream = TrialStream(oracle, seed)
-        a = run_tester("final", long, stream)
+        a = run_tester(*_entry("final", long), stream)
         drawn = oracle.total_trials
         assert drawn == long.n_samples
-        b = run_tester("final", short, stream)
+        b = run_tester(*_entry("final", short), stream)
         assert b.tally == _run(short, BernoulliOracle(0.17), seed).tally
         assert a.tally == _run(long, BernoulliOracle(0.17), seed).tally
         assert 0 <= a.tally.successes - b.tally.successes <= long.n_samples - short.n_samples
         assert oracle.total_trials == drawn
         assert stream.length == long.n_samples
         # asking again, or for the whole stream, draws nothing either
-        assert run_tester("final", short, stream) == b
-        assert run_tester("final", long, stream) == a
+        assert run_tester(*_entry("final", short), stream) == b
+        assert run_tester(*_entry("final", long), stream) == a
         assert oracle.total_trials == drawn
 
     def test_bad_knobs_rejected(self, seed):
@@ -299,7 +299,7 @@ def _corpus_plans():
     """Every plan the Bernoulli corpus queries and bench's bern-tight produce."""
     for query in (*QUERIES, ThresholdQuery(0.1, 2e-3, 0.01)):
         for name in STRATEGY_NAMES:
-            for _, plan in schedule(name, query)[1]:
+            for plan, _, _ in schedule(name, query)[1]:
                 yield plan
 
 
