@@ -243,8 +243,13 @@ class ProbeRecord:
 class HardnessResult:
     """Largest grid radius whose density query certified yes, with every probe.
 
-    hardness is None when the smallest radius did not certify yes; the
-    probe log then holds that one probe.
+    probe_log lists the probes in the order they ran.  sweep probes grid
+    indices 0, 1, 2, ... up to its first non-yes, at most n = len(grid)
+    probes; bisect probes the largest radius, then the middle of the open
+    bracket, at most 1 + ceil(log2 n) probes.  The probe at grid index k
+    ran under seed.child(k).  hardness is None when the smallest radius did
+    not certify yes; the log then ends with that radius's probe, the only
+    one for sweep.
     """
 
     hardness: Optional[float]
@@ -284,13 +289,16 @@ def adversarial_hardness(
     The search keeps a bracket: yes is the largest grid index known to
     certify yes (-1 while none is), no the smallest index known not to
     (len(eps_grid) while none is), and yes < no always.  It probes inside
-    the bracket until no = yes + 1.  Both methods probe the smallest radius
-    first; sweep then probes yes + 1, and bisect, which assumes verdicts are
-    monotone in the radius, probes the largest radius and then the middle
-    of the bracket.  A non-yes includes inconclusive probes; they close the
-    bracket like a no but stay visible in the log.  When the smallest radius
-    does not certify yes, hardness is None.  Each probe runs under the same
-    limits, with its own deadline and a child seed from its probe number.
+    the bracket until no = yes + 1.  sweep probes yes + 1, so it walks up
+    from the smallest radius and makes at most n = len(eps_grid) probes.
+    bisect, which assumes verdicts are monotone in the radius, probes the
+    largest radius first and then the middle of the bracket, at most
+    1 + ceil(log2 n) probes.  A non-yes includes inconclusive probes; they
+    close the bracket like a no but stay visible in the log.  When the
+    smallest radius does not certify yes, hardness is None and the log ends
+    with that radius's probe.  Each probe runs under the same limits, with
+    its own deadline, and the probe at grid index k takes the child seed
+    seed.child(k), so a radius's report does not depend on the search path.
     """
     q = validate_query(query)
     grid = _normalize_grid(eps_grid)
@@ -298,7 +306,7 @@ def adversarial_hardness(
     probes: List[ProbeRecord] = []
     yes, no = -1, len(grid)
     while no - yes > 1:
-        if method == "sweep" or yes < 0:
+        if method == "sweep":
             k = yes + 1
         elif no == len(grid):
             k = no - 1
@@ -308,7 +316,7 @@ def adversarial_hardness(
             model,
             x0,
             q,
-            seed.child(len(probes)),
+            seed.child(k),
             grid[k],
             norm=norm,
             strategy=strategy,

@@ -340,8 +340,17 @@ def _check_report(report: CertificationReport) -> CertificationReport:
             rec.plan.theta1 != query.theta or rec.plan.theta2 != query.upper
         ):
             raise ReportInvariantError("final call must test (theta, theta+eta)")
+    # A run stops at its first call that settles: every earlier call reads
+    # on, and the last settles with the verdict's kind, or reads on when a
+    # limit left the run inconclusive.
+    settles = [rec.settles for rec in report.calls]
+    for i, settled in enumerate(settles[:-1]):
+        if settled:
+            raise ReportInvariantError(f"call {i} settles {settled} before the last call")
     kind = report.verdict.kind
-    settled = report.calls[-1].settles if report.calls else None
+    settled = settles[-1] if settles else None
+    if kind == "inconclusive" and settled:
+        raise ReportInvariantError(f"inconclusive verdict after a last call that settles {settled}")
     if kind != "inconclusive" and settled != kind:
         raise ReportInvariantError(f"{kind} verdict without a supporting final call")
     return report

@@ -154,7 +154,7 @@ def test_classifier_example_prints_pinned_counts(tmp_path, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(code, {})
-    assert out.getvalue().splitlines() == ["yes 102", "0.1 154822"]
+    assert out.getvalue().splitlines() == ["yes 102", "0.1 77411"]
 
 
 # The robustness entry points take plain arguments and one grid form.

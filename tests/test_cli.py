@@ -381,6 +381,25 @@ class TestHardness:
         doc = json.loads(out)
         assert doc["hardness"] == 0.2
         assert doc["method"] == "bisect"
+        # bisect opens at the largest radius, then halves the bracket.
+        assert [(p["epsilon"], p["verdict"]) for p in doc["probes"]] == [
+            (0.3, "no"), (0.15, "yes"), (0.2, "yes"), (0.25, "no")]
+        assert doc["total_samples"] == 154848
+
+    def test_bisect_no_yes_found_ends_at_the_smallest_radius(
+        self, capsys, model_path, center_path
+    ):
+        code, out, _ = run(
+            capsys,
+            "hardness", *self.QUERY,
+            "--model", model_path(0.7), "--center", center_path,
+            "--eps-grid", "0.25,0.3", "--method", "bisect", "--seed", "5",
+        )
+        assert code == EXIT_NO
+        doc = json.loads(out)
+        assert doc["hardness"] is None and doc["error"] == "no-yes-found"
+        assert [(p["epsilon"], p["verdict"]) for p in doc["probes"]] == [
+            (0.3, "no"), (0.25, "no")]
 
     def test_degenerate_range_is_one_probe(self, capsys, model_path, center_path):
         code, out, _ = run(

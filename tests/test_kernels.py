@@ -76,12 +76,12 @@ GOLDEN_HARDNESS = {
     "linf": (
         (0.02, 0.03, 0.04, 0.05, 0.06, 0.08),
         0.04,
-        [(0.02, "yes", 1654), (0.08, "no", 155), (0.04, "yes", 1654), (0.05, "no", 1654)],
+        [(0.08, "no", 486), (0.04, "yes", 1654), (0.05, "no", 1654)],
     ),
     "l2": (
         (0.6, 0.8, 1.0, 1.2, 1.5, 2.0),
         0.8,
-        [(0.6, "yes", 1654), (2.0, "no", 54), (1.0, "no", 1654), (0.8, "yes", 1654)],
+        [(2.0, "no", 21), (1.0, "no", 1654), (0.6, "yes", 1654), (0.8, "yes", 1654)],
     ),
 }
 

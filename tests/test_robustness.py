@@ -361,13 +361,11 @@ def _two_loop_search(verdicts, method):
         probed.append(k)
         return verdicts[k]
 
-    if probe(0) != "yes":
-        return probed, None
-    yes_idx = 0
+    yes_idx = -1
     if method == "sweep":
         while yes_idx + 1 < len(verdicts) and probe(yes_idx + 1) == "yes":
             yes_idx += 1
-    elif len(verdicts) > 1:
+    else:
         no_idx = len(verdicts) - 1
         if probe(no_idx) == "yes":
             yes_idx = no_idx
@@ -377,7 +375,7 @@ def _two_loop_search(verdicts, method):
                 yes_idx = mid
             else:
                 no_idx = mid
-    return probed, yes_idx
+    return probed, (None if yes_idx < 0 else yes_idx)
 
 
 class TestAdversarialHardness:
@@ -410,7 +408,33 @@ class TestAdversarialHardness:
         assert result.hardness == 0.2
         assert result.method == "bisect"
         probed = [p.epsilon for p in result.probe_log]
-        assert probed == [0.05, 0.3, 0.15, 0.2, 0.25]
+        assert probed == [0.3, 0.15, 0.2, 0.25]
+
+    def test_a_radius_reports_the_same_under_either_method(self, seed, center2, monkeypatch):
+        # Each probe's seed comes from its grid index, so a radius both
+        # searches reach gives the same report, byte for byte, and so the
+        # same verdict and samples; 0.25, past the boundary, is a no.
+        grid = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35]
+        reports = {}
+
+        def spy(*args, _certify=robustness.certify_density, **kwargs):
+            report = _certify(*args, **kwargs)
+            reports[method, args[4]] = report.canonical_json()
+            return report
+
+        monkeypatch.setattr(robustness, "certify_density", spy)
+        logs = {}
+        for method in ("sweep", "bisect"):
+            result = adversarial_hardness(
+                linear_model(0.7), center2, HARDNESS_QUERY, seed, eps_grid=grid, method=method
+            )
+            logs[method] = {p.epsilon: (p.verdict, p.total_samples) for p in result.probe_log}
+        shared = sorted(logs["sweep"].keys() & logs["bisect"].keys())
+        assert shared == [0.15, 0.2, 0.25]
+        assert logs["bisect"][0.25][0] == "no"
+        for e in shared:
+            assert logs["sweep"][e] == logs["bisect"][e]
+            assert reports["sweep", e] == reports["bisect", e]
 
     def test_bisect_all_yes_returns_largest(self, seed, center2):
         result = adversarial_hardness(
@@ -422,7 +446,7 @@ class TestAdversarialHardness:
             method="bisect",
         )
         assert result.hardness == 0.15
-        assert len(result.probe_log) == 2
+        assert [(p.epsilon, p.verdict) for p in result.probe_log] == [(0.15, "yes")]
 
     def test_single_point_grid(self, seed, center2):
         for method in ("sweep", "bisect"):
@@ -439,6 +463,8 @@ class TestAdversarialHardness:
 
     @pytest.mark.parametrize("method", ["sweep", "bisect"])
     def test_no_yes_returns_none(self, seed, center2, method):
+        # Either log ends at the smallest radius, the probe that decides None.
+        probed = {"sweep": [0.25], "bisect": [0.3, 0.25]}[method]
         result = adversarial_hardness(
             linear_model(0.7),
             center2,
@@ -449,10 +475,15 @@ class TestAdversarialHardness:
         )
         assert result.hardness is None
         assert result.method == method
-        assert [(p.epsilon, p.verdict) for p in result.probe_log] == [(0.25, "no")]
+        assert [(p.epsilon, p.verdict) for p in result.probe_log] == [
+            (e, "no") for e in probed
+        ]
 
     def test_probe_order_matches_the_two_loop_search(self, seed, center2, monkeypatch):
-        """Every verdict pattern on grids of 1-7 radii, against the two-loop search."""
+        """Every verdict pattern on grids of 1-7 radii, against the two-loop search.
+
+        sweep makes at most n probes on n radii, bisect at most 1 + ceil(log2 n).
+        """
         verdicts = {}
         seeds = []
 
@@ -477,8 +508,10 @@ class TestAdversarialHardness:
                     assert result.probe_log == tuple(
                         ProbeRecord(grid[k], pattern[k], k + 1) for k in probed
                     ), (pattern, method)
+                    limit = n if method == "sweep" else 1 + math.ceil(math.log2(n))
+                    assert len(probed) <= limit, (pattern, method)
                     assert result.hardness == (None if found is None else grid[found])
-                    assert seeds == [seed.child(i) for i in range(len(probed))]
+                    assert seeds == [seed.child(k) for k in probed]
 
     def test_unknown_method(self, seed, center2):
         with pytest.raises(OutOfRangeError):

@@ -726,8 +726,11 @@ class TestReportInvariants:
          (218, Verdict("inconclusive", "timeout"), False)],
     )
     def test_total_is_the_stream_length(self, total, verdict, holds):
+        # 175 of 219 settles the refuting call no; 174 reads on, as the last
+        # call of an inconclusive run must.
         first = _record("proving", 0.0, 0.5, 0.01, successes=1)
-        last = _record("refuting", 0.6, 1.0, 0.01, successes=175)
+        last = _record("refuting", 0.6, 1.0, 0.01,
+                       successes=175 if verdict.kind == "no" else 174)
         report = _report(self.QUERY, [first, last], verdict, total)
         if holds:
             assert _check_report(report) is report
@@ -777,8 +780,29 @@ class TestReportInvariants:
             else:
                 with pytest.raises(ReportInvariantError, match=f"{kind} verdict"):
                     _check_report(report)
+        # A limit stops a run only between calls that read on.
         blocked = _report(self.QUERY, [rec], Verdict("inconclusive", "budget-exhausted"))
-        assert _check_report(blocked) is blocked
+        if supports is None:
+            assert _check_report(blocked) is blocked
+        else:
+            with pytest.raises(ReportInvariantError, match="inconclusive verdict"):
+                _check_report(blocked)
+
+    def test_no_call_settles_before_the_last(self):
+        # A proving call with 0 of 19 successes settles yes, so no run reads
+        # on past it: not to a refuting no, nor to the cap.
+        proving = _record("proving", 0.0, 0.5, 0.01, successes=0)
+        refuting = _record("refuting", 0.6, 1.0, 0.01, successes=175)
+        with pytest.raises(ReportInvariantError, match="call 0 settles yes before the last"):
+            _check_report(_report(self.QUERY, [proving, refuting], Verdict("no")))
+        with pytest.raises(ReportInvariantError, match="inconclusive verdict"):
+            _check_report(
+                _report(self.QUERY, [proving], Verdict("inconclusive", "budget-exhausted"))
+            )
+        # The same calls with the proving call reading on are a run's report.
+        reads_on = replace(proving, successes=1)
+        report = _report(self.QUERY, [reads_on, refuting], Verdict("no"))
+        assert _check_report(report) is report
 
     def test_verdict_needs_a_call(self):
         with pytest.raises(ReportInvariantError, match="yes verdict"):
