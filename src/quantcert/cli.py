@@ -152,6 +152,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise OutOfRangeError(
             "pick exactly one oracle source: --bernoulli, --model, or --oracle-cmd"
         )
+    # A flag the chosen source never reads would be ignored without a word.
+    if args.reference_label is not None and args.oracle_cmd is None:
+        raise OutOfRangeError("--reference-label is read only by --oracle-cmd runs")
+    if args.bernoulli is not None and (args.center is not None or args.eps is not None):
+        raise OutOfRangeError("--bernoulli runs read no --center or --eps")
 
     if args.bernoulli is not None:
         oracle = BernoulliOracle(args.bernoulli)

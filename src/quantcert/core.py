@@ -46,6 +46,16 @@ def _check_choice(name: str, value: object, choices: Collection[str]) -> str:
     raise OutOfRangeError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
 
 
+def _check_list(name: str, values: object, of: str) -> list:
+    """values as a list, once it is an iterable but not a str, else OutOfRangeError."""
+    if not isinstance(values, str):
+        try:
+            return list(values)  # type: ignore[call-overload]
+        except TypeError:
+            pass
+    raise OutOfRangeError(f"{name} must be a list of {of}, got {values!r}")
+
+
 _BOUNDS: Dict[str, Tuple[float, float, bool, bool]] = {}
 
 

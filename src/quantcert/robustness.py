@@ -21,6 +21,7 @@ from .core import (
     _HALF_OPEN_SCALE,
     _check_choice,
     _check_int,
+    _check_list,
     _check_real,
     to_open_unit,
     to_unit,
@@ -262,7 +263,8 @@ class HardnessResult:
 
 
 def _normalize_grid(eps_grid: Sequence[float]) -> List[float]:
-    grid = [_check_real("epsilon", e, "(0, inf)") for e in eps_grid]
+    grid = [_check_real("epsilon", e, "(0, inf)")
+            for e in _check_list("eps_grid", eps_grid, "radii")]
     if not grid:
         raise OutOfRangeError("eps_grid must be nonempty")
     if sorted(grid) != grid or len(set(grid)) != len(grid):

@@ -17,7 +17,8 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
-from .core import OutOfRangeError, ThresholdQuery, _check_choice, _check_real, validate_query
+from .core import (OutOfRangeError, ThresholdQuery, _check_choice, _check_list, _check_real,
+                   validate_query)
 from .strategy import STRATEGIES, ResourceLimits, baseline_samples, schedule, schedule_law
 
 
@@ -89,10 +90,9 @@ def complexity_sweep(
     first law is computed; both lists must be nonempty.
     """
     q = validate_query(query)
-    if isinstance(strategies, str):
-        raise OutOfRangeError(f"strategies must be a list of names, got {strategies!r}")
-    strategies = [_check_choice("strategy", name, STRATEGIES) for name in strategies]
-    p_grid = [_check_real("p", p, "[0, 1]") for p in p_grid]
+    strategies = [_check_choice("strategy", name, STRATEGIES)
+                  for name in _check_list("strategies", strategies, "names")]
+    p_grid = [_check_real("p", p, "[0, 1]") for p in _check_list("p_grid", p_grid, "rates")]
     if not strategies:
         raise OutOfRangeError("strategies must be nonempty")
     if not p_grid:

@@ -649,7 +649,7 @@ def run_strategy(
     return certify(query, oracle, seed, limits, config)
 
 
-def schedule(strategy: str, query: ThresholdQuery) -> _Layout:
+def schedule(strategy: str, query: QueryLike) -> _Layout:
     """A strategy's report notes and the (plan, a, b) entries it runs, in order.
 
     The strategy's name, checked by _check_choice, picks its layout from
@@ -662,4 +662,4 @@ def schedule(strategy: str, query: ThresholdQuery) -> _Layout:
     early plans nothing more.  Runs, worst_case_budget and schedule_law
     read them.
     """
-    return _LAYOUTS[_check_choice("strategy", strategy, _LAYOUTS)](query)
+    return _LAYOUTS[_check_choice("strategy", strategy, _LAYOUTS)](validate_query(query))

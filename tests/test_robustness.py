@@ -529,14 +529,9 @@ class TestAdversarialHardness:
             raise AssertionError("probed before the grid check")
 
         monkeypatch.setattr(SeedSpec, "raw_block", no_words)
-        with pytest.raises(OutOfRangeError):
-            adversarial_hardness(
-                linear_model(0.7),
-                center2,
-                HARDNESS_QUERY,
-                seed,
-                eps_grid=[0.1, math.nan],
-            )
+        for grid in ([0.1, math.nan], 0.02):
+            with pytest.raises(OutOfRangeError):
+                adversarial_hardness(linear_model(0.7), center2, HARDNESS_QUERY, seed, grid)
 
     def test_replay_is_deterministic(self, center2):
         runs = [

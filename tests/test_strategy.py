@@ -951,3 +951,8 @@ class TestScheduleLaw:
     def test_unknown_strategy(self):
         with pytest.raises(OutOfRangeError, match="strategy must be "):
             schedule("magic", ThresholdQuery(0.3, 0.01, 0.01))
+        # The query is checked as every entry point checks it: a triple is one.
+        with pytest.raises(OutOfRangeError, match="a query is a triple"):
+            schedule("bincert", (0.1, 0.05))
+        query = ThresholdQuery(0.1, 0.05, 0.1)
+        assert schedule("bincert", (0.1, 0.05, 0.1))[0] == schedule("bincert", query)[0]
