@@ -257,6 +257,16 @@ def _philox_at(root_seed: int, blocks: int) -> Philox:
     return bits
 
 
+def _words(root_seed: int, first_word: int, size: int) -> np.ndarray:
+    """Words [first_word, first_word + size) of root_seed's stream, size >= 1.
+
+    Unchecked: SeedSpec.raw_block checks its window and calls this, and so
+    does a split Bernoulli draw for the half it hands another thread.
+    """
+    blocks, offset = divmod(first_word, 4)
+    return _philox_at(root_seed, blocks).random_raw(offset + size)[offset:]
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Root seed plus the derivation rule for all of a run's randomness.
@@ -319,6 +329,4 @@ class SeedSpec:
         width = _check_int("width", width, 1)
         if count == 0:
             return np.empty((0, width), dtype=np.uint64)
-        blocks, offset = divmod(start * width, 4)
-        bits = _philox_at(self.root_seed, blocks)
-        return bits.random_raw(offset + count * width)[offset:].reshape(count, width)
+        return _words(self.root_seed, start * width, count * width).reshape(count, width)

@@ -1,6 +1,9 @@
 import gc
+import hashlib
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import textwrap
 import threading
@@ -23,9 +26,10 @@ from quantcert import (
     TrialOutcomes,
     run_strategy,
 )
+import quantcert.oracle
 from quantcert.oracle import PropertyOracle, Sampler
 from quantcert.core import to_unit
-from quantcert.oracle import BATCH_WORDS
+from quantcert.oracle import _SPLIT_TRIALS, BATCH_WORDS
 from conftest import CountingOracle
 
 _WORD_MAX = 2**64 - 1
@@ -98,6 +102,119 @@ class TestBernoulliOracle:
         )
         wide = LinfBallSampler(np.full(784, 0.5), 0.1)
         assert PropertyOracle(wide, _BatchHalfPlane()).batch_trials == 167
+
+
+# bincert on (0.1, 2e-3, 0.01), Bernoulli(0.0995), SeedSpec(20240817): 16 calls,
+# yes, 1,863,901 trials in draws of 2^17, each split; recorded before draws split.
+SPLIT_REPORT_SHA256 = "aacd5258ec74d0d21e3fa4acae6809f6f38e110a8fd68d634d1c5080d1312d1f"
+
+
+def _unsplit_hits(seed, start, count, p):
+    """The hits of trials [start, start + count), from one raw_block."""
+    return seed.raw_block(start, count, 1).reshape(count) < (math.ceil(p * 2**53) << 11)
+
+
+class TestSplitDraw:
+    """A draw of 2^16 trials or more splits across two threads; no hit may move."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("start", [0, 3, 2**66 + 1], ids=["0", "3", "block-past-2^64"])
+    @pytest.mark.parametrize("count", [2**16 - 1, 2**16, 2**16 + 1, 131_072, 200_001])
+    def test_split_hits_equal_unsplit(self, seed, start, count, p, monkeypatch):
+        asked = []
+        raw_block = SeedSpec.raw_block
+
+        def counting(self, start, count, width):
+            asked.append(count)
+            return raw_block(self, start, count, width)
+
+        monkeypatch.setattr(SeedSpec, "raw_block", counting)
+        hits = BernoulliOracle(p).draw(seed, start, count).hits
+        # the calling thread reads half the words of a split draw, all of any other
+        assert asked == [count // 2 if count >= _SPLIT_TRIALS and p < 1 else count]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(hits, _unsplit_hits(seed, start, count, p))
+
+    def test_threads_on_distinct_roots(self):
+        roots = [3, 5, 2**40 + 1, 2**63 - 1]
+        windows = [(0, 131_072), (131_072, 200_001), (7, 2**16)]
+        oracle = BernoulliOracle(0.3)
+        alone = [[oracle.draw(SeedSpec(r), *w).hits for w in windows] for r in roots]
+        results = [None] * len(roots)
+        gate = threading.Barrier(len(roots))
+
+        def read(slot):
+            gate.wait(timeout=10)
+            seed = SeedSpec(roots[slot])
+            results[slot] = [oracle.draw(seed, *w).hits for w in windows * 3]
+
+        workers = [threading.Thread(target=read, args=(i,), daemon=True)
+                   for i in range(len(roots))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        for want, got in zip(alone, results):
+            assert got is not None
+            for a, b in zip(want * 3, got):
+                np.testing.assert_array_equal(a, b)
+
+    def test_split_run_canonical_hash(self):
+        report = run_strategy("bincert", (0.1, 2e-3, 0.01), BernoulliOracle(0.0995),
+                              SeedSpec(20240817))
+        digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+        assert digest == SPLIT_REPORT_SHA256
+
+    def test_helper_failure_is_raised_in_the_caller(self, seed, monkeypatch):
+        def broken(*args):
+            raise MemoryError("no room for the second half")
+
+        monkeypatch.setattr(quantcert.oracle, "_words", broken)
+        with pytest.raises(MemoryError, match="second half"):
+            BernoulliOracle(0.5).draw(seed, 0, 2**17)
+        monkeypatch.undo()
+        hits = BernoulliOracle(0.5).draw(seed, 0, 2**17).hits
+        np.testing.assert_array_equal(hits, _unsplit_hits(seed, 0, 2**17, 0.5))
+
+
+# Run in a child interpreter: split draws share one helper thread; the
+# process then exits, or forks a child that must draw again.
+_SPLIT_SCRIPT = """\
+import os, signal, sys, threading
+import numpy as np
+from quantcert import BernoulliOracle, SeedSpec
+
+def helpers():
+    return sum(t.name == "quantcert-draw" for t in threading.enumerate())
+
+oracle, seed = BernoulliOracle(0.5), SeedSpec(7)
+oracle.draw(seed, 0, 2**16 - 1)
+assert helpers() == 0, "a draw that does not split started a helper"
+first = oracle.draw(seed, 0, 2**17).hits
+oracle.draw(seed, 5, 2**17)
+assert helpers() == 1, "split draws must share one helper"
+if sys.argv[1] == "fork":
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(30)  # a child that hangs dies, rather than outlive the test
+        again = oracle.draw(seed, 0, 2**17).hits
+        os._exit(0 if np.array_equal(again, first) else 3)
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.parametrize("mode", ["exit", pytest.param("fork", marks=pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="needs os.fork"))])
+def test_split_draws_let_the_process_fork_and_exit(mode):
+    # The helper thread must not keep the interpreter alive at exit, and a
+    # forked child, which has no helper thread, must start its own.
+    src = os.path.dirname(os.path.dirname(quantcert.oracle.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPLIT_SCRIPT, mode], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 class _ScalarHalfPlane:
