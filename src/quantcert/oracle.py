@@ -48,8 +48,9 @@ from .core import (
 BATCH_WORDS = 1 << 17
 
 # The fewest trials a Bernoulli draw splits across two threads.  Half of such
-# a draw, 256 KiB of words, takes about 0.3 ms to make and compare; handing
-# it to the helper and back takes 0.04-0.15 ms (numpy 2.4, 2-vCPU x86 VM).
+# a draw, 256 KiB of words, takes about 0.29 ms to make and compare; handing
+# a job to the helper and back takes 14-23 us (a no-op job, 3,000 in a row,
+# 12 repeats; Python 3.11, numpy 2.4, 2-vCPU x86 VM).
 _SPLIT_TRIALS = 1 << 16
 
 # Points per write/read round with an external classifier.  The child answers

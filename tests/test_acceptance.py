@@ -13,14 +13,13 @@ from scipy import stats as sps
 
 from quantcert import (
     BernoulliOracle,
-    L2BallSampler,
-    LinfBallSampler,
     SeedSpec,
     ThresholdQuery,
     adversarial_hardness,
     certify_density,
     run_strategy,
 )
+from quantcert.robustness import L2BallSampler, LinfBallSampler
 from quantcert.sim import complexity_sweep
 from quantcert.strategy import baseline_samples, schedule, worst_case_budget
 from quantcert.tester import plan_tester

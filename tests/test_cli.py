@@ -127,12 +127,6 @@ class TestCertifyBernoulli:
         assert code == EXIT_YES
         assert json.loads(out)["strategy"] == "fixedcert"
 
-    def test_two_sources_is_usage_error(self, capsys, model_path):
-        code, _, err = run(
-            capsys, *self.BASE, "--bernoulli", "0.0", "--model", model_path(0.6)
-        )
-        assert code == EXIT_USAGE
-
     def test_unknown_strategy_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, *self.BASE, "--bernoulli", "0.0", "--strategy", "magic"
@@ -211,16 +205,6 @@ class TestCertifyModel:
             "--center-row", "1", "--eps", "0.1", "--seed", "5",
         )
         assert code == EXIT_YES
-
-    def test_non_finite_eps_is_typed_error(self, capsys, model_path, center_path):
-        code, out, err = run(
-            capsys,
-            "certify", *self.QUERY,
-            "--model", model_path(0.62), "--center", center_path,
-            "--eps", "nan", "--seed", "5",
-        )
-        assert code == EXIT_USAGE and out == ""
-        assert "OutOfRangeError" in err and "Traceback" not in err
 
     # The id is older than the rule: a model file that opens but does not
     # parse is bad input, exit 64, unlike one that cannot be opened.
@@ -482,15 +466,6 @@ class TestSimulate:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 3 * 5
 
-    def test_unknown_strategy(self, capsys):
-        code, _, err = run(
-            capsys,
-            "simulate", *self.QUERY,
-            "--p-grid", "0", "--strategy", "bincert,magic",
-        )
-        assert code == EXIT_USAGE
-        assert "magic" in err
-
     @pytest.mark.parametrize("names, message", [
         ("bincert,magic", "strategy must be 'bincert' or 'fixedcert' or 'estimate', got 'magic'"),
         (",", "strategies must be nonempty"),
@@ -567,14 +542,16 @@ def _edited_model(tmp_path, key, value):
     return str(path)
 
 
-def _center_3d(tmp_path):
-    path = tmp_path / "center3.csv"
-    path.write_text("0.5,0.5,0.5\n")
+def _center(tmp_path, text):
+    """A center CSV holding text, as a file."""
+    path = tmp_path / "centers.csv"
+    path.write_text(text)
     return str(path)
 
 
 QUERY = ["--theta", "0.1", "--eta", "0.05", "--delta", "0.05", "--seed", "5"]
 NO_FILE = r"\[Errno 2\] No such file or directory: '.*'"
+ONE_SOURCE = r"pick exactly one oracle source: --bernoulli, --model, or --oracle-cmd"
 VANISHING = r"eta = 1e-200 vanishes next to theta = 0\.0: .*"
 OVERFLOWING = r"the sample size bound inf is not finite; the query is too tight"
 
@@ -584,9 +561,7 @@ ERROR_LINES = [
     # The four rows below once printed "quantcert: error: <message>".
     pytest.param(
         lambda tmp, model, center: ["certify", *QUERY],
-        "OutOfRangeError",
-        r"pick exactly one oracle source: --bernoulli, --model, or --oracle-cmd",
-        id="no-oracle-source",
+        "OutOfRangeError", ONE_SOURCE, id="no-oracle-source",
     ),
     pytest.param(
         lambda tmp, model, center: ["certify", *QUERY, "--model", model],
@@ -595,8 +570,8 @@ ERROR_LINES = [
     ),
     pytest.param(
         lambda tmp, model, center: ["certify", *QUERY, "--model", model,
-                                    "--center", _center_3d(tmp), "--center-row", "5",
-                                    "--eps", "0.1"],
+                                    "--center", _center(tmp, "0.5,0.5,0.5\n"),
+                                    "--center-row", "5", "--eps", "0.1"],
         "OutOfRangeError", r"--center-row 5 outside 0\.\.0",
         id="center-row-past-end",
     ),
@@ -605,6 +580,32 @@ ERROR_LINES = [
                                     "--center", center, "--center-row", "7", "--eps", "0.1"],
         "OutOfRangeError", r"--center-row 7 outside 0\.\.1",
         id="center-row-7-of-2",
+    ),
+    # Blank and whitespace-only rows are not data rows.
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model", model,
+                                    "--center", _center(tmp, "\n , \n"), "--eps", "0.1"],
+        "OutOfRangeError", r".*centers\.csv holds no data rows",
+        id="center-no-data-rows",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--model", model,
+                                    "--center", _center(tmp, "0.5,abc\n"), "--eps", "0.1"],
+        "OutOfRangeError",
+        r"non-numeric value in .*centers\.csv: could not convert string to float: 'abc'",
+        id="center-non-numeric",
+    ),
+    pytest.param(
+        lambda tmp, model, center: [*TestCertifyBernoulli.BASE, "--bernoulli", "0.0",
+                                    "--model", model],
+        "OutOfRangeError", ONE_SOURCE, id="two-oracle-sources",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *QUERY, "--oracle-cmd",
+                                    str(tmp / "no-such-binary"), "--center", center,
+                                    "--eps", "0.1"],
+        "OutOfRangeError", r"--oracle-cmd runs need --center, --eps, and --reference-label",
+        id="oracle-cmd-without-reference-label",
     ),
     # A flag the chosen oracle source never reads is rejected, not ignored.
     pytest.param(
@@ -639,9 +640,15 @@ ERROR_LINES = [
     ),
     pytest.param(
         lambda tmp, model, center: ["certify", *QUERY, "--model", model,
-                                    "--center", _center_3d(tmp), "--eps", "0.1"],
+                                    "--center", _center(tmp, "0.5,0.5,0.5\n"), "--eps", "0.1"],
         "OutOfRangeError", r"x0 has shape \(3,\), model expects \(2,\)",
         id="center-wrong-dimension",
+    ),
+    pytest.param(
+        lambda tmp, model, center: ["certify", *TestCertifyModel.QUERY, "--model", model,
+                                    "--center", center, "--eps", "nan", "--seed", "5"],
+        "OutOfRangeError", r"epsilon must sit in \(0, inf\), got nan",
+        id="non-finite-eps",
     ),
     pytest.param(
         lambda tmp, model, center: ["certify", *QUERY, "--model",

@@ -17,18 +17,16 @@ from quantcert import (
     BernoulliOracle,
     OutOfRangeError,
     ResourceLimits,
-    SampleTally,
     SeedSpec,
     SubprocessProperty,
     ThresholdQuery,
-    Verdict,
     adversarial_hardness,
     certify_density,
     load_model,
     make_sampler,
     run_strategy,
 )
-from quantcert.core import to_open_unit, to_unit, validate_query
+from quantcert.core import SampleTally, Verdict, to_open_unit, to_unit, validate_query
 from quantcert.robustness import MisclassificationProperty
 from quantcert.sim import complexity_sweep
 from quantcert.strategy import schedule, schedule_law

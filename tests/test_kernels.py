@@ -23,15 +23,14 @@ import pytest
 from numpy.random import Philox, SeedSequence
 
 from quantcert import (
-    L2BallSampler,
-    LinfBallSampler,
     SeedSpec,
     ThresholdQuery,
     adversarial_hardness,
-    forward_batch,
     load_model,
 )
 from quantcert.core import to_unit
+from quantcert.nn import forward_batch
+from quantcert.robustness import L2BallSampler, LinfBallSampler
 
 PIN_SEED = 20240817
 

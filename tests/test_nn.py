@@ -5,12 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from quantcert import (
-    OutOfRangeError,
-    forward_batch,
-    load_model,
-    predict_batch,
-)
+from quantcert import OutOfRangeError, load_model
+from quantcert.nn import forward_batch, predict_batch
 from conftest import linear_model_doc
 
 

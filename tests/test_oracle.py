@@ -15,11 +15,8 @@ from hypothesis import example, given, strategies as st
 
 from quantcert import (
     BernoulliOracle,
-    LinfBallSampler,
-    Oracle,
     OracleFailure,
     OutOfRangeError,
-    SampleTally,
     SeedSpec,
     SubprocessProperty,
     ThresholdQuery,
@@ -27,8 +24,9 @@ from quantcert import (
     run_strategy,
 )
 import quantcert.oracle
-from quantcert.oracle import PropertyOracle, Sampler
-from quantcert.core import to_unit
+from quantcert.oracle import Oracle, PropertyOracle, Sampler
+from quantcert.core import SampleTally, to_unit
+from quantcert.robustness import LinfBallSampler
 from quantcert.oracle import _SPLIT_TRIALS, BATCH_WORDS
 from conftest import CountingOracle
 

@@ -9,18 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantcert import (
-    L2BallSampler,
-    LinfBallSampler,
     OutOfRangeError,
-    ProbeRecord,
     SeedSpec,
     ThresholdQuery,
     adversarial_hardness,
     certify_density,
     make_sampler,
     misclassification_property,
-    predict_batch,
 )
+from quantcert.nn import predict_batch
+from quantcert.robustness import L2BallSampler, LinfBallSampler, ProbeRecord
 import quantcert.oracle as oracle_module
 import quantcert.robustness as robustness
 from quantcert.core import to_unit

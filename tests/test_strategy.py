@@ -9,19 +9,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from quantcert import (
     BernoulliOracle,
-    CallRecord,
-    CertificationReport,
     OutOfRangeError,
     ReportInvariantError,
     ResourceLimits,
-    SampleTally,
     SeedSpec,
     ThresholdQuery,
-    Verdict,
     run_strategy,
 )
+from quantcert.core import SampleTally, Verdict
 from quantcert.strategy import (
     STRATEGIES,
+    CallRecord,
+    CertificationReport,
     baseline_samples,
     schedule,
     schedule_law,

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantcert import TesterPlan as HandPlan
 from quantcert import (
     BernoulliOracle,
     OracleFailure,
     OutOfRangeError,
-    SampleTally,
     ThresholdQuery,
     TrialOutcomes,
 )
+from quantcert.core import SampleTally
 from quantcert.strategy import _entry, run_strategy, run_tester, schedule
+from quantcert.tester import TesterPlan as HandPlan
 from quantcert.tester import TrialStream, plan_tester
 from chernoff_reference import chernoff_tail
 from conftest import CountingOracle, FixedSuccessOracle
