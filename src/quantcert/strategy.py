@@ -24,12 +24,14 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from typing import DefaultDict, Dict, Iterable, Iterator, List, Literal, Optional, Tuple
 
 import numpy as np
 
 from .core import (
+    OutOfRangeError,
     QuantCertError,
     QueryLike,
     SampleTally,
@@ -42,7 +44,8 @@ from .core import (
     validate_query,
 )
 from .oracle import Oracle
-from .tester import TesterPlan, TrialStream, _Deadline, _sample_count, plan_tester
+from .tester import (_TAIL, TesterPlan, TrialStream, _binomial, _cutoff, _Deadline,
+                     _sample_count, _trim, plan_tester)
 
 Side = Literal["proving", "refuting", "final"]
 # A call (plan, a, b) settles a run yes when S(n) <= a and no when S(n) > b,
@@ -127,9 +130,7 @@ def _plan_fields(plan: TesterPlan) -> Dict[str, object]:
         "theta2": plan.theta2,
         "delta_call": plan.delta_call,
         "n": plan.n_samples,
-        "eta1": plan.eta1,
-        "eta2": plan.eta2,
-        "t": plan.t,
+        "c": plan.c,
     }
 
 
@@ -206,13 +207,13 @@ class BudgetBound:
     schedule could ever make, so no run's total exceeds it.
     """
 
-    k1: float
-    k2: float
-    k3: float
+    k1: int
+    k2: int
+    k3: int
     exact_schedule_total: int
 
     @property
-    def analytic_total(self) -> float:
+    def analytic_total(self) -> int:
         """The closed-form bound on any run's total, max(k1, k2, k3)."""
         return max(self.k1, self.k2, self.k3)
 
@@ -356,11 +357,22 @@ def _check_report(report: CertificationReport) -> CertificationReport:
     return report
 
 
+def _check_entry(entry: Entry) -> Entry:
+    """entry, once its call size n and bounds (a, b) have 0 <= n and -1 <= a <= b <= n."""
+    plan, a, b = entry
+    n = plan.n_samples
+    if not (0 <= n and -1 <= a <= b <= n):
+        raise OutOfRangeError(f"a call needs 0 <= n and -1 <= a <= b <= n, got n = {n}, "
+                              f"a = {a}, b = {b}")
+    return entry
+
+
 def _capped(entries: Iterable[Entry], max_samples: Optional[int]) -> Iterable[Entry]:
-    """The entries up to the first call larger than max_samples: the one cap rule."""
+    """The checked entries up to the first call larger than max_samples: the one cap rule."""
+    checked = map(_check_entry, entries)
     if max_samples is None:
-        return entries
-    return itertools.takewhile(lambda entry: entry[0].n_samples <= max_samples, entries)
+        return checked
+    return itertools.takewhile(lambda entry: entry[0].n_samples <= max_samples, checked)
 
 
 def run_tester(plan: TesterPlan, a: int, b: int, stream: TrialStream) -> CallRecord:
@@ -432,38 +444,6 @@ class ScheduleLaw:
     p_inconclusive: float
     # (run total, probability) for every possible total, in increasing order
     samples: Tuple[Tuple[int, float], ...]
-
-
-# Probability mass the law may drop at each step: a binomial tail, the tail
-# of a run-state's count distribution, or a whole run-state.
-_TAIL = 1e-30
-
-
-def _trim(lo: int, mass: np.ndarray) -> Tuple[int, np.ndarray]:
-    """Drop the longest head and the longest tail of ``mass`` holding at most _TAIL each."""
-    head = int(np.searchsorted(np.cumsum(mass), _TAIL, side="right"))
-    tail = int(np.searchsorted(np.cumsum(mass[::-1]), _TAIL, side="right"))
-    return lo + head, mass[head : max(head, mass.size - tail)]
-
-
-def _binomial(m: int, p: float) -> Tuple[int, np.ndarray]:
-    """Bin(m, p) as (lo, pmf of lo, lo + 1, ...), each tail cut at most _TAIL.
-
-    Hoeffding's bound puts at most _TAIL beyond m p -/+ sqrt(m ln(1/_TAIL) / 2);
-    inside, the pmf comes from the ratio recursion in log space, scaled to
-    sum to 1.
-    """
-    if p == 0.0 or p == 1.0:
-        return (m if p == 1.0 else 0), np.ones(1)
-    half = math.sqrt(m * math.log(1.0 / _TAIL) / 2.0)
-    lo = max(0, math.floor(m * p - half))
-    hi = min(m, math.ceil(m * p + half))
-    k = np.arange(lo, hi, dtype=np.float64)
-    steps = np.log((m - k) / (k + 1.0)) + (math.log(p) - math.log1p(-p))
-    logs = np.concatenate(([0.0], np.cumsum(steps)))
-    pmf = np.exp(logs - logs.max())
-    pmf /= pmf.sum()
-    return _trim(lo, pmf)
 
 
 def schedule_law(
@@ -571,27 +551,31 @@ def baseline_samples(query: QueryLike) -> int:
 def worst_case_budget(query: QueryLike) -> BudgetBound:
     """Worst-case halving budget: closed-form terms plus the exact largest call.
 
-    With C = (sqrt 3 + sqrt 2)^2 and L = ln(n / delta) for the halving call
-    bound n, a proving call on an interval wider than eta needs at most
-    theta C / eta^2 L samples and a refuting one at most C / eta^2 L; a
-    flank the schedule makes no call on contributes zero.  The exact term
-    plans every interval the halving schedule could ever test and keeps the
-    largest size, so it dominates any observed run structurally.  Raises
-    OutOfRangeError when a bound overflows.
+    Each term is the closed form the planner's bisection starts at,
+    ceil(8 theta2 L / width^2) with L = ln(n / delta) for the halving call
+    bound n (tester module docstring), and a plan is never larger than its
+    closed form.  A proving call has theta2 <= theta and a refuting one
+    theta2 <= 1, each on an interval at least eta wide, so k1 = ceil(8 theta
+    L / eta^2) and k2 = ceil(8 L / eta^2) bound their sizes; a flank the
+    schedule makes no call on contributes zero.  k3 is the final call's
+    closed form.  The exact term plans every interval the halving schedule
+    could ever test and keeps the largest size, so it dominates any observed
+    run structurally.  Raises OutOfRangeError when a bound overflows.
     """
     q = validate_query(query)
     big_l = math.log(1.0 / (q.delta / _halving_calls(q)))
-    const = (math.sqrt(3.0) + math.sqrt(2.0)) ** 2
-    theta, eta = q.theta, q.eta
     sides = [(_side(a, b), plan.n_samples) for plan, a, b in schedule("bincert", q)[1]]
     sizes = {side: max(n for s, n in sides if s == side) for side, _ in sides}
-    k1 = theta * const / (eta * eta) * big_l if "proving" in sizes else 0.0
-    k2 = const / (eta * eta) * big_l if "refuting" in sizes else 0.0
-    k3 = (
-        (math.sqrt(3.0 * theta) + math.sqrt(2.0 * q.upper)) ** 2 / (eta * eta) * big_l
+
+    def closed_form(theta2: float, width: float) -> int:
+        return _sample_count(8.0 * theta2 * big_l / (width * width))
+
+    return BudgetBound(
+        k1=closed_form(q.theta, q.eta) if "proving" in sizes else 0,
+        k2=closed_form(1.0, q.eta) if "refuting" in sizes else 0,
+        k3=closed_form(q.upper, q.upper - q.theta),
+        exact_schedule_total=max(sizes.values()),
     )
-    _sample_count(max(k1, k2, k3))  # an overflowing bound is bad input, as in planning
-    return BudgetBound(k1=k1, k2=k2, k3=k3, exact_schedule_total=max(sizes.values()))
 
 
 def _bincert(query: ThresholdQuery) -> _Layout:
@@ -619,11 +603,9 @@ def _fixedcert(query: ThresholdQuery) -> _Layout:
 
 
 def _estimate(query: ThresholdQuery) -> _Layout:
-    half = query.eta / 2.0
-    plan = TesterPlan(theta1=query.theta, theta2=query.upper, delta_call=query.delta,
-                      n_samples=baseline_samples(query), eta1=half, eta2=half,
-                      t=query.theta + half)
-    return (), iter([_entry("final", plan)])
+    n = baseline_samples(query)
+    c = _cutoff(n, Fraction(query.theta) + Fraction(query.eta) / 2)
+    return (), iter([_entry("final", TesterPlan(query.theta, query.upper, query.delta, n, c))])
 
 
 # Each strategy's layout by its name: the one place strategy names are written.

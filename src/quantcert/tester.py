@@ -1,22 +1,31 @@
 """Two-point threshold tester over one shared trial stream.
 
-Distinguishes Bernoulli rates p <= theta1 from p >= theta2.  The sample
-size comes from the multiplicative Chernoff bounds exp(-e^2 mu / 3) on the
-upper tail at theta1 (e = eta1 / theta1) and exp(-e^2 mu / 2) on the lower
-tail at theta2 (e = eta2 / theta2).  The upper form holds only for e <= 1,
-so a plan with eta1 > theta1 > 0 can err above delta_call on that side.
-The slack is split so both tails bind at once:
+Distinguishes Bernoulli rates p <= theta1 from p >= theta2.  A call of N
+trials with integer cutoff c answers yes when the successes S among them
+are at most c.  N is *feasible* at delta_call when some c has
 
-    N    = ceil( (sqrt(3 theta1) + sqrt(2 theta2))^2 / (theta2 - theta1)^2
-                 * ln(1/delta_call) )
-    eta1 = (theta2 - theta1) * sqrt(3 theta1) / (sqrt(3 theta1) + sqrt(2 theta2))
-    eta2 = (theta2 - theta1) - eta1
+    P_theta1(S > c) <= delta_call   and   P_theta2(S <= c) <= delta_call,
 
-The verdict compares the success count s against the integer cutoff c,
-the largest s in [0, N] with s / N <= t for the boundary t = theta1 + eta1:
-s <= c is yes, so a tie s / N == t counts as yes.  At theta1 = 0 this
-collapses to N = ceil((2/theta2) ln(1/delta_call)) with t = 0 and c = 0,
-so yes requires a clean sweep of zero successes.
+both tails of the exact binomial law.  The first tail falls and the second
+rises with c, so N is feasible exactly when the smallest c meeting the
+first condition meets the second; that c is the plan's cutoff.
+
+The feasible N do not form an interval, so the plan does not promise the
+smallest one.  Its N comes from bisection between 0, never feasible, and
+
+    N0 = ceil( 8 theta2 ln(1/delta_call) / (theta2 - theta1)^2 ),
+
+feasible with the cutoff at the interval's midpoint by the Chernoff bounds
+P(S >= (1 + e) mu) <= exp(-e^2 mu / (2 + e)) and P(S <= (1 - e) mu) <=
+exp(-e^2 mu / 2), which hold for every e > 0.  So the plan's N is feasible
+and N - 1 is not.  Tails are summed from their far end over a window of the
+pmf that leaves out at most 2e-9 delta_call on each side, and a computed
+tail must be at most delta_call (1 - 1e-6), so neither the window nor
+rounding lets an infeasible N pass.  Where N0 exceeds 2^32, or delta_call
+is below 1e-200, the plan is N0 with the midpoint cutoff: planning never
+builds a pmf of more than about 2 M terms, nor one whose tails underflow.
+Near the cap, planning one call takes about a second; drawing its trials
+takes far longer.
 
 Every call of a run decides on a prefix of one TrialStream: a call of size
 N counts the successes among trials [0, N).  Each call's error bound holds
@@ -32,8 +41,9 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,33 +53,13 @@ from .oracle import Oracle, OracleFailure, TrialOutcomes
 
 @dataclass(frozen=True)
 class TesterPlan:
-    """Fully derived execution plan for one tester call.
-
-    eta2 is defined by subtraction from the interval width and is never
-    recomputed; t is theta1 + eta1 and doubles as theta2 - eta2 up to
-    rounding.
-    """
+    """One tester call: draw n_samples trials, answer yes iff at most c succeed."""
 
     theta1: float
     theta2: float
     delta_call: float
     n_samples: int
-    eta1: float
-    eta2: float
-    t: float
-
-    @property
-    def c(self) -> int:
-        """Largest s in [0, n_samples] with s / n_samples <= t: yes iff successes <= c.
-
-        Derived, not stored, so it stays out of every serialized form.
-        """
-        n = self.n_samples
-        # t * n can round across an integer; one step either way corrects it.
-        c = min(n, math.floor(self.t * n))
-        if c < n and (c + 1) / n <= self.t:
-            return c + 1
-        return c - 1 if c / n > self.t else c
+    c: int
 
 
 def _sample_count(bound: float) -> int:
@@ -85,8 +75,68 @@ def _sample_count(bound: float) -> int:
     return math.ceil(bound)
 
 
+def _cutoff(n: int, t: float | Fraction) -> int:
+    """The largest s in [0, n] with s <= t n, t a float or Fraction >= 0, computed exactly."""
+    return min(n, math.floor(Fraction(t) * n))
+
+
+# Probability mass a binomial window or the law may drop at each step: a
+# binomial tail, the tail of a run-state's count distribution, or a whole
+# run-state.
+_TAIL = 1e-30
+
+
+def _trim(lo: int, mass: np.ndarray, tail: float = _TAIL) -> Tuple[int, np.ndarray]:
+    """Drop the longest head and the longest tail of ``mass`` holding at most ``tail`` each."""
+    head = int(np.searchsorted(np.cumsum(mass), tail, side="right"))
+    end = int(np.searchsorted(np.cumsum(mass[::-1]), tail, side="right"))
+    return lo + head, mass[head : max(head, mass.size - end)]
+
+
+def _binomial(m: int, p: float, tail: float = _TAIL) -> Tuple[int, np.ndarray]:
+    """Bin(m, p) as (lo, pmf of lo, lo + 1, ...), each tail cut at most ``tail``.
+
+    Hoeffding's bound puts at most ``tail`` beyond m p -/+ sqrt(m ln(1/tail) / 2);
+    inside, the pmf comes from the ratio recursion in log space, scaled to
+    sum to 1.
+    """
+    if p == 0.0 or p == 1.0:
+        return (m if p == 1.0 else 0), np.ones(1)
+    half = math.sqrt(m * math.log(1.0 / tail) / 2.0)
+    lo = max(0, math.floor(m * p - half))
+    hi = min(m, math.ceil(m * p + half))
+    k = np.arange(lo, hi, dtype=np.float64)
+    steps = np.log((m - k) / (k + 1.0)) + (math.log(p) - math.log1p(-p))
+    logs = np.concatenate(([0.0], np.cumsum(steps)))
+    pmf = np.exp(logs - logs.max())
+    pmf /= pmf.sum()
+    return _trim(lo, pmf, tail)
+
+
+# Planning bounds: the largest N whose tails are computed, the smallest
+# delta_call they are computed at, the mass a window may leave out of each
+# tail (twice, by _binomial's window and its trim) and the margin a computed
+# tail must keep under delta_call, both relative to delta_call.
+_EXACT_N = 2 ** 32
+_EXACT_DELTA = 1e-200
+_WINDOW = 1e-9
+_MARGIN = 1e-6
+
+
+def _exact_cutoff(n: int, theta1: float, theta2: float, delta_call: float) -> Optional[int]:
+    """The cutoff that makes n feasible, or None when n is not feasible."""
+    bound = delta_call * (1.0 - _MARGIN)
+    lo, pmf = _binomial(n, theta1, delta_call * _WINDOW)
+    # The smallest c with P(S > c) <= bound leaves the longest tail of the
+    # window holding at most bound above it.
+    above = int(np.searchsorted(np.cumsum(pmf[::-1]), bound, side="right"))
+    c = lo + pmf.size - above - 1
+    lo, pmf = _binomial(n, theta2, delta_call * _WINDOW)
+    return c if c < lo or float(pmf[: c - lo + 1].sum()) <= bound else None
+
+
 def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
-    """Derive the sample size and decision boundary for one call.
+    """Derive the sample size and cutoff for one call.
 
     Raises OutOfRangeError unless 0 < delta_call < 1, the real numbers
     0 <= theta1 < theta2 <= 1, and (theta2 - theta1)^2 is nonzero.  The
@@ -111,20 +161,18 @@ def _plan(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
         raise OutOfRangeError(
             f"interval ({theta1}, {theta2}) is too narrow: its width squared underflows"
         )
-    root1 = math.sqrt(3.0 * theta1)
-    root2 = math.sqrt(2.0 * theta2)
-    n = _sample_count((root1 + root2) ** 2 / (width * width) * math.log(1.0 / delta_call))
-    eta1 = width * root1 / (root1 + root2)
-    eta2 = width - eta1
-    return TesterPlan(
-        theta1=theta1,
-        theta2=theta2,
-        delta_call=delta_call,
-        n_samples=n,
-        eta1=eta1,
-        eta2=eta2,
-        t=theta1 + eta1,
-    )
+    hi = _sample_count(8.0 * theta2 * math.log(1.0 / delta_call) / (width * width))
+    c = _cutoff(hi, (Fraction(theta1) + Fraction(theta2)) / 2)
+    if hi <= _EXACT_N and delta_call >= _EXACT_DELTA:
+        lo = 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            found = _exact_cutoff(mid, theta1, theta2, delta_call)
+            if found is None:
+                lo = mid
+            else:
+                hi, c = mid, found
+    return TesterPlan(theta1, theta2, delta_call, hi, c)
 
 
 class _Deadline(Exception):

@@ -31,7 +31,7 @@ from quantcert.robustness import MisclassificationProperty
 from quantcert.sim import complexity_sweep
 from quantcert.strategy import schedule, schedule_law
 from quantcert.tester import plan_tester
-from chernoff_reference import DomainError, chernoff_tail
+from binomial_reference import DomainError, chernoff_tail
 from conftest import CountingOracle, linear_model, linear_model_doc
 
 
@@ -308,8 +308,8 @@ class TestSampleTally:
 
 class TestChernoffTail:
     def test_upper_hits_e_inverse(self):
-        # n eta^2 / (3 mu) = 150 * 0.01 / 1.5 = 1
-        assert chernoff_tail(0.5, 0.1, 150, "upper") == pytest.approx(math.exp(-1), rel=1e-12)
+        # n eta^2 / (2 mu + eta) = 110 * 0.01 / 1.1 = 1
+        assert chernoff_tail(0.5, 0.1, 110, "upper") == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_lower_hits_e_inverse(self):
         # n eta^2 / (2 mu) = 100 * 0.01 / 1.0 = 1
@@ -330,7 +330,7 @@ class TestChernoffTail:
 
     def test_monotone_in_n_eta_and_sides(self):
         # dense grid; the bound must shrink as n or eta grow, and the upper
-        # (3 mu) form can never undercut the lower (2 mu) form
+        # (2 mu + eta) form can never undercut the lower (2 mu) form
         checked = 0
         for mu in np.linspace(0.05, 1.0, 8):
             for eta in np.linspace(0.01, 0.3, 5):
@@ -475,7 +475,7 @@ GOLDEN_WIDE = {
 }
 
 # bincert on (0.1, 0.05, 0.1), Bernoulli(0.13), SeedSpec(PIN_SEED): 7 calls, no
-GOLDEN_REPORT_SHA256 = "efb9a2046e023ea16093f55c072ca83e0b48f740c0f1f77130873cabc6bd4e6c"
+GOLDEN_REPORT_SHA256 = "28964bac7531454964c7c2f25f96701e2f58b7626f912e58d1d47effd20147df"
 
 
 def _words_sha256(words):

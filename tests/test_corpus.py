@@ -78,14 +78,14 @@ def density_reports(norm):
 
 
 GOLDEN_BERNOULLI = {
-    "bincert": "45768b3402e10d7b1a9a5d08262e97574990100837918dd044842c5e36fa9fe1",
-    "fixedcert": "eab5988630bb5ad01c68f8169f60007a184a02efafb35c972f208bf50a03e4f0",
-    "estimate": "6f6f110af86dbeab33550ad07a3adbd57ed1b590b1186f339742ac529a189d29",
+    "bincert": "3ba276dbfee0cc0f5cad9f7ad323936af8f51d4a6fb9c5a6c22f7c0a9ca371ea",
+    "fixedcert": "c96be1c46ea9cd68a29765c9c943d894a0c7450f08faa52313ea03c31faa6938",
+    "estimate": "c7208fd533959a9afcdd829a475f4ceaf3c0234d610e7155cd5ce658e2127047",
 }
 
 GOLDEN_DENSITY = {
-    "linf": "d79a736ee3d9bee6d3b12ec6f1f2dcdf35693d0708a1c2c3b0605287bbc3d734",
-    "l2": "04f17d33dd08941b8a0104d634b0e71279bf9edb9af88868bafb7d5d53df3d71",
+    "linf": "119b07c6ef97b344901777200af6de4c08991f63c40cdc9ea9ba975fb81e909f",
+    "l2": "8a1bb9b965f6330da09b766faf4c371506f233716546b06f005e7bf99c75c044",
 }
 
 

@@ -75,12 +75,12 @@ GOLDEN_HARDNESS = {
     "linf": (
         (0.02, 0.03, 0.04, 0.05, 0.06, 0.08),
         0.04,
-        [(0.08, "no", 486), (0.04, "yes", 1654), (0.05, "no", 1654)],
+        [(0.08, "no", 197), (0.04, "yes", 678), (0.05, "no", 678)],
     ),
     "l2": (
         (0.6, 0.8, 1.0, 1.2, 1.5, 2.0),
         0.8,
-        [(2.0, "no", 21), (1.0, "no", 1654), (0.6, "yes", 1654), (0.8, "yes", 1654)],
+        [(2.0, "no", 19), (1.0, "no", 678), (0.6, "yes", 678), (0.8, "yes", 678)],
     ),
 }
 

@@ -103,8 +103,8 @@ class TestBernoulliOracle:
 
 
 # bincert on (0.1, 2e-3, 0.01), Bernoulli(0.0995), SeedSpec(20240817): 16 calls,
-# yes, 1,863,901 trials in draws of 2^17, each split; recorded before draws split.
-SPLIT_REPORT_SHA256 = "aacd5258ec74d0d21e3fa4acae6809f6f38e110a8fd68d634d1c5080d1312d1f"
+# yes, 960,666 trials in draws of 2^17, each split; recorded with splitting off.
+SPLIT_REPORT_SHA256 = "64a4b5674017d382d3fae676b613234b22886bd875eb569de4d58db4395ed609"
 
 
 def _unsplit_hits(seed, start, count, p):

@@ -28,7 +28,7 @@ class TestVerdictColumns:
         assert row.p_no == row.p_inconclusive == 0.0
         assert row.p_wrong == 0.0
         # one call settles every run, so the cost is certain
-        assert row.mean_samples == row.median_samples == 88.0
+        assert row.mean_samples == row.median_samples == 42.0
         assert row.stddev_samples == 0.0
 
     def test_high_rate_always_refutes(self):
@@ -75,20 +75,21 @@ class TestVerdictColumns:
     def test_replay_is_deterministic(self):
         assert _row("bincert", QUERY, 0.125) == _row("bincert", QUERY, 0.125)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the tester sizes its calls with the upper-tail Chernoff bound "
-        "outside its range (eta1 > theta1), so p_wrong is 0.00926 and 0.00853"))
     def test_wide_band_errs_at_most_delta(self):
+        # Chernoff sizes broke delta here (p_wrong 0.00926 and 0.00853 at
+        # theta), where eta1 > theta1 put the upper bound outside its range
         query = ThresholdQuery(0.003, 0.35, 0.005)
-        table = complexity_sweep(["bincert", "fixedcert"], query, [0.003])
+        table = complexity_sweep(["bincert", "fixedcert"], query, [0.003, query.upper])
+        assert [row.p_wrong for row in table.rows] == pytest.approx(
+            [7.48e-5, 9.43e-4, 6.67e-5, 1.36e-3], rel=0.01)
         assert all(row.p_wrong <= query.delta for row in table.rows)
 
     def test_band_edge_errors_of_the_tight_query(self):
-        # bench's bern-tight query: both edges err far less often than delta
+        # bench's bern-tight query: both edges err within delta, at about a sixth of it
         tight = ThresholdQuery(0.1, 2e-3, 0.01)
         at_theta, at_upper = complexity_sweep(["bincert"], tight, [0.1, tight.upper]).rows
-        assert at_theta.p_wrong == pytest.approx(3.25e-5, rel=0.01)
-        assert at_upper.p_wrong == pytest.approx(2.64e-5, rel=0.01)
+        assert at_theta.p_wrong == pytest.approx(1.64e-3, rel=0.01)
+        assert at_upper.p_wrong == pytest.approx(1.42e-3, rel=0.01)
 
 
 class TestComplexitySweep:
@@ -114,7 +115,7 @@ class TestComplexitySweep:
 
     def test_mean_cost_near_the_threshold(self):
         row = _row("bincert", QUERY, 0.02)
-        assert row.mean_samples == pytest.approx(2228.65, abs=0.01)
+        assert row.mean_samples == pytest.approx(628.24, abs=0.01)
 
     def test_easy_rates_beat_baseline_by_two_orders(self):
         query = ThresholdQuery(0.01, 0.01, 0.01)
@@ -129,8 +130,8 @@ class TestComplexitySweep:
         bound = worst_case_budget(query)
         law = schedule_law(schedule("bincert", query)[1], query.theta)
         largest = max(total for total, _ in law.samples)
-        assert largest == bound.exact_schedule_total == 9_567
-        assert largest >= bound.k3
+        assert largest == bound.exact_schedule_total == 5_504
+        assert largest <= bound.k3  # the final call's closed form
         assert _row("bincert", query, query.theta).mean_samples <= largest
 
     def test_csv_round_trip(self):

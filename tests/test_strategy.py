@@ -2,6 +2,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,10 +181,23 @@ class TestHalvingSchedule:
         assume(theta + eta <= 1.0)
         query = ThresholdQuery(theta, eta, delta)
         n = _halving_calls(query)
-        _, entries = schedule("bincert", query)
-        spent = [plan.delta_call for plan, _, _ in entries]
+        spent = _budgets("bincert", query)
         assert len(spent) <= n
         assert set(spent) == {delta / n}
+
+
+def _budgets(name, query):
+    """The delta_call of every entry of the schedule, read without sizing a call.
+
+    The layouts hand each call's delta_call to plan_tester; a stand-in that
+    keeps it and sizes nothing walks whole schedules at eta near 1e-6, where
+    sizing each of hundreds of calls exactly would take seconds.
+    """
+    def unsized(theta1, theta2, delta_call):
+        return HandPlan(theta1, theta2, delta_call, 1, 0)
+
+    with mock.patch("quantcert.strategy.plan_tester", unsized):
+        return [plan.delta_call for plan, _, _ in schedule(name, query)[1]]
 
 
 # Queries whose flanks are empty, narrow, or touch 0 or 1.
@@ -202,8 +216,7 @@ def test_union_bound_covers_the_whole_schedule(name, theta, eta, delta):
     # Every call a run could make is in the schedule, so the per-call
     # failure budgets of the whole schedule must sum within delta.
     assume(theta + eta <= 1.0)
-    _, entries = schedule(name, ThresholdQuery(theta, eta, delta))
-    spent = [plan.delta_call for plan, _, _ in entries]
+    spent = _budgets(name, ThresholdQuery(theta, eta, delta))
     assert math.fsum(spent) <= delta * (1.0 + 1e-12)
     if name == "bincert":
         assert len(set(spent)) == 1
@@ -219,7 +232,7 @@ class TestBinCert:
         assert call.side == "proving"
         assert (call.plan.theta1, call.plan.theta2) == (0.0, 0.5)
         delta_min = query.delta / _halving_calls(query)
-        assert report.total_samples == plan_tester(0.0, 0.5, delta_min).n_samples == 27
+        assert report.total_samples == plan_tester(0.0, 0.5, delta_min).n_samples == 10
 
     def test_full_rate_settles_on_first_refuting_call(self, seed):
         report = run_strategy("bincert", ThresholdQuery(0.5, 0.1, 0.01), BernoulliOracle(1.0), seed)
@@ -270,9 +283,9 @@ class TestBinCert:
             assert all(start >= length for start, _ in drawn)
             assert sum(k for _, k in drawn) == max(0, call.plan.n_samples - length)
             assert all(k == batch for _, k in drawn[:-1])
-        # 27 and 74 read inside the proving call's 88 trials, and the final
-        # call's 2109 inside the 2664 before it: three calls draw nothing
-        assert [c.plan.n_samples for c in report.calls] == [88, 27, 74, 226, 749, 2664, 2109]
+        # 3 and 25 read inside the proving call's 42 trials, and the final
+        # call's 894 inside the 1067 before it: three calls draw nothing
+        assert [c.plan.n_samples for c in report.calls] == [42, 3, 25, 84, 293, 1067, 894]
         assert [nxt - first for (_, first), nxt in zip(marks, ends)].count(0) == 3
 
     def test_zero_threshold_query(self, seed):
@@ -292,7 +305,7 @@ class TestBinCert:
             ThresholdQuery(0.5, 0.1, 0.01),
             BernoulliOracle(0.0),
             seed,
-            limits=ResourceLimits(max_samples=10),
+            limits=ResourceLimits(max_samples=9),  # the first call takes 10
         )
         assert report.verdict.kind == "inconclusive"
         assert report.verdict.reason == "budget-exhausted"
@@ -465,7 +478,7 @@ class TestFixedCert:
         report = run_strategy("fixedcert", ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(0.0), seed)
         assert report.verdict.kind == "yes"
         assert len(report.calls) == 1
-        assert report.total_samples == 137
+        assert report.total_samples == 65
 
     def test_full_rate(self, seed):
         report = run_strategy("fixedcert", ThresholdQuery(0.3, 0.01, 0.01), BernoulliOracle(1.0), seed)
@@ -518,8 +531,7 @@ class TestBaseline:
         assert report.total_samples == 832
         (call,) = report.calls
         assert call.side == "final"
-        assert call.plan.eta1 == call.plan.eta2 == query.eta / 2.0
-        assert call.plan.t == query.theta + query.eta / 2.0
+        assert call.plan.c == 124  # the largest count with rate at most 0.15
         assert call.plan.delta_call == query.delta
 
     def test_estimate_rejects_high_rate(self, seed):
@@ -543,10 +555,8 @@ class TestWorstCaseBudget:
     # A run costs its largest call, so every term bounds one call.
     def test_reference_budget(self):
         bound = worst_case_budget(ThresholdQuery(0.1, 1e-3, 0.01))
-        assert bound.exact_schedule_total == 7_530_473  # the final call
-        assert bound.k1 == pytest.approx(7496821.270234897, rel=1e-10)
-        assert bound.k2 == pytest.approx(74968212.70234895, rel=1e-10)
-        assert bound.k3 == pytest.approx(7530472.566355482, rel=1e-10)
+        assert bound.exact_schedule_total == 3_897_943  # the final call
+        assert (bound.k1, bound.k2, bound.k3) == (6_058_662, 60_586_620, 6_119_249)
         assert bound.analytic_total == max(bound.k1, bound.k2, bound.k3) == bound.k2
 
     def test_flank_terms_vanish_when_too_narrow(self):
@@ -559,9 +569,11 @@ class TestWorstCaseBudget:
         # gets no call either
         bound = worst_case_budget(ThresholdQuery(0.0, 0.5, 0.01))
         assert bound.k1 == bound.k2 == 0.0
-        assert bound.k3 == pytest.approx(22.815129898624804, rel=1e-12)
-        assert bound.exact_schedule_total == 23
+        assert bound.k3 == 92  # ceil(8 * 0.5 * ln(3 / 0.01) / 0.5^2)
+        assert bound.exact_schedule_total == 9  # 0.5^9 <= 0.01 / 3 < 0.5^8
 
+    # Sizing a call of 10^9 trials exactly takes about half a second.
+    @settings(deadline=None)
     @given(theta=st.floats(0.0, 0.99), eta=st.floats(1e-4, 0.5), delta=st.floats(1e-6, 1.0))
     @example(theta=0.1, eta=1e-3, delta=0.01)
     @example(theta=0.0, eta=0.5, delta=0.01)
@@ -667,8 +679,14 @@ class TestRunStrategy:
         assert seen.count("plan_tester") == planned
 
 
+# (n, c) of each side's call in the report invariant tests, built by hand:
+# the invariants read a plan's interval, n and c, not how it was sized.
+HAND_CALLS = {"proving": (19, 0), "refuting": (219, 174), "final": (2480, 1370)}
+
+
 def _record(side, theta1, theta2, delta, successes=0):
-    return CallRecord(*_entry(side, plan_tester(theta1, theta2, delta)), successes=successes)
+    plan = HandPlan(theta1, theta2, delta, *HAND_CALLS[side])
+    return CallRecord(*_entry(side, plan), successes=successes)
 
 
 def _report(query, calls, verdict, total=None):
@@ -688,19 +706,19 @@ def _report(query, calls, verdict, total=None):
 
 class TestReportInvariants:
     QUERY = ThresholdQuery(0.5, 0.1, 0.01)
-    # Each side's interval for QUERY at delta_call 0.01, with its (n, c).
+    # Each side's interval for QUERY; calls on them are planned at delta_call 0.01.
     INTERVALS = {"proving": (0.0, 0.5), "refuting": (0.6, 1.0), "final": (0.5, 0.6)}
 
     def test_intervals_are_as_pinned(self):
         plans = {side: plan_tester(*interval, 0.01) for side, interval in self.INTERVALS.items()}
         assert {side: (p.n_samples, p.c) for side, p in plans.items()} == {
-            "proving": (19, 0), "refuting": (219, 174), "final": (2480, 1370)}
+            "proving": (7, 0), "refuting": (10, 9), "final": (548, 301)}
 
     def test_entry_bounds_by_side(self):
         # proving (c, n), refuting (-1, c), final (c, c); each reads back as its side
         plans = {side: plan_tester(*interval, 0.01) for side, interval in self.INTERVALS.items()}
         bounds = {side: _entry(side, plan)[1:] for side, plan in plans.items()}
-        assert bounds == {"proving": (0, 19), "refuting": (-1, 174), "final": (1370, 1370)}
+        assert bounds == {"proving": (0, 7), "refuting": (-1, 9), "final": (301, 301)}
         assert all(_side(a, b) == side for side, (a, b) in bounds.items())
 
     def test_accepts_consistent_report(self):
@@ -837,10 +855,9 @@ class TestReportInvariants:
             _check_report(_report(self.QUERY, [first, again], Verdict("no")))
 
 
-def _hand_plan(n, t):
-    # only n_samples and t decide a call; the interval is irrelevant here
-    return HandPlan(theta1=0.0, theta2=1.0, delta_call=0.1,
-                      n_samples=n, eta1=t, eta2=1.0 - t, t=t)
+def _hand_plan(n, c):
+    # only n_samples and c decide a call; the interval is irrelevant here
+    return HandPlan(theta1=0.0, theta2=1.0, delta_call=0.1, n_samples=n, c=c)
 
 
 # Hand-built schedules with n <= 16, small enough to enumerate every
@@ -849,16 +866,16 @@ def _hand_plan(n, t):
 # caps of 9 and 14 cut the first two schedules partway.  The first ends in
 # a final call that cannot settle on either flank.
 HAND_SCHEDULES = [
-    [_entry("proving", _hand_plan(4, 0.25)), _entry("refuting", _hand_plan(9, 0.6)),
-     _entry("proving", _hand_plan(3, 1 / 3)), _entry("refuting", _hand_plan(6, 0.5)),
-     _entry("final", _hand_plan(12, 0.5))],
-    [_entry("refuting", _hand_plan(16, 0.3)), _entry("proving", _hand_plan(5, 0.2)),
-     _entry("final", _hand_plan(7, 0.0))],
-    [_entry("final", _hand_plan(11, 0.45))],
+    [_entry("proving", _hand_plan(4, 1)), _entry("refuting", _hand_plan(9, 5)),
+     _entry("proving", _hand_plan(3, 1)), _entry("refuting", _hand_plan(6, 3)),
+     _entry("final", _hand_plan(12, 6))],
+    [_entry("refuting", _hand_plan(16, 4)), _entry("proving", _hand_plan(5, 1)),
+     _entry("final", _hand_plan(7, 0))],
+    [_entry("final", _hand_plan(11, 4))],
     # An interim call that settles at both ends and reads on between them:
     # a law that broke after it, judging by the two ends of S(6), would
     # never reach the final call.
-    [(_hand_plan(6, 0.5), 0, 4), _entry("final", _hand_plan(10, 0.5))],
+    [(_hand_plan(6, 3), 0, 4), _entry("final", _hand_plan(10, 5))],
 ]
 
 
@@ -907,7 +924,7 @@ def _small_schedules(draw):
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, 10))
         b = draw(st.integers(-1, n))
-        entries.append((_hand_plan(n, 0.5), draw(st.integers(-1, b)), b))
+        entries.append((_hand_plan(n, n // 2), draw(st.integers(-1, b)), b))
     return entries
 
 
@@ -936,6 +953,38 @@ class TestScheduleLaw:
         p_no = [schedule_law(schedule(name, query)[1], p).p_no
                 for p in [k / 200 for k in range(201)]]
         assert all(b >= a - 1e-12 for a, b in zip(p_no, p_no[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["bincert", "fixedcert"]),
+           theta=st.just(0.0) | st.floats(0.0, 0.01) | st.floats(0.0, 0.95),
+           eta=st.floats(0.01, 0.5), delta=st.floats(1e-6, 0.5))
+    @example(name="bincert", theta=0.003, eta=0.35, delta=0.005)
+    @example(name="fixedcert", theta=0.003, eta=0.35, delta=0.005)
+    def test_random_queries_err_at_most_delta(self, name, theta, eta, delta):
+        # P(no) rises with the rate, so the band edges are the worst cases
+        assume(theta + eta <= 1.0)
+        query = ThresholdQuery(theta, eta, delta)
+        at_theta = schedule_law(schedule(name, query)[1], query.theta)
+        at_upper = schedule_law(schedule(name, query)[1], query.upper)
+        assert at_theta.p_no + at_theta.p_inconclusive <= delta
+        assert at_upper.p_yes + at_upper.p_inconclusive <= delta
+
+    @pytest.mark.parametrize("a, b, n", [(3, 2, 5), (-2, 2, 5), (0, 6, 5)],
+                             ids=["a-above-b", "a-below-minus-one", "b-above-n"])
+    def test_entries_are_checked(self, a, b, n, monkeypatch, seed):
+        # The run and the law read entries through one check, so an entry
+        # that means nothing fails both before anything is drawn or summed.
+        import quantcert.strategy as strategy_module
+
+        bad = (_hand_plan(n, 2), a, b)
+        message = r"a call needs 0 <= n and -1 <= a <= b <= n"
+        with pytest.raises(OutOfRangeError, match=message):
+            schedule_law([bad], 0.5)
+        monkeypatch.setitem(strategy_module._LAYOUTS, "bincert", lambda query: ((), iter([bad])))
+        oracle = CountingOracle(BernoulliOracle(0.5))
+        with pytest.raises(OutOfRangeError, match=message):
+            run_strategy("bincert", (0.1, 0.05, 0.1), oracle, seed)
+        assert oracle.total_trials == 0
 
     def test_settled_run_plans_nothing_further(self, monkeypatch):
         import quantcert.strategy as strategy_module

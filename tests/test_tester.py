@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,11 +16,12 @@ from quantcert import (
     ThresholdQuery,
     TrialOutcomes,
 )
+import quantcert.tester
 from quantcert.core import SampleTally
 from quantcert.strategy import _entry, run_strategy, run_tester, schedule
 from quantcert.tester import TesterPlan as HandPlan
-from quantcert.tester import TrialStream, plan_tester
-from chernoff_reference import chernoff_tail
+from quantcert.tester import TrialStream, _cutoff, plan_tester
+from binomial_reference import chernoff_tail, exact_tails, feasible
 from conftest import CountingOracle, FixedSuccessOracle
 from test_corpus import QUERIES, STRATEGY_NAMES
 
@@ -27,64 +32,81 @@ CONFIDENCE = r"delta_call must sit in \(0, 1\)"
 CHECK_IDS = {INTERVAL: "InvalidIntervalError", CONFIDENCE: "InvalidConfidenceError"}
 ANSWERED = "answered .* one bool per trial"
 
-# frozen by independent high-precision evaluation of the closed forms
-EXPECTED_ETA1 = 0.046410161513775458
-EXPECTED_T = 0.146410161513775458
+# Plans small enough for the exact reference: (theta1, theta2, delta_call).
+SMALL_PLANS = [(0.1, 0.5, 0.1), (0.0, 0.3, 0.1), (0.2, 0.6, 0.05), (0.05, 0.5, 0.05),
+               (0.1, 0.6, 0.01), (0.25, 0.75, 0.1), (0.1, 0.3, 0.2), (0.6, 1.0, 0.01)]
+
+
+def _sound(plan):
+    """Both of the plan's exact tails are at most its delta_call."""
+    upper, _ = exact_tails(plan.n_samples, plan.theta1, plan.c)
+    _, lower = exact_tails(plan.n_samples, plan.theta2, plan.c)
+    return max(upper, lower) <= Fraction(plan.delta_call)
+
+
+def _tight(plan):
+    """No cutoff makes one trial fewer feasible, even at the planner's margin under delta_call."""
+    n, t1, t2, d = plan.n_samples, plan.theta1, plan.theta2, plan.delta_call
+    return n == 1 or not feasible(n - 1, t1, t2, d * (1.0 - 2e-6))
 
 
 class TestPlanTester:
     def test_reference_plan(self):
         plan = plan_tester(0.1, 0.2, 0.01)
-        assert plan.n_samples == 642
-        assert plan.eta1 == pytest.approx(EXPECTED_ETA1, abs=1e-6)
-        assert plan.t == pytest.approx(EXPECTED_T, abs=1e-6)
-        # tighter check against the frozen high-precision values
-        assert plan.eta1 == pytest.approx(EXPECTED_ETA1, rel=1e-12)
-        assert plan.t == pytest.approx(EXPECTED_T, rel=1e-12)
+        assert (plan.n_samples, plan.c) == (278, 40)
+        assert plan == HandPlan(0.1, 0.2, 0.01, 278, 40)
 
     def test_zero_theta1_collapses(self):
+        # no success can occur at theta1 = 0, so c = 0 and N is the least
+        # with (1 - theta2)^N <= delta_call
         plan = plan_tester(0.0, 0.5, 0.01)
-        assert plan.n_samples == 19  # ceil((2/0.5) ln 100)
-        assert plan.eta1 == 0.0
-        assert plan.t == 0.0
-        assert plan.eta2 == 0.5
-
-    def test_eta2_defined_by_subtraction(self):
-        plan = plan_tester(0.1, 0.2, 0.01)
-        assert plan.eta2 == (plan.theta2 - plan.theta1) - plan.eta1
+        assert (plan.n_samples, plan.c) == (7, 0)  # 0.5^7 <= 0.01 < 0.5^6
 
     def test_boundary_consistency(self):
-        for t1, t2, d in [(0.1, 0.2, 0.01), (0.3, 0.31, 0.001), (0.0, 0.1, 0.5),
-                          (0.55, 0.9, 0.2), (0.001, 0.002, 0.05)]:
+        # the stored cutoff meets both exact tails, and the plan is no
+        # larger than the closed form the bisection starts at
+        for t1, t2, d in SMALL_PLANS:
             plan = plan_tester(t1, t2, d)
-            assert plan.t == plan.theta1 + plan.eta1
-            assert abs(plan.t - (plan.theta2 - plan.eta2)) <= 1e-12 * max(1.0, abs(plan.t))
+            assert _sound(plan), plan
+            assert 0 <= plan.c < plan.n_samples
+            assert plan.n_samples <= math.ceil(8.0 * t2 * math.log(1.0 / d) / (t2 - t1) ** 2)
 
-    def test_equalized_tail_exponents(self):
-        # the split is chosen so both one-sided exponents match
-        for t1, t2, d in [(0.1, 0.2, 0.01), (0.25, 0.5, 0.1), (0.01, 0.9, 0.3),
-                          (0.4, 0.41, 0.001)]:
-            plan = plan_tester(t1, t2, d)
-            left = 3.0 * plan.theta1 / (plan.eta1 * plan.eta1)
-            right = 2.0 * plan.theta2 / (plan.eta2 * plan.eta2)
-            assert left == pytest.approx(right, rel=1e-9)
+    def test_closed_form_meets_the_chernoff_bounds(self):
+        # N0 = ceil(8 theta2 ln(1/delta) / width^2) with the cutoff at the
+        # midpoint: both bounds of the reference hold at half the width
+        for t1, t2, d in [(0.1, 0.2, 0.01), (0.01, 0.02, 0.05), (0.003, 0.353, 1e-3),
+                          (0.5, 0.501, 1e-9)]:
+            n0 = math.ceil(8.0 * t2 * math.log(1.0 / d) / (t2 - t1) ** 2)
+            half = (t2 - t1) / 2.0
+            assert chernoff_tail(t1, half, n0, "upper") <= d * (1 + 1e-9)
+            assert chernoff_tail(t2, half, n0, "lower") <= d * (1 + 1e-9)
 
     def test_n_minimality_on_grid(self):
-        # N is the least integer making both tail bounds hit delta
-        grid = [(t1, t2, d)
-                for t1 in (0.02, 0.1, 0.3, 0.6)
-                for t2 in (0.05, 0.15, 0.45, 0.75, 0.95)
-                if t1 < t2
-                for d in (0.01, 0.1, 0.4)]
-        assert len(grid) >= 30
-        for t1, t2, d in grid:
+        # N is feasible by the exact reference and N - 1 is not
+        for t1, t2, d in SMALL_PLANS:
             plan = plan_tester(t1, t2, d)
-            assert chernoff_tail(t1, plan.eta1, plan.n_samples, "upper") <= d * (1 + 1e-9)
-            assert chernoff_tail(t2, plan.eta2, plan.n_samples, "lower") <= d * (1 + 1e-9)
-            if plan.n_samples > 1:
-                up = chernoff_tail(t1, plan.eta1, plan.n_samples - 1, "upper")
-                lo = chernoff_tail(t2, plan.eta2, plan.n_samples - 1, "lower")
-                assert max(up, lo) > d * (1 - 1e-4)
+            assert _sound(plan) and _tight(plan), plan
+
+    def test_feasible_sizes_are_not_an_interval(self):
+        # 9 and 11 trials are feasible, 10 and 12 are not: bisection stops at
+        # 13, feasible with 12 not, which is not the smallest feasible N
+        plan = plan_tester(0.3, 0.7, 0.1)
+        assert (plan.n_samples, plan.c) == (13, 6)
+        assert [feasible(n, 0.3, 0.7, 0.1) for n in range(8, 14)] == [
+            False, True, False, True, False, True]
+
+    @given(
+        t1=st.floats(0.0, 0.9),
+        width=st.floats(0.1, 1.0),
+        d=st.floats(1e-4, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_plans_are_exact(self, t1, width, d):
+        # random plans of at most a few dozen trials against the exact reference
+        t2 = min(1.0, t1 + width)
+        plan = plan_tester(t1, t2, d)
+        if plan.n_samples <= 60:
+            assert _sound(plan) and _tight(plan), plan
 
     @given(
         t1=st.floats(0.0, 0.85),
@@ -98,9 +120,16 @@ class TestPlanTester:
             return
         plan = plan_tester(t1, t2, d)
         assert plan.n_samples >= 1
-        assert 0.0 <= plan.eta1 < width
-        assert plan.eta2 == (t2 - t1) - plan.eta1
-        assert plan.theta1 <= plan.t <= plan.theta2
+        assert 0 <= plan.c < plan.n_samples
+        assert (plan.theta1, plan.theta2, plan.delta_call) == (t1, t2, d)
+
+    def test_huge_plans_take_the_closed_form(self):
+        # past 2^32 trials the plan is N0 with the midpoint cutoff, and
+        # building it allocates nothing of its size
+        plan = plan_tester(0.5, 0.5 + 1e-5, 0.01)
+        n0 = math.ceil(8.0 * plan.theta2 * math.log(100.0) / (plan.theta2 - 0.5) ** 2)
+        assert n0 > 2 ** 32 and plan.n_samples == n0
+        assert plan.c == math.floor((Fraction(0.5) + Fraction(plan.theta2)) / 2 * n0)
 
     @pytest.mark.parametrize(
         "t1,t2,d,message",
@@ -134,8 +163,12 @@ class TestPlanTester:
         assert plan_tester(np.float64(0.0), np.float64(1.0), 0.1) == warm
         assert all(type(v) is float for v in (numpy_plan.theta1, numpy_plan.theta2))
         signed = plan_tester(-0.0, 0.1, 0.1)
-        assert math.copysign(1.0, signed.theta1) == math.copysign(1.0, signed.t) == 1.0
+        assert math.copysign(1.0, signed.theta1) == 1.0
         assert math.copysign(1.0, plan_tester(0.0, 0.1, 0.1).theta1) == 1.0
+
+
+# A call of 131 trials, which no batch size below divides.
+ODD_PLAN = HandPlan(theta1=0.1, theta2=0.3, delta_call=0.05, n_samples=131, c=26)
 
 
 def _run(plan, oracle, seed):
@@ -173,8 +206,7 @@ class TestRunTester:
         assert len({r.outcome for r in results}) == 1
 
     def test_default_batch_comes_from_the_oracle(self, seed):
-        plan = plan_tester(0.1, 0.3, 0.05)
-        assert plan.n_samples == 131
+        plan = ODD_PLAN
         plain = CountingOracle(BernoulliOracle(0.2))  # no batch_trials
         _run(plan, plain, seed)
         assert [k for _, k in plain.windows] == [128, 3]
@@ -186,8 +218,7 @@ class TestRunTester:
         assert [k for _, k in sized.windows] == [100, 31]
 
     def test_tie_counts_as_yes(self, seed):
-        plan = HandPlan(theta1=0.25, theta2=0.75, delta_call=0.1,
-                          n_samples=4, eta1=0.25, eta2=0.25, t=0.5)
+        plan = HandPlan(theta1=0.25, theta2=0.75, delta_call=0.1, n_samples=4, c=2)
         exactly_half = FixedSuccessOracle({0, 1})
         assert _run(plan, exactly_half, seed).outcome == "yes"
         over_half = FixedSuccessOracle({0, 1, 2})
@@ -222,7 +253,7 @@ class TestRunTester:
                 _run(plan, CountingOracle(BernoulliOracle(0.2), batch_trials=batch), seed)
 
     def test_numpy_batch_is_accepted(self, seed):
-        plan = plan_tester(0.1, 0.3, 0.05)
+        plan = ODD_PLAN
         oracle = CountingOracle(BernoulliOracle(0.2), batch_trials=np.int64(50))
         _run(plan, oracle, seed)
         assert [k for _, k in oracle.windows] == [50, 50, 31]
@@ -261,8 +292,7 @@ class TestRunTester:
                     raise OracleFailure("down", partial_tally=SampleTally(4, 1))
                 return TrialOutcomes(np.ones(count, dtype=bool))  # all successes
 
-        plan = HandPlan(theta1=0.1, theta2=0.2, delta_call=0.01,
-                          n_samples=100, eta1=0.05, eta2=0.05, t=0.15)
+        plan = HandPlan(theta1=0.1, theta2=0.2, delta_call=0.01, n_samples=100, c=15)
         with pytest.raises(OracleFailure) as exc_info:
             _run(plan, Breaks(), seed)
         partial = exc_info.value.partial_tally
@@ -305,37 +335,58 @@ def _corpus_plans():
 
 class TestCutoff:
     def test_cutoff_matches_the_rate_rule_on_corpus_plans(self):
-        # s <= c must agree with s / n <= t at every count; chunked so the
-        # estimate plan of bern-tight (13.8 M trials) stays small in memory
-        plans = list(_corpus_plans())
-        assert max(plan.n_samples for plan in plans) > 10_000_000
-        for plan in plans:
-            n = plan.n_samples
-            for lo in range(0, n + 1, 1 << 20):
-                s = np.arange(lo, min(n + 1, lo + (1 << 20)))
-                assert np.array_equal(s <= plan.c, s / n <= plan.t), plan
+        # every plan keeps its cutoff below its size; an estimate plan's
+        # cutoff is the largest count whose rate is at most theta + eta/2,
+        # compared exactly
+        for plan in _corpus_plans():
+            assert 0 <= plan.c < plan.n_samples, plan
+        for query in (*QUERIES, ThresholdQuery(0.1, 2e-3, 0.01)):
+            (plan, _, _), = schedule("estimate", query)[1]
+            t = Fraction(query.theta) + Fraction(query.eta) / 2
+            assert Fraction(plan.c, plan.n_samples) <= t < Fraction(plan.c + 1, plan.n_samples)
 
     @pytest.mark.parametrize(
         "n, t, c",
         [
-            (22, 15 / 22, 15),  # t * n rounds to just under 15
+            (22, 15 / 22, 14),  # the float 15/22 is just under 15/22, though t * n rounds to 15
             (6, math.nextafter(5 / 6, 0.0), 4),  # t * n rounds up to 5
             (7, 0.0, 0),
             (7, 1.0, 7),
         ],
     )
     def test_cutoff_steps_past_rounding(self, n, t, c):
-        plan = HandPlan(theta1=0.0, theta2=1.0, delta_call=0.1,
-                        n_samples=n, eta1=t, eta2=1.0 - t, t=t)
-        assert plan.c == c
+        assert _cutoff(n, t) == c
 
     @given(
         n=st.integers(min_value=1, max_value=10 ** 7),
         t=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_cutoff_is_the_largest_count_at_or_under_t(self, n, t):
-        plan = HandPlan(theta1=0.0, theta2=1.0, delta_call=0.1,
-                        n_samples=n, eta1=t, eta2=1.0 - t, t=t)
-        c = plan.c
-        assert 0 <= c <= n and c / n <= t
-        assert c == n or (c + 1) / n > t
+        c = _cutoff(n, t)
+        assert 0 <= c <= n and Fraction(c, n) <= t
+        assert c == n or Fraction(c + 1, n) > t
+
+
+# Planning and a Bernoulli run in a fresh interpreter: scipy.special adds
+# about 26 MB to a process and most of a Bernoulli run's setup time, so
+# nothing on that path may import it.
+_BERNOULLI_SCRIPT = """\
+import sys
+import quantcert
+from quantcert.tester import plan_tester
+plan_tester(0.1, 0.102, 1e-3)
+report = quantcert.run_strategy("bincert", (0.1, 2e-3, 0.01), quantcert.BernoulliOracle(0.0995),
+                                quantcert.SeedSpec(7))
+assert report.verdict.kind == "yes", report.verdict
+print(sorted(name for name in sys.modules if name.startswith("scipy.special")))
+"""
+
+
+def test_the_bernoulli_path_does_not_import_scipy_special():
+    src = os.path.dirname(os.path.dirname(quantcert.tester.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _BERNOULLI_SCRIPT], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
