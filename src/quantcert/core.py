@@ -289,7 +289,8 @@ class SeedSpec:
     DERIVATION = (
         "philox4x64: one stream per run, spawn_key=(0,); call k reads trials [0, n_k); "
         "trial i owns raw words [i*w, (i+1)*w); calls sized by exact binomial tails "
-        "(tester._plan)"
+        "(tester._plan); the final call gets the delta the larger flank leaves "
+        "(strategy._final_budget)"
     )
 
     def __post_init__(self) -> None:

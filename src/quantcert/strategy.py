@@ -10,9 +10,13 @@ shape; they differ in how they schedule tester calls:
 * estimate: the naive baseline that estimates the rate to within eta/2 in
   one giant call.
 
-Per-call failure budgets are chosen so each strategy's total wrong-verdict
-probability stays within the query's delta by a union bound.  Every call
-of a run reads a prefix of one trial stream (tester.TrialStream), so a run
+Per-call failure budgets keep each strategy's wrong-verdict probability
+within the query's delta by a union bound over the calls that can give
+each wrong verdict.  A proving call can only settle yes and a refuting
+call only no, so a wrong yes needs a proving call or the final call to
+err, and a wrong no a refuting call or the final call: each side's budgets
+plus the final call's sum to at most delta (_final_budget).  Every call of
+a run reads a prefix of one trial stream (tester.TrialStream), so a run
 costs its largest call.
 """
 
@@ -224,7 +228,7 @@ class BudgetBound:
 
 
 def _halving_calls(query: ThresholdQuery) -> float:
-    """Bound n on the number of halving calls; each call runs at delta / n.
+    """Bound n on the number of halving calls; each flank call runs at delta / n.
 
     n = 3 + log2(theta/eta) + log2((1 - theta - eta)/eta), each log clipped
     at 0.
@@ -270,6 +274,37 @@ def _halving_schedule(query: ThresholdQuery) -> Iterator[Tuple[Side, float, floa
         right_width = max(eta, right_width / 2.0)
 
 
+def _final_budget(delta: float, proving: Tuple[int, float], refuting: Tuple[int, float]) -> float:
+    """The final call's budget: delta less the larger flank's budget sum.
+
+    Each flank is (calls, budget of each call).  Only a proving call or the
+    final call can give a wrong yes, and only a refuting call or the final
+    call a wrong no, so the union bound holds for each verdict when each
+    flank's budgets plus the final call's sum to at most delta.  The sum is
+    taken exactly and the budget rounded down, so each side's exact sum,
+    and its math.fsum, stays within delta.  It is never below a budget for
+    all calls: bincert's L + R + 1 calls fit in n, so delta less
+    max(L, R) delta / n is at least delta / n, and fixedcert's 2 delta/3
+    exceeds delta/3.  plan_tester takes budgets below 1, so at delta = 1
+    with no flank call the budget is the float below 1.
+    """
+    # Every float is an integer over a power of two, so over the largest
+    # of the three denominators the difference is an exact integer ratio;
+    # int / int rounds it to nearest, stepped down when that lands above.
+    num, den = delta.as_integer_ratio()
+    p_num, p_den = proving[1].as_integer_ratio()
+    r_num, r_den = refuting[1].as_integer_ratio()
+    scale = max(den, p_den, r_den)
+    left = num * (scale // den) - max(
+        proving[0] * p_num * (scale // p_den), refuting[0] * r_num * (scale // r_den)
+    )
+    final = left / scale
+    top, bottom = final.as_integer_ratio()
+    if top * scale > left * bottom:
+        final = math.nextafter(final, 0.0)
+    return min(final, math.nextafter(1.0, 0.0))
+
+
 def _lerp(a: float, b: float, num: int, k: int) -> float:
     """Endpoint k of num equal cuts of [a, b]; exact at both ends."""
     t = k / num
@@ -283,16 +318,20 @@ def _fixed_schedule(
 
     Proving intervals run leftmost first and refuting intervals rightmost
     first, alternating while both flanks last; each flank splits delta/3
-    over its calls and the final call on (theta, theta + eta) keeps delta/3.
+    over its calls, and the final call on (theta, theta + eta) gets what
+    the flanks leave (_final_budget): 2 delta/3, or delta when both flanks
+    are empty.
     """
     theta, upper, delta = query.theta, query.upper, query.delta
+    per_left = delta / (3.0 * n_left) if n_left else 0.0
+    per_right = delta / (3.0 * n_right) if n_right else 0.0
     for i in range(1, max(n_left, n_right) + 1):
         if i <= n_left:
             yield (
                 "proving",
                 _lerp(0.0, theta, n_left, i - 1),
                 _lerp(0.0, theta, n_left, i),
-                delta / (3.0 * n_left),
+                per_left,
             )
         if i <= n_right:
             j = n_right - i + 1
@@ -300,9 +339,9 @@ def _fixed_schedule(
                 "refuting",
                 _lerp(upper, 1.0, n_right, j - 1),
                 _lerp(upper, 1.0, n_right, j),
-                delta / (3.0 * n_right),
+                per_right,
             )
-    yield ("final", theta, upper, delta / 3.0)
+    yield ("final", theta, upper, _final_budget(delta, (n_left, per_left), (n_right, per_right)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +367,9 @@ def _check_report(report: CertificationReport) -> CertificationReport:
         raise ReportInvariantError(
             f"total_samples {total} does not match the largest call, {largest} trials"
         )
+    budgets: Dict[Side, List[float]] = {"proving": [], "refuting": [], "final": []}
     for rec in report.calls:
+        budgets[rec.side].append(rec.plan.delta_call)
         if rec.side == "proving" and not rec.plan.theta2 <= query.theta:
             raise ReportInvariantError(
                 f"proving interval reaches {rec.plan.theta2} above theta {query.theta}"
@@ -341,6 +382,15 @@ def _check_report(report: CertificationReport) -> CertificationReport:
             rec.plan.theta1 != query.theta or rec.plan.theta2 != query.upper
         ):
             raise ReportInvariantError("final call must test (theta, theta+eta)")
+    # A wrong yes needs a proving or the final call to err, a wrong no a
+    # refuting or the final call: each side's budgets and the final call's
+    # sum within delta (_final_budget).
+    for side in ("proving", "refuting"):
+        spent = math.fsum(budgets[side] + budgets["final"])
+        if spent > query.delta:
+            raise ReportInvariantError(
+                f"{side} and final budgets sum to {spent!r}, above delta {query.delta!r}"
+            )
     # A run stops at its first call that settles: every earlier call reads
     # on, and the last settles with the verdict's kind, or reads on when a
     # limit left the run inconclusive.
@@ -552,39 +602,50 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     """Worst-case halving budget: closed-form terms plus the exact largest call.
 
     Each term is the closed form the planner's bisection starts at,
-    ceil(8 theta2 L / width^2) with L = ln(n / delta) for the halving call
-    bound n (tester module docstring), and a plan is never larger than its
-    closed form.  A proving call has theta2 <= theta and a refuting one
-    theta2 <= 1, each on an interval at least eta wide, so k1 = ceil(8 theta
-    L / eta^2) and k2 = ceil(8 L / eta^2) bound their sizes; a flank the
-    schedule makes no call on contributes zero.  k3 is the final call's
-    closed form.  The exact term plans every interval the halving schedule
-    could ever test and keeps the largest size, so it dominates any observed
-    run structurally.  Raises OutOfRangeError when a bound overflows.
+    ceil(8 theta2 L / width^2) with L = ln(1 / delta_call) (tester module
+    docstring), and a plan is never larger than its closed form.  A flank
+    call runs at delta / n for the halving call bound n, has theta2 <=
+    theta (proving) or theta2 <= 1 (refuting), and tests an interval at
+    least eta wide, so with L = ln(n / delta), k1 = ceil(8 theta L / eta^2)
+    and k2 = ceil(8 L / eta^2) bound their sizes; a flank the schedule
+    makes no call on contributes zero.  k3 is the final call's closed form
+    at its own budget, delta_final.  The exact term plans every interval
+    the halving schedule could ever test and keeps the largest size, so it
+    dominates any observed run structurally.  Raises OutOfRangeError when a
+    bound overflows.
     """
     q = validate_query(query)
-    big_l = math.log(1.0 / (q.delta / _halving_calls(q)))
-    sides = [(_side(a, b), plan.n_samples) for plan, a, b in schedule("bincert", q)[1]]
-    sizes = {side: max(n for s, n in sides if s == side) for side, _ in sides}
+    entries = [(_side(a, b), plan) for plan, a, b in schedule("bincert", q)[1]]
+    budget = {side: plan.delta_call for side, plan in entries}
 
-    def closed_form(theta2: float, width: float) -> int:
-        return _sample_count(8.0 * theta2 * big_l / (width * width))
+    def closed_form(theta2: float, width: float, side: Side) -> int:
+        if side not in budget:
+            return 0
+        return _sample_count(8.0 * theta2 * math.log(1.0 / budget[side]) / (width * width))
 
     return BudgetBound(
-        k1=closed_form(q.theta, q.eta) if "proving" in sizes else 0,
-        k2=closed_form(1.0, q.eta) if "refuting" in sizes else 0,
-        k3=closed_form(q.upper, q.upper - q.theta),
-        exact_schedule_total=max(sizes.values()),
+        k1=closed_form(q.theta, q.eta, "proving"),
+        k2=closed_form(1.0, q.eta, "refuting"),
+        k3=closed_form(q.upper, q.upper - q.theta, "final"),
+        exact_schedule_total=max(plan.n_samples for _, plan in entries),
     )
 
 
 def _bincert(query: ThresholdQuery) -> _Layout:
     n = _halving_calls(query)
     delta_min = query.delta / n
-    notes = (f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}",)
+    rows = list(_halving_schedule(query))
+    sides = [side for side, _, _ in rows]
+    delta_final = _final_budget(
+        query.delta, (sides.count("proving"), delta_min), (sides.count("refuting"), delta_min)
+    )
+    notes = (
+        f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}, "
+        f"delta_final = {delta_final!r}",
+    )
     return notes, (
-        _entry(side, plan_tester(theta1, theta2, delta_min))
-        for side, theta1, theta2 in _halving_schedule(query)
+        _entry(side, plan_tester(theta1, theta2, delta_final if side == "final" else delta_min))
+        for side, theta1, theta2 in rows
     )
 
 
@@ -636,12 +697,14 @@ def schedule(strategy: str, query: QueryLike) -> _Layout:
 
     The strategy's name, checked by _check_choice, picks its layout from
     _LAYOUTS, the one place it decides anything: the layout of the calls
-    and the split of delta across them.  bincert runs every call
-    at delta / n (_halving_calls); fixedcert gives each flank delta/3,
-    split evenly over its grid, and the final call delta/3; estimate makes
-    one call at delta with the boundary theta + eta/2.  The entries are
-    lazy: a plan is made when its entry is read, so a run that settles
-    early plans nothing more.  Runs, worst_case_budget and schedule_law
-    read them.
+    and the split of delta across them.  bincert runs every flank call at
+    delta / n (_halving_calls); fixedcert gives each flank delta/3, split
+    evenly over its grid.  The final call of both gets what the larger
+    flank's budgets leave of delta (_final_budget): a wrong yes can come
+    only from a proving call or the final one, a wrong no only from a
+    refuting call or the final one.  estimate makes one call at delta with
+    the boundary theta + eta/2.  The entries are lazy: a plan is made when
+    its entry is read, so a run that settles early plans nothing more.
+    Runs, worst_case_budget and schedule_law read them.
     """
     return _LAYOUTS[_check_choice("strategy", strategy, _LAYOUTS)](validate_query(query))

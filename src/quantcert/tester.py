@@ -30,7 +30,9 @@ takes far longer.
 Every call of a run decides on a prefix of one TrialStream: a call of size
 N counts the successes among trials [0, N).  Each call's error bound holds
 for the first N trials of any i.i.d. stream, so calls need not be
-independent for a union bound over them, and a run costs its largest call
+independent for a union bound over the calls that can give a wrong
+verdict: proving and final calls for a wrong yes, refuting and final calls
+for a wrong no (strategy._final_budget).  A run costs its largest call
 instead of the sum of its calls.  The stream keeps the outcome of every
 trial it drew, so no trial is drawn twice, whatever order the calls come in.
 """

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from quantcert import SeedSpec, TrialOutcomes, load_model
+from quantcert.strategy import _halving_calls
 
 
 class CountingOracle:
@@ -74,3 +76,43 @@ def seed():
 @pytest.fixture
 def center2():
     return np.array([0.5, 0.5])
+
+
+def parent_budgets(name, query, spent):
+    """Each side's per-call budget under a union bound over every call.
+
+    spent holds the (side, delta_call) pairs of a whole schedule, in run
+    order; fixedcert's flank budgets come from its counts.  bincert ran every call at delta / n; fixedcert split delta/3 evenly
+    over each flank and gave the final call delta/3; estimate's one call
+    ran at delta.  The per-side rule keeps the flank budgets and never
+    gives the final call less.
+    """
+    if name == "estimate":
+        return {"final": query.delta}
+    if name == "bincert":
+        return dict.fromkeys(("proving", "refuting", "final"), query.delta / _halving_calls(query))
+    count = {side: sum(s == side for s, _ in spent) for side in ("proving", "refuting")}
+    return {**{side: query.delta / (3.0 * k) for side, k in count.items() if k},
+            "final": query.delta / 3.0}
+
+
+def assert_per_side(query, spent, parent):
+    """The per-side union bound on a whole schedule's (side, delta_call)
+    pairs, in run order, against parent_budgets: every flank call keeps its
+    budget and the final call, last, gets no less.
+
+    Only a proving call or the final call can give a wrong yes, and only a
+    refuting call or the final call a wrong no, so each flank's budgets
+    plus the final call's must sum within delta.
+    """
+    *flanks, (last, final) = spent
+    assert last == "final" and all(side != "final" for side, _ in flanks)
+    assert all(budget == parent[side] for side, budget in flanks)
+    for side in ("proving", "refuting"):
+        assert math.fsum([budget for s, budget in flanks if s == side] + [final]) <= query.delta
+    assert final >= parent["final"]
+    if not flanks:
+        # all of delta, but for the float below 1 where plan_tester sizes
+        # the call at delta = 1 (estimate builds its plan by hand)
+        assert final in (query.delta, math.nextafter(1.0, 0.0))
+        assert final == query.delta or query.delta == 1.0

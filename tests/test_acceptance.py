@@ -21,10 +21,10 @@ from quantcert import (
 )
 from quantcert.robustness import L2BallSampler, LinfBallSampler
 from quantcert.sim import complexity_sweep
-from quantcert.strategy import baseline_samples, schedule, worst_case_budget
+from quantcert.strategy import _side, baseline_samples, schedule, worst_case_budget
 from quantcert.tester import plan_tester
 from quantcert.cli import main as cli_main
-from conftest import CountingOracle, linear_model
+from conftest import CountingOracle, assert_per_side, linear_model, parent_budgets
 
 
 def _verdict(num, ok, detail):
@@ -199,27 +199,25 @@ def test_c07_per_report_failure_accounting():
     ]
     checked = 0
     for i, query in enumerate(queries):
+        planned = {name: [(_side(a, b), plan.delta_call) for plan, a, b in schedule(name, query)[1]]
+                   for name in ("bincert", "fixedcert")}
+        for name, spent in planned.items():
+            assert_per_side(query, spent, parent_budgets(name, query, spent))
         rates = (0.0, query.theta + query.eta / 2.0, 1.0)
         for j, p in enumerate(rates):
             oracle = BernoulliOracle(p)
-            rep_b = run_strategy("bincert", query, oracle, seed.child(10 * i + j))
-            (delta_min,) = {plan.delta_call for plan, _, _ in schedule("bincert", query)[1]}
-            assert len(rep_b.calls) * delta_min <= query.delta + 1e-12
-            assert all(c.plan.delta_call == delta_min for c in rep_b.calls)
-
-            rep_f = run_strategy("fixedcert", query, oracle, seed.child(10 * i + j + 5))
-            planned = sum(plan.delta_call for plan, _, _ in schedule("fixedcert", query)[1])
-            assert planned <= query.delta + 1e-12
-            assert (
-                sum(c.plan.delta_call for c in rep_f.calls)
-                <= query.delta + 1e-12
-            )
-            checked += 2
+            for k, name in enumerate(("bincert", "fixedcert")):
+                report = run_strategy(name, query, oracle, seed.child(10 * i + j + 5 * k))
+                # a run makes a prefix of its schedule's calls, so each
+                # side's budgets sum to no more than the schedule's
+                budgets = [(c.side, c.plan.delta_call) for c in report.calls]
+                assert budgets == planned[name][: len(budgets)]
+                checked += 1
     _verdict(
         7,
         True,
-        f"{checked} reports kept per-call failure budgets within delta "
-        "(union bound holds)",
+        f"{checked} reports kept each side's failure budgets, with the final "
+        "call's, within delta (per-side union bound holds)",
     )
 
 

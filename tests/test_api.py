@@ -154,7 +154,7 @@ def test_classifier_example_prints_pinned_counts(tmp_path, monkeypatch):
     model = re.search(r"## Model format.*?```json\n(.*?)```", README, re.S).group(1)
     (tmp_path / "model.json").write_text(model)
     monkeypatch.chdir(tmp_path)
-    assert _printed_by_example("For classifiers") == ["yes 49", "0.1 43077"]
+    assert _printed_by_example("For classifiers") == ["yes 49", "0.1 31396"]
 
 
 def test_toy_oracle_example_prints_pinned_verdicts():

@@ -78,14 +78,14 @@ def density_reports(norm):
 
 
 GOLDEN_BERNOULLI = {
-    "bincert": "3ba276dbfee0cc0f5cad9f7ad323936af8f51d4a6fb9c5a6c22f7c0a9ca371ea",
-    "fixedcert": "c96be1c46ea9cd68a29765c9c943d894a0c7450f08faa52313ea03c31faa6938",
-    "estimate": "c7208fd533959a9afcdd829a475f4ceaf3c0234d610e7155cd5ce658e2127047",
+    "bincert": "7b6c1247b9e6fb468ff46b5a6768407c94450ca8950eb19c34b730e04bc4e26c",
+    "fixedcert": "0e7ded47675b5fca42feb7fba5126c1c8d34f0a5006391e0b1d7604674f693df",
+    "estimate": "4c74f525f11c249ec814f815d38a6071214582d476dc913b12310eddef6ada4a",
 }
 
 GOLDEN_DENSITY = {
-    "linf": "119b07c6ef97b344901777200af6de4c08991f63c40cdc9ea9ba975fb81e909f",
-    "l2": "8a1bb9b965f6330da09b766faf4c371506f233716546b06f005e7bf99c75c044",
+    "linf": "f57e1428cbc9939211625017edce397e1312d798bd77c9ce12544fea44213e15",
+    "l2": "e57984f4cca1405201dda082933840dc5e2a77ebed07c725856aa4743c9a89a4",
 }
 
 

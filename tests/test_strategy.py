@@ -2,6 +2,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,8 +31,9 @@ from quantcert.strategy import (
 from quantcert.tester import TesterPlan as HandPlan
 from quantcert.tester import _sample_count, plan_tester
 from quantcert.strategy import (
-    _check_report, _entry, _fixed_schedule, _halving_calls, _halving_schedule, _side)
-from conftest import CountingOracle
+    _check_report, _entry, _final_budget, _fixed_schedule, _halving_calls, _halving_schedule,
+    _side)
+from conftest import CountingOracle, assert_per_side, parent_budgets
 
 
 class TestCreateInterval:
@@ -112,7 +114,7 @@ class TestBinCertParams:
         notes, _ = schedule("bincert", query)
         assert notes == (
             "halving call budget n = 19.45603349528917 (base-2 depth), "
-            "delta_min = 0.0005139793782952352",
+            "delta_min = 0.0005139793782952352, delta_final = 0.004860206217047648",
         )
 
     def test_zero_threshold_drops_left_term(self):
@@ -122,8 +124,9 @@ class TestBinCertParams:
     def test_band_touching_one_drops_right_term(self):
         query = ThresholdQuery(0.5, 0.5, 0.1)
         assert _halving_calls(query) == 3.0
+        # no flank call is left to share delta with the final call
         _, entries = schedule("bincert", query)
-        assert all(plan.delta_call == pytest.approx(0.1 / 3.0) for plan, _, _ in entries)
+        assert [plan.delta_call for plan, _, _ in entries] == [0.1]
 
     def test_flanks_narrower_than_eta_contribute_nothing(self):
         n = _halving_calls(ThresholdQuery(0.05, 0.1, 0.1))
@@ -176,18 +179,18 @@ class TestHalvingSchedule:
         delta=st.floats(1e-6, 1.0),
     )
     def test_union_bound_covers_every_call(self, theta, eta, delta):
-        # every call runs at delta / n, so the schedule may hold at most n
-        # calls for the failures to sum within delta
+        # every flank call runs at delta / n, and the schedule holds at most
+        # n calls, so the final call's share is at least delta / n
         assume(theta + eta <= 1.0)
         query = ThresholdQuery(theta, eta, delta)
         n = _halving_calls(query)
         spent = _budgets("bincert", query)
         assert len(spent) <= n
-        assert set(spent) == {delta / n}
+        assert_per_side(query, spent, parent_budgets("bincert", query, spent))
 
 
 def _budgets(name, query):
-    """The delta_call of every entry of the schedule, read without sizing a call.
+    """(side, delta_call) of every entry of the schedule, read without sizing a call.
 
     The layouts hand each call's delta_call to plan_tester; a stand-in that
     keeps it and sizes nothing walks whole schedules at eta near 1e-6, where
@@ -197,7 +200,28 @@ def _budgets(name, query):
         return HandPlan(theta1, theta2, delta_call, 1, 0)
 
     with mock.patch("quantcert.strategy.plan_tester", unsized):
-        return [plan.delta_call for plan, _, _ in schedule(name, query)[1]]
+        return [(_side(a, b), plan.delta_call) for plan, a, b in schedule(name, query)[1]]
+
+
+@given(
+    delta=st.floats(1e-9, 1.0),
+    slack=st.floats(1.0, 40.0),
+    proving=st.integers(0, 79),
+    refuting=st.integers(0, 79),
+)
+@example(delta=1.0, slack=3.0, proving=0, refuting=0)
+@example(delta=0.1, slack=1.0, proving=1, refuting=1)
+def test_final_budget_is_the_largest_float_that_fits(delta, slack, proving, refuting):
+    # delta less the larger flank's exact sum, rounded down to a float
+    # (and below 1, where plan_tester stops)
+    budget = delta / (max(proving, refuting) + slack)
+    spent = max(proving, refuting) * Fraction(budget)
+    assume(spent < Fraction(delta))
+    final = _final_budget(delta, (proving, budget), (refuting, budget))
+    assert 0.0 < final < 1.0
+    assert Fraction(final) + spent <= Fraction(delta)
+    above = math.nextafter(final, 1.0)
+    assert Fraction(above) + spent > Fraction(delta) or above == 1.0
 
 
 # Queries whose flanks are empty, narrow, or touch 0 or 1.
@@ -213,13 +237,30 @@ def _budgets(name, query):
 @example(theta=0.1, eta=1e-3, delta=0.01)
 @example(theta=0.3, eta=0.01, delta=0.01)
 def test_union_bound_covers_the_whole_schedule(name, theta, eta, delta):
-    # Every call a run could make is in the schedule, so the per-call
-    # failure budgets of the whole schedule must sum within delta.
+    # Every call a run could make is in the schedule, so each side's
+    # budgets over the whole schedule, plus the final call's, must sum
+    # within delta.
     assume(theta + eta <= 1.0)
-    spent = _budgets(name, ThresholdQuery(theta, eta, delta))
-    assert math.fsum(spent) <= delta * (1.0 + 1e-12)
-    if name == "bincert":
-        assert len(set(spent)) == 1
+    query = ThresholdQuery(theta, eta, delta)
+    spent = _budgets(name, query)
+    assert_per_side(query, spent, parent_budgets(name, query, spent))
+
+
+# The bench's queries: bern-tight, hardness-784, and the README's, which
+# sim-sweep runs too.
+@pytest.mark.parametrize("name", ["bincert", "fixedcert"])
+@pytest.mark.parametrize("query", [ThresholdQuery(0.1, 2e-3, 0.01),
+                                   ThresholdQuery(0.01, 0.01, 0.05),
+                                   ThresholdQuery(0.1, 0.05, 0.1)])
+def test_no_call_is_larger_than_under_the_all_call_bound(name, query):
+    entries = list(schedule(name, query)[1])
+    spent = [(_side(a, b), plan.delta_call) for plan, a, b in entries]
+    parent = parent_budgets(name, query, spent)
+    for (plan, a, b), (side, _) in zip(entries, spent):
+        assert plan.n_samples <= plan_tester(plan.theta1, plan.theta2, parent[side]).n_samples
+    # the final call is where the per-side rule saves samples
+    final = entries[-1][0]
+    assert final.n_samples < plan_tester(final.theta1, final.theta2, parent["final"]).n_samples
 
 
 class TestBinCert:
@@ -249,10 +290,12 @@ class TestBinCert:
         assert report.verdict.kind == ("yes" if last.outcome == "yes" else "no")
 
     def test_delta_accounting(self, seed):
+        # an in-band run makes every call of the schedule, the final one last
         query = ThresholdQuery(0.3, 0.2, 0.1)
         report = run_strategy("bincert", query, BernoulliOracle(0.4), seed)
-        spent = sum(c.plan.delta_call for c in report.calls)
-        assert spent <= query.delta + 1e-12
+        spent = [(c.side, c.plan.delta_call) for c in report.calls]
+        assert len(spent) == len(list(_halving_schedule(query)))
+        assert_per_side(query, spent, parent_budgets("bincert", query, spent))
 
     def test_calls_read_one_stream(self, seed, monkeypatch):
         # Every call reads a prefix of the stream; a call no longer than the
@@ -284,8 +327,8 @@ class TestBinCert:
             assert sum(k for _, k in drawn) == max(0, call.plan.n_samples - length)
             assert all(k == batch for _, k in drawn[:-1])
         # 3 and 25 read inside the proving call's 42 trials, and the final
-        # call's 894 inside the 1067 before it: three calls draw nothing
-        assert [c.plan.n_samples for c in report.calls] == [42, 3, 25, 84, 293, 1067, 894]
+        # call's 562 inside the 1067 before it: three calls draw nothing
+        assert [c.plan.n_samples for c in report.calls] == [42, 3, 25, 84, 293, 1067, 562]
         assert [nxt - first for (_, first), nxt in zip(marks, ends)].count(0) == 3
 
     def test_zero_threshold_query(self, seed):
@@ -407,7 +450,7 @@ class TestFixedCertParams:
         by_side = {side: [d for s, d in plans if s == side] for side in ("proving", "refuting", "final")}
         assert by_side["proving"] == [pytest.approx(0.01 / 9.0)] * 3
         assert by_side["refuting"] == [pytest.approx(0.01 / 18.0)] * 6
-        assert by_side["final"] == [pytest.approx(0.01 / 3.0)]
+        assert by_side["final"] == [pytest.approx(0.02 / 3.0)]
 
     def test_narrow_left_flank_gets_no_calls(self):
         notes, plans = self._plans(ThresholdQuery(0.04, 0.01, 0.01))
@@ -415,16 +458,18 @@ class TestFixedCertParams:
         assert [side for side, _ in plans] == ["refuting"] * 9 + ["final"]
 
     def test_delta_accounting(self):
-        # each non-empty flank splits delta/3 evenly; the final call keeps delta/3
-        for theta, eta in ((0.3, 0.01), (0.04, 0.01), (0.0, 0.04), (0.9, 0.05)):
+        # each non-empty flank splits delta/3 evenly; the final call gets
+        # the 2 delta/3 they leave, or delta when both are empty
+        for theta, eta in ((0.3, 0.01), (0.04, 0.01), (0.0, 0.04), (0.9, 0.05), (0.1, 0.85)):
             query = ThresholdQuery(theta, eta, 0.05)
             _, plans = self._plans(query)
             for side in ("proving", "refuting"):
                 spent = [d for s, d in plans if s == side]
                 assert len(set(spent)) <= 1
                 assert math.fsum(spent) == pytest.approx(0.05 / 3.0 if spent else 0.0)
-            assert [d for s, d in plans if s == "final"] == [0.05 / 3.0]
-            assert math.fsum(d for _, d in plans) <= query.delta + 1e-12
+            (final,) = [d for s, d in plans if s == "final"]
+            assert final == pytest.approx(0.05 * (2.0 / 3.0 if len(plans) > 1 else 1.0))
+            assert_per_side(query, plans, parent_budgets("fixedcert", query, plans))
 
 
 class TestFixedSchedule:
@@ -447,7 +492,8 @@ class TestFixedSchedule:
             "proving",
             "refuting",
         ]
-        assert rows[-1] == ("final", 0.3, query.upper, 0.01 / 3.0)
+        # 2 delta / 3, rounded down so that each side sums within delta
+        assert rows[-1] == ("final", 0.3, query.upper, 0.006666666666666666)
 
     def test_grid_endpoints_are_exact(self):
         query = ThresholdQuery(0.3, 0.01, 0.01)
@@ -496,8 +542,9 @@ class TestFixedCert:
     def test_report_delta_accounting(self, seed):
         query = ThresholdQuery(0.3, 0.04, 0.05)
         report = run_strategy("fixedcert", query, BernoulliOracle(0.32), seed)
-        spent = sum(c.plan.delta_call for c in report.calls)
-        assert spent <= query.delta + 1e-12
+        spent = [(c.side, c.plan.delta_call) for c in report.calls]
+        assert spent == _budgets("fixedcert", query)
+        assert_per_side(query, spent, parent_budgets("fixedcert", query, spent))
 
     def test_sample_budget(self, seed):
         report = run_strategy("fixedcert", 
@@ -555,8 +602,8 @@ class TestWorstCaseBudget:
     # A run costs its largest call, so every term bounds one call.
     def test_reference_budget(self):
         bound = worst_case_budget(ThresholdQuery(0.1, 1e-3, 0.01))
-        assert bound.exact_schedule_total == 3_897_943  # the final call
-        assert (bound.k1, bound.k2, bound.k3) == (6_058_662, 60_586_620, 6_119_249)
+        assert bound.exact_schedule_total == 2_418_619  # the final call
+        assert (bound.k1, bound.k2, bound.k3) == (6_058_662, 60_586_620, 4_303_953)
         assert bound.analytic_total == max(bound.k1, bound.k2, bound.k3) == bound.k2
 
     def test_flank_terms_vanish_when_too_narrow(self):
@@ -566,11 +613,11 @@ class TestWorstCaseBudget:
 
     def test_zero_threshold_budget(self):
         # theta = 0 leaves no left flank, and a right flank of width eta
-        # gets no call either
+        # gets no call either, so the final call runs at delta
         bound = worst_case_budget(ThresholdQuery(0.0, 0.5, 0.01))
         assert bound.k1 == bound.k2 == 0.0
-        assert bound.k3 == 92  # ceil(8 * 0.5 * ln(3 / 0.01) / 0.5^2)
-        assert bound.exact_schedule_total == 9  # 0.5^9 <= 0.01 / 3 < 0.5^8
+        assert bound.k3 == 74  # ceil(8 * 0.5 * ln(1 / 0.01) / 0.5^2)
+        assert bound.exact_schedule_total == 7  # 0.5^7 <= 0.01 < 0.5^6
 
     # Sizing a call of 10^9 trials exactly takes about half a second.
     @settings(deadline=None)
@@ -820,6 +867,26 @@ class TestReportInvariants:
         reads_on = replace(proving, successes=1)
         report = _report(self.QUERY, [reads_on, refuting], Verdict("no"))
         assert _check_report(report) is report
+
+    def test_each_side_sums_its_budgets_with_the_final_call(self):
+        # Half of delta on every call: each side's flank call plus the final
+        # one spends delta, though the three calls spend 1.5 delta.
+        budgets = {"proving": 0.005, "refuting": 0.005, "final": 0.005}
+        reads_on = {"proving": 1, "refuting": 174, "final": 1000}  # the final call says yes
+
+        def run(budgets):
+            calls = [_record(side, *self.INTERVALS[side], budgets[side], reads_on[side])
+                     for side in ("proving", "refuting", "final")]
+            return _report(self.QUERY, calls, Verdict("yes"))
+
+        report = run(budgets)
+        assert _check_report(report) is report
+        for side in ("proving", "refuting"):
+            over = {**budgets, side: math.nextafter(0.005, 1.0)}
+            with pytest.raises(ReportInvariantError, match=f"{side} and final budgets sum to"):
+                _check_report(run(over))
+        with pytest.raises(ReportInvariantError, match="proving and final budgets"):
+            _check_report(run({**budgets, "final": 0.006}))
 
     def test_verdict_needs_a_call(self):
         with pytest.raises(ReportInvariantError, match="yes verdict"):
