@@ -1,23 +1,21 @@
 """Certification strategies built on the two-point tester.
 
 All strategies answer the same threshold query and emit the same report
-shape; they differ in how they schedule tester calls:
+shape; they differ in how they schedule tester calls.  The two paper
+strategies share one shape (_flanked): proving intervals below theta and
+refuting intervals above theta + eta, alternating proving first while
+both flanks last, then one final call on (theta, theta + eta).
 
-* bincert: adaptive halving toward the threshold from both sides, cheap
-  when the true rate is far from theta.
-* fixedcert: a non-adaptive grid of intervals of pitch sqrt(eta), laid out
-  before any sampling.
+* bincert: flanks that halve toward the threshold, cheap when the true
+  rate is far from theta.
+* fixedcert: flanks cut into a non-adaptive grid of pitch sqrt(eta).
 * estimate: the naive baseline that estimates the rate to within eta/2 in
   one giant call.
 
 Per-call failure budgets keep each strategy's wrong-verdict probability
 within the query's delta by a union bound over the calls that can give
-each wrong verdict.  A proving call can only settle yes and a refuting
-call only no, so a wrong yes needs a proving call or the final call to
-err, and a wrong no a refuting call or the final call: each side's budgets
-plus the final call's sum to at most delta (_final_budget).  Every call of
-a run reads a prefix of one trial stream (tester.TrialStream), so a run
-costs its largest call.
+each wrong verdict (_final_budget).  Every call of a run reads a prefix of
+one trial stream (tester.TrialStream), so a run costs its largest call.
 """
 
 from __future__ import annotations
@@ -48,14 +46,16 @@ from .core import (
     validate_query,
 )
 from .oracle import Oracle
-from .tester import (_TAIL, TesterPlan, TrialStream, _binomial, _cutoff, _Deadline,
-                     _sample_count, _trim, plan_tester)
+from .tester import (_TAIL, TesterPlan, TrialStream, _binomial, _closed_form, _cutoff,
+                     _Deadline, _sample_count, _trim, plan_tester)
 
 Side = Literal["proving", "refuting", "final"]
 # A call (plan, a, b) settles a run yes when S(n) <= a and no when S(n) > b,
 # for S(n) the successes among the stream's first n = plan.n_samples trials.
 # A strategy's layout is its report notes and its lazy entries, in run order.
 Entry = Tuple[TesterPlan, int, int]
+# A call's interval (theta1, theta2).
+Interval = Tuple[float, float]
 _Layout = Tuple[Tuple[str, ...], Iterator[Entry]]
 
 # Integer quotients like theta/sqrt(eta) can land one ulp under a whole
@@ -240,38 +240,33 @@ def _halving_calls(query: ThresholdQuery) -> float:
     return 3.0 + left + right
 
 
-def _halving_schedule(query: ThresholdQuery) -> Iterator[Tuple[Side, float, float]]:
-    """Outcome-independent call intervals for bincert.
+def _halving_flanks(query: ThresholdQuery) -> Tuple[List[Interval], List[Interval]]:
+    """bincert's proving and refuting intervals, each flank in run order.
 
     The first proving interval is (0, theta) and the first refuting one
     (theta + eta, 1); each step halves the previous width, never below eta,
     keeping the threshold-side end pinned, and clamps the far end to
-    [0, 1].  A flank is tested while its width exceeds eta; at theta = 0
-    the left flank is empty and its stub (0, eta) is the final interval.
-    Once both flanks are within eta a final call on (theta, theta + eta)
-    ends the schedule.
+    [0, 1].  A flank is tested while its width exceeds eta, so at theta = 0
+    the left flank is empty.  Neither flank's widths depend on the other's.
 
     Widths are tracked by exact binary halving rather than recomputed from
     endpoints: subtracting a clamped endpoint can land one ulp above eta and
     would keep a width-eta interval in play forever.
     """
-    theta, eta = query.theta, query.eta
-    left, left_width = (0.0, theta), theta
-    right, right_width = (query.upper, 1.0), 1.0 - query.upper
-    while True:
-        if left_width > eta:
-            yield ("proving", *left)
-        if right_width > eta:
-            yield ("refuting", *right)
-        if left_width <= eta and right_width <= eta:
-            yield ("final", theta, query.upper)
-            return
-        step = max(eta, (left[1] - left[0]) / 2.0)
-        left = (max(0.0, left[1] - step), left[1])
-        left_width = max(eta, left_width / 2.0)
-        step = max(eta, (right[1] - right[0]) / 2.0)
-        right = (right[0], min(1.0, right[0] + step))
-        right_width = max(eta, right_width / 2.0)
+    theta, upper, eta = query.theta, query.upper, query.eta
+    proving: List[Interval] = []
+    lo, width = 0.0, theta
+    while width > eta:
+        proving.append((lo, theta))
+        lo = max(0.0, theta - max(eta, (theta - lo) / 2.0))
+        width = max(eta, width / 2.0)
+    refuting: List[Interval] = []
+    hi, width = 1.0, 1.0 - upper
+    while width > eta:
+        refuting.append((upper, hi))
+        hi = min(1.0, upper + max(eta, (hi - upper) / 2.0))
+        width = max(eta, width / 2.0)
+    return proving, refuting
 
 
 def _final_budget(delta: float, proving: Tuple[int, float], refuting: Tuple[int, float]) -> float:
@@ -311,37 +306,32 @@ def _lerp(a: float, b: float, num: int, k: int) -> float:
     return a * (1.0 - t) + b * t
 
 
-def _fixed_schedule(
-    query: ThresholdQuery, n_left: int, n_right: int
-) -> Iterator[Tuple[Side, float, float, float]]:
-    """(side, theta1, theta2, delta_call) of fixedcert's grid, in run order.
+def _flanked(
+    query: ThresholdQuery,
+    proving: List[Interval],
+    refuting: List[Interval],
+    per_call: Tuple[float, float],
+) -> Tuple[float, Iterator[Entry]]:
+    """A paper strategy's final budget and its lazy entries, in run order.
 
-    Proving intervals run leftmost first and refuting intervals rightmost
-    first, alternating while both flanks last; each flank splits delta/3
-    over its calls, and the final call on (theta, theta + eta) gets what
-    the flanks leave (_final_budget): 2 delta/3, or delta when both flanks
-    are empty.
+    The flanks alternate, proving first, while both last; then come the
+    rest of the longer flank and a final call on (theta, theta + eta).
+    Each flank's calls run at its budget in per_call, (proving, refuting),
+    and the final call at what the larger flank leaves (_final_budget).
     """
-    theta, upper, delta = query.theta, query.upper, query.delta
-    per_left = delta / (3.0 * n_left) if n_left else 0.0
-    per_right = delta / (3.0 * n_right) if n_right else 0.0
-    for i in range(1, max(n_left, n_right) + 1):
-        if i <= n_left:
-            yield (
-                "proving",
-                _lerp(0.0, theta, n_left, i - 1),
-                _lerp(0.0, theta, n_left, i),
-                per_left,
-            )
-        if i <= n_right:
-            j = n_right - i + 1
-            yield (
-                "refuting",
-                _lerp(upper, 1.0, n_right, j - 1),
-                _lerp(upper, 1.0, n_right, j),
-                per_right,
-            )
-    yield ("final", theta, upper, _final_budget(delta, (n_left, per_left), (n_right, per_right)))
+    delta_final = _final_budget(
+        query.delta, (len(proving), per_call[0]), (len(refuting), per_call[1])
+    )
+    pairs = itertools.zip_longest(
+        [("proving", lo, hi, per_call[0]) for lo, hi in proving],
+        [("refuting", lo, hi, per_call[1]) for lo, hi in refuting],
+    )
+    rows = [row for pair in pairs for row in pair if row is not None]
+    rows.append(("final", query.theta, query.upper, delta_final))
+    return delta_final, (
+        _entry(side, plan_tester(theta1, theta2, delta_call))
+        for side, theta1, theta2, delta_call in rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +372,7 @@ def _check_report(report: CertificationReport) -> CertificationReport:
             rec.plan.theta1 != query.theta or rec.plan.theta2 != query.upper
         ):
             raise ReportInvariantError("final call must test (theta, theta+eta)")
-    # A wrong yes needs a proving or the final call to err, a wrong no a
-    # refuting or the final call: each side's budgets and the final call's
-    # sum within delta (_final_budget).
+    # Each side's budgets and the final call's sum within delta (_final_budget).
     for side in ("proving", "refuting"):
         spent = math.fsum(budgets[side] + budgets["final"])
         if spent > query.delta:
@@ -602,13 +590,13 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     """Worst-case halving budget: closed-form terms plus the exact largest call.
 
     Each term is the closed form the planner's bisection starts at,
-    ceil(8 theta2 L / width^2) with L = ln(1 / delta_call) (tester module
-    docstring), and a plan is never larger than its closed form.  A flank
-    call runs at delta / n for the halving call bound n, has theta2 <=
-    theta (proving) or theta2 <= 1 (refuting), and tests an interval at
-    least eta wide, so with L = ln(n / delta), k1 = ceil(8 theta L / eta^2)
-    and k2 = ceil(8 L / eta^2) bound their sizes; a flank the schedule
-    makes no call on contributes zero.  k3 is the final call's closed form
+    ceil(8 theta2 L / width^2) with L = ln(1 / delta_call)
+    (tester._closed_form), and a plan is never larger than its closed
+    form.  A flank call runs at delta / n for the halving call bound n, has
+    theta2 <= theta (proving) or theta2 <= 1 (refuting), and tests an
+    interval at least eta wide, so with L = ln(n / delta),
+    k1 = ceil(8 theta L / eta^2) and k2 = ceil(8 L / eta^2) bound their
+    sizes; a flank the schedule makes no call on contributes zero.  k3 is the final call's closed form
     at its own budget, delta_final.  The exact term plans every interval
     the halving schedule could ever test and keeps the largest size, so it
     dominates any observed run structurally.  Raises OutOfRangeError when a
@@ -618,15 +606,13 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     entries = [(_side(a, b), plan) for plan, a, b in schedule("bincert", q)[1]]
     budget = {side: plan.delta_call for side, plan in entries}
 
-    def closed_form(theta2: float, width: float, side: Side) -> int:
-        if side not in budget:
-            return 0
-        return _sample_count(8.0 * theta2 * math.log(1.0 / budget[side]) / (width * width))
+    def term(theta2: float, width: float, side: Side) -> int:
+        return _closed_form(theta2, width, budget[side]) if side in budget else 0
 
     return BudgetBound(
-        k1=closed_form(q.theta, q.eta, "proving"),
-        k2=closed_form(1.0, q.eta, "refuting"),
-        k3=closed_form(q.upper, q.upper - q.theta, "final"),
+        k1=term(q.theta, q.eta, "proving"),
+        k2=term(1.0, q.eta, "refuting"),
+        k3=term(q.upper, q.upper - q.theta, "final"),
         exact_schedule_total=max(plan.n_samples for _, plan in entries),
     )
 
@@ -634,33 +620,34 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
 def _bincert(query: ThresholdQuery) -> _Layout:
     n = _halving_calls(query)
     delta_min = query.delta / n
-    rows = list(_halving_schedule(query))
-    sides = [side for side, _, _ in rows]
-    delta_final = _final_budget(
-        query.delta, (sides.count("proving"), delta_min), (sides.count("refuting"), delta_min)
-    )
+    delta_final, entries = _flanked(query, *_halving_flanks(query), (delta_min, delta_min))
     notes = (
         f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}, "
         f"delta_final = {delta_final!r}",
     )
-    return notes, (
-        _entry(side, plan_tester(theta1, theta2, delta_final if side == "final" else delta_min))
-        for side, theta1, theta2 in rows
-    )
+    return notes, entries
 
 
 def _fixedcert(query: ThresholdQuery) -> _Layout:
+    """Proving intervals leftmost first, refuting ones rightmost first.
+
+    Each non-empty flank splits delta/3 evenly over its calls.
+    """
+    theta, upper, delta = query.theta, query.upper, query.delta
     pitch = math.sqrt(query.eta)
-    n_left = int(math.floor(query.theta / pitch + _FLOOR_NUDGE))
-    n_right = int(math.floor((1.0 - query.upper) / pitch + _FLOOR_NUDGE))
+    n_left = int(math.floor(theta / pitch + _FLOOR_NUDGE))
+    n_right = int(math.floor((1.0 - upper) / pitch + _FLOOR_NUDGE))
     notes = (
         f"grid layout: {n_left} proving + {n_right} refuting "
         f"intervals at pitch sqrt(eta) = {pitch!r}",
     )
-    return notes, (
-        _entry(side, plan_tester(theta1, theta2, delta_call))
-        for side, theta1, theta2, delta_call in _fixed_schedule(query, n_left, n_right)
-    )
+    proving = [(_lerp(0.0, theta, n_left, k - 1), _lerp(0.0, theta, n_left, k))
+               for k in range(1, n_left + 1)]
+    refuting = [(_lerp(upper, 1.0, n_right, k - 1), _lerp(upper, 1.0, n_right, k))
+                for k in range(n_right, 0, -1)]
+    per_call = (delta / (3.0 * n_left) if n_left else 0.0,
+                delta / (3.0 * n_right) if n_right else 0.0)
+    return notes, _flanked(query, proving, refuting, per_call)[1]
 
 
 def _estimate(query: ThresholdQuery) -> _Layout:
@@ -697,14 +684,14 @@ def schedule(strategy: str, query: QueryLike) -> _Layout:
 
     The strategy's name, checked by _check_choice, picks its layout from
     _LAYOUTS, the one place it decides anything: the layout of the calls
-    and the split of delta across them.  bincert runs every flank call at
-    delta / n (_halving_calls); fixedcert gives each flank delta/3, split
-    evenly over its grid.  The final call of both gets what the larger
-    flank's budgets leave of delta (_final_budget): a wrong yes can come
-    only from a proving call or the final one, a wrong no only from a
-    refuting call or the final one.  estimate makes one call at delta with
-    the boundary theta + eta/2.  The entries are lazy: a plan is made when
-    its entry is read, so a run that settles early plans nothing more.
-    Runs, worst_case_budget and schedule_law read them.
+    and the split of delta across them.  bincert and fixedcert lay out two
+    flanks and a final call, alternating the flanks proving first while
+    both last (_flanked).  bincert runs every flank call at delta / n
+    (_halving_calls); fixedcert gives each flank delta/3, split evenly over
+    its grid.  The final call of both gets what the flanks leave of delta
+    (_final_budget).  estimate makes one call at delta with the boundary
+    theta + eta/2.  The entries are lazy: a plan is made when its entry is
+    read, so a run that settles early plans nothing more.  Runs,
+    worst_case_budget and schedule_law read them.
     """
     return _LAYOUTS[_check_choice("strategy", strategy, _LAYOUTS)](validate_query(query))

@@ -77,6 +77,11 @@ def _sample_count(bound: float) -> int:
     return math.ceil(bound)
 
 
+def _closed_form(theta2: float, width: float, delta_call: float) -> int:
+    """N0 = ceil(8 theta2 ln(1/delta_call) / width^2): the Chernoff size a plan bisects from."""
+    return _sample_count(8.0 * theta2 * math.log(1.0 / delta_call) / (width * width))
+
+
 def _cutoff(n: int, t: float | Fraction) -> int:
     """The largest s in [0, n] with s <= t n, t a float or Fraction >= 0, computed exactly."""
     return min(n, math.floor(Fraction(t) * n))
@@ -163,7 +168,7 @@ def _plan(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
         raise OutOfRangeError(
             f"interval ({theta1}, {theta2}) is too narrow: its width squared underflows"
         )
-    hi = _sample_count(8.0 * theta2 * math.log(1.0 / delta_call) / (width * width))
+    hi = _closed_form(theta2, width, delta_call)
     c = _cutoff(hi, (Fraction(theta1) + Fraction(theta2)) / 2)
     if hi <= _EXACT_N and delta_call >= _EXACT_DELTA:
         lo = 0

@@ -1,11 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from quantcert import SeedSpec, TrialOutcomes, load_model
-from quantcert.strategy import _halving_calls
+from quantcert.strategy import _halving_calls, _side, schedule
+from quantcert.tester import TesterPlan
 
 
 class CountingOracle:
@@ -76,6 +78,22 @@ def seed():
 @pytest.fixture
 def center2():
     return np.array([0.5, 0.5])
+
+
+def schedule_rows(name, query):
+    """(side, theta1, theta2, delta_call) of every entry of the schedule, in run order.
+
+    The layouts hand each call's interval and delta_call to plan_tester; a
+    stand-in that keeps them and sizes nothing walks whole schedules at eta
+    near 1e-6, where sizing each of hundreds of calls exactly would take
+    seconds.
+    """
+    def unsized(theta1, theta2, delta_call):
+        return TesterPlan(theta1, theta2, delta_call, 1, 0)
+
+    with mock.patch("quantcert.strategy.plan_tester", unsized):
+        return [(_side(a, b), plan.theta1, plan.theta2, plan.delta_call)
+                for plan, a, b in schedule(name, query)[1]]
 
 
 def parent_budgets(name, query, spent):

@@ -21,10 +21,10 @@ from quantcert import (
 )
 from quantcert.robustness import L2BallSampler, LinfBallSampler
 from quantcert.sim import complexity_sweep
-from quantcert.strategy import _side, baseline_samples, schedule, worst_case_budget
+from quantcert.strategy import baseline_samples, worst_case_budget
 from quantcert.tester import plan_tester
 from quantcert.cli import main as cli_main
-from conftest import CountingOracle, assert_per_side, linear_model, parent_budgets
+from conftest import CountingOracle, assert_per_side, linear_model, parent_budgets, schedule_rows
 
 
 def _verdict(num, ok, detail):
@@ -199,7 +199,7 @@ def test_c07_per_report_failure_accounting():
     ]
     checked = 0
     for i, query in enumerate(queries):
-        planned = {name: [(_side(a, b), plan.delta_call) for plan, a, b in schedule(name, query)[1]]
+        planned = {name: [(side, budget) for side, _, _, budget in schedule_rows(name, query)]
                    for name in ("bincert", "fixedcert")}
         for name, spent in planned.items():
             assert_per_side(query, spent, parent_budgets(name, query, spent))

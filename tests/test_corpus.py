@@ -6,12 +6,15 @@ on queries with theta = 0 and theta + eta = 1, rates at both band edges, at
 0 and 1 and in between, two root seeds, and three limits: none, a zero
 budget, and a budget that blocks partway through a schedule.  The density
 corpus runs ``certify_density`` with linf and l2 balls on the dyadic model
-of ``test_kernels``.  A refactor of the strategy loop must leave every
-digest unchanged; a change meant to move report bytes bumps
-``SeedSpec.DERIVATION`` and the digests together.
+of ``test_kernels``.  The schedule corpus hashes ``schedule_lines``
+instead: every entry of each strategy's schedule, reached or not.  A
+refactor of the strategy loop must leave every digest unchanged; a change
+meant to move report bytes bumps ``SeedSpec.DERIVATION`` and the digests
+together.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -23,6 +26,7 @@ from quantcert import (
     certify_density,
     run_strategy,
 )
+from quantcert.strategy import _plan_fields, schedule
 from test_kernels import PIN_SEED, pin_inputs, pin_model
 
 STRATEGY_NAMES = ("bincert", "fixedcert", "estimate")
@@ -47,9 +51,8 @@ def _rates(q):
     return sorted(set(rates))
 
 
-def _digest(reports):
-    text = "\n".join(r.canonical_json() for r in reports)
-    return hashlib.sha256(text.encode()).hexdigest()
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def bernoulli_reports(strategy):
@@ -59,6 +62,35 @@ def bernoulli_reports(strategy):
             for root in SEEDS:
                 for limits in LIMITS:
                     yield run_strategy(strategy, q, oracle, SeedSpec(root), limits=limits)
+
+
+# The corpus queries, the bench's bern-tight and hardness-784 queries (its
+# third is QUERIES[0]), and queries whose flanks are empty, touch 0 or 1,
+# or do not halve or cut evenly.
+SCHEDULE_QUERIES = QUERIES + (
+    ThresholdQuery(0.1, 2e-3, 0.01),
+    ThresholdQuery(0.01, 0.01, 0.05),
+    ThresholdQuery(0.0, 0.25, 0.1),
+    ThresholdQuery(0.5, 0.5, 0.1),
+    ThresholdQuery(0.05, 0.1, 0.1),
+    ThresholdQuery(0.7, 0.2, 0.1),
+    ThresholdQuery(0.1, 1e-3, 0.01),
+    ThresholdQuery(0.3, 0.01, 0.01),
+    ThresholdQuery(0.04, 0.01, 0.01),
+)
+
+
+def schedule_lines(strategy):
+    """Each query's notes, then every entry's plan and bounds (a, b), one line each.
+
+    The Bernoulli corpus only pins the calls its runs reach; these lines
+    hold every call a run of the schedule could reach.
+    """
+    for q in SCHEDULE_QUERIES:
+        notes, entries = schedule(strategy, q)
+        yield json.dumps(list(notes))
+        for plan, a, b in entries:
+            yield json.dumps({**_plan_fields(plan), "a": a, "b": b}, sort_keys=True)
 
 
 # norm -> radii that certify yes and no in test_kernels' hardness pins
@@ -89,14 +121,28 @@ GOLDEN_DENSITY = {
 }
 
 
+GOLDEN_SCHEDULES = {
+    "bincert": "7c6bf9a4814c1ebbdd374c6a8aa0a38592c18089b92dae2e0afe5b6fcd6f8a89",
+    "fixedcert": "7c36c648f50c1207feb371ac0ee07a3620ff00b1d484b796039b1971910267f2",
+    "estimate": "9d1aab1a2c9fd90cc6f56bebe9270b009d2b191886b808f9bccf6706b87a7639",
+}
+
+
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 def test_bernoulli_corpus(strategy):
-    assert _digest(bernoulli_reports(strategy)) == GOLDEN_BERNOULLI[strategy]
+    reports = bernoulli_reports(strategy)
+    assert _digest(r.canonical_json() for r in reports) == GOLDEN_BERNOULLI[strategy]
 
 
 @pytest.mark.parametrize("norm", sorted(GOLDEN_DENSITY))
 def test_density_corpus(norm):
-    assert _digest(density_reports(norm)) == GOLDEN_DENSITY[norm]
+    reports = density_reports(norm)
+    assert _digest(r.canonical_json() for r in reports) == GOLDEN_DENSITY[norm]
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_schedule_corpus(strategy):
+    assert _digest(schedule_lines(strategy)) == GOLDEN_SCHEDULES[strategy]
 
 
 def test_corpus_reaches_every_ending():

@@ -3,7 +3,6 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,36 +29,44 @@ from quantcert.strategy import (
 )
 from quantcert.tester import TesterPlan as HandPlan
 from quantcert.tester import _sample_count, plan_tester
-from quantcert.strategy import (
-    _check_report, _entry, _final_budget, _fixed_schedule, _halving_calls, _halving_schedule,
-    _side)
-from conftest import CountingOracle, assert_per_side, parent_budgets
+from quantcert.strategy import _check_report, _entry, _final_budget, _halving_calls, _side
+from conftest import CountingOracle, assert_per_side, parent_budgets, schedule_rows
+
+
+def _intervals(name, query):
+    """(side, theta1, theta2) of every entry of the schedule, in run order."""
+    return [row[:3] for row in schedule_rows(name, query)]
+
+
+def _spent(name, query):
+    """(side, delta_call) of every entry of the schedule, in run order."""
+    return [(side, delta_call) for side, _, _, delta_call in schedule_rows(name, query)]
 
 
 class TestCreateInterval:
     """The endpoint arithmetic of bincert's halving steps, on schedule rows."""
 
     def test_first_left_interval(self):
-        rows = list(_halving_schedule(ThresholdQuery(0.1, 1e-3, 0.01)))
+        rows = _intervals("bincert", ThresholdQuery(0.1, 1e-3, 0.01))
         assert rows[0] == ("proving", 0.0, 0.1)
 
     def test_first_right_interval(self):
-        rows = list(_halving_schedule(ThresholdQuery(0.1, 0.05, 0.1)))
+        rows = _intervals("bincert", ThresholdQuery(0.1, 0.05, 0.1))
         _, lo, hi = rows[1]
         assert rows[1][0] == "refuting" and lo == 0.1 + 0.05 and hi == 1.0
 
     def test_left_halving_keeps_inner_end(self):
-        rows = list(_halving_schedule(ThresholdQuery(0.1, 1e-3, 0.01)))
+        rows = _intervals("bincert", ThresholdQuery(0.1, 1e-3, 0.01))
         assert rows[2] == ("proving", 0.05, 0.1)
 
     def test_right_halving_keeps_inner_end(self):
         query = ThresholdQuery(0.1, 0.05, 0.1)
-        rows = [row for row in _halving_schedule(query) if row[0] == "refuting"]
+        rows = [row for row in _intervals("bincert", query) if row[0] == "refuting"]
         assert rows[1] == ("refuting", query.upper, 0.15 + 0.425)
 
     def test_zero_threshold_left_stub(self):
         for eta in (1e-3, 0.2, 0.999):
-            rows = list(_halving_schedule(ThresholdQuery(0.0, eta, 0.1)))
+            rows = _intervals("bincert", ThresholdQuery(0.0, eta, 0.1))
             assert all(side != "proving" for side, _, _ in rows)
             assert rows[-1] == ("final", 0.0, eta)
 
@@ -68,7 +75,7 @@ class TestCreateInterval:
                    ThresholdQuery(0.5, 0.15, 0.1), ThresholdQuery(0.9, 0.01, 0.1)]
         for query in queries:
             for side, pinned in (("proving", 2), ("refuting", 1)):
-                rows = [row for row in _halving_schedule(query) if row[0] == side]
+                rows = [row for row in _intervals("bincert", query) if row[0] == side]
                 assert all(row[pinned] == rows[0][pinned] for row in rows)
                 widths = [hi - lo for _, lo, hi in rows]
                 for wide, narrow in zip(widths, widths[1:]):
@@ -80,7 +87,7 @@ class TestCreateInterval:
         # bands touching 0 or 1, and flanks that do not halve evenly into eta
         for query in (ThresholdQuery(0.0, 0.25, 0.1), ThresholdQuery(0.5, 0.5, 0.1),
                       ThresholdQuery(0.9, 0.1, 0.1), ThresholdQuery(0.7, 0.2, 0.1)):
-            rows = list(_halving_schedule(query))
+            rows = _intervals("bincert", query)
             assert all(0.0 <= lo < hi <= 1.0 for _, lo, hi in rows)
             assert rows[-1] == ("final", query.theta, query.upper)
 
@@ -96,12 +103,12 @@ class TestCreateInterval:
     )
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(OutOfRangeError):
-            list(_halving_schedule(ThresholdQuery(**kwargs)))
+            _intervals("bincert", ThresholdQuery(**kwargs))
 
     @given(theta=st.floats(0.0, 1.0), eta=st.floats(1e-6, 1.0, exclude_max=True))
     def test_result_is_ordered_and_clamped(self, theta, eta):
         assume(theta + eta <= 1.0)
-        for side, lo, hi in _halving_schedule(ThresholdQuery(theta, eta, 0.1)):
+        for side, lo, hi in _intervals("bincert", ThresholdQuery(theta, eta, 0.1)):
             assert 0.0 <= lo < hi <= 1.0
 
 
@@ -136,7 +143,7 @@ class TestBinCertParams:
 
 class TestHalvingSchedule:
     def test_zero_threshold_schedule(self):
-        rows = list(_halving_schedule(ThresholdQuery(0.0, 0.25, 0.1)))
+        rows = _intervals("bincert", ThresholdQuery(0.0, 0.25, 0.1))
         assert rows == [
             ("refuting", 0.25, 1.0),
             ("refuting", 0.25, 0.625),
@@ -145,7 +152,7 @@ class TestHalvingSchedule:
 
     def test_alternation_and_final(self):
         query = ThresholdQuery(0.5, 0.1, 0.01)
-        rows = list(_halving_schedule(query))
+        rows = _intervals("bincert", query)
         assert rows[0] == ("proving", 0.0, 0.5)
         assert rows[1] == ("refuting", 0.6, 1.0)
         assert rows[-1] == ("final", 0.5, query.upper)
@@ -160,7 +167,7 @@ class TestHalvingSchedule:
         # 0.1 - 0.001 recomputed from endpoints is one ulp above 0.001;
         # a schedule keyed on endpoint differences would never finish.
         query = ThresholdQuery(0.1, 1e-3, 0.01)
-        rows = list(_halving_schedule(query))
+        rows = _intervals("bincert", query)
         assert rows[-1] == ("final", 0.1, query.upper)
         assert len(rows) == 18 <= math.ceil(_halving_calls(query))
 
@@ -170,7 +177,7 @@ class TestHalvingSchedule:
                 if theta + eta > 1.0:
                     continue
                 query = ThresholdQuery(theta, eta, 0.05)
-                rows = list(_halving_schedule(query))
+                rows = _intervals("bincert", query)
                 assert len(rows) <= math.ceil(_halving_calls(query))
 
     @given(
@@ -184,23 +191,9 @@ class TestHalvingSchedule:
         assume(theta + eta <= 1.0)
         query = ThresholdQuery(theta, eta, delta)
         n = _halving_calls(query)
-        spent = _budgets("bincert", query)
+        spent = _spent("bincert", query)
         assert len(spent) <= n
         assert_per_side(query, spent, parent_budgets("bincert", query, spent))
-
-
-def _budgets(name, query):
-    """(side, delta_call) of every entry of the schedule, read without sizing a call.
-
-    The layouts hand each call's delta_call to plan_tester; a stand-in that
-    keeps it and sizes nothing walks whole schedules at eta near 1e-6, where
-    sizing each of hundreds of calls exactly would take seconds.
-    """
-    def unsized(theta1, theta2, delta_call):
-        return HandPlan(theta1, theta2, delta_call, 1, 0)
-
-    with mock.patch("quantcert.strategy.plan_tester", unsized):
-        return [(_side(a, b), plan.delta_call) for plan, a, b in schedule(name, query)[1]]
 
 
 @given(
@@ -242,8 +235,29 @@ def test_union_bound_covers_the_whole_schedule(name, theta, eta, delta):
     # within delta.
     assume(theta + eta <= 1.0)
     query = ThresholdQuery(theta, eta, delta)
-    spent = _budgets(name, query)
+    spent = _spent(name, query)
     assert_per_side(query, spent, parent_budgets(name, query, spent))
+
+
+@pytest.mark.parametrize("name", ["bincert", "fixedcert"])
+@given(theta=st.floats(0.0, 1.0), eta=st.floats(1e-6, 1.0, exclude_max=True))
+@example(theta=0.0, eta=0.25)  # no proving flank
+@example(theta=0.5, eta=0.5)  # no flank at all
+@example(theta=0.3, eta=0.01)  # the refuting flank is longer
+@example(theta=0.9, eta=0.01)  # the proving flank is longer
+def test_flanks_alternate_proving_first_then_one_final_call(name, theta, eta):
+    # Sides alternate, proving first, while both flanks last; the rest of
+    # the longer flank follows, and one final call on (theta, theta + eta)
+    # ends the schedule.
+    assume(theta + eta <= 1.0)
+    query = ThresholdQuery(theta, eta, 0.1)
+    rows = schedule_rows(name, query)
+    sides = [side for side, _, _, _ in rows]
+    left, right = sides.count("proving"), sides.count("refuting")
+    both = ["proving", "refuting"] * min(left, right)
+    rest = ["proving"] * (left - right) + ["refuting"] * (right - left)
+    assert sides == both + rest + ["final"]
+    assert rows[-1][1:3] == (query.theta, query.upper)
 
 
 # The bench's queries: bern-tight, hardness-784, and the README's, which
@@ -254,7 +268,7 @@ def test_union_bound_covers_the_whole_schedule(name, theta, eta, delta):
                                    ThresholdQuery(0.1, 0.05, 0.1)])
 def test_no_call_is_larger_than_under_the_all_call_bound(name, query):
     entries = list(schedule(name, query)[1])
-    spent = [(_side(a, b), plan.delta_call) for plan, a, b in entries]
+    spent = _spent(name, query)
     parent = parent_budgets(name, query, spent)
     for (plan, a, b), (side, _) in zip(entries, spent):
         assert plan.n_samples <= plan_tester(plan.theta1, plan.theta2, parent[side]).n_samples
@@ -284,7 +298,7 @@ class TestBinCert:
     def test_in_band_rate_runs_whole_schedule(self, seed):
         query = ThresholdQuery(0.3, 0.2, 0.1)
         report = run_strategy("bincert", query, BernoulliOracle(0.4), seed)
-        assert len(report.calls) == len(list(_halving_schedule(query)))
+        assert len(report.calls) == len(_intervals("bincert", query))
         last = report.calls[-1]
         assert last.side == "final"
         assert report.verdict.kind == ("yes" if last.outcome == "yes" else "no")
@@ -294,7 +308,7 @@ class TestBinCert:
         query = ThresholdQuery(0.3, 0.2, 0.1)
         report = run_strategy("bincert", query, BernoulliOracle(0.4), seed)
         spent = [(c.side, c.plan.delta_call) for c in report.calls]
-        assert len(spent) == len(list(_halving_schedule(query)))
+        assert len(spent) == len(_intervals("bincert", query))
         assert_per_side(query, spent, parent_budgets("bincert", query, spent))
 
     def test_calls_read_one_stream(self, seed, monkeypatch):
@@ -439,8 +453,7 @@ class TestLimits:
 
 class TestFixedCertParams:
     def _plans(self, query):
-        notes, entries = schedule("fixedcert", query)
-        return notes, [(_side(a, b), plan.delta_call) for plan, a, b in entries]
+        return schedule("fixedcert", query)[0], _spent("fixedcert", query)
 
     def test_reference_layout(self):
         notes, plans = self._plans(ThresholdQuery(0.3, 0.01, 0.01))
@@ -475,7 +488,7 @@ class TestFixedCertParams:
 class TestFixedSchedule:
     def test_reference_schedule(self):
         query = ThresholdQuery(0.3, 0.01, 0.01)
-        rows = list(_fixed_schedule(query, 3, 6))
+        rows = schedule_rows("fixedcert", query)
         assert len(rows) == 3 + 6 + 1
         side0, lo0, hi0, d0 = rows[0]
         assert (side0, lo0) == ("proving", 0.0)
@@ -497,7 +510,7 @@ class TestFixedSchedule:
 
     def test_grid_endpoints_are_exact(self):
         query = ThresholdQuery(0.3, 0.01, 0.01)
-        rows = list(_fixed_schedule(query, 3, 6))
+        rows = schedule_rows("fixedcert", query)
         proving = [r for r in rows if r[0] == "proving"]
         refuting = [r for r in rows if r[0] == "refuting"]
         # the innermost proving interval ends exactly at theta, and the
@@ -513,7 +526,8 @@ class TestFixedSchedule:
 
     def test_empty_left_flank(self):
         query = ThresholdQuery(0.04, 0.01, 0.01)
-        rows = list(_fixed_schedule(query, 0, 9))
+        rows = schedule_rows("fixedcert", query)
+        assert len(rows) == 0 + 9 + 1
         assert all(r[0] != "proving" for r in rows)
         assert rows[0][0] == "refuting"
         assert rows[-1][0] == "final"
@@ -543,7 +557,7 @@ class TestFixedCert:
         query = ThresholdQuery(0.3, 0.04, 0.05)
         report = run_strategy("fixedcert", query, BernoulliOracle(0.32), seed)
         spent = [(c.side, c.plan.delta_call) for c in report.calls]
-        assert spent == _budgets("fixedcert", query)
+        assert spent == _spent("fixedcert", query)
         assert_per_side(query, spent, parent_budgets("fixedcert", query, spent))
 
     def test_sample_budget(self, seed):
