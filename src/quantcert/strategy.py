@@ -1,9 +1,9 @@
 """Certification strategies built on the two-point tester.
 
 All strategies answer the same threshold query and emit the same report
-shape; they differ in how they schedule tester calls.  The two paper
-strategies share one shape (_flanked): proving intervals below theta and
-refuting intervals above theta + eta, alternating proving first while
+shape; they differ in how they schedule tester calls (Call).  The two
+paper strategies share one shape (_flanked): proving intervals below theta
+and refuting intervals above theta + eta, alternating proving first while
 both flanks last, then one final call on (theta, theta + eta).
 
 * bincert: flanks that halve toward the threshold, cheap when the true
@@ -50,13 +50,10 @@ from .tester import (_TAIL, TesterPlan, TrialStream, _binomial, _closed_form, _c
                      _Deadline, _sample_count, _trim, plan_tester)
 
 Side = Literal["proving", "refuting", "final"]
-# A call (plan, a, b) settles a run yes when S(n) <= a and no when S(n) > b,
-# for S(n) the successes among the stream's first n = plan.n_samples trials.
-# A strategy's layout is its report notes and its lazy entries, in run order.
-Entry = Tuple[TesterPlan, int, int]
 # A call's interval (theta1, theta2).
 Interval = Tuple[float, float]
-_Layout = Tuple[Tuple[str, ...], Iterator[Entry]]
+# A strategy's layout: its report notes and its lazy calls, in run order.
+_Layout = Tuple[Tuple[str, ...], Iterator["Call"]]
 
 # Integer quotients like theta/sqrt(eta) can land one ulp under a whole
 # number; the nudge keeps layout counts from collapsing by one.
@@ -67,28 +64,40 @@ class ReportInvariantError(QuantCertError):
     """A strategy produced a report violating its own guarantees."""
 
 
-def _entry(side: Side, plan: TesterPlan) -> Entry:
-    """A side's call on plan as bounds: proving (c, n), refuting (-1, c), final (c, c)."""
-    c = plan.c
-    return (plan, *{"proving": (c, plan.n_samples), "refuting": (-1, c), "final": (c, c)}[side])
-
-
-def _side(a: int, b: int) -> Side:
-    """The side a call with bounds (a, b) argues for, as reports print it."""
-    return "final" if a == b else "refuting" if a < 0 else "proving"
-
-
 @dataclass(frozen=True)
-class CallRecord:
-    """One completed tester call: its plan, its bounds (a, b), and the
-    successes among the stream's first plan.n_samples trials."""
+class Call:
+    """One scheduled tester call.  S(n), the successes among the stream's
+    first n = plan.n_samples trials, settles a run yes at S(n) <= a and no
+    at S(n) > b; in between the run reads on.  Building a call checks
+    0 <= n and -1 <= a <= b <= n, so runs and schedule_law read it as is."""
 
     plan: TesterPlan
     a: int
     b: int
-    successes: int
 
-    side = property(lambda self: _side(self.a, self.b))
+    def __post_init__(self) -> None:
+        n = self.plan.n_samples
+        if not (0 <= n and -1 <= self.a <= self.b <= n):
+            raise OutOfRangeError(f"a call needs 0 <= n and -1 <= a <= b <= n, got n = {n}, "
+                                  f"a = {self.a}, b = {self.b}")
+
+    @property
+    def side(self) -> Side:
+        """The side the call argues for, as reports print it."""
+        return "final" if self.a == self.b else "refuting" if self.a < 0 else "proving"
+
+
+def _entry(side: Side, plan: TesterPlan) -> Call:
+    """A side's call on plan: bounds proving (c, n), refuting (-1, c), final (c, c)."""
+    n, c = plan.n_samples, plan.c
+    return Call(plan, *{"proving": (c, n), "refuting": (-1, c), "final": (c, c)}[side])
+
+
+@dataclass(frozen=True)
+class CallRecord(Call):
+    """One completed tester call and the successes among its n trials."""
+
+    successes: int
 
     @property
     def tally(self) -> SampleTally:
@@ -280,8 +289,7 @@ def _final_budget(delta: float, proving: Tuple[int, float], refuting: Tuple[int,
     and its math.fsum, stays within delta.  It is never below a budget for
     all calls: bincert's L + R + 1 calls fit in n, so delta less
     max(L, R) delta / n is at least delta / n, and fixedcert's 2 delta/3
-    exceeds delta/3.  plan_tester takes budgets below 1, so at delta = 1
-    with no flank call the budget is the float below 1.
+    exceeds delta/3.
     """
     # Every float is an integer over a power of two, so over the largest
     # of the three denominators the difference is an exact integer ratio;
@@ -295,9 +303,7 @@ def _final_budget(delta: float, proving: Tuple[int, float], refuting: Tuple[int,
     )
     final = left / scale
     top, bottom = final.as_integer_ratio()
-    if top * scale > left * bottom:
-        final = math.nextafter(final, 0.0)
-    return min(final, math.nextafter(1.0, 0.0))
+    return math.nextafter(final, 0.0) if top * scale > left * bottom else final
 
 
 def _lerp(a: float, b: float, num: int, k: int) -> float:
@@ -311,8 +317,8 @@ def _flanked(
     proving: List[Interval],
     refuting: List[Interval],
     per_call: Tuple[float, float],
-) -> Tuple[float, Iterator[Entry]]:
-    """A paper strategy's final budget and its lazy entries, in run order.
+) -> Tuple[float, Iterator[Call]]:
+    """A paper strategy's final budget and its lazy calls, in run order.
 
     The flanks alternate, proving first, while both last; then come the
     rest of the longer flank and a final call on (theta, theta + eta).
@@ -359,18 +365,17 @@ def _check_report(report: CertificationReport) -> CertificationReport:
         )
     budgets: Dict[Side, List[float]] = {"proving": [], "refuting": [], "final": []}
     for rec in report.calls:
-        budgets[rec.side].append(rec.plan.delta_call)
-        if rec.side == "proving" and not rec.plan.theta2 <= query.theta:
+        side, plan = rec.side, rec.plan
+        budgets[side].append(plan.delta_call)
+        if side == "proving" and not plan.theta2 <= query.theta:
             raise ReportInvariantError(
-                f"proving interval reaches {rec.plan.theta2} above theta {query.theta}"
+                f"proving interval reaches {plan.theta2} above theta {query.theta}"
             )
-        if rec.side == "refuting" and not rec.plan.theta1 >= query.upper:
+        if side == "refuting" and not plan.theta1 >= query.upper:
             raise ReportInvariantError(
-                f"refuting interval starts at {rec.plan.theta1} below theta+eta {query.upper}"
+                f"refuting interval starts at {plan.theta1} below theta+eta {query.upper}"
             )
-        if rec.side == "final" and (
-            rec.plan.theta1 != query.theta or rec.plan.theta2 != query.upper
-        ):
+        if side == "final" and (plan.theta1 != query.theta or plan.theta2 != query.upper):
             raise ReportInvariantError("final call must test (theta, theta+eta)")
     # Each side's budgets and the final call's sum within delta (_final_budget).
     for side in ("proving", "refuting"):
@@ -395,31 +400,20 @@ def _check_report(report: CertificationReport) -> CertificationReport:
     return report
 
 
-def _check_entry(entry: Entry) -> Entry:
-    """entry, once its call size n and bounds (a, b) have 0 <= n and -1 <= a <= b <= n."""
-    plan, a, b = entry
-    n = plan.n_samples
-    if not (0 <= n and -1 <= a <= b <= n):
-        raise OutOfRangeError(f"a call needs 0 <= n and -1 <= a <= b <= n, got n = {n}, "
-                              f"a = {a}, b = {b}")
-    return entry
-
-
-def _capped(entries: Iterable[Entry], max_samples: Optional[int]) -> Iterable[Entry]:
-    """The checked entries up to the first call larger than max_samples: the one cap rule."""
-    checked = map(_check_entry, entries)
+def _capped(calls: Iterable[Call], max_samples: Optional[int]) -> Iterable[Call]:
+    """The calls up to the first one larger than max_samples: the one cap rule."""
     if max_samples is None:
-        return checked
-    return itertools.takewhile(lambda entry: entry[0].n_samples <= max_samples, checked)
+        return calls
+    return itertools.takewhile(lambda call: call.plan.n_samples <= max_samples, calls)
 
 
-def run_tester(plan: TesterPlan, a: int, b: int, stream: TrialStream) -> CallRecord:
+def run_tester(call: Call, stream: TrialStream) -> CallRecord:
     """One call: count the successes among trials [0, plan.n_samples) of the stream.
 
     Only trials the stream has not drawn yet are drawn; a call inside the
     stream reads the outcomes it keeps and draws nothing.
     """
-    return CallRecord(plan, a, b, stream.successes(plan.n_samples))
+    return CallRecord(call.plan, call.a, call.b, stream.successes(call.plan.n_samples))
 
 
 def _run_schedule(
@@ -432,24 +426,24 @@ def _run_schedule(
 ) -> CertificationReport:
     """Run a strategy's scheduled tester calls in order until one settles the query.
 
-    Entries are read one at a time, so a call is planned only when it is
+    Calls are read one at a time, so a call is planned only when it is
     reached.  Every call reads a prefix of the run's one trial stream, and
     the report's total_samples is the stream's length: the largest call,
     or in a run cut by its deadline every trial drawn, the cut call's
-    included.  max_samples caps the entries, max_wall_ms is the stream's
+    included.  max_samples caps the calls, max_wall_ms is the stream's
     deadline, and the first call that settles the run (CallRecord.settles)
     gives the verdict.
     """
     query = validate_query(query)
-    notes, entries = schedule(strategy, query)
+    notes, scheduled = schedule(strategy, query)
     started = time.perf_counter()
     wall = limits.max_wall_ms if limits else None
     stream = TrialStream(oracle, seed, None if wall is None else started + wall / 1000.0)
     calls: List[CallRecord] = []
 
     try:
-        for plan, a, b in _capped(entries, limits.max_samples if limits else None):
-            calls.append(run_tester(plan, a, b, stream))
+        for call in _capped(scheduled, limits.max_samples if limits else None):
+            calls.append(run_tester(call, stream))
             if settled := calls[-1].settles:
                 verdict = Verdict(settled)
                 break
@@ -485,11 +479,11 @@ class ScheduleLaw:
 
 
 def schedule_law(
-    entries: Iterable[Entry],
+    scheduled: Iterable[Call],
     p: float,
     max_samples: Optional[int] = None,
 ) -> ScheduleLaw:
-    """The law of a run of these entries against Bernoulli(p), computed.
+    """The law of a run of these calls against Bernoulli(p), computed.
 
     Same rules as the run but max_wall_ms: a call larger than max_samples
     ends it inconclusive (_capped), a call ends it yes at S(n_k) <= a_k and
@@ -502,25 +496,26 @@ def schedule_law(
     that settles a run on the trials seen so far; between sizes n < n' the
     count distribution is convolved with Bin(n' - n, p).  A state whose
     settling call precedes every call still to come is final and keeps only
-    its probability.  Entries are read until one settles every run that
+    its probability.  Calls are read until one settles every run that
     reaches it, so a run that surely settles early plans nothing more.
     Binomial tails, the tails of each state's count distribution and whole
     states of mass at most 1e-30 are dropped at each step, so each figure
     may fall short by that much per step.
     """
     p = _check_real("p", p, "[0, 1]")
-    calls: List[Tuple[int, int, int]] = []
-    for plan, a, b in _capped(entries, max_samples):
-        n = plan.n_samples
-        calls.append((n, a, b))
+    calls: List[Call] = []
+    for call in _capped(scheduled, max_samples):
+        calls.append(call)
+        n = call.plan.n_samples
         # S(n) takes lo..hi: only 0 at p = 0, only n at p = 1.  A call that
         # reads on at none of them settles every run that reaches it.
         lo, hi = (0 if p < 1.0 else n), (n if p > 0.0 else 0)
-        if min(b, hi) <= max(a, lo - 1):
+        if min(call.b, hi) <= max(call.a, lo - 1):
             break
+    sizes = [call.plan.n_samples for call in calls]
     # A run settled by call k has made calls 0..k and drawn their largest.
-    totals = list(itertools.accumulate((n for n, _, _ in calls), max, initial=0))[1:]
-    order = sorted(range(len(calls)), key=lambda k: (calls[k][0], k))
+    totals = list(itertools.accumulate(sizes, max, initial=0))[1:]
+    order = sorted(range(len(calls)), key=lambda k: (sizes[k], k))
     # The earliest call still to come after each step of the walk.
     upcoming = list(itertools.accumulate(reversed(order), min, initial=len(calls)))[::-1][1:]
 
@@ -532,15 +527,15 @@ def schedule_law(
     ends = {"yes": 0.0, "no": 0.0}
     samples: DefaultDict[int, float] = defaultdict(float)
     for k, first_left in zip(order, upcoming):
-        n, a, b = calls[k]
+        n, call = sizes[k], calls[k]
         pieces: Dict[Tuple[int, str], List[Tuple[int, np.ndarray]]] = {}
         for label in [label for label in states if label[0] > k]:
             at, lo, mass = states.pop(label)
             if n > at:
                 low, pmf = _binomial(n - at, p)
                 lo, mass = _trim(lo + low, np.convolve(mass, pmf))
-            yes = min(max(a + 1 - lo, 0), mass.size)
-            no = min(max(b + 1 - lo, yes), mass.size)
+            yes = min(max(call.a + 1 - lo, 0), mass.size)
+            no = min(max(call.b + 1 - lo, yes), mass.size)
             says = {(k, "yes"): (lo, mass[:yes]), label: (lo + yes, mass[yes:no]),
                     (k, "no"): (lo + no, mass[no:])}
             for settled, part in says.items():
@@ -596,15 +591,15 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
     theta2 <= theta (proving) or theta2 <= 1 (refuting), and tests an
     interval at least eta wide, so with L = ln(n / delta),
     k1 = ceil(8 theta L / eta^2) and k2 = ceil(8 L / eta^2) bound their
-    sizes; a flank the schedule makes no call on contributes zero.  k3 is the final call's closed form
-    at its own budget, delta_final.  The exact term plans every interval
-    the halving schedule could ever test and keeps the largest size, so it
-    dominates any observed run structurally.  Raises OutOfRangeError when a
-    bound overflows.
+    sizes; a flank the schedule makes no call on contributes zero.  k3 is
+    the final call's closed form at its own budget, delta_final.  The exact
+    term plans every interval the halving schedule could ever test and
+    keeps the largest size, so it dominates any observed run structurally.
+    Raises OutOfRangeError when a bound overflows.
     """
     q = validate_query(query)
-    entries = [(_side(a, b), plan) for plan, a, b in schedule("bincert", q)[1]]
-    budget = {side: plan.delta_call for side, plan in entries}
+    calls = list(schedule("bincert", q)[1])
+    budget = {call.side: call.plan.delta_call for call in calls}
 
     def term(theta2: float, width: float, side: Side) -> int:
         return _closed_form(theta2, width, budget[side]) if side in budget else 0
@@ -613,19 +608,19 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
         k1=term(q.theta, q.eta, "proving"),
         k2=term(1.0, q.eta, "refuting"),
         k3=term(q.upper, q.upper - q.theta, "final"),
-        exact_schedule_total=max(plan.n_samples for _, plan in entries),
+        exact_schedule_total=max(call.plan.n_samples for call in calls),
     )
 
 
 def _bincert(query: ThresholdQuery) -> _Layout:
     n = _halving_calls(query)
     delta_min = query.delta / n
-    delta_final, entries = _flanked(query, *_halving_flanks(query), (delta_min, delta_min))
+    delta_final, calls = _flanked(query, *_halving_flanks(query), (delta_min, delta_min))
     notes = (
         f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}, "
         f"delta_final = {delta_final!r}",
     )
-    return notes, entries
+    return notes, calls
 
 
 def _fixedcert(query: ThresholdQuery) -> _Layout:
@@ -680,7 +675,7 @@ def run_strategy(
 
 
 def schedule(strategy: str, query: QueryLike) -> _Layout:
-    """A strategy's report notes and the (plan, a, b) entries it runs, in order.
+    """A strategy's report notes and the Calls it runs, in order.
 
     The strategy's name, checked by _check_choice, picks its layout from
     _LAYOUTS, the one place it decides anything: the layout of the calls
@@ -690,7 +685,7 @@ def schedule(strategy: str, query: QueryLike) -> _Layout:
     (_halving_calls); fixedcert gives each flank delta/3, split evenly over
     its grid.  The final call of both gets what the flanks leave of delta
     (_final_budget).  estimate makes one call at delta with the boundary
-    theta + eta/2.  The entries are lazy: a plan is made when its entry is
+    theta + eta/2.  The calls are lazy: a plan is made when its call is
     read, so a run that settles early plans nothing more.  Runs,
     worst_case_budget and schedule_law read them.
     """

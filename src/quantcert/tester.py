@@ -11,7 +11,8 @@ rises with c, so N is feasible exactly when the smallest c meeting the
 first condition meets the second; that c is the plan's cutoff.
 
 The feasible N do not form an interval, so the plan does not promise the
-smallest one.  Its N comes from bisection between 0, never feasible, and
+smallest one.  Its N comes from bisection between 0, feasible only at
+delta_call = 1 (where N0 is 0 too), and
 
     N0 = ceil( 8 theta2 ln(1/delta_call) / (theta2 - theta1)^2 ),
 
@@ -145,12 +146,13 @@ def _exact_cutoff(n: int, theta1: float, theta2: float, delta_call: float) -> Op
 def plan_tester(theta1: float, theta2: float, delta_call: float) -> TesterPlan:
     """Derive the sample size and cutoff for one call.
 
-    Raises OutOfRangeError unless 0 < delta_call < 1, the real numbers
-    0 <= theta1 < theta2 <= 1, and (theta2 - theta1)^2 is nonzero.  The
+    Raises OutOfRangeError unless 0 < delta_call <= 1, the real numbers
+    0 <= theta1 < theta2 <= 1, and (theta2 - theta1)^2 is nonzero; at
+    delta_call = 1 the plan is (n, c) = (0, 0), its closed form.  The
     last 256 intervals' plans are cached, so runs that repeat a query plan
     each interval once.
     """
-    delta_call = _check_real("delta_call", delta_call, "(0, 1)")
+    delta_call = _check_real("delta_call", delta_call, "(0, 1]")
     theta1 = _check_real("theta1", theta1, "[-inf, inf]")
     theta2 = _check_real("theta2", theta2, "[-inf, inf]")
     return _plan(theta1, theta2, delta_call)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quantcert import SeedSpec, TrialOutcomes, load_model
-from quantcert.strategy import _halving_calls, _side, schedule
+from quantcert.strategy import _halving_calls, schedule
 from quantcert.tester import TesterPlan
 
 
@@ -92,18 +92,19 @@ def schedule_rows(name, query):
         return TesterPlan(theta1, theta2, delta_call, 1, 0)
 
     with mock.patch("quantcert.strategy.plan_tester", unsized):
-        return [(_side(a, b), plan.theta1, plan.theta2, plan.delta_call)
-                for plan, a, b in schedule(name, query)[1]]
+        return [(call.side, call.plan.theta1, call.plan.theta2, call.plan.delta_call)
+                for call in schedule(name, query)[1]]
 
 
 def parent_budgets(name, query, spent):
     """Each side's per-call budget under a union bound over every call.
 
     spent holds the (side, delta_call) pairs of a whole schedule, in run
-    order; fixedcert's flank budgets come from its counts.  bincert ran every call at delta / n; fixedcert split delta/3 evenly
-    over each flank and gave the final call delta/3; estimate's one call
-    ran at delta.  The per-side rule keeps the flank budgets and never
-    gives the final call less.
+    order; fixedcert's flank budgets come from its counts.  bincert ran
+    every call at delta / n; fixedcert split delta/3 evenly over each flank
+    and gave the final call delta/3; estimate's one call ran at delta.  The
+    per-side rule keeps the flank budgets and never gives the final call
+    less.
     """
     if name == "estimate":
         return {"final": query.delta}
@@ -130,7 +131,4 @@ def assert_per_side(query, spent, parent):
         assert math.fsum([budget for s, budget in flanks if s == side] + [final]) <= query.delta
     assert final >= parent["final"]
     if not flanks:
-        # all of delta, but for the float below 1 where plan_tester sizes
-        # the call at delta = 1 (estimate builds its plan by hand)
-        assert final in (query.delta, math.nextafter(1.0, 0.0))
-        assert final == query.delta or query.delta == 1.0
+        assert final == query.delta

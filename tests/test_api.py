@@ -19,6 +19,7 @@ MODULES = ("core", "nn", "oracle", "robustness", "sim", "strategy", "tester", "c
 
 # Names that left the package root, each with the module that defines it.
 MOVED = [
+    ("Call", "strategy"),
     ("CallRecord", "strategy"),
     ("CertificationReport", "strategy"),
     ("TesterPlan", "tester"),

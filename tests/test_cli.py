@@ -797,6 +797,10 @@ ORACLE_CMD = ["certify", *TestCertifyModel.QUERY, "--center", "center.csv", "--e
         pytest.param(["plan", "--theta1", "0.1", "--theta2", "0.2", "--delta", "0.01"], 0,
                      "8cf1981dead0cf84eec207510c7838c0d963d3398fb9e4477a54644d1bbc1fae",
                      id="plan"),
+        # delta_call = 1 plans a call of no trials
+        pytest.param(["plan", "--theta1", "0.1", "--theta2", "0.2", "--delta", "1"], 0,
+                     "edb57531151c8601ea06ccfda2fbe913852ff8a080bbaca2ada4391c8cd09f5f",
+                     id="plan-delta-one"),
         pytest.param(["budget", "--theta", "0.1", "--eta", "0.001", "--delta", "0.01"], 0,
                      "f8ee1d22065caabdf5b602a7f81e1088bfea8d4db7216d00640d240d5a138904",
                      id="budget"),

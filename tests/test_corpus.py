@@ -81,7 +81,7 @@ SCHEDULE_QUERIES = QUERIES + (
 
 
 def schedule_lines(strategy):
-    """Each query's notes, then every entry's plan and bounds (a, b), one line each.
+    """Each query's notes, then every call's plan and bounds (a, b), one line each.
 
     The Bernoulli corpus only pins the calls its runs reach; these lines
     hold every call a run of the schedule could reach.
@@ -89,8 +89,9 @@ def schedule_lines(strategy):
     for q in SCHEDULE_QUERIES:
         notes, entries = schedule(strategy, q)
         yield json.dumps(list(notes))
-        for plan, a, b in entries:
-            yield json.dumps({**_plan_fields(plan), "a": a, "b": b}, sort_keys=True)
+        for call in entries:
+            yield json.dumps({**_plan_fields(call.plan), "a": call.a, "b": call.b},
+                             sort_keys=True)
 
 
 # norm -> radii that certify yes and no in test_kernels' hardness pins

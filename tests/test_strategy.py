@@ -20,6 +20,7 @@ from quantcert import (
 from quantcert.core import SampleTally, Verdict
 from quantcert.strategy import (
     STRATEGIES,
+    Call,
     CallRecord,
     CertificationReport,
     baseline_samples,
@@ -29,7 +30,7 @@ from quantcert.strategy import (
 )
 from quantcert.tester import TesterPlan as HandPlan
 from quantcert.tester import _sample_count, plan_tester
-from quantcert.strategy import _check_report, _entry, _final_budget, _halving_calls, _side
+from quantcert.strategy import _check_report, _entry, _final_budget, _halving_calls
 from conftest import CountingOracle, assert_per_side, parent_budgets, schedule_rows
 
 
@@ -132,8 +133,8 @@ class TestBinCertParams:
         query = ThresholdQuery(0.5, 0.5, 0.1)
         assert _halving_calls(query) == 3.0
         # no flank call is left to share delta with the final call
-        _, entries = schedule("bincert", query)
-        assert [plan.delta_call for plan, _, _ in entries] == [0.1]
+        _, calls = schedule("bincert", query)
+        assert [call.plan.delta_call for call in calls] == [0.1]
 
     def test_flanks_narrower_than_eta_contribute_nothing(self):
         n = _halving_calls(ThresholdQuery(0.05, 0.1, 0.1))
@@ -206,15 +207,14 @@ class TestHalvingSchedule:
 @example(delta=0.1, slack=1.0, proving=1, refuting=1)
 def test_final_budget_is_the_largest_float_that_fits(delta, slack, proving, refuting):
     # delta less the larger flank's exact sum, rounded down to a float
-    # (and below 1, where plan_tester stops)
     budget = delta / (max(proving, refuting) + slack)
     spent = max(proving, refuting) * Fraction(budget)
     assume(spent < Fraction(delta))
     final = _final_budget(delta, (proving, budget), (refuting, budget))
-    assert 0.0 < final < 1.0
+    assert 0.0 < final <= delta
     assert Fraction(final) + spent <= Fraction(delta)
-    above = math.nextafter(final, 1.0)
-    assert Fraction(above) + spent > Fraction(delta) or above == 1.0
+    above = math.nextafter(final, math.inf)
+    assert Fraction(above) + spent > Fraction(delta)
 
 
 # Queries whose flanks are empty, narrow, or touch 0 or 1.
@@ -225,6 +225,7 @@ def test_final_budget_is_the_largest_float_that_fits(delta, slack, proving, refu
     delta=st.floats(1e-6, 1.0),
 )
 @example(theta=0.0, eta=0.01, delta=1.0)
+@example(theta=0.5, eta=0.5, delta=1.0)
 @example(theta=0.5, eta=0.5, delta=0.1)
 @example(theta=0.05, eta=0.1, delta=0.1)
 @example(theta=0.1, eta=1e-3, delta=0.01)
@@ -237,6 +238,19 @@ def test_union_bound_covers_the_whole_schedule(name, theta, eta, delta):
     query = ThresholdQuery(theta, eta, delta)
     spent = _spent(name, query)
     assert_per_side(query, spent, parent_budgets(name, query, spent))
+
+
+# No flank call leaves the final call all of delta = 1: it is planned on no
+# trials, so every run says yes having drawn nothing.
+@pytest.mark.parametrize("name", ["bincert", "fixedcert"])
+def test_delta_one_without_flanks_says_yes_on_no_trials(name, seed):
+    query = ThresholdQuery(0.0, 0.5, 1.0)
+    report = run_strategy(name, query, BernoulliOracle(0.7), seed)
+    assert _check_report(report) is report
+    assert (report.verdict.kind, report.total_samples) == ("yes", 0)
+    for p in (0.0, 0.5, 1.0):
+        law = schedule_law(schedule(name, query)[1], p)
+        assert (law.p_yes, law.samples) == (1.0, ((0, 1.0),))
 
 
 @pytest.mark.parametrize("name", ["bincert", "fixedcert"])
@@ -267,13 +281,13 @@ def test_flanks_alternate_proving_first_then_one_final_call(name, theta, eta):
                                    ThresholdQuery(0.01, 0.01, 0.05),
                                    ThresholdQuery(0.1, 0.05, 0.1)])
 def test_no_call_is_larger_than_under_the_all_call_bound(name, query):
-    entries = list(schedule(name, query)[1])
+    plans = [call.plan for call in schedule(name, query)[1]]
     spent = _spent(name, query)
     parent = parent_budgets(name, query, spent)
-    for (plan, a, b), (side, _) in zip(entries, spent):
+    for plan, (side, _) in zip(plans, spent):
         assert plan.n_samples <= plan_tester(plan.theta1, plan.theta2, parent[side]).n_samples
     # the final call is where the per-side rule saves samples
-    final = entries[-1][0]
+    final = plans[-1]
     assert final.n_samples < plan_tester(final.theta1, final.theta2, parent["final"]).n_samples
 
 
@@ -322,9 +336,9 @@ class TestBinCert:
         marks = []
         run = strategy_module.run_tester
 
-        def marked(plan, a, b, stream):
+        def marked(call, stream):
             marks.append((stream.length, len(oracle.windows)))
-            return run(plan, a, b, stream)
+            return run(call, stream)
 
         monkeypatch.setattr(strategy_module, "run_tester", marked)
         report = run_strategy("bincert", ThresholdQuery(0.1, 0.05, 0.1), oracle, seed)
@@ -439,7 +453,7 @@ class TestLimits:
     def test_run_ends_where_the_law_puts_its_mass(self, seed, name, p):
         # At p in {0, 1} every outcome is certain, so the law of a capped
         # run is a point mass, and the run must land on it.
-        sizes = sorted({plan.n_samples for plan, _, _ in schedule(name, self.QUERY)[1]})
+        sizes = sorted({call.plan.n_samples for call in schedule(name, self.QUERY)[1]})
         for cap in [None, 0] + [n + d for n in sizes for d in (-1, 0)]:
             law = schedule_law(schedule(name, self.QUERY)[1], p, cap)
             report = run_strategy(name, self.QUERY, BernoulliOracle(p), seed,
@@ -632,6 +646,9 @@ class TestWorstCaseBudget:
         assert bound.k1 == bound.k2 == 0.0
         assert bound.k3 == 74  # ceil(8 * 0.5 * ln(1 / 0.01) / 0.5^2)
         assert bound.exact_schedule_total == 7  # 0.5^7 <= 0.01 < 0.5^6
+        # at delta = 1 that call is planned at delta_call = 1, on no trials
+        bound = worst_case_budget(ThresholdQuery(0.0, 0.5, 1.0))
+        assert (bound.k3, bound.exact_schedule_total) == (0, 0)
 
     # Sizing a call of 10^9 trials exactly takes about half a second.
     @settings(deadline=None)
@@ -643,7 +660,7 @@ class TestWorstCaseBudget:
         query = ThresholdQuery(theta, eta, delta)
         bound = worst_case_budget(query)
         term = {"proving": bound.k1, "refuting": bound.k2, "final": bound.k3}
-        sizes = [(_side(a, b), plan.n_samples) for plan, a, b in schedule("bincert", query)[1]]
+        sizes = [(call.side, call.plan.n_samples) for call in schedule("bincert", query)[1]]
         for side, n in sizes:
             # a size is its bound rounded up; 1e-9 absorbs eta versus upper - theta
             assert n <= math.ceil(term[side] * (1.0 + 1e-9)), (side, n, term[side])
@@ -746,8 +763,8 @@ HAND_CALLS = {"proving": (19, 0), "refuting": (219, 174), "final": (2480, 1370)}
 
 
 def _record(side, theta1, theta2, delta, successes=0):
-    plan = HandPlan(theta1, theta2, delta, *HAND_CALLS[side])
-    return CallRecord(*_entry(side, plan), successes=successes)
+    call = _entry(side, HandPlan(theta1, theta2, delta, *HAND_CALLS[side]))
+    return CallRecord(call.plan, call.a, call.b, successes)
 
 
 def _report(query, calls, verdict, total=None):
@@ -778,9 +795,10 @@ class TestReportInvariants:
     def test_entry_bounds_by_side(self):
         # proving (c, n), refuting (-1, c), final (c, c); each reads back as its side
         plans = {side: plan_tester(*interval, 0.01) for side, interval in self.INTERVALS.items()}
-        bounds = {side: _entry(side, plan)[1:] for side, plan in plans.items()}
+        calls = {side: _entry(side, plan) for side, plan in plans.items()}
+        bounds = {side: (call.a, call.b) for side, call in calls.items()}
         assert bounds == {"proving": (0, 7), "refuting": (-1, 9), "final": (301, 301)}
-        assert all(_side(a, b) == side for side, (a, b) in bounds.items())
+        assert all(call.side == side for side, call in calls.items())
 
     def test_accepts_consistent_report(self):
         rec = _record("proving", 0.0, 0.5, 0.01)
@@ -936,6 +954,9 @@ class TestReportInvariants:
             _check_report(_report(self.QUERY, [first, again], Verdict("no")))
 
 
+CALL_RULE = r"a call needs 0 <= n and -1 <= a <= b <= n"
+
+
 def _hand_plan(n, c):
     # only n_samples and c decide a call; the interval is irrelevant here
     return HandPlan(theta1=0.0, theta2=1.0, delta_call=0.1, n_samples=n, c=c)
@@ -956,27 +977,28 @@ HAND_SCHEDULES = [
     # An interim call that settles at both ends and reads on between them:
     # a law that broke after it, judging by the two ends of S(6), would
     # never reach the final call.
-    [(_hand_plan(6, 3), 0, 4), _entry("final", _hand_plan(10, 5))],
+    [Call(_hand_plan(6, 3), 0, 4), _entry("final", _hand_plan(10, 5))],
 ]
 
 
 def _enumerated_law(entries, p, max_samples):
     """Every 0/1 sequence of the stream's first T trials, weighted and walked."""
-    length = max(plan.n_samples for plan, _, _ in entries)
+    length = max(call.plan.n_samples for call in entries)
     trials = (np.arange(2 ** length)[:, None] >> np.arange(length)) & 1
     prefix = np.concatenate([np.zeros((2 ** length, 1), int), np.cumsum(trials, axis=1)], axis=1)
     hits = trials.sum(axis=1)
     weight = p ** hits * (1.0 - p) ** (length - hits)
     verdict = np.full(2 ** length, "open", dtype="<U12")
     total = np.zeros(2 ** length, int)
-    for plan, a, b in entries:
-        n = plan.n_samples
+    for call in entries:
+        n = call.plan.n_samples
         live = verdict == "open"
         if max_samples is not None:
             verdict[live & (np.maximum(total, n) > max_samples)] = "inconclusive"
             live = verdict == "open"
         total[live] = np.maximum(total[live], n)
-        says = np.where(prefix[:, n] <= a, "yes", np.where(prefix[:, n] > b, "no", "open"))
+        says = np.where(prefix[:, n] <= call.a, "yes",
+                        np.where(prefix[:, n] > call.b, "no", "open"))
         verdict[live] = says[live]
     verdict[verdict == "open"] = "inconclusive"
     ends = {v: math.fsum(weight[verdict == v]) for v in ("yes", "no", "inconclusive")}
@@ -1005,7 +1027,7 @@ def _small_schedules(draw):
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, 10))
         b = draw(st.integers(-1, n))
-        entries.append((_hand_plan(n, n // 2), draw(st.integers(-1, b)), b))
+        entries.append(Call(_hand_plan(n, n // 2), draw(st.integers(-1, b)), b))
     return entries
 
 
@@ -1052,20 +1074,21 @@ class TestScheduleLaw:
 
     @pytest.mark.parametrize("a, b, n", [(3, 2, 5), (-2, 2, 5), (0, 6, 5)],
                              ids=["a-above-b", "a-below-minus-one", "b-above-n"])
-    def test_entries_are_checked(self, a, b, n, monkeypatch, seed):
-        # The run and the law read entries through one check, so an entry
-        # that means nothing fails both before anything is drawn or summed.
-        import quantcert.strategy as strategy_module
+    def test_entries_are_checked(self, a, b, n):
+        # A call is checked where it is built, so one that means nothing
+        # never reaches a run or the law.
+        with pytest.raises(OutOfRangeError, match=CALL_RULE):
+            Call(_hand_plan(n, 2), a, b)
 
-        bad = (_hand_plan(n, 2), a, b)
-        message = r"a call needs 0 <= n and -1 <= a <= b <= n"
-        with pytest.raises(OutOfRangeError, match=message):
-            schedule_law([bad], 0.5)
-        monkeypatch.setitem(strategy_module._LAYOUTS, "bincert", lambda query: ((), iter([bad])))
-        oracle = CountingOracle(BernoulliOracle(0.5))
-        with pytest.raises(OutOfRangeError, match=message):
-            run_strategy("bincert", (0.1, 0.05, 0.1), oracle, seed)
-        assert oracle.total_trials == 0
+    @given(n=st.integers(-2, 6), a=st.integers(-3, 8), b=st.integers(-3, 8))
+    def test_a_call_is_built_exactly_when_its_bounds_fit(self, n, a, b):
+        if 0 <= n and -1 <= a <= b <= n:
+            call = Call(_hand_plan(n, 0), a, b)
+            assert (call.a, call.b) == (a, b)
+            assert CallRecord(call.plan, a, b, 0).side == call.side
+        else:
+            with pytest.raises(OutOfRangeError, match=CALL_RULE):
+                Call(_hand_plan(n, 0), a, b)
 
     def test_settled_run_plans_nothing_further(self, monkeypatch):
         import quantcert.strategy as strategy_module

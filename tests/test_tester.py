@@ -26,7 +26,7 @@ from conftest import CountingOracle, FixedSuccessOracle
 from test_corpus import QUERIES, STRATEGY_NAMES
 
 INTERVAL = r"need 0 <= theta1 < theta2 <= 1"
-CONFIDENCE = r"delta_call must sit in \(0, 1\)"
+CONFIDENCE = r"delta_call must sit in \(0, 1\]"
 # Test ids name each check by the error class it raised before both checks
 # became OutOfRangeError.
 CHECK_IDS = {INTERVAL: "InvalidIntervalError", CONFIDENCE: "InvalidConfidenceError"}
@@ -138,7 +138,7 @@ class TestPlanTester:
          (-0.01, 0.1, 0.01, INTERVAL),
          (0.1, 1.01, 0.01, INTERVAL),
          (0.1, 0.2, 0.0, CONFIDENCE),
-         (0.1, 0.2, 1.0, CONFIDENCE),
+         (0.1, 0.2, 1.5, CONFIDENCE),
          # ordered, but the width squared underflows to 0
          (0.0, 1e-300, 0.5, "too narrow")],
         ids=lambda v: CHECK_IDS.get(v),
@@ -146,6 +146,12 @@ class TestPlanTester:
     def test_preconditions(self, t1, t2, d, message):
         with pytest.raises(OutOfRangeError, match=message):
             plan_tester(t1, t2, d)
+
+    def test_delta_call_one_plans_no_trials(self):
+        # At delta_call = 1 the closed form is 0: no trials, cutoff 0, and
+        # both tails, P(S > 0) = 0 and P(S <= 0) = 1, are at most 1.
+        assert plan_tester(0.1, 0.2, 1.0) == HandPlan(0.1, 0.2, 1.0, 0, 0)
+        assert plan_tester(0.0, 1.0, 1.0) == HandPlan(0.0, 1.0, 1.0, 0, 0)
 
     def test_cached_plans_keep_every_check(self):
         # The plan cache keys on floats, where True == 1, np.float64(x) == x
@@ -173,7 +179,7 @@ ODD_PLAN = HandPlan(theta1=0.1, theta2=0.3, delta_call=0.05, n_samples=131, c=26
 
 def _run(plan, oracle, seed):
     """One call on a fresh stream, as the first call of a run makes it."""
-    return run_tester(*_entry("final", plan), TrialStream(oracle, seed))
+    return run_tester(_entry("final", plan), TrialStream(oracle, seed))
 
 
 class TestRunTester:
@@ -231,18 +237,18 @@ class TestRunTester:
         assert short.n_samples < long.n_samples
         oracle = CountingOracle(BernoulliOracle(0.17), batch_trials=16)
         stream = TrialStream(oracle, seed)
-        a = run_tester(*_entry("final", long), stream)
+        a = run_tester(_entry("final", long), stream)
         drawn = oracle.total_trials
         assert drawn == long.n_samples
-        b = run_tester(*_entry("final", short), stream)
+        b = run_tester(_entry("final", short), stream)
         assert b.tally == _run(short, BernoulliOracle(0.17), seed).tally
         assert a.tally == _run(long, BernoulliOracle(0.17), seed).tally
         assert 0 <= a.tally.successes - b.tally.successes <= long.n_samples - short.n_samples
         assert oracle.total_trials == drawn
         assert stream.length == long.n_samples
         # asking again, or for the whole stream, draws nothing either
-        assert run_tester(*_entry("final", short), stream) == b
-        assert run_tester(*_entry("final", long), stream) == a
+        assert run_tester(_entry("final", short), stream) == b
+        assert run_tester(_entry("final", long), stream) == a
         assert oracle.total_trials == drawn
 
     def test_bad_knobs_rejected(self, seed):
@@ -329,8 +335,8 @@ def _corpus_plans():
     """Every plan the Bernoulli corpus queries and bench's bern-tight produce."""
     for query in (*QUERIES, ThresholdQuery(0.1, 2e-3, 0.01)):
         for name in STRATEGY_NAMES:
-            for plan, _, _ in schedule(name, query)[1]:
-                yield plan
+            for call in schedule(name, query)[1]:
+                yield call.plan
 
 
 class TestCutoff:
@@ -341,7 +347,8 @@ class TestCutoff:
         for plan in _corpus_plans():
             assert 0 <= plan.c < plan.n_samples, plan
         for query in (*QUERIES, ThresholdQuery(0.1, 2e-3, 0.01)):
-            (plan, _, _), = schedule("estimate", query)[1]
+            (call,) = schedule("estimate", query)[1]
+            plan = call.plan
             t = Fraction(query.theta) + Fraction(query.eta) / 2
             assert Fraction(plan.c, plan.n_samples) <= t < Fraction(plan.c + 1, plan.n_samples)
 
