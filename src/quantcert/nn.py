@@ -34,17 +34,9 @@ class DenseLayer:
 
 
 @dataclass(frozen=True, eq=False)
-class ActivationLayer:
-    kind: str
-
-
-Layer = Union[DenseLayer, ActivationLayer]
-
-
-@dataclass(frozen=True, eq=False)
 class Model:
     input_dim: int
-    layers: Tuple[Layer, ...]
+    layers: Tuple[Union[DenseLayer, str], ...]
 
 
 def _as_float_array(values, count: int, what: str) -> np.ndarray:
@@ -109,7 +101,7 @@ def load_model(doc: Union[str, bytes]) -> Model:
             layers.append(DenseLayer(rows=rows, cols=cols, weights=weights, bias=bias))
             width = rows
         elif kind in _ACTIVATIONS:
-            layers.append(ActivationLayer(kind=kind))
+            layers.append(kind)
         else:
             raise OutOfRangeError(f"layer {i} has unknown kind {kind!r}")
 
@@ -133,9 +125,9 @@ def forward_batch(model: Model, points: np.ndarray) -> np.ndarray:
         if isinstance(layer, DenseLayer):
             x = x @ layer.weights.T
             x += layer.bias
-        elif layer.kind == "relu":
+        elif layer == "relu":
             x = np.maximum(x, 0.0, out=out)
-        elif layer.kind == "sigmoid":
+        elif layer == "sigmoid":
             # Imported here, as only sigmoid layers need scipy.special.
             from scipy.special import expit
 

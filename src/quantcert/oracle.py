@@ -7,8 +7,8 @@ trials however you like, trial i always sees the same randomness.  That
 contract is what lets testers batch, keep the outcomes and replay without
 changing any verdict.
 
-BernoulliOracle draws its trials from the raw words; PropertyOracle is the
-one oracle that samples a region, and it labels the points with a
+BernoulliOracle compares each trial's raw word with one cut; PropertyOracle
+is the one oracle that samples a region, and it labels the points with a
 predicate, one bool per point.  The predicate runs in process (a model's
 misclassification property) or in a child process (SubprocessProperty).
 
@@ -17,13 +17,11 @@ asks of it at a time: both oracles here size it so that one draw reads
 about BATCH_WORDS raw words, whatever each trial costs.  A tester gives an
 oracle without it 128.
 
-A BernoulliOracle draw of at least 2^16 trials (_SPLIT_TRIALS), at p < 1,
-splits at its middle trial: the calling thread makes the first half's words
-and hits while the process's one helper thread makes the second half's.
-The split cannot change a word, since each word is a pure function of the
-root seed and its place in the stream (SeedSpec).  Nothing else splits:
-PropertyOracle draws stay on the calling thread, where the BLAS threads of
-forward_batch already use the second core and a split measured no gain.
+A BernoulliOracle draw of at least 2^16 trials splits between the calling
+thread and the process's one helper thread (BernoulliOracle).  Nothing else
+splits: PropertyOracle draws stay on the calling thread, where the BLAS
+threads of forward_batch already use the second core and a split measured
+no gain.
 """
 
 from __future__ import annotations
@@ -167,7 +165,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _fill_hits(hits: np.ndarray, root_seed: int, first_word: int, cut: np.uint64) -> None:
+def _fill_hits(hits: np.ndarray, root_seed: int, first_word: int, cut: int) -> None:
     np.less(_words(root_seed, first_word, len(hits)), cut, out=hits)
 
 
@@ -179,13 +177,14 @@ class BernoulliOracle:
     that comparison on the raw words: ``to_unit(w) < p`` exactly when
     ``w < ceil(p * 2^53) << 11``, because scaling by 2^-53 is exact and an
     integer is below a real exactly when it is below the real's ceiling.
+    The cut is a Python int, 2^64 at p = 1, and numpy compares uint64 words
+    with it exactly (NEP 50), so every rate takes the same path.
 
-    A draw of at least _SPLIT_TRIALS trials at p < 1 splits at its middle
-    trial, count // 2: the calling thread reads the first half's words
-    through seed.raw_block, and the helper thread reads the second half's
-    from the same stream, each into its half of one bool array.  Trial i's
-    word is the stream's word i either way, so the hits are the unsplit
-    draw's, bit for bit.  The draw is still one unit to the tester.
+    A draw of at least _SPLIT_TRIALS trials splits at trial count // 2: the
+    calling thread reads the first half's words through seed.raw_block, the
+    helper thread the second half's, each into its half of one bool array.
+    Each word is a pure function of the root seed and its place in the
+    stream (SeedSpec), so the hits are an unsplit draw's, bit for bit.
     """
 
     p: float
@@ -194,29 +193,23 @@ class BernoulliOracle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _check_real("p", self.p, "[0, 1]"))
-        # At p == 1 the cut would be 2^64, past uint64; every word passes.
-        cut = None if self.p == 1.0 else np.uint64(math.ceil(self.p * 2.0 ** 53) << 11)
-        object.__setattr__(self, "_cut", cut)
+        object.__setattr__(self, "_cut", math.ceil(self.p * 2.0 ** 53) << 11)
 
     def draw(self, seed: SeedSpec, start: int, count: int) -> TrialOutcomes:
+        """The helper reads core._words, not seed.raw_block: bench/tracing.py
+        patches raw_block with one span stack per process, which a span
+        opened on the helper thread would corrupt."""
         count = _check_int("count", count, 0)
-        if self._cut is None or count < _SPLIT_TRIALS:
-            return TrialOutcomes(self._hits(seed.raw_block(start, count, width=1).reshape(count)))
         start = _check_int("start", start, 0)
-        half = count // 2
+        half = count if count < _SPLIT_TRIALS else count // 2
         hits = np.empty(count, dtype=bool)
-        join = _on_helper(_fill_hits, hits[half:], seed.root_seed, start + half, self._cut)
+        join = (_on_helper(_fill_hits, hits[half:], seed.root_seed, start + half, self._cut)
+                if half < count else lambda: None)
         try:
-            np.less(seed.raw_block(start, half, width=1).reshape(half), self._cut, out=hits[:half])
+            np.less(seed.raw_block(start, half, 1).reshape(half), self._cut, out=hits[:half])
         finally:
             join()
         return TrialOutcomes(hits)
-
-    def _hits(self, raw: np.ndarray) -> np.ndarray:
-        """Per word, whether its trial succeeds: ``to_unit(raw) < p``."""
-        if self._cut is None:
-            return np.ones(raw.shape, dtype=bool)
-        return raw < self._cut
 
 
 class PropertyOracle:

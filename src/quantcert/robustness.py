@@ -32,6 +32,17 @@ from .oracle import PropertyOracle
 from .strategy import CertificationReport, ResourceLimits, run_strategy
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """A fresh float64 array, -0.0 stored as 0.0, once numpy reads ints or floats."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise OutOfRangeError(f"{name} coordinates must be ints or floats, not {arr.dtype.name}")
+    return arr.astype(np.float64) + 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class _Ball:
     """A ball's center and radius, checked here once for every norm.
@@ -47,12 +58,11 @@ class _Ball:
     note: ClassVar[str]
 
     def __post_init__(self) -> None:
-        x0 = np.asarray(self.center, dtype=np.float64)
+        x0 = _reals("center", self.center)
         if x0.ndim != 1 or x0.size < 1:
             raise OutOfRangeError(f"center must be a nonempty vector, got shape {x0.shape}")
         if not np.all(np.isfinite(x0)) or np.any(x0 < 0.0) or np.any(x0 > 1.0):
             raise OutOfRangeError("center coordinates must sit in [0, 1]")
-        x0 = x0 + 0.0  # a fresh array, with -0.0 stored as 0.0
         x0.flags.writeable = False
         object.__setattr__(self, "center", x0)
         object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, "(0, inf)"))
@@ -171,7 +181,7 @@ class MisclassificationProperty:
 
 def misclassification_property(model: Model, x0: np.ndarray) -> MisclassificationProperty:
     """Predicate marking points the model labels differently from x0."""
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = _reals("x0", x0)
     if x0.shape != (model.input_dim,):
         raise OutOfRangeError(
             f"x0 has shape {x0.shape}, model expects ({model.input_dim},)"

@@ -121,7 +121,9 @@ class ResourceLimits:
     max_samples ends a run budget-exhausted at its first call larger than
     the cap (_capped), so it caps the run's stream.  max_wall_ms ends it
     timeout at the first draw due once that many ms have passed, so a run
-    overshoots by at most one draw; the call it cut is not recorded.
+    overshoots by at most one draw; the call it cut is not recorded.  That
+    draw is not bounded: a SubprocessProperty draw waits in readline for as
+    long as its child lives (ROADMAP item 11).
     """
 
     max_samples: Optional[int] = None
@@ -404,7 +406,8 @@ def _capped(calls: Iterable[Call], max_samples: Optional[int]) -> Iterable[Call]
     """The calls up to the first one larger than max_samples: the one cap rule."""
     if max_samples is None:
         return calls
-    return itertools.takewhile(lambda call: call.plan.n_samples <= max_samples, calls)
+    cap = _check_int("max_samples", max_samples, 0)
+    return itertools.takewhile(lambda call: call.plan.n_samples <= cap, calls)
 
 
 def run_tester(call: Call, stream: TrialStream) -> CallRecord:

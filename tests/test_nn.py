@@ -41,7 +41,7 @@ class TestLoadModel:
         for kind in ("relu", "sigmoid", "tanh"):
             doc = _doc([_dense(2, 2, [1, 0, 0, 1], [0, 0]), {"kind": kind}])
             model = load_model(doc)
-            assert model.layers[1].kind == kind
+            assert model.layers[1] == kind
 
     @pytest.mark.parametrize(
         "doc,message",

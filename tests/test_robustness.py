@@ -145,10 +145,12 @@ class TestLinfBallSampler:
 
     @pytest.mark.parametrize(
         "center",
-        [np.array([1.2, 0.5]), np.array([-0.1, 0.5]), np.array([np.nan, 0.5])],
+        [np.array([1.2, 0.5]), np.array([-0.1, 0.5]), np.array([np.nan, 0.5]),
+         ["a"], [0.5 + 1j], [object()], ["0.5", "0.5"], [True, False],
+         [[0.5], [0.5, 0.5]]],
     )
     def test_rejects_bad_center(self, center):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError, match="center"):
             LinfBallSampler(center, 0.1)
 
     def test_rejects_bad_epsilon(self, center2):
@@ -243,6 +245,18 @@ class TestMisclassificationProperty:
             warnings.simplefilter("error")
             with pytest.raises(OutOfRangeError, match="x0 coordinates must be finite"):
                 misclassification_property(linear_model(0.5), np.array(x0))
+
+    @pytest.mark.parametrize("x0", [["x", "y"], [0.5 + 1j, 0.5], [object(), 0.5],
+                                    ["0.5", "0.5"], [True, False]])
+    def test_non_numeric_x0_is_rejected(self, x0):
+        # Only ints and floats are coordinates, at every entry point that takes x0.
+        model = linear_model(0.5)
+        with pytest.raises(OutOfRangeError, match="x0 coordinates must be ints or floats"):
+            misclassification_property(model, x0)
+        with pytest.raises(OutOfRangeError, match="center coordinates must be ints or floats"):
+            certify_density(model, x0, DENSITY_QUERY, SeedSpec(1), 0.1)
+        with pytest.raises(OutOfRangeError, match="center coordinates must be ints or floats"):
+            adversarial_hardness(model, x0, DENSITY_QUERY, SeedSpec(1), [0.1])
 
     @pytest.mark.parametrize("label", [1.7, 1.0, True, -1, "1", None])
     def test_reference_label_is_a_nonnegative_integer(self, label):

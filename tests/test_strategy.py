@@ -1090,6 +1090,16 @@ class TestScheduleLaw:
             with pytest.raises(OutOfRangeError, match=CALL_RULE):
                 Call(_hand_plan(n, 0), a, b)
 
+    @pytest.mark.parametrize("cap", [-5, True, 1.5, math.nan, "10"])
+    def test_cap_is_checked_before_a_call_is_read(self, cap):
+        # The rule ResourceLimits and complexity_sweep apply to max_samples.
+        def unread():
+            raise AssertionError("read a call before checking the cap")
+            yield
+
+        with pytest.raises(OutOfRangeError, match="max_samples must be an integer"):
+            schedule_law(unread(), 0.5, cap)
+
     def test_settled_run_plans_nothing_further(self, monkeypatch):
         import quantcert.strategy as strategy_module
 
