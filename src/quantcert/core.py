@@ -290,7 +290,7 @@ class SeedSpec:
         "philox4x64: one stream per run, spawn_key=(0,); call k reads trials [0, n_k); "
         "trial i owns raw words [i*w, (i+1)*w); calls sized by exact binomial tails "
         "(tester._plan); the final call gets the delta the larger flank leaves "
-        "(strategy._final_budget)"
+        "(strategy._final_budget); bincert flank budgets rise toward the threshold"
     )
 
     def __post_init__(self) -> None:

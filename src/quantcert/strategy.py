@@ -7,7 +7,7 @@ and refuting intervals above theta + eta, alternating proving first while
 both flanks last, then one final call on (theta, theta + eta).
 
 * bincert: flanks that halve toward the threshold, cheap when the true
-  rate is far from theta.
+  rate is far from theta; each flank's budget rises toward the threshold.
 * fixedcert: flanks cut into a non-adaptive grid of pitch sqrt(eta).
 * estimate: the naive baseline that estimates the rate to within eta/2 in
   one giant call.
@@ -28,7 +28,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import DefaultDict, Dict, Iterable, Iterator, List, Literal, Optional, Tuple
+from typing import (DefaultDict, Dict, Iterable, Iterator, List, Literal, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -58,6 +59,12 @@ _Layout = Tuple[Tuple[str, ...], Iterator["Call"]]
 # Integer quotients like theta/sqrt(eta) can land one ulp under a whole
 # number; the nudge keeps layout counts from collapsing by one.
 _FLOOR_NUDGE = 1e-9
+
+# bincert gives each flank this share of delta, and each flank call this
+# many times the weight of the call before it, so the narrow calls next to
+# the threshold, the largest at any budget, get the most.
+_FLANK_SHARE = 0.5
+_RISE = 4.0
 
 
 class ReportInvariantError(QuantCertError):
@@ -217,7 +224,7 @@ class BudgetBound:
     """Worst-case sample budget for the halving strategy.
 
     A run costs its largest call.  k1 and k2 bound the largest call of the
-    left and right flank in closed form, and k3 is the final call; the
+    left and right flank in closed form, and k3 the final call; the
     exact schedule total is the largest planned size of every call the
     schedule could ever make, so no run's total exceeds it.
     """
@@ -239,7 +246,7 @@ class BudgetBound:
 
 
 def _halving_calls(query: ThresholdQuery) -> float:
-    """Bound n on the number of halving calls; each flank call runs at delta / n.
+    """Bound n on the number of halving calls; 1/n^2 floors each flank call's weight.
 
     n = 3 + log2(theta/eta) + log2((1 - theta - eta)/eta), each log clipped
     at 0.
@@ -280,29 +287,42 @@ def _halving_flanks(query: ThresholdQuery) -> Tuple[List[Interval], List[Interva
     return proving, refuting
 
 
-def _final_budget(delta: float, proving: Tuple[int, float], refuting: Tuple[int, float]) -> float:
+def _rising_budgets(total: float, calls: int, floor: float) -> List[float]:
+    """total split over a flank's calls, in run order, rising toward the threshold.
+
+    The call j steps before the flank's last gets weight
+    max(_RISE^-j, floor), normalised over the flank.  The floor keeps every
+    budget a positive float where _RISE^-j underflows, and far calls test
+    wide intervals, cheap at any budget.  The budgets are floats whose sum
+    may land a few ulps off total; _final_budget sums them exactly.
+    """
+    if not calls:
+        return []
+    weights = [max(_RISE ** -j, floor) for j in range(calls - 1, -1, -1)]
+    scale = total / math.fsum(weights)
+    return [weight * scale for weight in weights]
+
+
+def _final_budget(delta: float, proving: Sequence[float], refuting: Sequence[float]) -> float:
     """The final call's budget: delta less the larger flank's budget sum.
 
-    Each flank is (calls, budget of each call).  Only a proving call or the
+    Each flank is the budgets of its calls.  Only a proving call or the
     final call can give a wrong yes, and only a refuting call or the final
     call a wrong no, so the union bound holds for each verdict when each
-    flank's budgets plus the final call's sum to at most delta.  The sum is
-    taken exactly and the budget rounded down, so each side's exact sum,
-    and its math.fsum, stays within delta.  It is never below a budget for
-    all calls: bincert's L + R + 1 calls fit in n, so delta less
-    max(L, R) delta / n is at least delta / n, and fixedcert's 2 delta/3
-    exceeds delta/3.
+    flank's budgets plus the final call's sum to at most delta.  The sums
+    are taken exactly and the budget rounded down, so each side's exact
+    sum, and its math.fsum, stays within delta.  bincert's flanks each get
+    about delta/2, so its final call gets about delta/2, at least delta/n
+    for its n >= 3; fixedcert's final call gets 2 delta/3 less a few ulps.
     """
     # Every float is an integer over a power of two, so over the largest
-    # of the three denominators the difference is an exact integer ratio;
+    # denominator each sum and the difference are exact integer ratios;
     # int / int rounds it to nearest, stepped down when that lands above.
     num, den = delta.as_integer_ratio()
-    p_num, p_den = proving[1].as_integer_ratio()
-    r_num, r_den = refuting[1].as_integer_ratio()
-    scale = max(den, p_den, r_den)
-    left = num * (scale // den) - max(
-        proving[0] * p_num * (scale // p_den), refuting[0] * r_num * (scale // r_den)
-    )
+    ratios = [[budget.as_integer_ratio() for budget in flank] for flank in (proving, refuting)]
+    scale = max([den] + [d for flank in ratios for _, d in flank])
+    spent = max(sum(n * (scale // d) for n, d in flank) for flank in ratios)
+    left = num * (scale // den) - spent
     final = left / scale
     top, bottom = final.as_integer_ratio()
     return math.nextafter(final, 0.0) if top * scale > left * bottom else final
@@ -318,21 +338,20 @@ def _flanked(
     query: ThresholdQuery,
     proving: List[Interval],
     refuting: List[Interval],
-    per_call: Tuple[float, float],
+    budgets: Tuple[List[float], List[float]],
 ) -> Tuple[float, Iterator[Call]]:
     """A paper strategy's final budget and its lazy calls, in run order.
 
     The flanks alternate, proving first, while both last; then come the
     rest of the longer flank and a final call on (theta, theta + eta).
-    Each flank's calls run at its budget in per_call, (proving, refuting),
-    and the final call at what the larger flank leaves (_final_budget).
+    Each flank call runs at its budget in budgets, (proving, refuting),
+    each list in run order, and the final call at what the larger flank
+    leaves (_final_budget).
     """
-    delta_final = _final_budget(
-        query.delta, (len(proving), per_call[0]), (len(refuting), per_call[1])
-    )
+    delta_final = _final_budget(query.delta, *budgets)
     pairs = itertools.zip_longest(
-        [("proving", lo, hi, per_call[0]) for lo, hi in proving],
-        [("refuting", lo, hi, per_call[1]) for lo, hi in refuting],
+        [("proving", lo, hi, budget) for (lo, hi), budget in zip(proving, budgets[0])],
+        [("refuting", lo, hi, budget) for (lo, hi), budget in zip(refuting, budgets[1])],
     )
     rows = [row for pair in pairs for row in pair if row is not None]
     rows.append(("final", query.theta, query.upper, delta_final))
@@ -587,41 +606,41 @@ def baseline_samples(query: QueryLike) -> int:
 def worst_case_budget(query: QueryLike) -> BudgetBound:
     """Worst-case halving budget: closed-form terms plus the exact largest call.
 
-    Each term is the closed form the planner's bisection starts at,
+    Each term is the largest closed form the planner's bisection starts at,
     ceil(8 theta2 L / width^2) with L = ln(1 / delta_call)
-    (tester._closed_form), and a plan is never larger than its closed
-    form.  A flank call runs at delta / n for the halving call bound n, has
-    theta2 <= theta (proving) or theta2 <= 1 (refuting), and tests an
-    interval at least eta wide, so with L = ln(n / delta),
-    k1 = ceil(8 theta L / eta^2) and k2 = ceil(8 L / eta^2) bound their
-    sizes; a flank the schedule makes no call on contributes zero.  k3 is
-    the final call's closed form at its own budget, delta_final.  The exact
-    term plans every interval the halving schedule could ever test and
-    keeps the largest size, so it dominates any observed run structurally.
-    Raises OutOfRangeError when a bound overflows.
+    (tester._closed_form), over one part of the schedule, each call taken
+    at its own interval and budget: k1 over the proving calls, k2 over the
+    refuting calls and k3 the final call.  A plan is never larger than its
+    closed form, so each term bounds its part's largest call; a flank the
+    schedule makes no call on contributes zero.  The exact term plans every
+    interval the halving schedule could ever test and keeps the largest
+    size, so it dominates any observed run structurally.
     """
     q = validate_query(query)
     calls = list(schedule("bincert", q)[1])
-    budget = {call.side: call.plan.delta_call for call in calls}
-
-    def term(theta2: float, width: float, side: Side) -> int:
-        return _closed_form(theta2, width, budget[side]) if side in budget else 0
-
+    terms: Dict[Side, int] = dict.fromkeys(("proving", "refuting", "final"), 0)
+    for call in calls:
+        plan = call.plan
+        size = _closed_form(plan.theta2, plan.theta2 - plan.theta1, plan.delta_call)
+        terms[call.side] = max(terms[call.side], size)
     return BudgetBound(
-        k1=term(q.theta, q.eta, "proving"),
-        k2=term(1.0, q.eta, "refuting"),
-        k3=term(q.upper, q.upper - q.theta, "final"),
+        k1=terms["proving"],
+        k2=terms["refuting"],
+        k3=terms["final"],
         exact_schedule_total=max(call.plan.n_samples for call in calls),
     )
 
 
 def _bincert(query: ThresholdQuery) -> _Layout:
+    """Each flank's budgets rise toward the threshold (_rising_budgets)."""
     n = _halving_calls(query)
-    delta_min = query.delta / n
-    delta_final, calls = _flanked(query, *_halving_flanks(query), (delta_min, delta_min))
+    flanks = _halving_flanks(query)
+    budgets = tuple(_rising_budgets(_FLANK_SHARE * query.delta, len(flank), 1.0 / (n * n))
+                    for flank in flanks)
+    delta_final, calls = _flanked(query, *flanks, budgets)
     notes = (
-        f"halving call budget n = {n!r} (base-2 depth), delta_min = {delta_min!r}, "
-        f"delta_final = {delta_final!r}",
+        f"halving call bound n = {n!r} (base-2 depth); each flank splits delta/2 "
+        f"by weights max(4^-j, 1/n^2), j calls before its last; delta_final = {delta_final!r}",
     )
     return notes, calls
 
@@ -643,9 +662,8 @@ def _fixedcert(query: ThresholdQuery) -> _Layout:
                for k in range(1, n_left + 1)]
     refuting = [(_lerp(upper, 1.0, n_right, k - 1), _lerp(upper, 1.0, n_right, k))
                 for k in range(n_right, 0, -1)]
-    per_call = (delta / (3.0 * n_left) if n_left else 0.0,
-                delta / (3.0 * n_right) if n_right else 0.0)
-    return notes, _flanked(query, proving, refuting, per_call)[1]
+    budgets = tuple([delta / (3.0 * k)] * k if k else [] for k in (n_left, n_right))
+    return notes, _flanked(query, proving, refuting, budgets)[1]
 
 
 def _estimate(query: ThresholdQuery) -> _Layout:
@@ -684,9 +702,11 @@ def schedule(strategy: str, query: QueryLike) -> _Layout:
     _LAYOUTS, the one place it decides anything: the layout of the calls
     and the split of delta across them.  bincert and fixedcert lay out two
     flanks and a final call, alternating the flanks proving first while
-    both last (_flanked).  bincert runs every flank call at delta / n
-    (_halving_calls); fixedcert gives each flank delta/3, split evenly over
-    its grid.  The final call of both gets what the flanks leave of delta
+    both last (_flanked).  bincert gives each flank delta/2, split by
+    weights that rise 4x per call toward the threshold, floored at 1/n^2
+    for the halving call bound n (_rising_budgets, _halving_calls);
+    fixedcert gives each flank delta/3, split evenly over its grid.  The
+    final call of both gets what the larger flank leaves of delta
     (_final_budget).  estimate makes one call at delta with the boundary
     theta + eta/2.  The calls are lazy: a plan is made when its call is
     read, so a run that settles early plans nothing more.  Runs,

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -97,28 +98,35 @@ def schedule_rows(name, query):
 
 
 def parent_budgets(name, query, spent):
-    """Each side's per-call budget under a union bound over every call.
+    """Each flank's budgets, in run order, and the least the final call gets.
 
     spent holds the (side, delta_call) pairs of a whole schedule, in run
-    order; fixedcert's flank budgets come from its counts.  bincert ran
-    every call at delta / n; fixedcert split delta/3 evenly over each flank
-    and gave the final call delta/3; estimate's one call ran at delta.  The
-    per-side rule keeps the flank budgets and never gives the final call
-    less.
+    order; the flank lengths come from it.  bincert splits delta/2 over each
+    flank by weights max(4^-j, 1/n^2) for the call j steps before the
+    flank's last, here in exact arithmetic, and its final call gets no less
+    than delta / n, what every call got under a union bound over all calls.
+    fixedcert splits delta/3 evenly over each flank and gives the final call
+    no less than delta/3; estimate's one call runs at delta.
     """
     if name == "estimate":
-        return {"final": query.delta}
-    if name == "bincert":
-        return dict.fromkeys(("proving", "refuting", "final"), query.delta / _halving_calls(query))
+        return {"proving": [], "refuting": [], "final": query.delta}
     count = {side: sum(s == side for s, _ in spent) for side in ("proving", "refuting")}
-    return {**{side: query.delta / (3.0 * k) for side, k in count.items() if k},
-            "final": query.delta / 3.0}
+    if name == "fixedcert":
+        return {**{side: [query.delta / (3.0 * k)] * k if k else [] for side, k in count.items()},
+                "final": query.delta / 3.0}
+    n = _halving_calls(query)
+    budgets = {}
+    for side, k in count.items():
+        weights = [max(Fraction(1, 4 ** j), Fraction(1.0 / (n * n))) for j in range(k - 1, -1, -1)]
+        budgets[side] = [float(Fraction(query.delta) / 2 * w / sum(weights)) for w in weights]
+    return {**budgets, "final": query.delta / n}
 
 
 def assert_per_side(query, spent, parent):
     """The per-side union bound on a whole schedule's (side, delta_call)
-    pairs, in run order, against parent_budgets: every flank call keeps its
-    budget and the final call, last, gets no less.
+    pairs, in run order, against parent_budgets: every flank call runs at
+    its budget, to 1e-12 of it, and the final call, last, gets no less
+    than parent's floor.
 
     Only a proving call or the final call can give a wrong yes, and only a
     refuting call or the final call a wrong no, so each flank's budgets
@@ -126,9 +134,10 @@ def assert_per_side(query, spent, parent):
     """
     *flanks, (last, final) = spent
     assert last == "final" and all(side != "final" for side, _ in flanks)
-    assert all(budget == parent[side] for side, budget in flanks)
     for side in ("proving", "refuting"):
-        assert math.fsum([budget for s, budget in flanks if s == side] + [final]) <= query.delta
+        budgets = [budget for s, budget in flanks if s == side]
+        assert budgets == pytest.approx(parent[side], rel=1e-12, abs=0.0)
+        assert math.fsum(budgets + [final]) <= query.delta
     assert final >= parent["final"]
     if not flanks:
         assert final == query.delta

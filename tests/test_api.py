@@ -148,19 +148,19 @@ def _printed_by_example(after):
 
 
 def test_library_quick_start_prints_pinned_counts():
-    assert _printed_by_example("## Quick start (library)")[0] == "yes 1067"
+    assert _printed_by_example("## Quick start (library)")[0] == "yes 664"
 
 
 def test_classifier_example_prints_pinned_counts(tmp_path, monkeypatch):
     model = re.search(r"## Model format.*?```json\n(.*?)```", README, re.S).group(1)
     (tmp_path / "model.json").write_text(model)
     monkeypatch.chdir(tmp_path)
-    assert _printed_by_example("For classifiers") == ["yes 49", "0.1 31396"]
+    assert _printed_by_example("For classifiers") == ["yes 36", "0.1 23166"]
 
 
 def test_toy_oracle_example_prints_pinned_verdicts():
     assert _printed_by_example("### Writing an oracle") == [
-        "yes 42", "inconclusive budget-exhausted"]
+        "yes 29", "inconclusive budget-exhausted"]
 
 
 # The robustness entry points take plain arguments and one grid form.

@@ -111,19 +111,19 @@ def density_reports(norm):
 
 
 GOLDEN_BERNOULLI = {
-    "bincert": "7b6c1247b9e6fb468ff46b5a6768407c94450ca8950eb19c34b730e04bc4e26c",
-    "fixedcert": "0e7ded47675b5fca42feb7fba5126c1c8d34f0a5006391e0b1d7604674f693df",
-    "estimate": "4c74f525f11c249ec814f815d38a6071214582d476dc913b12310eddef6ada4a",
+    "bincert": "e599ba78e746e459199ace4247e2ad6aa6364b8da13ca1dfea4a47c202bdb00c",
+    "fixedcert": "a3930252b667c7889cc3cdc2f99e2a002d0b6bbd5650247d4c9f70f93c8cd64a",
+    "estimate": "c1f58c3570f3e47dcdd030e61bcc35aa3329152ec1172192093dbfd5c9b22576",
 }
 
 GOLDEN_DENSITY = {
-    "linf": "f57e1428cbc9939211625017edce397e1312d798bd77c9ce12544fea44213e15",
-    "l2": "e57984f4cca1405201dda082933840dc5e2a77ebed07c725856aa4743c9a89a4",
+    "linf": "0ca8a659bef9abf9282ebe43f75decbdbe6e516cade816f7505ba4104e52084e",
+    "l2": "5068d4d8abb666e0d6d9ecbadb2ac5c8b53feb3689de7df12c2e33487214d635",
 }
 
 
 GOLDEN_SCHEDULES = {
-    "bincert": "7c6bf9a4814c1ebbdd374c6a8aa0a38592c18089b92dae2e0afe5b6fcd6f8a89",
+    "bincert": "feb34fc45ae4f1d81043a8db1d1bab76d03249802ad7ae2842fde15ab3dc18fd",
     "fixedcert": "7c36c648f50c1207feb371ac0ee07a3620ff00b1d484b796039b1971910267f2",
     "estimate": "9d1aab1a2c9fd90cc6f56bebe9270b009d2b191886b808f9bccf6706b87a7639",
 }

@@ -75,12 +75,12 @@ GOLDEN_HARDNESS = {
     "linf": (
         (0.02, 0.03, 0.04, 0.05, 0.06, 0.08),
         0.04,
-        [(0.08, "no", 197), (0.04, "yes", 678), (0.05, "no", 678)],
+        [(0.08, "no", 229), (0.04, "yes", 470), (0.05, "no", 470)],
     ),
     "l2": (
         (0.6, 0.8, 1.0, 1.2, 1.5, 2.0),
         0.8,
-        [(2.0, "no", 19), (1.0, "no", 678), (0.6, "yes", 678), (0.8, "yes", 678)],
+        [(2.0, "no", 39), (1.0, "no", 470), (0.6, "yes", 470), (0.8, "yes", 470)],
     ),
 }
 

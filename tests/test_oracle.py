@@ -103,8 +103,9 @@ class TestBernoulliOracle:
 
 
 # bincert on (0.1, 2e-3, 0.01), Bernoulli(0.0995), SeedSpec(20240817): 16 calls,
-# yes, 608,160 trials in draws of 2^17, each split; recorded with splitting off.
-SPLIT_REPORT_SHA256 = "87b7f6b238c3429918eeb09012abaf3939696050699ff7405b04e2b4133dcaa6"
+# yes, 602,765 trials in ten draws, the four of 2^16 trials or more split;
+# recorded with splitting off.
+SPLIT_REPORT_SHA256 = "da774f509d24671b47710c06f0f7711f6ece09feda9151e5f45c13a6e5f02325"
 
 
 def _unsplit_hits(seed, start, count, p):

@@ -3,6 +3,7 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from quantcert.strategy import (
     schedule_law,
     worst_case_budget,
 )
+from quantcert import strategy
 from quantcert.tester import TesterPlan as HandPlan
-from quantcert.tester import _sample_count, plan_tester
+from quantcert.tester import _closed_form, _sample_count, plan_tester
 from quantcert.strategy import _check_report, _entry, _final_budget, _halving_calls
 from conftest import CountingOracle, assert_per_side, parent_budgets, schedule_rows
 
@@ -114,15 +116,16 @@ class TestCreateInterval:
 
 
 class TestBinCertParams:
-    """The halving call bound n, each call's delta / n, and the bincert note."""
+    """The halving call bound n, the flank budgets' floor 1/n^2, and the bincert note."""
 
     def test_reference_query(self):
         query = ThresholdQuery(0.1, 1e-3, 0.01)
         assert _halving_calls(query) == 19.45603349528917
         notes, _ = schedule("bincert", query)
         assert notes == (
-            "halving call budget n = 19.45603349528917 (base-2 depth), "
-            "delta_min = 0.0005139793782952352, delta_final = 0.004860206217047648",
+            "halving call bound n = 19.45603349528917 (base-2 depth); each flank splits "
+            "delta/2 by weights max(4^-j, 1/n^2), j calls before its last; "
+            "delta_final = 0.004999999999999999",
         )
 
     def test_zero_threshold_drops_left_term(self):
@@ -187,8 +190,8 @@ class TestHalvingSchedule:
         delta=st.floats(1e-6, 1.0),
     )
     def test_union_bound_covers_every_call(self, theta, eta, delta):
-        # every flank call runs at delta / n, and the schedule holds at most
-        # n calls, so the final call's share is at least delta / n
+        # each flank splits delta/2 and the schedule holds at most n calls,
+        # so the final call's share, about delta/2, is at least delta / n
         assume(theta + eta <= 1.0)
         query = ThresholdQuery(theta, eta, delta)
         n = _halving_calls(query)
@@ -197,20 +200,49 @@ class TestHalvingSchedule:
         assert_per_side(query, spent, parent_budgets("bincert", query, spent))
 
 
+# eta near 1e-160 gives a flank about 530 calls deep, where 4^-j underflows
+# and the 1/n^2 floor alone keeps the far budgets above zero.
+@given(
+    theta=st.floats(0.0, 1.0) | st.floats(0.0, 1e-140),
+    eta=st.floats(1e-160, 1.0, exclude_max=True),
+    delta=st.floats(1e-300, 1.0),
+)
+@example(theta=1e-150, eta=1e-160, delta=1e-300)
+@example(theta=0.0, eta=1e-160, delta=1e-300)
+@example(theta=0.5, eta=1e-15, delta=1e-300)
+@example(theta=0.1, eta=1e-3, delta=1.0)
+def test_rising_budgets_stay_positive_and_within_delta(theta, eta, delta):
+    assume(theta + eta <= 1.0 and theta + eta != theta)
+    query = ThresholdQuery(theta, eta, delta)
+    # a stand-in planner reads each call's budget without sizing the call
+    with mock.patch.object(strategy, "plan_tester", lambda *row: HandPlan(*row, 1, 0)):
+        notes, calls = schedule("bincert", query)
+        spent = [(call.side, call.plan.delta_call) for call in calls]
+    assert "each flank splits delta/2" in notes[0]
+    budgets = {side: [b for s, b in spent if s == side] for side in ("proving", "refuting", "final")}
+    assert all(type(b) is float and b > 0.0 for flank in budgets.values() for b in flank)
+    (final,) = budgets["final"]
+    for side in ("proving", "refuting"):
+        assert sum(map(Fraction, budgets[side]), Fraction(final)) <= Fraction(delta)
+
+
 @given(
     delta=st.floats(1e-9, 1.0),
-    slack=st.floats(1.0, 40.0),
-    proving=st.integers(0, 79),
-    refuting=st.integers(0, 79),
+    share=st.floats(0.0, 1.0),
+    proving=st.lists(st.floats(1e-300, 1.0), max_size=79),
+    refuting=st.lists(st.floats(1e-300, 1.0), max_size=79),
 )
-@example(delta=1.0, slack=3.0, proving=0, refuting=0)
-@example(delta=0.1, slack=1.0, proving=1, refuting=1)
-def test_final_budget_is_the_largest_float_that_fits(delta, slack, proving, refuting):
-    # delta less the larger flank's exact sum, rounded down to a float
-    budget = delta / (max(proving, refuting) + slack)
-    spent = max(proving, refuting) * Fraction(budget)
+@example(delta=1.0, share=1.0, proving=[], refuting=[])
+@example(delta=0.1, share=1.0, proving=[1.0], refuting=[1.0])
+@example(delta=0.1, share=0.5, proving=[1.0, 4.0, 16.0], refuting=[1.0] * 40)
+def test_final_budget_is_the_largest_float_that_fits(delta, share, proving, refuting):
+    # delta less the larger flank's exact sum, rounded down to a float; each
+    # flank splits share * delta by its weights, summing a few ulps off it
+    flanks = [[delta * share * w / math.fsum(weights) for w in weights]
+              for weights in (proving, refuting)]
+    spent = max(sum(map(Fraction, flank), Fraction(0)) for flank in flanks)
     assume(spent < Fraction(delta))
-    final = _final_budget(delta, (proving, budget), (refuting, budget))
+    final = _final_budget(delta, *flanks)
     assert 0.0 < final <= delta
     assert Fraction(final) + spent <= Fraction(delta)
     above = math.nextafter(final, math.inf)
@@ -281,14 +313,25 @@ def test_flanks_alternate_proving_first_then_one_final_call(name, theta, eta):
                                    ThresholdQuery(0.01, 0.01, 0.05),
                                    ThresholdQuery(0.1, 0.05, 0.1)])
 def test_no_call_is_larger_than_under_the_all_call_bound(name, query):
+    # Under a union bound over every call, bincert ran every call at
+    # delta / n and fixedcert its flank calls at their budgets of today and
+    # its final call at delta/3.  A run at an edge reaches every call and
+    # pays for its largest, so no call may be larger than the largest call
+    # under that bound.  fixedcert keeps each call no larger; bincert's far
+    # calls grow, but its largest call shrinks.
     plans = [call.plan for call in schedule(name, query)[1]]
-    spent = _spent(name, query)
-    parent = parent_budgets(name, query, spent)
-    for plan, (side, _) in zip(plans, spent):
-        assert plan.n_samples <= plan_tester(plan.theta1, plan.theta2, parent[side]).n_samples
+    floor = parent_budgets(name, query, _spent(name, query))["final"]
+    old = [floor if name == "bincert" else plan.delta_call for plan in plans[:-1]] + [floor]
+    sizes = [plan.n_samples for plan in plans]
+    before = [plan_tester(plan.theta1, plan.theta2, budget).n_samples
+              for plan, budget in zip(plans, old)]
+    assert max(sizes) <= max(before)
+    if name == "bincert":
+        assert max(sizes) < max(before)
+    else:
+        assert all(n <= m for n, m in zip(sizes, before))
     # the final call is where the per-side rule saves samples
-    final = plans[-1]
-    assert final.n_samples < plan_tester(final.theta1, final.theta2, parent["final"]).n_samples
+    assert sizes[-1] < before[-1]
 
 
 class TestBinCert:
@@ -300,8 +343,9 @@ class TestBinCert:
         call = report.calls[0]
         assert call.side == "proving"
         assert (call.plan.theta1, call.plan.theta2) == (0.0, 0.5)
-        delta_min = query.delta / _halving_calls(query)
-        assert report.total_samples == plan_tester(0.0, 0.5, delta_min).n_samples == 10
+        # the first of the proving flank's three calls gets 1/21 of delta/2
+        assert call.plan.delta_call == pytest.approx(query.delta / 42, rel=1e-12)
+        assert report.total_samples == plan_tester(0.0, 0.5, call.plan.delta_call).n_samples == 13
 
     def test_full_rate_settles_on_first_refuting_call(self, seed):
         report = run_strategy("bincert", ThresholdQuery(0.5, 0.1, 0.01), BernoulliOracle(1.0), seed)
@@ -354,10 +398,10 @@ class TestBinCert:
             assert all(start >= length for start, _ in drawn)
             assert sum(k for _, k in drawn) == max(0, call.plan.n_samples - length)
             assert all(k == batch for _, k in drawn[:-1])
-        # 3 and 25 read inside the proving call's 42 trials, and the final
-        # call's 562 inside the 1067 before it: three calls draw nothing
-        assert [c.plan.n_samples for c in report.calls] == [42, 3, 25, 84, 293, 1067, 562]
-        assert [nxt - first for (_, first), nxt in zip(marks, ends)].count(0) == 3
+        # 4 reads inside the proving call's 29 trials, and the final call's
+        # 496 inside the 664 before it: two calls draw nothing
+        assert [c.plan.n_samples for c in report.calls] == [29, 4, 51, 132, 314, 664, 496]
+        assert [nxt - first for (_, first), nxt in zip(marks, ends)].count(0) == 2
 
     def test_zero_threshold_query(self, seed):
         report = run_strategy("bincert", ThresholdQuery(0.0, 0.25, 0.1), BernoulliOracle(0.0), seed)
@@ -376,7 +420,7 @@ class TestBinCert:
             ThresholdQuery(0.5, 0.1, 0.01),
             BernoulliOracle(0.0),
             seed,
-            limits=ResourceLimits(max_samples=9),  # the first call takes 10
+            limits=ResourceLimits(max_samples=12),  # the first call takes 13
         )
         assert report.verdict.kind == "inconclusive"
         assert report.verdict.reason == "budget-exhausted"
@@ -407,7 +451,8 @@ class TestBinCert:
         query = ThresholdQuery(0.1, 1e-3, 0.01)
         report = run_strategy("bincert", query, BernoulliOracle(0.0), seed)
         assert report.notes == schedule("bincert", query)[0]
-        assert "delta_min = 0.0005139793782952352" in report.notes[0]
+        assert "each flank splits delta/2" in report.notes[0]
+        assert "delta_final = 0.004999999999999999" in report.notes[0]
 
 
 class _SlowOracle(CountingOracle):
@@ -428,11 +473,11 @@ class TestLimits:
 
     @pytest.mark.parametrize("name", ["bincert", "estimate"])
     def test_no_draw_starts_past_the_deadline(self, seed, name):
-        # In 16-trial draws an unlimited run at p = 0.12 needs 167 draws
-        # (bincert, seven calls) or 691 (estimate, one call), far past
-        # 50 ms, so the deadline falls inside a call.
+        # In 8-trial draws an unlimited run at p = 0.12 needs 83 draws
+        # (bincert, seven calls, 664 trials) or 1,382 (estimate, one call),
+        # past 50 ms, so the deadline falls inside a call.
         full = run_strategy(name, self.QUERY, BernoulliOracle(0.12), seed)
-        oracle = _SlowOracle(BernoulliOracle(0.12), batch_trials=16)
+        oracle = _SlowOracle(BernoulliOracle(0.12), batch_trials=8)
         limits = ResourceLimits(max_wall_ms=50.0)
         report = run_strategy(name, self.QUERY, oracle, seed, limits=limits)
         assert report.verdict == Verdict("inconclusive", "timeout")
@@ -630,9 +675,9 @@ class TestWorstCaseBudget:
     # A run costs its largest call, so every term bounds one call.
     def test_reference_budget(self):
         bound = worst_case_budget(ThresholdQuery(0.1, 1e-3, 0.01))
-        assert bound.exact_schedule_total == 2_418_619  # the final call
-        assert (bound.k1, bound.k2, bound.k3) == (6_058_662, 60_586_620, 4_303_953)
-        assert bound.analytic_total == max(bound.k1, bound.k2, bound.k3) == bound.k2
+        assert bound.exact_schedule_total == 2_399_834  # the final call
+        assert (bound.k1, bound.k2, bound.k3) == (1_831_398, 1_491_794, 4_281_041)
+        assert bound.analytic_total == max(bound.k1, bound.k2, bound.k3) == bound.k3
 
     def test_flank_terms_vanish_when_too_narrow(self):
         assert worst_case_budget(ThresholdQuery(0.01, 0.01, 0.1)).k1 == 0.0
@@ -660,12 +705,20 @@ class TestWorstCaseBudget:
         query = ThresholdQuery(theta, eta, delta)
         bound = worst_case_budget(query)
         term = {"proving": bound.k1, "refuting": bound.k2, "final": bound.k3}
-        sizes = [(call.side, call.plan.n_samples) for call in schedule("bincert", query)[1]]
-        for side, n in sizes:
-            # a size is its bound rounded up; 1e-9 absorbs eta versus upper - theta
-            assert n <= math.ceil(term[side] * (1.0 + 1e-9)), (side, n, term[side])
+        plans = [(call.side, call.plan) for call in schedule("bincert", query)[1]]
+        sizes = [(side, plan.n_samples) for side, plan in plans]
+        for side, plan in plans:
+            # every call's planned size, and its own closed form, fit its side's term
+            width = plan.theta2 - plan.theta1
+            closed = _closed_form(plan.theta2, width, plan.delta_call)
+            assert plan.n_samples <= closed <= term[side], (side, plan, term[side])
+        # each term is the largest closed form over its side's calls
+        for side in ("proving", "refuting", "final"):
+            assert term[side] == max(
+                [_closed_form(p.theta2, p.theta2 - p.theta1, p.delta_call)
+                 for s, p in plans if s == side] + [0])
         assert bound.exact_schedule_total == max(n for _, n in sizes)
-        assert bound.exact_schedule_total <= math.ceil(bound.analytic_total * (1.0 + 1e-9))
+        assert bound.exact_schedule_total <= bound.analytic_total
         for side in ("proving", "refuting"):
             assert (term[side] == 0.0) == all(s != side for s, _ in sizes)
 
@@ -673,9 +726,12 @@ class TestWorstCaseBudget:
         # eta squared is still nonzero, but 1 / eta^2 overflows
         query = ThresholdQuery(0.0, 1e-160, 0.1)
         with pytest.raises(OutOfRangeError, match="not finite"):
-            worst_case_budget(query)
-        with pytest.raises(OutOfRangeError, match="not finite"):
             baseline_samples(query)
+        # bincert's terms divide each call's theta2 by its own width squared,
+        # and a call's theta2 shrinks with its width, so they stay finite
+        bound = worst_case_budget(query)
+        assert bound.k1 == 0
+        assert bound.exact_schedule_total <= bound.analytic_total == bound.k2 < 1e162
         # plan_tester converts its bound with the same helper
         for bound in (math.inf, math.nan):
             with pytest.raises(OutOfRangeError, match="not finite"):
