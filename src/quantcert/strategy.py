@@ -7,7 +7,8 @@ and refuting intervals above theta + eta, alternating proving first while
 both flanks last, then one final call on (theta, theta + eta).
 
 * bincert: flanks that halve toward the threshold, cheap when the true
-  rate is far from theta; each flank's budget rises toward the threshold.
+  rate is far from theta; each flank's budgets rise toward the threshold,
+  from a share of delta each query picks to make its largest call least.
 * fixedcert: flanks cut into a non-adaptive grid of pitch sqrt(eta).
 * estimate: the naive baseline that estimates the rate to within eta/2 in
   one giant call.
@@ -27,7 +28,8 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from statistics import NormalDist
 from typing import (DefaultDict, Dict, Iterable, Iterator, List, Literal, Optional, Sequence,
                     Tuple)
 
@@ -60,11 +62,17 @@ _Layout = Tuple[Tuple[str, ...], Iterator["Call"]]
 # number; the nudge keeps layout counts from collapsing by one.
 _FLOOR_NUDGE = 1e-9
 
-# bincert gives each flank this share of delta, and each flank call this
-# many times the weight of the call before it, so the narrow calls next to
-# the threshold, the largest at any budget, get the most.
-_FLANK_SHARE = 0.5
+# bincert gives each flank call this many times the weight of the call
+# before it, so the narrow calls next to the threshold, the largest at any
+# budget, get the most; each flank's share of delta is k / _SHARE_STEPS
+# for a whole k (_flank_share).
 _RISE = 4.0
+_SHARE_STEPS = 1024
+
+# Every float is a whole number of 2^-1074: _final_budget puts a float
+# n / d, d = 2^e, on that grid as n << (_GRID - d.bit_length()), a shift
+# of 1074 - e.
+_GRID = 1075
 
 
 class ReportInvariantError(QuantCertError):
@@ -303,6 +311,64 @@ def _rising_budgets(total: float, calls: int, floor: float) -> List[float]:
     return [weight * scale for weight in weights]
 
 
+# z(b) = -_NORMAL.inv_cdf(b): a call at budget b takes about (z(b) A)^2
+# trials under the normal approximation, A its _spread.
+_NORMAL = NormalDist()
+
+
+def _spread(theta1: float, theta2: float) -> float:
+    """A = (sigma1 + sigma2) / (theta2 - theta1), sigma = sqrt(theta (1 - theta))."""
+    sigmas = math.sqrt(theta1 * (1.0 - theta1)) + math.sqrt(theta2 * (1.0 - theta2))
+    return sigmas / (theta2 - theta1)
+
+
+@lru_cache(maxsize=256)
+def _flank_share(theta: float, eta: float, delta: float) -> int:
+    """k for bincert's flank share k / _SHARE_STEPS of delta: the k whose
+    largest call is least under the normal approximation (_NORMAL).
+
+    Calls are compared by z A, not its square, so nothing overflows.  The
+    final call grows with k and each flank call shrinks, so the best k is
+    where the final call meets the largest flank call: bisect k for the
+    least one at which no flank call is larger than the final call, then
+    keep the better of it and the k below.  k stays under
+    _SHARE_STEPS (1 - 1/n), so the final call gets at least delta/n for the
+    halving call bound n.  A schedule without a flank call gives its flanks
+    k = 0.  The last 256 queries' shares are cached, as plans are
+    (tester._plan).
+    """
+    query = ThresholdQuery(theta, eta, delta)
+    n = _halving_calls(query)
+    # each flank call's part of its flank's share, and its spread
+    calls = [(weight, _spread(*interval)) for flank in _halving_flanks(query)
+             for weight, interval in zip(_rising_budgets(1.0, len(flank), 1.0 / (n * n)), flank)]
+    if not calls:
+        return 0
+    final_spread = _spread(theta, query.upper)
+
+    def final_root(k: int) -> float:
+        """z A of the final call at share k, z floored at 0."""
+        return max(0.0, -_NORMAL.inv_cdf(delta - k / _SHARE_STEPS * delta)) * final_spread
+
+    def fits(k: int, root: float) -> bool:
+        """Whether no flank call at share k has z A above root: each budget is
+        at least Phi(-root / A).  So only the final call's budget, at least
+        delta/n, reaches inv_cdf, never a flank budget that underflows."""
+        share = k / _SHARE_STEPS * delta
+        return all(share * weight >= _NORMAL.cdf(-root / spread) for weight, spread in calls)
+
+    lo, hi = 1, math.ceil(_SHARE_STEPS * (1.0 - 1.0 / n)) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid, final_root(mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    # Below lo the largest call is a flank call; keep lo - 1 if that call is
+    # no larger than the final call at lo.
+    return lo - 1 if lo > 1 and fits(lo - 1, final_root(lo)) else lo
+
+
 def _final_budget(delta: float, proving: Sequence[float], refuting: Sequence[float]) -> float:
     """The final call's budget: delta less the larger flank's budget sum.
 
@@ -312,20 +378,25 @@ def _final_budget(delta: float, proving: Sequence[float], refuting: Sequence[flo
     flank's budgets plus the final call's sum to at most delta.  The sums
     are taken exactly and the budget rounded down, so each side's exact
     sum, and its math.fsum, stays within delta.  bincert's flanks each get
-    about delta/2, so its final call gets about delta/2, at least delta/n
-    for its n >= 3; fixedcert's final call gets 2 delta/3 less a few ulps.
+    k/1024 of delta (_flank_share), so its final call gets about
+    (1 - k/1024) delta, at least delta/n for its halving call bound n;
+    fixedcert's final call gets 2 delta/3 less a few ulps.
     """
-    # Every float is an integer over a power of two, so over the largest
-    # denominator each sum and the difference are exact integer ratios;
-    # int / int rounds it to nearest, stepped down when that lands above.
+    # On the 2^-1074 grid (_GRID) each sum and the difference are exact
+    # integers, one shift a float; int / int rounds the difference to
+    # nearest, stepped down when that lands above.
+    spent = 0
+    for flank in (proving, refuting):
+        total = 0
+        for budget in flank:
+            n, d = budget.as_integer_ratio()
+            total += n << (_GRID - d.bit_length())
+        spent = max(spent, total)
     num, den = delta.as_integer_ratio()
-    ratios = [[budget.as_integer_ratio() for budget in flank] for flank in (proving, refuting)]
-    scale = max([den] + [d for flank in ratios for _, d in flank])
-    spent = max(sum(n * (scale // d) for n, d in flank) for flank in ratios)
-    left = num * (scale // den) - spent
-    final = left / scale
+    left = (num << (_GRID - den.bit_length())) - spent
+    final = left / (1 << (_GRID - 1))
     top, bottom = final.as_integer_ratio()
-    return math.nextafter(final, 0.0) if top * scale > left * bottom else final
+    return math.nextafter(final, 0.0) if top << (_GRID - bottom.bit_length()) > left else final
 
 
 def _lerp(a: float, b: float, num: int, k: int) -> float:
@@ -632,15 +703,18 @@ def worst_case_budget(query: QueryLike) -> BudgetBound:
 
 
 def _bincert(query: ThresholdQuery) -> _Layout:
-    """Each flank's budgets rise toward the threshold (_rising_budgets)."""
+    """Each flank splits its share of delta (_flank_share) by weights that
+    rise toward the threshold (_rising_budgets)."""
     n = _halving_calls(query)
     flanks = _halving_flanks(query)
-    budgets = tuple(_rising_budgets(_FLANK_SHARE * query.delta, len(flank), 1.0 / (n * n))
+    k = _flank_share(query.theta, query.eta, query.delta)
+    budgets = tuple(_rising_budgets(k / _SHARE_STEPS * query.delta, len(flank), 1.0 / (n * n))
                     for flank in flanks)
     delta_final, calls = _flanked(query, *flanks, budgets)
     notes = (
-        f"halving call bound n = {n!r} (base-2 depth); each flank splits delta/2 "
-        f"by weights max(4^-j, 1/n^2), j calls before its last; delta_final = {delta_final!r}",
+        f"halving call bound n = {n!r} (base-2 depth); each flank splits "
+        f"{k}/{_SHARE_STEPS} of delta by weights max(4^-j, 1/n^2), j calls before its last; "
+        f"delta_final = {delta_final!r}",
     )
     return notes, calls
 
@@ -648,7 +722,10 @@ def _bincert(query: ThresholdQuery) -> _Layout:
 def _fixedcert(query: ThresholdQuery) -> _Layout:
     """Proving intervals leftmost first, refuting ones rightmost first.
 
-    Each non-empty flank splits delta/3 evenly over its calls.
+    Each non-empty flank splits delta/3 evenly over its calls.  bincert's
+    share rule (_flank_share) would cut fixedcert's flanks to about 1/512
+    of delta, so they would settle far fewer runs: on (0.1, 0.05, 0.1) at
+    p = 0.5 a run would cost 175 samples on average, not 63.
     """
     theta, upper, delta = query.theta, query.upper, query.delta
     pitch = math.sqrt(query.eta)
@@ -702,14 +779,15 @@ def schedule(strategy: str, query: QueryLike) -> _Layout:
     _LAYOUTS, the one place it decides anything: the layout of the calls
     and the split of delta across them.  bincert and fixedcert lay out two
     flanks and a final call, alternating the flanks proving first while
-    both last (_flanked).  bincert gives each flank delta/2, split by
-    weights that rise 4x per call toward the threshold, floored at 1/n^2
-    for the halving call bound n (_rising_budgets, _halving_calls);
-    fixedcert gives each flank delta/3, split evenly over its grid.  The
-    final call of both gets what the larger flank leaves of delta
-    (_final_budget).  estimate makes one call at delta with the boundary
-    theta + eta/2.  The calls are lazy: a plan is made when its call is
-    read, so a run that settles early plans nothing more.  Runs,
-    worst_case_budget and schedule_law read them.
+    both last (_flanked).  bincert gives each flank a share k/1024 of
+    delta, the k whose largest call is least under the normal
+    approximation (_flank_share), split by weights that rise 4x per call
+    toward the threshold, floored at 1/n^2 for the halving call bound n
+    (_rising_budgets, _halving_calls); fixedcert gives each flank delta/3,
+    split evenly over its grid.  The final call of both gets what the
+    larger flank leaves of delta (_final_budget).  estimate makes one call
+    at delta with the boundary theta + eta/2.  The calls are lazy: a plan
+    is made when its call is read, so a run that settles early plans
+    nothing more.  Runs, worst_case_budget and schedule_law read them.
     """
     return _LAYOUTS[_check_choice("strategy", strategy, _LAYOUTS)](validate_query(query))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quantcert import SeedSpec, TrialOutcomes, load_model
-from quantcert.strategy import _halving_calls, schedule
+from quantcert.strategy import _flank_share, _halving_calls, schedule
 from quantcert.tester import TesterPlan
 
 
@@ -101,10 +101,11 @@ def parent_budgets(name, query, spent):
     """Each flank's budgets, in run order, and the least the final call gets.
 
     spent holds the (side, delta_call) pairs of a whole schedule, in run
-    order; the flank lengths come from it.  bincert splits delta/2 over each
-    flank by weights max(4^-j, 1/n^2) for the call j steps before the
-    flank's last, here in exact arithmetic, and its final call gets no less
-    than delta / n, what every call got under a union bound over all calls.
+    order; the flank lengths come from it.  bincert splits its flank share
+    k/1024 of delta (strategy._flank_share) over each flank by weights
+    max(4^-j, 1/n^2) for the call j steps before the flank's last, here in
+    exact arithmetic, and its final call gets no less than delta / n, what
+    every call got under a union bound over all calls.
     fixedcert splits delta/3 evenly over each flank and gives the final call
     no less than delta/3; estimate's one call runs at delta.
     """
@@ -115,10 +116,11 @@ def parent_budgets(name, query, spent):
         return {**{side: [query.delta / (3.0 * k)] * k if k else [] for side, k in count.items()},
                 "final": query.delta / 3.0}
     n = _halving_calls(query)
+    share = Fraction(_flank_share(query.theta, query.eta, query.delta), 1024) * Fraction(query.delta)
     budgets = {}
     for side, k in count.items():
         weights = [max(Fraction(1, 4 ** j), Fraction(1.0 / (n * n))) for j in range(k - 1, -1, -1)]
-        budgets[side] = [float(Fraction(query.delta) / 2 * w / sum(weights)) for w in weights]
+        budgets[side] = [float(share * w / sum(weights)) for w in weights]
     return {**budgets, "final": query.delta / n}
 
 

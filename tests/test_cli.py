@@ -75,7 +75,7 @@ class TestBudget:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["exact_schedule_total"] == 2_399_834
+        assert doc["exact_schedule_total"] == 1_967_543
         assert doc["baseline_samples"] == 55_262_043
         assert doc["analytic_total"] == max(doc["k1"], doc["k2"], doc["k3"])
 
@@ -327,7 +327,7 @@ class TestHardness:
         # bisect opens at the largest radius, then halves the bracket.
         assert [(p["epsilon"], p["verdict"]) for p in doc["probes"]] == [
             (0.3, "no"), (0.15, "yes"), (0.2, "yes"), (0.25, "no")]
-        assert doc["total_samples"] == 46410
+        assert doc["total_samples"] == 36847
 
     def test_bisect_no_yes_found_ends_at_the_smallest_radius(
         self, capsys, model_path, center_path
@@ -803,19 +803,19 @@ ORACLE_CMD = ["certify", *TestCertifyModel.QUERY, "--center", "center.csv", "--e
                      "edb57531151c8601ea06ccfda2fbe913852ff8a080bbaca2ada4391c8cd09f5f",
                      id="plan-delta-one"),
         pytest.param(["budget", "--theta", "0.1", "--eta", "0.001", "--delta", "0.01"], 0,
-                     "4b61442e0640b37d0442786dbcb313e61b1c3ec524726680395e9d99080c37e4",
+                     "50b1eff0c01e49cd6e3ae6054d1f0da51341cea567cd1ad438038cf52c184947",
                      id="budget"),
         pytest.param([*HARDNESS, "--eps-grid", "0.05:0.3:0.05"], EXIT_YES,
-                     "f950039623c1ac0f119b7afcce819820578567fd1181bf90402f22f78982553d",
+                     "8b845477a6777df987bddc48be84f83268a6f5071cace9bf75949c7256e07cce",
                      id="hardness-yes"),
         pytest.param([*HARDNESS, "--eps-grid", "0.25,0.3"], EXIT_NO,
-                     "add727469eba339271c9a56a87ba8f8c5d7d5735d1da5ce31b7d3d1d355ca538",
+                     "a9fa0d83a22205402558d7399563841f859c33db789bbee05bb6fc7e0beeef7d",
                      id="hardness-no-yes-found"),
         pytest.param([*ORACLE_CMD, "--norm", "linf"], EXIT_YES,
-                     "c4da1fff1e306d3bca4da0d32dd55bc1e380954eea9d9b3b6dfb8fb487c0dc73",
+                     "d0ce2e3d2544d7388100fd241a5e2906d4a12ef2d860d672cbb266b560b6fb5d",
                      id="oracle-cmd-linf"),
         pytest.param([*ORACLE_CMD, "--norm", "l2"], EXIT_YES,
-                     "71df829a9155626d29df1e1a275855d4b67b47fcfa88a80e8fdc800d3c1ea8b3",
+                     "74b10826d157aaeb9ffda735734fa86cf7164908a43f834f0123c8c56e24d62c",
                      id="oracle-cmd-l2"),
     ],
 )

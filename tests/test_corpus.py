@@ -111,19 +111,19 @@ def density_reports(norm):
 
 
 GOLDEN_BERNOULLI = {
-    "bincert": "e599ba78e746e459199ace4247e2ad6aa6364b8da13ca1dfea4a47c202bdb00c",
-    "fixedcert": "a3930252b667c7889cc3cdc2f99e2a002d0b6bbd5650247d4c9f70f93c8cd64a",
-    "estimate": "c1f58c3570f3e47dcdd030e61bcc35aa3329152ec1172192093dbfd5c9b22576",
+    "bincert": "9f62df171ece5625d735998306f4ab86f1c76ddd75d81b0c67e8c3b74721d338",
+    "fixedcert": "c5813a06edfc1f3266d015ebc0cafeac6ab95afe0d71ff61a7ba1ae70623454e",
+    "estimate": "8b89deeaa9a22ba13c64b1da4d71e30560ddbac88448840fe20a70b14a7ccb0e",
 }
 
 GOLDEN_DENSITY = {
-    "linf": "0ca8a659bef9abf9282ebe43f75decbdbe6e516cade816f7505ba4104e52084e",
-    "l2": "5068d4d8abb666e0d6d9ecbadb2ac5c8b53feb3689de7df12c2e33487214d635",
+    "linf": "18ff080ed3ac4ee752dec30a5e21737ab8d4af1df808953021df8a742da1a7cf",
+    "l2": "c9ea0613ea0fe397ff4dfcfc44a738b91c612886e2277126e79b5e33def4a25a",
 }
 
 
 GOLDEN_SCHEDULES = {
-    "bincert": "feb34fc45ae4f1d81043a8db1d1bab76d03249802ad7ae2842fde15ab3dc18fd",
+    "bincert": "376fba5592fb705311d4cf075d88f40702b1e8812d6313acd43f8ee138b74fef",
     "fixedcert": "7c36c648f50c1207feb371ac0ee07a3620ff00b1d484b796039b1971910267f2",
     "estimate": "9d1aab1a2c9fd90cc6f56bebe9270b009d2b191886b808f9bccf6706b87a7639",
 }

@@ -3,6 +3,7 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,8 @@ from quantcert.strategy import (
 from quantcert import strategy
 from quantcert.tester import TesterPlan as HandPlan
 from quantcert.tester import _closed_form, _sample_count, plan_tester
-from quantcert.strategy import _check_report, _entry, _final_budget, _halving_calls
+from quantcert.strategy import (_check_report, _entry, _final_budget, _flank_share,
+                                _halving_calls)
 from conftest import CountingOracle, assert_per_side, parent_budgets, schedule_rows
 
 
@@ -116,16 +118,19 @@ class TestCreateInterval:
 
 
 class TestBinCertParams:
-    """The halving call bound n, the flank budgets' floor 1/n^2, and the bincert note."""
+    """The halving call bound n, the flank budgets' floor 1/n^2, the flank
+    share, and the bincert note."""
 
     def test_reference_query(self):
+        # the final call is the largest, so the flanks get a small share
         query = ThresholdQuery(0.1, 1e-3, 0.01)
         assert _halving_calls(query) == 19.45603349528917
+        assert _flank_share(0.1, 1e-3, 0.01) == 17
         notes, _ = schedule("bincert", query)
         assert notes == (
             "halving call bound n = 19.45603349528917 (base-2 depth); each flank splits "
-            "delta/2 by weights max(4^-j, 1/n^2), j calls before its last; "
-            "delta_final = 0.004999999999999999",
+            "17/1024 of delta by weights max(4^-j, 1/n^2), j calls before its last; "
+            "delta_final = 0.009833984374999999",
         )
 
     def test_zero_threshold_drops_left_term(self):
@@ -190,8 +195,9 @@ class TestHalvingSchedule:
         delta=st.floats(1e-6, 1.0),
     )
     def test_union_bound_covers_every_call(self, theta, eta, delta):
-        # each flank splits delta/2 and the schedule holds at most n calls,
-        # so the final call's share, about delta/2, is at least delta / n
+        # each flank splits k/1024 of delta, k under 1024 (1 - 1/n), and the
+        # schedule holds at most n calls, so the final call's budget, about
+        # (1 - k/1024) delta, is at least delta / n
         assume(theta + eta <= 1.0)
         query = ThresholdQuery(theta, eta, delta)
         n = _halving_calls(query)
@@ -200,8 +206,19 @@ class TestHalvingSchedule:
         assert_per_side(query, spent, parent_budgets("bincert", query, spent))
 
 
+class _CheckedNormal(NormalDist):
+    """The share search's normal law, failing on a budget outside (0, 1)."""
+
+    def inv_cdf(self, p):
+        assert 0.0 < p < 1.0, p
+        return super().inv_cdf(p)
+
+
 # eta near 1e-160 gives a flank about 530 calls deep, where 4^-j underflows
-# and the 1/n^2 floor alone keeps the far budgets above zero.
+# and the 1/n^2 floor alone keeps the far budgets above zero.  There the
+# share search's z A reaches about 1e161, whose square would overflow, and
+# at delta 1e-300 a flank budget may round to 0, which must not reach
+# inv_cdf.
 @given(
     theta=st.floats(0.0, 1.0) | st.floats(0.0, 1e-140),
     eta=st.floats(1e-160, 1.0, exclude_max=True),
@@ -218,12 +235,50 @@ def test_rising_budgets_stay_positive_and_within_delta(theta, eta, delta):
     with mock.patch.object(strategy, "plan_tester", lambda *row: HandPlan(*row, 1, 0)):
         notes, calls = schedule("bincert", query)
         spent = [(call.side, call.plan.delta_call) for call in calls]
-    assert "each flank splits delta/2" in notes[0]
+    with mock.patch.object(strategy, "_NORMAL", _CheckedNormal()):
+        share = _flank_share.__wrapped__(theta, eta, delta)
+    assert f"each flank splits {share}/1024 of delta" in notes[0]
     budgets = {side: [b for s, b in spent if s == side] for side in ("proving", "refuting", "final")}
+    if budgets["proving"] or budgets["refuting"]:
+        assert 1 <= share < 1024 * (1.0 - 1.0 / _halving_calls(query))
+    else:
+        assert share == 0
     assert all(type(b) is float and b > 0.0 for flank in budgets.values() for b in flank)
     (final,) = budgets["final"]
     for side in ("proving", "refuting"):
         assert sum(map(Fraction, budgets[side]), Fraction(final)) <= Fraction(delta)
+
+
+# The bench's queries: bern-tight, whose final call is its largest, so its
+# flanks get a small share; hardness-784; and the README's, whose last
+# refuting call would be the largest at share 1/2.
+@pytest.mark.parametrize("query, share, largest", [
+    ((0.1, 2e-3, 0.01), 16, 494_257),
+    ((0.01, 0.01, 0.05), 440, 2_131),
+    ((0.1, 0.05, 0.1), 663, 600),
+])
+def test_bench_queries_share_and_largest_call(query, share, largest):
+    assert _flank_share(*query) == share
+    assert max(call.plan.n_samples for call in schedule("bincert", query)[1]) == largest
+
+
+def test_share_is_no_worse_than_half_on_random_queries():
+    # The share minimises the largest call under the normal approximation,
+    # so on these seeded queries its planned largest call is never 2% above
+    # the one at share 1/2.  Queries with delta or eta above 0.1 are left
+    # out: their calls can be a few dozen trials, where a planned size can
+    # rise as delta_call rises, so no rule on budgets bounds them this
+    # tightly.
+    rng = np.random.default_rng(38)
+    for _ in range(100):
+        theta = rng.uniform(0.0, 0.85)
+        eta = math.exp(rng.uniform(math.log(5e-3), math.log(0.1)))
+        delta = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
+        query = ThresholdQuery(theta, eta, delta)
+        new = max(call.plan.n_samples for call in schedule("bincert", query)[1])
+        with mock.patch.object(strategy, "_flank_share", lambda *query: 512):
+            half = max(call.plan.n_samples for call in schedule("bincert", query)[1])
+        assert new <= 1.02 * half, (query, new, half)
 
 
 @given(
@@ -343,9 +398,11 @@ class TestBinCert:
         call = report.calls[0]
         assert call.side == "proving"
         assert (call.plan.theta1, call.plan.theta2) == (0.0, 0.5)
-        # the first of the proving flank's three calls gets 1/21 of delta/2
-        assert call.plan.delta_call == pytest.approx(query.delta / 42, rel=1e-12)
-        assert report.total_samples == plan_tester(0.0, 0.5, call.plan.delta_call).n_samples == 13
+        # the first of the proving flank's three calls gets 1/21 of its
+        # share, 175/1024 of delta
+        assert _flank_share(0.5, 0.1, 0.01) == 175
+        assert call.plan.delta_call == pytest.approx(query.delta * 175 / 21504, rel=1e-12)
+        assert report.total_samples == plan_tester(0.0, 0.5, call.plan.delta_call).n_samples == 14
 
     def test_full_rate_settles_on_first_refuting_call(self, seed):
         report = run_strategy("bincert", ThresholdQuery(0.5, 0.1, 0.01), BernoulliOracle(1.0), seed)
@@ -398,9 +455,9 @@ class TestBinCert:
             assert all(start >= length for start, _ in drawn)
             assert sum(k for _, k in drawn) == max(0, call.plan.n_samples - length)
             assert all(k == batch for _, k in drawn[:-1])
-        # 4 reads inside the proving call's 29 trials, and the final call's
-        # 496 inside the 664 before it: two calls draw nothing
-        assert [c.plan.n_samples for c in report.calls] == [29, 4, 51, 132, 314, 664, 496]
+        # 4 reads inside the proving call's 26 trials, and the final call's
+        # 586 inside the 600 before it: two calls draw nothing
+        assert [c.plan.n_samples for c in report.calls] == [26, 4, 46, 124, 293, 600, 586]
         assert [nxt - first for (_, first), nxt in zip(marks, ends)].count(0) == 2
 
     def test_zero_threshold_query(self, seed):
@@ -420,7 +477,7 @@ class TestBinCert:
             ThresholdQuery(0.5, 0.1, 0.01),
             BernoulliOracle(0.0),
             seed,
-            limits=ResourceLimits(max_samples=12),  # the first call takes 13
+            limits=ResourceLimits(max_samples=13),  # the first call takes 14
         )
         assert report.verdict.kind == "inconclusive"
         assert report.verdict.reason == "budget-exhausted"
@@ -451,8 +508,8 @@ class TestBinCert:
         query = ThresholdQuery(0.1, 1e-3, 0.01)
         report = run_strategy("bincert", query, BernoulliOracle(0.0), seed)
         assert report.notes == schedule("bincert", query)[0]
-        assert "each flank splits delta/2" in report.notes[0]
-        assert "delta_final = 0.004999999999999999" in report.notes[0]
+        assert "each flank splits 17/1024 of delta" in report.notes[0]
+        assert "delta_final = 0.009833984374999999" in report.notes[0]
 
 
 class _SlowOracle(CountingOracle):
@@ -675,8 +732,8 @@ class TestWorstCaseBudget:
     # A run costs its largest call, so every term bounds one call.
     def test_reference_budget(self):
         bound = worst_case_budget(ThresholdQuery(0.1, 1e-3, 0.01))
-        assert bound.exact_schedule_total == 2_399_834  # the final call
-        assert (bound.k1, bound.k2, bound.k3) == (1_831_398, 1_491_794, 4_281_041)
+        assert bound.exact_schedule_total == 1_967_543  # the final call
+        assert (bound.k1, bound.k2, bound.k3) == (2_947_185, 2_399_716, 3_734_505)
         assert bound.analytic_total == max(bound.k1, bound.k2, bound.k3) == bound.k3
 
     def test_flank_terms_vanish_when_too_narrow(self):
@@ -731,7 +788,7 @@ class TestWorstCaseBudget:
         # and a call's theta2 shrinks with its width, so they stay finite
         bound = worst_case_budget(query)
         assert bound.k1 == 0
-        assert bound.exact_schedule_total <= bound.analytic_total == bound.k2 < 1e162
+        assert bound.exact_schedule_total <= bound.analytic_total == bound.k3 < 1e162
         # plan_tester converts its bound with the same helper
         for bound in (math.inf, math.nan):
             with pytest.raises(OutOfRangeError, match="not finite"):
